@@ -18,8 +18,10 @@ across calls, so a long run may be fed in segments).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,16 +224,56 @@ class _FixedMaskStream:
         return out
 
 
+class _Kind(NamedTuple):
+    name: str  # the "kind" in config and report documents
+    spec: str  # the CLI spec prefix
+    model: type
+    stream: type
+
+
+#: One row per model kind.  Document fields and spec values are the model's
+#: dataclass fields in declared order; a spec never carries the seed.
+KINDS = (
+    _Kind("ideal", "ideal", Ideal, _IdealStream),
+    _Kind("bsc", "bsc", Bsc, _BscStream),
+    _Kind("gilbert_elliott", "ge", GilbertElliott, _GilbertElliottStream),
+    _Kind("fixed_mask", "mask", FixedMask, _FixedMaskStream),
+)
+_BY_MODEL = {k.model: k for k in KINDS}
+_BY_NAME = {k.name: k for k in KINDS}
+_BY_SPEC = {k.spec: k for k in KINDS}
+
+#: How a field's declared type reads a value from a document or a spec.
+_INDEX_LIST = "tuple[int, ...]"
+_READERS = {"int": int, "float": float, _INDEX_LIST: lambda vs: tuple(int(v) for v in vs)}
+
+
+def _params(kind: _Kind) -> tuple[dataclasses.Field, ...]:
+    return tuple(f for f in dataclasses.fields(kind.model) if f.name != "seed")
+
+
+def _kind_of(model: ChannelModel) -> _Kind:
+    kind = _BY_MODEL.get(type(model))
+    if kind is None:
+        raise TypeError(f"not a channel model: {model!r}")
+    return kind
+
+
+def param_names(kind_name: str) -> tuple[str, ...]:
+    """Parameter fields of a document's channel kind, in declared order."""
+    if kind_name not in _BY_NAME:
+        raise ValueError(f"unknown channel kind {kind_name!r}")
+    return tuple(f.name for f in _params(_BY_NAME[kind_name]))
+
+
+def spec_usage() -> str:
+    """The CLI spec forms: ``ideal | bsc:p | ge:p_gb,p_bg,p_good,p_bad | ...``."""
+    forms = (f"{k.spec}:{','.join(f.name for f in _params(k))}" for k in KINDS)
+    return " | ".join(form.rstrip(":") for form in forms)
+
+
 def open_stream(model: ChannelModel):
-    if isinstance(model, Ideal):
-        return _IdealStream(model)
-    if isinstance(model, Bsc):
-        return _BscStream(model)
-    if isinstance(model, GilbertElliott):
-        return _GilbertElliottStream(model)
-    if isinstance(model, FixedMask):
-        return _FixedMaskStream(model)
-    raise TypeError(f"not a channel model: {model!r}")
+    return _kind_of(model).stream(model)
 
 
 def apply(model: ChannelModel, bits: np.ndarray) -> np.ndarray:
@@ -245,42 +287,34 @@ def apply(model: ChannelModel, bits: np.ndarray) -> np.ndarray:
 
 
 def model_to_dict(model: ChannelModel) -> dict:
-    if isinstance(model, Ideal):
-        return {"kind": "ideal", "seed": model.seed}
-    if isinstance(model, Bsc):
-        return {"kind": "bsc", "p": model.p, "seed": model.seed}
-    if isinstance(model, GilbertElliott):
-        return {
-            "kind": "gilbert_elliott",
-            "p_gb": model.p_gb,
-            "p_bg": model.p_bg,
-            "p_good": model.p_good,
-            "p_bad": model.p_bad,
-            "seed": model.seed,
-        }
-    if isinstance(model, FixedMask):
-        return {"kind": "fixed_mask", "indices": list(model.indices), "seed": model.seed}
-    raise TypeError(f"not a channel model: {model!r}")
+    out = {"kind": _kind_of(model).name}
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def model_from_dict(data: dict) -> ChannelModel:
     try:
-        kind = data["kind"]
-        seed = int(data.get("seed", 0))
-        if kind == "ideal":
-            return Ideal(seed=seed)
-        if kind == "bsc":
-            return Bsc(p=float(data["p"]), seed=seed)
-        if kind == "gilbert_elliott":
-            return GilbertElliott(
-                p_gb=float(data["p_gb"]),
-                p_bg=float(data["p_bg"]),
-                p_good=float(data["p_good"]),
-                p_bad=float(data["p_bad"]),
-                seed=seed,
-            )
-        if kind == "fixed_mask":
-            return FixedMask(indices=tuple(int(i) for i in data["indices"]), seed=seed)
+        kind = _BY_NAME.get(data["kind"])
+        if kind is None:
+            raise ValueError(f"unknown channel kind {data['kind']!r}")
+        params = {f.name: _READERS[f.type](data[f.name]) for f in _params(kind)}
+        return kind.model(**params, seed=int(data.get("seed", 0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad channel description {data!r}: {exc}") from None
-    raise ValueError(f"unknown channel kind {kind!r}")
+
+
+def model_from_spec(spec: str, seed: int) -> ChannelModel:
+    """Read a CLI spec (see `spec_usage`); an index list takes every value."""
+    prefix, _, rest = spec.partition(":")
+    if prefix not in _BY_SPEC:
+        raise ValueError(f"unknown kind {prefix!r}; use {spec_usage()}")
+    params = _params(_BY_SPEC[prefix])
+    values = rest.split(",") if rest else []
+    if [f.type for f in params] == [_INDEX_LIST]:
+        values = [values]
+    if len(values) != len(params):
+        raise ValueError(f"expected {len(params)} values, got {len(values)}")
+    read = {f.name: _READERS[f.type](v) for f, v in zip(params, values)}
+    return _BY_SPEC[prefix].model(**read, seed=seed)

@@ -81,16 +81,6 @@ def group_thousands(n: int) -> str:
     return f"{n:,}".replace(",", " ")
 
 
-def _fraction_float(value: Fraction) -> float:
-    return float(value)
-
-
-def _fraction_from_json(value) -> Fraction:
-    # JSON numbers come back as shortest-repr floats; read them as the
-    # decimal they print as, which restores 1e-08 to exactly 10**-8.
-    return exact_fraction(value)
-
-
 def _format_resolution(value: Fraction) -> str:
     return format_ber(BerValue(value, is_bound=True))[2:]  # strip "< "
 
@@ -122,11 +112,11 @@ def build_plan(rates: Sequence[int] | None, ber0) -> dict:
             rows.extend(plan_rows(family_rates, ber0, family))
     else:
         rows = plan_rows(rates, ber0)
-    return {"schema": PLAN_SCHEMA, "ber0": _fraction_float(ber0), "rows": rows}
+    return {"schema": PLAN_SCHEMA, "ber0": float(ber0), "rows": rows}
 
 
 def render_plan_text(plan: dict) -> str:
-    ber0 = _fraction_from_json(plan["ber0"])
+    ber0 = exact_fraction(plan["ber0"])
     rows = plan["rows"]
     with_family = any(r.get("family") for r in rows)
     header = ["B (kbit/s)", "t0 (s)", "t0 (h:min:s)"]
@@ -202,13 +192,18 @@ def _channel_from_config(data: dict) -> channel_mod.ChannelModel:
     return channel_mod.model_from_dict(data)
 
 
+def _load_document(path: Path, schema: str) -> dict:
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    if data.get("schema") != schema:
+        raise ConfigError(f"{path}: expected schema {schema!r}, got {data.get('schema')!r}")
+    return data
+
+
 def load_config(path: str | Path) -> CampaignConfig:
     path = Path(path)
-    data = _load_json(path)
-    if data.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(
-            f"{path}: expected schema {CONFIG_SCHEMA!r}, got {data.get('schema')!r}"
-        )
+    data = _load_document(path, CONFIG_SCHEMA)
     base = path.parent
     cfg = default_config()
     try:
@@ -250,23 +245,10 @@ def load_config(path: str | Path) -> CampaignConfig:
 
 
 def parse_channel_spec(spec: str, seed: int) -> channel_mod.ChannelModel:
-    kind, _, rest = spec.partition(":")
     try:
-        if kind == "ideal":
-            return channel_mod.Ideal(seed=seed)
-        if kind == "bsc":
-            return channel_mod.Bsc(p=float(rest), seed=seed)
-        if kind == "ge":
-            p_gb, p_bg, p_good, p_bad = (float(v) for v in rest.split(","))
-            return channel_mod.GilbertElliott(p_gb, p_bg, p_good, p_bad, seed=seed)
-        if kind == "mask":
-            indices = tuple(int(v) for v in rest.split(",")) if rest else ()
-            return channel_mod.FixedMask(indices=indices, seed=seed)
+        return channel_mod.model_from_spec(spec, seed)
     except ValueError as exc:
         raise ConfigError(f"bad channel spec {spec!r}: {exc}") from None
-    raise ConfigError(
-        f"unknown channel spec {spec!r}; use ideal, bsc:P, ge:PGB,PBG,PGOOD,PBAD or mask:I,J,..."
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +263,7 @@ def _measurement_to_dict(m) -> dict:
         "errored_bits": m.errored_bits,
         "ber": {
             "kind": "upper_bound" if m.ber.is_bound else "point",
-            "value": _fraction_float(m.ber.value),
+            "value": float(m.ber.value),
         },
         "duration_s": m.duration_s,
         "sync_failed": m.sync_failed,
@@ -294,8 +276,8 @@ def report_to_dict(report: CampaignReport) -> dict:
         "dut": report.dut_name,
         "analyzer": analyzer_to_dict(report.analyzer),
         "config": {
-            "ber0": _fraction_float(report.ber0),
-            "ber_max": _fraction_float(report.ber_max),
+            "ber0": float(report.ber0),
+            "ber_max": float(report.ber_max),
             "pattern": {
                 "order": report.pattern_order,
                 "taps": list(report.pattern_taps),
@@ -334,7 +316,7 @@ def _worst_ber(measurements: list[dict]) -> dict | None:
         value = (
             Fraction(m["errored_bits"], m["transmitted_bits"])
             if ber["kind"] == "point"
-            else _fraction_from_json(ber["value"])
+            else exact_fraction(ber["value"])
         )
         return (value, 0 if ber["kind"] == "upper_bound" else 1)
 
@@ -346,18 +328,18 @@ def _render_ber_cell(m: dict | None) -> str:
         return "-"
     ber = m["ber"]
     if ber["kind"] == "upper_bound":
-        return format_ber(BerValue(_fraction_from_json(ber["value"]), is_bound=True))
+        return format_ber(BerValue(exact_fraction(ber["value"]), is_bound=True))
     return format_ber(BerValue.point(m["errored_bits"], m["transmitted_bits"]))
 
 
 def render_report_text(report: dict) -> str:
     cfg = report["config"]
-    ber0 = _fraction_from_json(cfg["ber0"])
-    ber_max = _fraction_from_json(cfg["ber_max"])
+    ber0 = exact_fraction(cfg["ber0"])
+    ber_max = exact_fraction(cfg["ber_max"])
     pattern = cfg["pattern"]
     freqs = report["frequencies_hz"]
     chan = cfg["channel"]
-    extras = " ".join(f"{k}={v}" for k, v in chan.items() if k not in ("kind", "seed"))
+    extras = " ".join(f"{k}={chan[k]}" for k in channel_mod.param_names(chan["kind"]))
     chan_text = chan["kind"] + (f" {extras}" if extras else "") + f" (seed {chan['seed']})"
 
     lines = [
@@ -522,11 +504,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_report(args) -> int:
-    data = _load_json(Path(args.in_path))
-    if data.get("schema") != REPORT_SCHEMA:
-        raise ConfigError(
-            f"{args.in_path}: expected schema {REPORT_SCHEMA!r}, got {data.get('schema')!r}"
-        )
+    data = _load_document(Path(args.in_path), REPORT_SCHEMA)
     text = render_report_text(data)
     if args.out:
         _write_text(Path(args.out), text)
@@ -555,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--bermax", help="override pass threshold")
     p_run.add_argument("--seed", type=int, help="override channel seed")
     p_run.add_argument(
-        "--channel", help="override channel: ideal | bsc:P | ge:PGB,PBG,PGOOD,PBAD | mask:I,J,..."
+        "--channel", help="override channel: " + channel_mod.spec_usage()
     )
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument(

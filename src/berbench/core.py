@@ -10,7 +10,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 
@@ -98,7 +98,10 @@ def exact_fraction(value) -> Fraction:
             raise ValueError(f"cannot interpret {value!r} as an exact number")
         return Fraction(Decimal(repr(value)))
     if isinstance(value, (str, Decimal)):
-        return Fraction(Decimal(value))
+        try:
+            return Fraction(Decimal(value))
+        except (InvalidOperation, OverflowError, ValueError):  # not a finite decimal
+            raise ValueError(f"cannot interpret {value!r} as an exact number") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact number")
 
 

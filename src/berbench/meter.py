@@ -9,14 +9,9 @@ The meter transmits that budget plus a small lock allowance through the
 session loopback, self-synchronizes on the returned stream, and counts
 errors against a free-running reference.  Lock-acquisition bits are spent
 on top of the budget, never counted inside it.
-
-Virtual time is the default: the nominal duration is reported while the
-bits are processed as fast as the machine allows.  The wall-clock pacing
-mode really waits and exists only for demonstrations.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,11 +30,10 @@ class SelfTestError(Exception):
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Resolution, pattern, and pacing for one measurement."""
+    """Resolution and pattern for one measurement."""
 
     ber0: Fraction = Fraction(1, 10**8)
     pattern: PrbsSpec = PrbsSpec()
-    virtual_time: bool = True
 
     def __post_init__(self):
         ber0 = exact_fraction(self.ber0)
@@ -118,8 +112,6 @@ def measure(session: Session, config: MeasurementConfig) -> BerMeasurement:
             compared += got
             errored += bad
         remaining -= seg
-        if not config.virtual_time:
-            time.sleep(duration * (seg / budget))
 
     if errored > 0:
         ber = BerValue.point(errored, compared)

@@ -67,10 +67,9 @@ class SyncState:
 
     locked: bool
     offset: int = 0
-    matched: int = 0
 
 
-SEARCHING = SyncState(locked=False, offset=0, matched=0)
+SEARCHING = SyncState(locked=False, offset=0)
 
 
 def step_register(state: int, order: int, tap: int) -> tuple[int, int]:
@@ -149,36 +148,35 @@ def _phase_after_window(period: np.ndarray, window: np.ndarray) -> int:
     return (int(spots[0]) + k) % len(period)
 
 
-def synchronize(
-    spec: PrbsSpec, received: np.ndarray, lock_threshold: int = LOCK_THRESHOLD
-) -> SyncState:
+def synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
     """Self-seed from the stream and lock once predictions hold.
 
     Every incoming bit is checked against the prediction from the previous
     `order` received bits; lock is declared at the first run of
-    `lock_threshold` consecutive clean predictions whose seed window is not
+    `LOCK_THRESHOLD` consecutive clean predictions whose seed window is not
     all zeros (the all-zero state is a register fixed point and never a
     valid pattern).  `offset` is the start of that seed window.
     """
+    m = LOCK_THRESHOLD
     r = np.ascontiguousarray(received, dtype=np.uint8)
     k, t = spec.order, spec.taps[1]
     n = len(r)
-    if n < k + lock_threshold:
+    if n < k + m:
         return SEARCHING
     # Fast path: a clean head locks at offset 0 without scanning the stream.
-    head = r[k : k + lock_threshold] ^ r[:lock_threshold] ^ r[k - t : k - t + lock_threshold]
+    head = r[k : k + m] ^ r[:m] ^ r[k - t : k - t + m]
     if not head.any() and r[:k].any():
-        return SyncState(locked=True, offset=0, matched=lock_threshold)
+        return SyncState(locked=True, offset=0)
     pred_err = r[k:] ^ r[: n - k] ^ r[k - t : n - t]
     clean = np.concatenate(([0], np.cumsum(pred_err == 0, dtype=np.int64)))
-    run_ok = clean[lock_threshold:] - clean[:-lock_threshold] == lock_threshold
+    run_ok = clean[m:] - clean[:-m] == m
     ones = np.concatenate(([0], np.cumsum(r, dtype=np.int64)))
     seed_ok = (ones[k:] - ones[:-k]) > 0
     candidates = run_ok & seed_ok[: len(run_ok)]
     if not candidates.any():
         return SEARCHING
     offset = int(np.argmax(candidates))
-    return SyncState(locked=True, offset=offset, matched=lock_threshold)
+    return SyncState(locked=True, offset=offset)
 
 
 def count_errors(

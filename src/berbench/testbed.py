@@ -7,11 +7,12 @@ converter graph, so reports can state whether a converter was needed.
 
 A session binds the device to one (interface, bit rate, tuning frequency)
 triple and exposes `loopback`, which pushes a bit stream through the
-line discipline of the interface under test and the device's fault model:
+line discipline of the interface under test and the device's fault model,
+which flips bits (no session uses the HDB3 codec in `framing`):
 
-* G.704 paths carry real check multiframes and ride the HDB3 wire;
-* G.703 paths are unframed but HDB3-coded;
-* everything else (V.35, STANAG 4210, Ethernet family) is treated as a
+* G.704 paths build CRC-4 check multiframes and recover the payload by
+  frame alignment;
+* everything else (G.703, V.35, STANAG 4210, Ethernet family) is a
   transparent bit pipe, since the converters bridge raw test patterns.
 """
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .framing import (
     FrameAlignmentError,
     build_multiframes,
     g704_align,
+    # Not called here; perfbench/traced.py counts calls made under these two names.
     hdb3_decode,
     hdb3_encode,
 )
@@ -211,7 +213,7 @@ class DutProfile:
     """The simulated modem: ports, rates, tuning range, fault model.
 
     `g704_crc4` switches the check multiframe on the framed path; it is on
-    by default.
+    by default.  G.704 rates are whole 64 kbit/s timeslots, up to 2048.
     """
 
     name: str
@@ -236,6 +238,9 @@ class DutProfile:
         for kind, _ in ports:
             if not rates.get(kind):
                 raise ValueError(f"port {kind} has no supported rates")
+        bad = sorted(r for r in rates.get(InterfaceKind.G704, ()) if r % 64 or r > 2048)
+        if bad:
+            raise ValueError(f"G.704 rates must be multiples of 64 up to 2048 kbit/s, got {bad}")
         object.__setattr__(self, "supported_rates", rates)
         if self.warmup_s < 0:
             raise ValueError("warm-up time cannot be negative")
@@ -247,12 +252,6 @@ class DutProfile:
         return None
 
 
-def _payload_timeslots(rate_kbps: int) -> int:
-    # Fractional operation occupies the first n timeslots; the full 2048
-    # rate fills all 31 payload slots.
-    return max(1, min(PAYLOAD_SLOTS, rate_kbps // 64))
-
-
 @dataclass
 class Session:
     """An open connection at a fixed (interface, rate, frequency)."""
@@ -261,12 +260,13 @@ class Session:
     iface: InterfaceKind
     rate_kbps: int
     freq_hz: float
-    g704_crc4: bool = True
     _stream: object = field(default=None, repr=False, compare=False)
 
     @property
     def payload_timeslots(self) -> int:
-        return _payload_timeslots(self.rate_kbps)
+        # Fractional G.704 occupies the first n timeslots; the full 2048
+        # rate fills all 31 payload slots.
+        return min(PAYLOAD_SLOTS, self.rate_kbps // 64)
 
 
 def dut_open_session(
@@ -297,7 +297,7 @@ def dut_open_session(
     model = profile.loopback_channel
     if seed_tag:
         model = dataclasses.replace(model, seed=derive_seed(model.seed, seed_tag))
-    return Session(profile, iface, rate_kbps, freq_hz, profile.g704_crc4, open_stream(model))
+    return Session(profile, iface, rate_kbps, freq_hz, open_stream(model))
 
 
 def payload_line_positions(session: Session, payload_indices: np.ndarray) -> np.ndarray:
@@ -322,15 +322,8 @@ def loopback(session: Session, bits: np.ndarray) -> np.ndarray:
     the meter sees it as a massive error count.
     """
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    if session.iface is InterfaceKind.G704:
-        return _loopback_framed(session, bits)
-    if session.iface is InterfaceKind.G703:
-        corrupted = session._stream.apply(bits)
-        return hdb3_decode(hdb3_encode(corrupted))
-    return session._stream.apply(bits)
-
-
-def _loopback_framed(session: Session, bits: np.ndarray) -> np.ndarray:
+    if session.iface is not InterfaceKind.G704:
+        return session._stream.apply(bits)
     n_ts = session.payload_timeslots
     per_mf = FRAMES_PER_MULTIFRAME * n_ts * 8
     n_mf = max(1, -(-len(bits) // per_mf))
@@ -339,9 +332,8 @@ def _loopback_framed(session: Session, bits: np.ndarray) -> np.ndarray:
     data = np.packbits(padded.reshape(-1, 8), axis=1).reshape(n_mf, FRAMES_PER_MULTIFRAME, n_ts)
     payload = np.full((n_mf, FRAMES_PER_MULTIFRAME, PAYLOAD_SLOTS), IDLE_OCTET, dtype=np.uint8)
     payload[:, :, :n_ts] = data
-    line = build_multiframes(payload, crc4=session.g704_crc4)
+    line = build_multiframes(payload, crc4=session.profile.g704_crc4)
     rx_line = session._stream.apply(line)
-    rx_line = hdb3_decode(hdb3_encode(rx_line))
     try:
         offset, octets = g704_align(rx_line)
     except FrameAlignmentError:

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from berbench import cli
 
@@ -58,6 +63,54 @@ def test_plan_rejects_bad_rates(capsys):
     assert run_cli("plan", "--rates", "64,fast") == 3
     assert "error:" in capsys.readouterr().err
     assert run_cli("plan", "--rates", "-64") == 3
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_bad_ber0_is_config_error(tmp_path, capsys, command):
+    assert run_cli(command, "--ber0", "abc", "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _run_quietly(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    return code, err.getvalue()
+
+
+def _is_finite_number(text):
+    try:
+        return Decimal(text).is_finite()
+    except InvalidOperation:
+        return False
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=_JSON.filter(lambda v: not isinstance(v, dict)))
+def test_config_that_is_not_an_object_exits_3(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        code, err = _run_quietly("run", "--config", str(path), "--out", str(Path(tmp) / "x"))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.text())
+def test_ber0_that_is_not_a_number_exits_3(text):
+    assume(not _is_finite_number(text))
+    code, err = _run_quietly("plan", f"--ber0={text}")
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +216,29 @@ def test_run_bad_rate_is_config_error(tmp_path):
     assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "x")) == 3
 
 
+@pytest.mark.parametrize("rate", [100, 4096])
+def test_g704_rate_off_the_timeslot_grid_is_config_error(tmp_path, capsys, rate):
+    config = {
+        "schema": "ber-campaign-config/1",
+        "ber0": 1e-05,
+        "interfaces": ["G.704"],
+        "rates": {"G.704": [rate]},
+        "dut": {
+            "name": "fractional E1",
+            "ports": [{"interface": "G.704", "connector": "RJ45"}],
+            "rates": {"G.704": [64, rate, 2048]},
+            "if_range_hz": [950e6, 1950e6],
+            "channel": {"kind": "ideal", "seed": 1},
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "x")) == 3
+    assert f"G.704 rates must be multiples of 64 up to 2048 kbit/s, got [{rate}]" in (
+        capsys.readouterr().err
+    )
+
+
 def test_run_narrow_if_range_is_config_error(tmp_path):
     config = {
         "schema": "ber-campaign-config/1",
@@ -214,12 +290,16 @@ def test_catalog_chain_preview_respects_rate(capsys):
 # report rendering
 
 
-def test_report_rerender_is_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "channel, code", [("ideal", 0), ("ge:1e-4,1e-2,1.0,0.99", 1)], ids=["ideal", "ge"]
+)
+def test_report_rerender_is_byte_identical(tmp_path, capsys, channel, code):
     base = tmp_path / "camp"
-    assert run_cli("run", "--ber0", "1e-4", "--bermax", "1e-4", "--out", str(base)) == 0
+    argv = ("--ber0", "1e-4", "--bermax", "1e-4", "--channel", channel, "--out", str(base))
+    assert run_cli("run", *argv) == code
     capsys.readouterr()
     text_path = tmp_path / "rendered.txt"
-    assert run_cli("report", "--in", str(base.with_suffix(".json")), "--out", str(text_path)) == 0
+    assert run_cli("report", "--in", str(base.with_suffix(".json")), "--out", str(text_path)) == code
     assert text_path.read_bytes() == base.with_suffix(".txt").read_bytes()
 
 
@@ -253,5 +333,7 @@ def test_parse_channel_specs():
     assert cli.parse_channel_spec("mask:1,2,3", 5) == FixedMask(indices=(1, 2, 3), seed=5)
     with pytest.raises(cli.ConfigError):
         cli.parse_channel_spec("awgn:1", 5)
-    with pytest.raises(cli.ConfigError):
-        cli.parse_channel_spec("bsc:fast", 5)
+    assert cli.parse_channel_spec("mask", 5) == FixedMask(indices=(), seed=5)
+    for bad in ("bsc:fast", "bsc", "ge:0.1,0.2", "ideal:1", "mask:1,x"):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_channel_spec(bad, 5)

@@ -100,8 +100,9 @@ def test_exact_fraction_reads_decimal_repr():
 
 
 def test_exact_fraction_rejects_junk():
-    with pytest.raises(ValueError):
-        exact_fraction(float("nan"))
+    for junk in (float("nan"), "abc", "", "inf", "-Infinity", "NaN"):
+        with pytest.raises(ValueError):
+            exact_fraction(junk)
     with pytest.raises(TypeError):
         exact_fraction(True)
 

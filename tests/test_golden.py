@@ -1,0 +1,94 @@
+"""Golden report digests: the bytes of `berbench run` for fixed configs.
+
+Each case pins the SHA-256 of the JSON report, the SHA-256 of the text
+report and the exit code.  A change that alters the noise stream, the line
+path or the renderer moves a digest; one that only makes the program
+smaller or faster does not.  Record new values only for a change that
+alters the reports on purpose, and say so where the change is described.
+"""
+import hashlib
+import json
+
+import pytest
+
+from berbench import cli
+
+CONFIG_SCHEMA = "ber-campaign-config/1"
+
+#: (case id, extra argv, config document or None, json sha256, txt sha256, exit code)
+CASES = [
+    (
+        "ideal",
+        ("--ber0", "1e-5"),
+        None,
+        "a38f36c0ec973d1d3adb6001b6707f8c82e2f94086b71b45ddb1ad1bb951c50e",
+        "293b63666b297936fe779961c2a54ebb4efbb05b444ca3bae7793cc66509522f",
+        0,
+    ),
+    (
+        "bsc",
+        ("--ber0", "1e-5", "--channel", "bsc:1e-6", "--seed", "7"),
+        None,
+        "a6a152795dddb70919015b75430bb40334545feb157104f417e8583c9f0f5023",
+        "1f1e4e1b61689c7ce464a036606fcfb6661ac38d50fa3458faa4e124d404da65",
+        0,
+    ),
+    (
+        "ge-v35-stanag",
+        ("--channel", "ge:0.05,0.3,1.0,0.9995", "--seed", "11"),
+        {
+            "interfaces": ["V.35", "STANAG 4210"],
+            "rates": {"V.35": [512], "STANAG 4210": [2048]},
+            "ber0": 1e-4,
+            "ber_max": 1e-4,
+        },
+        "ec43315418d6f86181276e8d1dd502b0ed14f9d90203713cbff0589be35a852e",
+        "a74ea1f43ba4f87d4c66a5f16164ab76fe44fbd18297da0c87a68d25cd9c7ccb",
+        1,
+    ),
+    (
+        "mask-g703-g704",
+        ("--channel", "mask:9000,12345,50000,400003,777777", "--seed", "5"),
+        {"interfaces": ["G.703", "G.704"], "ber0": 1e-5},
+        "232623c8550d38fe77705c6f2e3f6a057103781e58d73077af28fa038860df07",
+        "685acdd4b8d14a65b91aa8b3c6c4a2c9ce442a0a37927315dd45543c00482c33",
+        0,
+    ),
+    (
+        "g704-256",
+        ("--channel", "bsc:1e-6", "--seed", "3"),
+        {"interfaces": ["G.704"], "rates": {"G.704": [256]}, "ber0": 1e-5},
+        "e4d94d008e98aa14d50a62fd5c6685b3863c643ae62b0f067d67fac400c7c5dd",
+        "a40ebb7142e211b5bf0f50248cdeef861e58e541b5742d46e2b93bf7fc6c6248",
+        0,
+    ),
+    (
+        "prbs23",
+        ("--channel", "bsc:1e-5", "--seed", "23"),
+        {"interfaces": ["G.703", "V.35"], "pattern": {"order": 23}, "ber0": 1e-5},
+        "21ecf86d6f4f3b4ded9e22dc8655df82597263eb06f4e2e07e9147ead83ce762",
+        "0ad15e324a3edf2e907478feb42ab147d17153de23be8ce5cd44e895359e303f",
+        1,
+    ),
+]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, config, json_sha, txt_sha, code", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_report_digests(tmp_path, capsys, argv, config, json_sha, txt_sha, code):
+    args = ["run", *argv, "--out", str(tmp_path / "report")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema": CONFIG_SCHEMA, **config}))
+        args += ["--config", str(path)]
+    assert cli.main(args) == code
+    assert capsys.readouterr().err == ""
+    assert (_sha256(tmp_path / "report.json"), _sha256(tmp_path / "report.txt")) == (
+        json_sha,
+        txt_sha,
+    )

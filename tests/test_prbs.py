@@ -106,7 +106,7 @@ def test_shift_and_add_property(order):
 def test_synchronize_clean_stream_locks_at_zero():
     spec = PrbsSpec()
     state = synchronize(spec, generate(spec, 4000))
-    assert state.locked and state.offset == 0 and state.matched == LOCK_THRESHOLD
+    assert state.locked and state.offset == 0
 
 
 def test_synchronize_all_zeros_never_locks():
@@ -159,7 +159,7 @@ def test_count_errors_fully_inverted_post_lock():
     n = 20_000
     stream = generate(spec, n)
     stream[spec.order :] ^= 1
-    state = SyncState(locked=True, offset=0, matched=LOCK_THRESHOLD)
+    state = SyncState(locked=True, offset=0)
     compared, errored = count_errors(spec, stream, state)
     assert (compared, errored) == (n - spec.order, n - spec.order)
 
