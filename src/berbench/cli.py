@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import channel as channel_mod
 from .core import (
@@ -54,11 +54,9 @@ from .testbed import (
     analyzer_from_dict,
     analyzer_to_dict,
     catalog_from_list,
-    catalog_to_list,
     default_catalog,
     default_profile,
     profile_from_dict,
-    profile_to_dict,
     resolve_chain,
 )
 
@@ -184,6 +182,18 @@ def _resolve_section(value, base: Path, loader):
     return loader(value)
 
 
+_JSON_NAMES = {dict: "object", list: "array"}
+
+
+def _section(data: dict, key: str, *types: type):
+    """`data[key]`, checked to be a JSON object or array as `types` allow."""
+    value = data[key]
+    if not isinstance(value, types):
+        want = " or ".join(_JSON_NAMES[t] for t in types)
+        raise TypeError(f"{key!r} must be a JSON {want}, got {type(value).__name__}")
+    return value
+
+
 def _channel_from_config(data: dict) -> channel_mod.ChannelModel:
     if "seed" not in data:
         raise ConfigError(
@@ -216,7 +226,7 @@ def load_config(path: str | Path) -> CampaignConfig:
         if "interfaces" in data:
             cfg.interfaces = tuple(parse_interface(n) for n in data["interfaces"])
         if "rates" in data:
-            rates = data["rates"]
+            rates = _section(data, "rates", list, dict)
             if isinstance(rates, list):
                 shared = tuple(int(r) for r in rates)
                 cfg.rates = {kind: shared for kind in cfg.interfaces}
@@ -230,14 +240,14 @@ def load_config(path: str | Path) -> CampaignConfig:
         if "ber_max" in data:
             cfg.ber_max = exact_fraction(data["ber_max"])
         if "pattern" in data:
-            p = data["pattern"]
+            p = _section(data, "pattern", dict)
             cfg.pattern = PrbsSpec(
                 order=int(p.get("order", 15)),
                 taps=tuple(p["taps"]) if "taps" in p else None,
                 seed=int(p["seed"]) if "seed" in p else None,
             )
         if "channel" in data:
-            model = _channel_from_config(data["channel"])
+            model = _channel_from_config(_section(data, "channel", dict))
             cfg.dut = dataclasses.replace(cfg.dut, loopback_channel=model)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -505,12 +515,16 @@ def cmd_catalog(args) -> int:
 
 def cmd_report(args) -> int:
     data = _load_document(Path(args.in_path), REPORT_SCHEMA)
-    text = render_report_text(data)
+    try:
+        text = render_report_text(data)
+        code = exit_code_for(data)
+    except LookupError as exc:  # a key or a list entry is missing
+        raise ConfigError(f"{args.in_path}: incomplete report: {exc}") from None
     if args.out:
         _write_text(Path(args.out), text)
     else:
         sys.stdout.write(text)
-    return exit_code_for(data)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,6 +45,8 @@ COMBINED_10_100: tuple[InterfaceKind, InterfaceKind] = (
 
 
 def _normalize(name: str) -> str:
+    if not isinstance(name, str):
+        raise TypeError(f"interface name must be a string, got {name!r}")
     return "".join(ch for ch in name.upper() if ch not in " .-_")
 
 

@@ -138,17 +138,6 @@ def build_multiframes(payload: np.ndarray, crc4: bool = True) -> np.ndarray:
     return flat.reshape(-1)
 
 
-def g704_build_multiframe(payload: np.ndarray, crc4: bool = True) -> np.ndarray:
-    """One multiframe from payload octets shaped (16, 31)."""
-    payload = np.asarray(payload, dtype=np.uint8)
-    if payload.shape != (FRAMES_PER_MULTIFRAME, PAYLOAD_SLOTS):
-        raise ValueError(
-            f"payload must be shaped ({FRAMES_PER_MULTIFRAME}, {PAYLOAD_SLOTS}), "
-            f"got {payload.shape}"
-        )
-    return build_multiframes(payload[None], crc4=crc4)
-
-
 def g704_align(stream: np.ndarray) -> tuple[int, np.ndarray]:
     """Locate frame alignment and extract payload octets.
 

@@ -10,8 +10,12 @@ and any `order` consecutive output bits reveal the full register state.
 That is what lets the receiver seed itself from the incoming stream and
 then verify its own predictions until it declares lock.
 
-Generation is blocked (word-at-a-time over numpy arrays); tests pin its
-bit-exact equivalence with the serial register definition.
+Generation runs the recurrence over numpy arrays, doubling its stride as
+the stream grows: over GF(2) squaring the feedback polynomial gives
+s[n] = s[n - order*2^j] ^ s[n - tap*2^j], so one XOR may produce tap*2^j
+bits at once.  No pattern table is kept: the generator and the receiver's
+reference register both run the recurrence from their own seed window.
+Tests pin bit-exact equivalence with the serial register definition.
 """
 from __future__ import annotations
 
@@ -19,14 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Standard feedback pairs per order.  PRBS-15 is the default test pattern
-#: for serial rates up to 2048 kbit/s; PRBS-23 suits Ethernet-rate runs.
-DEFAULT_TAPS: dict[int, tuple[int, int]] = {
-    9: (9, 5),
-    11: (11, 9),
-    15: (15, 14),
-    23: (23, 18),
+#: Second taps that give a maximal-length sequence, per order; the first
+#: tap is always the order.  The ITU-T O.150 choice comes first and is the
+#: default.  PRBS-15 is the default test pattern for serial rates up to
+#: 2048 kbit/s; PRBS-23 suits Ethernet-rate runs.
+MAXIMAL_TAPS: dict[int, tuple[int, ...]] = {
+    9: (5, 4),
+    11: (9, 2),
+    15: (14, 1, 4, 7, 8, 11),
+    23: (18, 5, 9, 14),
 }
+
+DEFAULT_TAPS: dict[int, tuple[int, int]] = {k: (k, ts[0]) for k, ts in MAXIMAL_TAPS.items()}
 
 #: Consecutive verified predictions required before declaring lock.
 #: A false lock then has probability 2**-64.
@@ -47,9 +55,13 @@ class PrbsSpec:
                 f"unsupported order {self.order}; choose one of {sorted(DEFAULT_TAPS)}"
             )
         taps = self.taps if self.taps is not None else DEFAULT_TAPS[self.order]
-        taps = (int(taps[0]), int(taps[1]))
-        if len(taps) != 2 or taps[0] != self.order or not 0 < taps[1] < self.order:
-            raise ValueError(f"taps {taps} invalid for order {self.order}")
+        taps = tuple(int(t) for t in taps)
+        if len(taps) != 2 or taps[0] != self.order or taps[1] not in MAXIMAL_TAPS[self.order]:
+            pairs = ", ".join(f"({self.order}, {t})" for t in MAXIMAL_TAPS[self.order])
+            raise ValueError(
+                f"taps {taps} do not give a maximal-length PRBS-{self.order}; "
+                f"choose one of {pairs}"
+            )
         seed = self.seed if self.seed is not None else (1 << self.order) - 1
         if not 0 < seed < (1 << self.order):
             raise ValueError(f"seed must be a nonzero {self.order}-bit value, got {seed}")
@@ -86,66 +98,29 @@ def _seed_history(spec: PrbsSpec) -> np.ndarray:
 
 
 def _extend(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray:
-    """Append `count` output bits after `history` (oldest-first, len >= order)."""
-    n0 = len(history)
-    out = np.empty(n0 + count, dtype=np.uint8)
-    out[:n0] = history
-    # s[i] = s[i-order] ^ s[i-tap]; chunks up to `tap` long never read
+    """The `count` output bits after `history` (oldest-first, exactly `order` bits)."""
+    out = np.empty(order + count, dtype=np.uint8)
+    out[:order] = history
+    # With `order` history bits, s[i] = s[i - order*2^j] ^ s[i - tap*2^j]
+    # holds for i >= order*2^j, and a chunk up to tap*2^j long never reads
     # a bit that has not been produced yet.
-    i = n0
-    end = n0 + count
+    i, end, step = order, order + count, 1
     while i < end:
-        c = min(tap, end - i)
-        np.bitwise_xor(out[i - order : i - order + c], out[i - tap : i - tap + c], out=out[i : i + c])
+        while 2 * order * step <= i:
+            step *= 2
+        c = min(tap * step, end - i)
+        a, b = i - order * step, i - tap * step
+        np.bitwise_xor(out[a : a + c], out[b : b + c], out=out[i : i + c])
         i += c
-    return out[n0:]
-
-
-_PERIOD_CACHE: dict[tuple[int, tuple[int, int], int], np.ndarray] = {}
-
-
-def _period_bits(spec: PrbsSpec) -> np.ndarray:
-    key = (spec.order, spec.taps, spec.seed)
-    cached = _PERIOD_CACHE.get(key)
-    if cached is None:
-        cached = _extend(_seed_history(spec), spec.order, spec.taps[1], spec.period)
-        cached.setflags(write=False)
-        _PERIOD_CACHE[key] = cached
-    return cached
-
-
-def _tile_period(period: np.ndarray, start: int, n: int) -> np.ndarray:
-    m = len(period)
-    lo = start % m
-    reps = (lo + n + m - 1) // m
-    return np.tile(period, reps)[lo : lo + n].copy()
+    return out[order:]
 
 
 def generate(spec: PrbsSpec, n: int, start: int = 0) -> np.ndarray:
     """Bits `start .. start+n` of the pattern, as a uint8 array of 0/1."""
     if n < 0 or start < 0:
         raise ValueError("bit counts must be nonnegative")
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return _tile_period(_period_bits(spec), start, n)
-
-
-def _phase_after_window(period: np.ndarray, window: np.ndarray) -> int:
-    """Index into the period right after the unique spot matching `window`.
-
-    Every nonzero register window occurs exactly once per period of a
-    maximal-length sequence, so a register seeded from `window` free-runs
-    the period from that phase on.
-    """
-    k = len(window)
-    doubled = np.concatenate([period, period[: k - 1]])
-    match = np.ones(len(period), dtype=bool)
-    for j, bit in enumerate(window):
-        match &= doubled[j : j + len(period)] == bit
-    spots = np.flatnonzero(match)
-    if len(spots) != 1:
-        raise ValueError("window does not identify a unique phase; taps not maximal?")
-    return (int(spots[0]) + k) % len(period)
+    phase = start % spec.period
+    return _extend(_seed_history(spec), spec.order, spec.taps[1], phase + n)[phase:]
 
 
 def synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
@@ -198,10 +173,5 @@ def count_errors(
     if len(compared) == 0:
         return 0, 0
     seed_window = r[sync.offset : sync.offset + k]
-    if not seed_window.any():
-        # The all-zero state is a fixed point: the reference stays zero.
-        return len(compared), int(np.count_nonzero(compared))
-    period = _period_bits(spec)
-    phase = _phase_after_window(period, seed_window)
-    reference = _tile_period(period, phase, len(compared))
+    reference = _extend(seed_window, k, spec.taps[1], len(compared))
     return len(compared), int(np.count_nonzero(compared ^ reference))

@@ -468,6 +468,8 @@ def profile_from_dict(data: dict) -> DutProfile:
             for kind in _parse_port_kinds(entry["interface"]):
                 ports.append((kind, entry.get("connector", "")))
         rates: dict[InterfaceKind, frozenset[int]] = {}
+        if not isinstance(data["rates"], dict):
+            raise TypeError(f"'rates' must be a JSON object, got {type(data['rates']).__name__}")
         for name, values in data["rates"].items():
             for kind in _parse_port_kinds(name):
                 rates[kind] = frozenset(int(v) for v in values)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -111,6 +112,67 @@ def test_ber0_that_is_not_a_number_exits_3(text):
     code, err = _run_quietly("plan", f"--ber0={text}")
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: Config sections and the JSON types each one may take.
+_SECTION_TYPES = {
+    "dut": (dict, str),
+    "analyzer": (dict, str),
+    "catalog": (list, str),
+    "interfaces": (list,),
+    "rates": (list, dict),
+    "ber_max": (int, float, str),
+    "pattern": (dict,),
+    "channel": (dict,),
+}
+
+
+def _run_config(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"schema": "ber-campaign-config/1", "ber0": 1e-3, **doc}))
+        return _run_quietly("run", "--config", str(path), "--out", str(Path(tmp) / "x"))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"pattern": []},
+        {"pattern": 5},
+        {"rates": "x"},
+        {"channel": [1]},
+        {"channel": "bsc"},
+        {
+            "dut": {
+                "name": "x",
+                "ports": [{"interface": "V.35"}],
+                "rates": "x",
+                "if_range_hz": [950e6, 2150e6],
+            }
+        },
+        {"analyzer": {"native": [{"interface": 5}]}},
+    ],
+    ids=["pattern-list", "pattern-number", "rates-string", "channel-list", "channel-string",
+         "dut-rates-string", "analyzer-interface-number"],
+)
+def test_config_section_of_wrong_type_exits_3(doc):
+    code, err = _run_config(doc)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), section=st.sampled_from(sorted(_SECTION_TYPES)))
+def test_config_section_replaced_by_any_json_never_tracebacks(data, section):
+    wrong = _JSON.filter(
+        lambda v: not isinstance(v, _SECTION_TYPES[section])
+        or (isinstance(v, bool) and bool not in _SECTION_TYPES[section])
+    )
+    code, err = _run_config({section: data.draw(wrong)})
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1, 2) and err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +369,61 @@ def test_report_rejects_wrong_schema(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"schema": "other"}))
     assert run_cli("report", "--in", str(path)) == 3
+
+
+@pytest.mark.parametrize(
+    "doc", [{}, {"config": {}}], ids=["schema-only", "empty-config"]
+)
+def test_report_lacking_a_key_exits_3(tmp_path, capsys, doc):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"schema": "ber-campaign-report/1", **doc}))
+    assert run_cli("report", "--in", str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@functools.cache
+def _saved_report() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "camp"
+        _run_quietly("run", "--ber0", "1e-3", "--channel", "bsc:1e-3", "--out", str(base))
+        return base.with_suffix(".json").read_text()
+
+
+def _key_paths(node, prefix=()):
+    """Every path to a value inside the JSON `node`."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_report_with_a_key_removed_or_replaced_never_tracebacks(data):
+    report = json.loads(_saved_report())
+    path = data.draw(st.sampled_from(sorted(_key_paths(report), key=repr)))
+    assume(path != ("schema",))
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "r.json"
+        doc.write_text(json.dumps(report))
+        code, err = _run_quietly("report", "--in", str(doc))
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1, 2) and err == ""
 
 
 def test_two_runs_identical_json(tmp_path):

@@ -13,7 +13,6 @@ from berbench.framing import (
     crc4_check_bits,
     crc4_remainder,
     g704_align,
-    g704_build_multiframe,
     hdb3_decode,
     hdb3_encode,
 )
@@ -65,7 +64,7 @@ def test_multiframe_carries_oracle_checked_remainders():
     # check-bit positions zeroed.
     rng = np.random.default_rng(2)
     for payload in (np.zeros((16, 31), np.uint8), random_payload(rng)[0]):
-        mf = g704_build_multiframe(payload)
+        mf = build_multiframes(payload[None])
         check_pos_first = [f * FRAME_BITS for f in (0, 2, 4, 6)]
         check_pos_second = [f * FRAME_BITS for f in (8, 10, 12, 14)]
         first = mf[:HALF_BITS].copy()
@@ -84,7 +83,7 @@ def test_multiframe_carries_oracle_checked_remainders():
 
 def test_every_even_frame_carries_the_alignment_signal():
     rng = np.random.default_rng(3)
-    mf = g704_build_multiframe(random_payload(rng)[0])
+    mf = build_multiframes(random_payload(rng)[0][None])
     for f in range(0, 16, 2):
         octet = mf[f * FRAME_BITS : f * FRAME_BITS + 8]
         assert octet[1:].tolist() == list(FAS_PATTERN)
@@ -94,7 +93,7 @@ def test_every_even_frame_carries_the_alignment_signal():
 
 def test_build_rejects_wrong_payload_shape():
     with pytest.raises(ValueError):
-        g704_build_multiframe(np.zeros((16, 30), np.uint8))
+        build_multiframes(np.zeros((16, 30), np.uint8)[None])
     with pytest.raises(ValueError):
         build_multiframes(np.zeros((2, 15, 31), np.uint8))
 
@@ -145,7 +144,7 @@ def test_multiframe_length():
 def test_crc4_disabled_multiframe_still_aligns():
     rng = np.random.default_rng(7)
     payload = random_payload(rng)[0]
-    mf = g704_build_multiframe(payload, crc4=False)
+    mf = build_multiframes(payload[None], crc4=False)
     assert mf[[0, 512, 1024, 1536]].tolist() == [1, 1, 1, 1]
     offset, recovered = g704_align(mf)
     assert offset == 0 and np.array_equal(recovered, payload)

@@ -5,17 +5,22 @@ report and the exit code.  A change that alters the noise stream, the line
 path or the renderer moves a digest; one that only makes the program
 smaller or faster does not.  Record new values only for a change that
 alters the reports on purpose, and say so where the change is described.
+
+The multi-segment cases shrink `meter.SEGMENT_BITS` so that one 10^6-bit
+measurement spans four segments, which pins pattern generation from a
+nonzero start and a receiver lock inside a later segment.
 """
 import hashlib
 import json
 
 import pytest
 
-from berbench import cli
+from berbench import cli, meter
 
 CONFIG_SCHEMA = "ber-campaign-config/1"
 
-#: (case id, extra argv, config document or None, json sha256, txt sha256, exit code)
+#: (case id, extra argv, config document or None, json sha256, txt sha256, exit code,
+#:  segment size or None for the default)
 CASES = [
     (
         "ideal",
@@ -24,6 +29,7 @@ CASES = [
         "a38f36c0ec973d1d3adb6001b6707f8c82e2f94086b71b45ddb1ad1bb951c50e",
         "293b63666b297936fe779961c2a54ebb4efbb05b444ca3bae7793cc66509522f",
         0,
+        None,
     ),
     (
         "bsc",
@@ -32,6 +38,7 @@ CASES = [
         "a6a152795dddb70919015b75430bb40334545feb157104f417e8583c9f0f5023",
         "1f1e4e1b61689c7ce464a036606fcfb6661ac38d50fa3458faa4e124d404da65",
         0,
+        None,
     ),
     (
         "ge-v35-stanag",
@@ -45,6 +52,7 @@ CASES = [
         "ec43315418d6f86181276e8d1dd502b0ed14f9d90203713cbff0589be35a852e",
         "a74ea1f43ba4f87d4c66a5f16164ab76fe44fbd18297da0c87a68d25cd9c7ccb",
         1,
+        None,
     ),
     (
         "mask-g703-g704",
@@ -53,6 +61,7 @@ CASES = [
         "232623c8550d38fe77705c6f2e3f6a057103781e58d73077af28fa038860df07",
         "685acdd4b8d14a65b91aa8b3c6c4a2c9ce442a0a37927315dd45543c00482c33",
         0,
+        None,
     ),
     (
         "g704-256",
@@ -61,6 +70,7 @@ CASES = [
         "e4d94d008e98aa14d50a62fd5c6685b3863c643ae62b0f067d67fac400c7c5dd",
         "a40ebb7142e211b5bf0f50248cdeef861e58e541b5742d46e2b93bf7fc6c6248",
         0,
+        None,
     ),
     (
         "prbs23",
@@ -69,6 +79,32 @@ CASES = [
         "21ecf86d6f4f3b4ded9e22dc8655df82597263eb06f4e2e07e9147ead83ce762",
         "0ad15e324a3edf2e907478feb42ab147d17153de23be8ce5cd44e895359e303f",
         1,
+        None,
+    ),
+    (
+        "prbs23-segments",
+        ("--channel", "bsc:1e-5", "--seed", "29"),
+        {
+            "interfaces": ["V.35"],
+            "rates": {"V.35": [512]},
+            "pattern": {"order": 23},
+            "ber0": 1e-5,
+        },
+        "7baea91f106baadbc7c5b0dd1e0ac29453710debde714c52c3c57635eb38e8d7",
+        "00a79eb02b476e2082686ba8458783ddda9081608cbbebf3c9ea71f5b5757626",
+        1,
+        300_000,
+    ),
+    (
+        # 300301 falls inside the lock window of the second segment, which
+        # starts at stream bit 300_000 + 15 + 4 * 64; 650000 is a counted error.
+        "mask-segments",
+        ("--channel", "mask:12345,300301,650000", "--seed", "5"),
+        {"interfaces": ["V.35"], "rates": {"V.35": [512]}, "ber0": 1e-5},
+        "b6154fafc2f77f7961b49e365bbd3bfba3d41cf185208fc9030ce580970f4062",
+        "21db6ab9eb73444d7581e6d31705183f7e033ec8818108f6f7dc4b1d12224d5d",
+        0,
+        300_000,
     ),
 ]
 
@@ -78,9 +114,15 @@ def _sha256(path) -> str:
 
 
 @pytest.mark.parametrize(
-    "argv, config, json_sha, txt_sha, code", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    "argv, config, json_sha, txt_sha, code, segment_bits",
+    [c[1:] for c in CASES],
+    ids=[c[0] for c in CASES],
 )
-def test_report_digests(tmp_path, capsys, argv, config, json_sha, txt_sha, code):
+def test_report_digests(
+    tmp_path, capsys, monkeypatch, argv, config, json_sha, txt_sha, code, segment_bits
+):
+    if segment_bits is not None:
+        monkeypatch.setattr(meter, "SEGMENT_BITS", segment_bits)
     args = ["run", *argv, "--out", str(tmp_path / "report")]
     if config is not None:
         path = tmp_path / "config.json"

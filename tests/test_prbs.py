@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berbench import cli
 from berbench.prbs import (
     DEFAULT_TAPS,
     LOCK_THRESHOLD,
+    MAXIMAL_TAPS,
     PrbsSpec,
     SEARCHING,
     SyncState,
@@ -78,15 +82,21 @@ def test_generate_empty_and_negative():
         generate(PrbsSpec(), -1)
 
 
-@settings(max_examples=30)
-@given(
-    order=st.sampled_from([9, 11]),
-    seed=st.integers(min_value=1, max_value=(1 << 9) - 1),
-    n=st.integers(min_value=0, max_value=600),
-)
-def test_blocked_generation_matches_serial_register(order, seed, n):
-    spec = PrbsSpec(order=order, seed=seed)
-    assert np.array_equal(generate(spec, n), serial_bits(spec, n))
+_SMALL_SPECS = st.sampled_from([(k, t) for k in (9, 11, 15) for t in MAXIMAL_TAPS[k]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), order_tap=_SMALL_SPECS)
+def test_blocked_generation_matches_serial_register(data, order_tap):
+    # Every maximal tap; starts near 0 or one period in, so a window may
+    # cross the period boundary.
+    order, tap = order_tap
+    seed = data.draw(st.integers(1, (1 << order) - 1))
+    spec = PrbsSpec(order=order, taps=(order, tap), seed=seed)
+    lap = data.draw(st.integers(0, 1))
+    start = data.draw(st.integers(max(0, lap * spec.period - 300), lap * spec.period + 300))
+    n = data.draw(st.integers(0, 700))
+    assert np.array_equal(generate(spec, n, start), serial_bits(spec, start + n)[start:])
 
 
 @pytest.mark.parametrize("order", [9, 11])
@@ -196,3 +206,79 @@ def test_prbs23_generates():
     bits = generate(spec, 10_000)
     state = synchronize(spec, bits)
     assert state.locked and state.offset == 0
+
+
+# ---------------------------------------------------------------------------
+# the receiver's reference register and the tap table
+
+
+def serial_count(spec: PrbsSpec, received: np.ndarray, offset: int, max_bits) -> tuple[int, int]:
+    """Seed a serial register from the window at `offset`, let it run free, count errors."""
+    k = spec.order
+    state = 0
+    for bit in received[offset : offset + k]:  # oldest bit ends up in the top position
+        state = (state << 1) | int(bit)
+    errors = compared = 0
+    for bit in received[offset + k :]:
+        if max_bits is not None and compared == max_bits:
+            break
+        state, expected = step_register(state, k, spec.taps[1])
+        errors += int(bit) != expected
+        compared += 1
+    return compared, errors
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), order_tap=_SMALL_SPECS)
+def test_count_errors_matches_serial_free_run(data, order_tap):
+    order, tap = order_tap
+    spec = PrbsSpec(order=order, taps=(order, tap))
+    n = data.draw(st.integers(order, 1500))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    received = generate(spec, n, data.draw(st.integers(0, spec.period)))
+    p = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    received ^= (rng.random(n) < p).astype(np.uint8)
+    offset = data.draw(st.integers(0, n - order))
+    if data.draw(st.booleans()):
+        received[offset : offset + order] = 0  # the all-zero window is a fixed point
+    max_bits = data.draw(st.none() | st.integers(0, n))
+    state = SyncState(locked=True, offset=offset)
+    assert count_errors(spec, received, state, max_bits) == serial_count(
+        spec, received, offset, max_bits
+    )
+
+
+def _is_maximal(order: int, tap: int) -> bool:
+    # The register state returns to the seed after exactly 2**order - 1 steps.
+    state, steps = 1, 0
+    while True:
+        state, _ = step_register(state, order, tap)
+        steps += 1
+        if state == 1:
+            return steps == (1 << order) - 1
+
+
+@pytest.mark.parametrize("order", [9, 11, 15])
+def test_spec_accepts_exactly_the_maximal_taps(order):
+    maximal = [t for t in range(1, order) if _is_maximal(order, t)]
+    assert sorted(MAXIMAL_TAPS[order]) == maximal
+    assert DEFAULT_TAPS[order] == (order, MAXIMAL_TAPS[order][0])
+    for first in (order - 1, order, order + 1):
+        for second in range(-1, order + 2):
+            if first == order and second in maximal:
+                assert PrbsSpec(order=order, taps=(first, second)).taps == (first, second)
+            else:
+                with pytest.raises(ValueError):
+                    PrbsSpec(order=order, taps=(first, second))
+
+
+def test_non_maximal_taps_in_config_exit_3(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps(
+            {"schema": "ber-campaign-config/1", "pattern": {"order": 15, "taps": [15, 13]}}
+        )
+    )
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
