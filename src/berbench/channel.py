@@ -55,6 +55,18 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53
 
 
+#: Draws per pass of `_flip`, so its temporaries stay cache-sized rather
+#: than 16+ bytes per bit of the whole stream.
+_CHUNK = 1 << 16
+
+
+def _flip(bits: np.ndarray, seed: int, start: int, p: float) -> None:
+    """XOR (draw start+i of stream `seed`) < p into bits[i], in place."""
+    for lo in range(0, len(bits), _CHUNK):
+        hi = min(lo + _CHUNK, len(bits))
+        bits[lo:hi] ^= _uniforms(seed, start + lo, hi - lo) < p
+
+
 def _uniform_scalar(seed: int, index: int) -> float:
     return (mix64((seed + (index + 1) * _GOLDEN) & _MASK64) >> 11) * 2.0**-53
 
@@ -147,13 +159,12 @@ class _BscStream:
         self.position = 0
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
-        n = len(bits)
-        if n == 0 or self.p == 0.0:
-            self.position += n
-            return bits
-        flips = _uniforms(self.seed, self.position, n) < self.p
-        self.position += n
-        return bits ^ flips.astype(np.uint8)
+        out = bits
+        if len(bits) and self.p > 0.0:
+            out = np.array(bits, dtype=np.uint8)
+            _flip(out, self.seed, self.position, self.p)
+        self.position += len(bits)
+        return out
 
 
 class _GilbertElliottStream:
@@ -189,13 +200,8 @@ class _GilbertElliottStream:
         while done < n:
             span = n - done if math.isinf(self.remaining) else min(int(self.remaining), n - done)
             flip_p = (1.0 - self.model.p_bad) if self.bad else (1.0 - self.model.p_good)
-            if flip_p > 0.0 and span > 0:
-                u = _uniforms(self.err_seed, self.position + done, span)
-                np.bitwise_xor(
-                    out[done : done + span],
-                    (u < flip_p).astype(np.uint8),
-                    out=out[done : done + span],
-                )
+            if flip_p > 0.0:
+                _flip(out[done : done + span], self.err_seed, self.position + done, flip_p)
             done += span
             if not math.isinf(self.remaining):
                 self.remaining -= span

@@ -320,26 +320,16 @@ def report_to_dict(report: CampaignReport) -> dict:
     }
 
 
-def _worst_ber(measurements: list[dict]) -> dict | None:
-    def key(m):
-        ber = m["ber"]
-        value = (
-            Fraction(m["errored_bits"], m["transmitted_bits"])
-            if ber["kind"] == "point"
-            else exact_fraction(ber["value"])
-        )
-        return (value, 0 if ber["kind"] == "upper_bound" else 1)
-
-    return max(measurements, key=key) if measurements else None
-
-
-def _render_ber_cell(m: dict | None) -> str:
-    if m is None:
-        return "-"
+def _measurement_ber(m: dict) -> BerValue:
     ber = m["ber"]
     if ber["kind"] == "upper_bound":
-        return format_ber(BerValue(exact_fraction(ber["value"]), is_bound=True))
-    return format_ber(BerValue.point(m["errored_bits"], m["transmitted_bits"]))
+        return BerValue.upper_bound(ber["value"])
+    return BerValue.point(m["errored_bits"], m["transmitted_bits"])
+
+
+def _worst_ber(measurements: list[dict]) -> BerValue | None:
+    bers = [_measurement_ber(m) for m in measurements]  # checks every row
+    return max(bers, key=lambda b: (b.value, not b.is_bound), default=None)
 
 
 def render_report_text(report: dict) -> str:
@@ -376,7 +366,7 @@ def render_report_text(report: dict) -> str:
             rows.append(
                 [
                     result["interface"],
-                    _render_ber_cell(worst),
+                    "-" if worst is None else format_ber(worst),
                     "YES" if result["converter_used"] else "NO",
                     result["verdict"],
                 ]
@@ -488,7 +478,7 @@ def cmd_catalog(args) -> int:
         catalog, analyzer = default_catalog(), DEFAULT_ANALYZER
     rate = args.rate
     lines = [f"Converter catalog ({len(catalog)} converters)", ""]
-    name_w = max(len(c.name) for c in catalog)
+    name_w = max((len(c.name) for c in catalog), default=0)
     for conv in catalog:
         limit = f", up to {conv.max_rate_kbps} kbit/s" if conv.max_rate_kbps else ""
         note = f"  [{conv.notes}]" if conv.notes else ""

@@ -8,9 +8,14 @@ FAS octets carries a 4-bit cyclic check (polynomial x^4 + x + 1) over a
 multiframe alignment signal 001011.  Within a standalone multiframe each
 half carries the check of the other half (computed with the check bits
 zeroed), so every emitted multiframe is self-consistent on its own.
+CRC-4 is always on.
 
 Remaining not-FAS bits are fixed (bit 3 = 0, spares = 1) to keep golden
 streams stable.
+
+Payload is a flat 0/1 bit array.  At n x 64 kbit/s it fills timeslots
+1..n of every frame in order, and the other timeslots carry the idle
+octet; only this module knows that layout.
 
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
@@ -48,22 +53,18 @@ class LineCodeViolationError(Exception):
         super().__init__(message or f"line code violation at symbol {position}")
 
 
-def _ts0_octets(crc4: bool) -> np.ndarray:
+def _ts0_octets() -> np.ndarray:
     ts0 = np.zeros((FRAMES_PER_MULTIFRAME, 8), dtype=np.uint8)
     # Not-FAS octet: [bit1, 1, 0, 1, 1, 1, 1, 1]; bit 3 = 0, spares = 1.
     ts0[1::2] = (1, 1, 0, 1, 1, 1, 1, 1)
-    ts0[0::2, 1:] = FAS_PATTERN
-    if crc4:
-        ts0[0::2, 0] = 0  # check-bit placeholders
-        ts0[1:12:2, 0] = MULTIFRAME_ALIGNMENT
-        ts0[13::2, 0] = 1  # remote check-result bits, fixed to 1
-    else:
-        ts0[0::2, 0] = 1  # international bit, fixed when no check multiframe
+    ts0[0::2, 1:] = FAS_PATTERN  # bit 1 stays 0: check-bit placeholder
+    ts0[1:12:2, 0] = MULTIFRAME_ALIGNMENT
+    ts0[13::2, 0] = 1  # remote check-result bits, fixed to 1
     return ts0
 
 
-_TS0_CRC = _ts0_octets(crc4=True)
-_TS0_PLAIN = _ts0_octets(crc4=False)
+_TS0 = _ts0_octets()
+_IDLE_BITS = np.unpackbits(np.array([IDLE_OCTET], dtype=np.uint8))
 
 # Check bits live in bit 1 of the FAS octets: frames 0,2,4,6 for the first
 # half, 8,10,12,14 for the second.
@@ -102,7 +103,8 @@ def crc4_check_bits(half_bits: np.ndarray) -> np.ndarray:
     half = np.asarray(half_bits, dtype=np.uint8)
     if half.shape[-1] != HALF_BITS:
         raise ValueError(f"a check half is {HALF_BITS} bits, got {half.shape[-1]}")
-    return (half.astype(np.uint32) @ _CRC_CONTRIB.astype(np.uint32) & 1).astype(np.uint8)
+    # uint8 sums wrap mod 256, which keeps their parity.
+    return half @ _CRC_CONTRIB & 1
 
 
 def crc4_remainder(half_bits: np.ndarray) -> int:
@@ -111,44 +113,54 @@ def crc4_remainder(half_bits: np.ndarray) -> int:
     return int(c[0]) << 3 | int(c[1]) << 2 | int(c[2]) << 1 | int(c[3])
 
 
-def build_multiframes(payload: np.ndarray, crc4: bool = True) -> np.ndarray:
-    """Emit check multiframes for payload octets shaped (n, 16, 31).
+def _check_timeslots(timeslots: int) -> None:
+    if not 1 <= timeslots <= PAYLOAD_SLOTS:
+        raise ValueError(f"payload timeslots must be 1..{PAYLOAD_SLOTS}, got {timeslots}")
 
-    Returns the transmitted bit stream (n * 4096 bits, MSB of each octet
-    first).  Each multiframe's two halves carry each other's check bits,
-    computed over the half with its check bits zeroed.
+
+def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np.ndarray:
+    """Emit check multiframes carrying a flat 0/1 payload bit array.
+
+    The payload is zero-padded to whole multiframes (at least one) and
+    fills timeslots 1..`timeslots` of every frame in order; the others
+    carry the idle octet.  Returns the transmitted bit stream (4096 bits
+    per multiframe).  Each multiframe's two halves carry each other's
+    check bits, computed over the half with its check bits zeroed.
     """
     payload = np.asarray(payload, dtype=np.uint8)
-    if payload.ndim != 3 or payload.shape[1:] != (FRAMES_PER_MULTIFRAME, PAYLOAD_SLOTS):
-        raise ValueError(
-            f"payload must be shaped (n, {FRAMES_PER_MULTIFRAME}, {PAYLOAD_SLOTS}), "
-            f"got {payload.shape}"
-        )
-    n = payload.shape[0]
+    if payload.ndim != 1:
+        raise ValueError(f"payload must be a flat bit array, got shape {payload.shape}")
+    _check_timeslots(timeslots)
+    per_mf = FRAMES_PER_MULTIFRAME * timeslots * 8
+    n = max(1, -(-len(payload) // per_mf))
+    padded = np.zeros(n * per_mf, dtype=np.uint8)
+    padded[: len(payload)] = payload
     bits = np.empty((n, FRAMES_PER_MULTIFRAME, 32, 8), dtype=np.uint8)
-    bits[:, :, 0, :] = _TS0_CRC if crc4 else _TS0_PLAIN
-    bits[:, :, 1:, :] = np.unpackbits(payload[..., None], axis=3)
+    bits[:, :, 0] = _TS0
+    bits[:, :, 1 : timeslots + 1] = padded.reshape(n, FRAMES_PER_MULTIFRAME, timeslots, 8)
+    bits[:, :, timeslots + 1 :] = _IDLE_BITS
     flat = bits.reshape(n, MULTIFRAME_BITS)
-    if crc4:
-        # Both checks run over C-zeroed halves, so compute before writing.
-        c_first = crc4_check_bits(flat[:, HALF_BITS:])
-        c_second = crc4_check_bits(flat[:, :HALF_BITS])
-        flat[:, _CHECK_POS_FIRST] = c_first
-        flat[:, _CHECK_POS_SECOND] = c_second
+    # Both checks run over C-zeroed halves, so compute before writing.
+    c_first = crc4_check_bits(flat[:, HALF_BITS:])
+    c_second = crc4_check_bits(flat[:, :HALF_BITS])
+    flat[:, _CHECK_POS_FIRST] = c_first
+    flat[:, _CHECK_POS_SECOND] = c_second
     return flat.reshape(-1)
 
 
-def g704_align(stream: np.ndarray) -> tuple[int, np.ndarray]:
-    """Locate frame alignment and extract payload octets.
+def g704_align(stream: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> tuple[int, np.ndarray]:
+    """Locate frame alignment and extract the payload bits.
 
     Candidates come from the standard confirmation rule: alignment signal
     found, bit 2 of the following frame is 1, and the signal repeats one
     frame later.  The frame phase is then chosen by majority vote of
     signal matches over the whole stream, so sparse corruption of a few
     alignment octets cannot slip the alignment by a frame.  Returns (bit
-    offset of the first frame in phase, payload octets shaped
-    (frames, 31)).  Raises FrameAlignmentError when no alignment exists.
+    offset of the first frame in phase, timeslots 1..`timeslots` of every
+    whole frame from there, as one flat bit array).  Raises
+    FrameAlignmentError when no alignment exists.
     """
+    _check_timeslots(timeslots)
     s = np.ascontiguousarray(stream, dtype=np.uint8)
     n = len(s)
     if n < 3 * FRAME_BITS:
@@ -171,9 +183,15 @@ def g704_align(stream: np.ndarray) -> tuple[int, np.ndarray]:
     votes = [int(fas_at[int(p) :: 2 * FRAME_BITS].sum()) for p in phases]
     offset = int(phases[int(np.argmax(votes))])
     frames = (n - offset) // FRAME_BITS
-    octets = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32, 8)
-    payload = np.packbits(octets[:, 1:, :], axis=2)[:, :, 0]
-    return offset, payload
+    slots = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32 * 8)
+    return offset, slots[:, 8 : 8 * (timeslots + 1)].reshape(-1)
+
+
+def line_positions(payload_indices: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np.ndarray:
+    """Line positions of payload bits laid out by `build_multiframes`."""
+    _check_timeslots(timeslots)
+    frame, within = np.divmod(np.asarray(payload_indices, dtype=np.int64), 8 * timeslots)
+    return frame * FRAME_BITS + 8 + within  # skip timeslot 0 of each frame
 
 
 def hdb3_encode(bits: np.ndarray, start_polarity: int = 1) -> np.ndarray:

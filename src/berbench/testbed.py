@@ -35,12 +35,11 @@ from .core import (
     parse_interface,
 )
 from .framing import (
-    FRAMES_PER_MULTIFRAME,
-    IDLE_OCTET,
     PAYLOAD_SLOTS,
     FrameAlignmentError,
     build_multiframes,
     g704_align,
+    line_positions,
     # Not called here; perfbench/traced.py counts calls made under these two names.
     hdb3_decode,
     hdb3_encode,
@@ -212,8 +211,8 @@ def resolve_chain(
 class DutProfile:
     """The simulated modem: ports, rates, tuning range, fault model.
 
-    `g704_crc4` switches the check multiframe on the framed path; it is on
-    by default.  G.704 rates are whole 64 kbit/s timeslots, up to 2048.
+    G.704 rates are whole 64 kbit/s timeslots, up to 2048; the framed path
+    always runs CRC-4 check multiframes.
     """
 
     name: str
@@ -222,7 +221,6 @@ class DutProfile:
     if_range_hz: tuple[float, float]
     loopback_channel: ChannelModel = field(default_factory=Ideal)
     warmup_s: int = 0
-    g704_crc4: bool = True
 
     def __post_init__(self):
         f_min, f_max = (check_freq_hz(f) for f in self.if_range_hz)
@@ -306,12 +304,9 @@ def payload_line_positions(session: Session, payload_indices: np.ndarray) -> np.
     Useful for building fault masks that hit (or avoid) specific payload
     bits.  On unframed paths the mapping is the identity.
     """
-    idx = np.asarray(payload_indices, dtype=np.int64)
     if session.iface is not InterfaceKind.G704:
-        return idx.copy()
-    per_frame = 8 * session.payload_timeslots
-    frame, within = np.divmod(idx, per_frame)
-    return frame * 256 + 8 + within  # skip timeslot 0 of each frame
+        return np.array(payload_indices, dtype=np.int64)
+    return line_positions(payload_indices, session.payload_timeslots)
 
 
 def loopback(session: Session, bits: np.ndarray) -> np.ndarray:
@@ -325,23 +320,12 @@ def loopback(session: Session, bits: np.ndarray) -> np.ndarray:
     if session.iface is not InterfaceKind.G704:
         return session._stream.apply(bits)
     n_ts = session.payload_timeslots
-    per_mf = FRAMES_PER_MULTIFRAME * n_ts * 8
-    n_mf = max(1, -(-len(bits) // per_mf))
-    padded = np.zeros(n_mf * per_mf, dtype=np.uint8)
-    padded[: len(bits)] = bits
-    data = np.packbits(padded.reshape(-1, 8), axis=1).reshape(n_mf, FRAMES_PER_MULTIFRAME, n_ts)
-    payload = np.full((n_mf, FRAMES_PER_MULTIFRAME, PAYLOAD_SLOTS), IDLE_OCTET, dtype=np.uint8)
-    payload[:, :, :n_ts] = data
-    line = build_multiframes(payload, crc4=session.profile.g704_crc4)
-    rx_line = session._stream.apply(line)
+    rx_line = session._stream.apply(build_multiframes(bits, n_ts))
     try:
-        offset, octets = g704_align(rx_line)
+        recovered = g704_align(rx_line, n_ts)[1][: len(bits)]
     except FrameAlignmentError:
-        return np.zeros(len(bits), dtype=np.uint8)
-    recovered = np.unpackbits(octets[:, :n_ts], axis=1).ravel()
-    if len(recovered) < len(bits):
-        recovered = np.concatenate([recovered, np.zeros(len(bits) - len(recovered), np.uint8)])
-    return recovered[: len(bits)]
+        recovered = np.zeros(0, dtype=np.uint8)
+    return np.pad(recovered, (0, len(bits) - len(recovered)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +441,6 @@ def profile_to_dict(profile: DutProfile) -> dict:
         "if_range_hz": list(profile.if_range_hz),
         "channel": model_to_dict(profile.loopback_channel),
         "warmup_s": profile.warmup_s,
-        "g704_crc4": profile.g704_crc4,
     }
 
 
@@ -473,6 +456,9 @@ def profile_from_dict(data: dict) -> DutProfile:
         for name, values in data["rates"].items():
             for kind in _parse_port_kinds(name):
                 rates[kind] = frozenset(int(v) for v in values)
+        if data.get("g704_crc4", True) is not True:
+            # Older documents carry the key; CRC-4 is the only framed mode.
+            raise ValueError(f"'g704_crc4' may only be true, got {data['g704_crc4']!r}")
         return DutProfile(
             name=str(data["name"]),
             ports=tuple(ports),
@@ -480,7 +466,6 @@ def profile_from_dict(data: dict) -> DutProfile:
             if_range_hz=tuple(float(f) for f in data["if_range_hz"]),
             loopback_channel=model_from_dict(data["channel"]) if "channel" in data else Ideal(),
             warmup_s=int(data.get("warmup_s", 0)),
-            g704_crc4=bool(data.get("g704_crc4", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad DUT profile document: {exc}") from None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from berbench.channel import (
     FixedMask,
     GilbertElliott,
     Ideal,
+    _CHUNK,
+    _uniforms,
     apply,
     derive_seed,
     mix64,
@@ -75,6 +78,36 @@ def test_segmented_stream_equals_one_shot():
     stream = open_stream(model)
     parts = [stream.apply(bits[:7_000]), stream.apply(bits[7_000:19_000]), stream.apply(bits[19_000:])]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_bsc_flips_are_the_positional_draws_across_passes():
+    # The stream's second call starts mid-pass and ends mid-pass.
+    model = Bsc(p=0.01, seed=5)
+    n = 3 * _CHUNK + 17
+    bits = np.zeros(n, np.uint8)
+    stream = open_stream(model)
+    stream.apply(bits[:1001])
+    out = stream.apply(bits)
+    assert np.array_equal(out, (_uniforms(model.seed, 1001, n) < model.p).astype(np.uint8))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Bsc(p=1e-3, seed=3), GilbertElliott(p_gb=1e-9, p_bg=1e-9, p_good=0.99, p_bad=0.5, seed=3)],
+    ids=["bsc", "ge-long-dwell"],
+)
+def test_apply_memory_stays_bounded(model):
+    # Draws run in passes of _CHUNK, so the peak is the output copy plus
+    # cache-sized temporaries, not 16+ bytes per bit.
+    bits = np.zeros(1 << 23, np.uint8)
+    stream = open_stream(model)
+    tracemalloc.start()
+    try:
+        stream.apply(bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_fixed_mask_flips_exactly_listed_positions():

@@ -301,6 +301,20 @@ def test_g704_rate_off_the_timeslot_grid_is_config_error(tmp_path, capsys, rate)
     )
 
 
+@pytest.mark.parametrize("value", [False, 1, None])
+def test_g704_crc4_other_than_true_exits_3(value):
+    dut = {
+        "name": "E1 modem",
+        "ports": [{"interface": "G.704", "connector": "RJ45"}],
+        "rates": {"G.704": [2048]},
+        "if_range_hz": [950e6, 1950e6],
+        "g704_crc4": value,
+    }
+    code, err = _run_config({"dut": dut, "interfaces": ["G.704"]})
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1 and "g704_crc4" in err
+
+
 def test_run_narrow_if_range_is_config_error(tmp_path):
     config = {
         "schema": "ber-campaign-config/1",
@@ -338,6 +352,14 @@ def test_catalog_lists_five_converters_and_previews(capsys):
     assert "native (no converter)" in out
     assert "Tahoe 284 + APP EC101" in out
     assert "Tahoe 284 + APP EC100" in out
+
+
+def test_catalog_of_an_empty_converter_list(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "ber-campaign-config/1", "catalog": []}))
+    assert run_cli("catalog", "--config", str(path)) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("Converter catalog (0 converters)") and err == ""
 
 
 def test_catalog_chain_preview_respects_rate(capsys):
@@ -380,6 +402,30 @@ def test_report_lacking_a_key_exits_3(tmp_path, capsys, doc):
     assert run_cli("report", "--in", str(path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _with_measurement(result_index, measurement_index, **fields):
+    report = json.loads(_saved_report())
+    report["results"][result_index]["measurements"][measurement_index].update(fields)
+    return report
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"transmitted_bits": 0},
+        # Not the row's worst BER, so it is never rendered.
+        {"errored_bits": -1},
+    ],
+    ids=["zero-bits", "negative-errors"],
+)
+def test_report_with_impossible_counts_exits_3(tmp_path, capsys, fields):
+    report = _with_measurement(0, 0, **fields)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report))
+    assert run_cli("report", "--in", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @functools.cache

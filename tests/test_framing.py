@@ -6,6 +6,7 @@ from berbench.framing import (
     FAS_PATTERN,
     FRAME_BITS,
     HALF_BITS,
+    IDLE_OCTET,
     LineCodeViolationError,
     FrameAlignmentError,
     MULTIFRAME_BITS,
@@ -15,6 +16,7 @@ from berbench.framing import (
     g704_align,
     hdb3_decode,
     hdb3_encode,
+    line_positions,
 )
 
 
@@ -29,7 +31,8 @@ def crc4_long_division(bits) -> int:
 
 
 def random_payload(rng, n=1):
-    return rng.integers(0, 256, size=(n, 16, 31)).astype(np.uint8)
+    """Payload bits filling `n` multiframes of all 31 timeslots."""
+    return np.unpackbits(rng.integers(0, 256, size=(n, 16, 31)).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +66,8 @@ def test_multiframe_carries_oracle_checked_remainders():
     # Each half carries the check of the other half, computed with the
     # check-bit positions zeroed.
     rng = np.random.default_rng(2)
-    for payload in (np.zeros((16, 31), np.uint8), random_payload(rng)[0]):
-        mf = build_multiframes(payload[None])
+    for payload in (np.zeros(16 * 31 * 8, np.uint8), random_payload(rng)):
+        mf = build_multiframes(payload)
         check_pos_first = [f * FRAME_BITS for f in (0, 2, 4, 6)]
         check_pos_second = [f * FRAME_BITS for f in (8, 10, 12, 14)]
         first = mf[:HALF_BITS].copy()
@@ -83,7 +86,7 @@ def test_multiframe_carries_oracle_checked_remainders():
 
 def test_every_even_frame_carries_the_alignment_signal():
     rng = np.random.default_rng(3)
-    mf = build_multiframes(random_payload(rng)[0][None])
+    mf = build_multiframes(random_payload(rng))
     for f in range(0, 16, 2):
         octet = mf[f * FRAME_BITS : f * FRAME_BITS + 8]
         assert octet[1:].tolist() == list(FAS_PATTERN)
@@ -93,9 +96,16 @@ def test_every_even_frame_carries_the_alignment_signal():
 
 def test_build_rejects_wrong_payload_shape():
     with pytest.raises(ValueError):
-        build_multiframes(np.zeros((16, 30), np.uint8)[None])
+        build_multiframes(np.zeros((16, 31 * 8), np.uint8))
     with pytest.raises(ValueError):
-        build_multiframes(np.zeros((2, 15, 31), np.uint8))
+        build_multiframes(np.uint8(1))
+    for timeslots in (0, 32):
+        with pytest.raises(ValueError):
+            build_multiframes(np.zeros(8, np.uint8), timeslots)
+        with pytest.raises(ValueError):
+            g704_align(build_multiframes(np.zeros(8, np.uint8)), timeslots)
+        with pytest.raises(ValueError):
+            line_positions(np.array([0]), timeslots)
 
 
 def test_align_build_roundtrip():
@@ -104,7 +114,7 @@ def test_align_build_roundtrip():
     stream = build_multiframes(payload)
     offset, recovered = g704_align(stream)
     assert offset == 0
-    assert np.array_equal(recovered, payload.reshape(-1, 31))
+    assert np.array_equal(recovered, payload)
 
 
 def test_align_reports_junk_prefix_offset():
@@ -138,16 +148,35 @@ def test_align_needs_three_frames():
 
 def test_multiframe_length():
     assert MULTIFRAME_BITS == 4096
-    assert len(build_multiframes(np.zeros((2, 16, 31), np.uint8))) == 8192
+    assert len(build_multiframes(np.zeros(2 * 16 * 31 * 8, np.uint8))) == 8192
+    # Zero-padded to whole multiframes, with at least one.
+    assert len(build_multiframes(np.zeros(0, np.uint8))) == 4096
+    assert len(build_multiframes(np.zeros(16 * 4 * 8 + 1, np.uint8), 4)) == 8192
 
 
-def test_crc4_disabled_multiframe_still_aligns():
-    rng = np.random.default_rng(7)
-    payload = random_payload(rng)[0]
-    mf = build_multiframes(payload[None], crc4=False)
-    assert mf[[0, 512, 1024, 1536]].tolist() == [1, 1, 1, 1]
-    offset, recovered = g704_align(mf)
-    assert offset == 0 and np.array_equal(recovered, payload)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=31),
+    st.integers(min_value=0, max_value=3 * 16 * 31 * 8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_fractional_layout_roundtrips_and_maps_flips(timeslots, n_bits, seed, where):
+    payload = np.random.default_rng(seed).integers(0, 2, n_bits).astype(np.uint8)
+    line = build_multiframes(payload, timeslots)
+    per_mf = 16 * timeslots * 8
+    padded = np.zeros(max(1, -(-n_bits // per_mf)) * per_mf, np.uint8)
+    padded[:n_bits] = payload
+    offset, recovered = g704_align(line, timeslots)
+    assert offset == 0 and np.array_equal(recovered, padded)
+    # Unequipped timeslots carry the idle octet.
+    idle = line.reshape(-1, 32, 8)[:, timeslots + 1 :]
+    assert (np.packbits(idle, axis=2) == IDLE_OCTET).all()
+    # A flip at a payload bit's line position comes back at that bit.
+    i = int(where * len(padded))
+    line[line_positions(i, timeslots)] ^= 1
+    _, flipped = g704_align(line, timeslots)
+    assert np.flatnonzero(flipped != padded).tolist() == [i]
 
 
 # ---------------------------------------------------------------------------

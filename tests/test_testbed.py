@@ -197,13 +197,14 @@ def test_fixed_mask_flips_exact_payload_positions_unframed(kind):
     assert np.flatnonzero(out).tolist() == payload_hits.tolist()
 
 
-def test_fixed_mask_flips_exact_payload_positions_framed():
+@pytest.mark.parametrize("rate", [256, 512, 1024, 2048])
+def test_fixed_mask_flips_exact_payload_positions_framed(rate):
     payload_hits = np.array([0, 777, 9_000, 19_839])
     prof = default_profile()
-    session = dut_open_session(prof, IK.G704, 2048, F0)
+    session = dut_open_session(prof, IK.G704, rate, F0)
     line_positions = payload_line_positions(session, payload_hits)
     prof = default_profile(channel=FixedMask(indices=tuple(int(p) for p in line_positions)))
-    session = dut_open_session(prof, IK.G704, 2048, F0)
+    session = dut_open_session(prof, IK.G704, rate, F0)
     bits = np.zeros(19_840, np.uint8)
     out = loopback(session, bits)
     assert np.flatnonzero(out).tolist() == payload_hits.tolist()
@@ -271,6 +272,12 @@ def test_profile_validation():
 def test_profile_document_roundtrip():
     prof = default_profile(channel=Bsc(p=0.25, seed=11))
     assert profile_from_dict(profile_to_dict(prof)) == prof
+
+
+def test_profile_document_still_reads_g704_crc4_true():
+    doc = profile_to_dict(default_profile())
+    assert "g704_crc4" not in doc
+    assert profile_from_dict({**doc, "g704_crc4": True}) == profile_from_dict(doc)
 
 
 def test_catalog_document_roundtrip():
