@@ -19,6 +19,7 @@ from .core import (
 from .meter import BerMeasurement, MeasurementConfig, measure, required_bits, required_duration
 from .prbs import PrbsSpec, SyncState, count_errors, generate, synchronize
 from .procedure import (
+    CampaignConfig,
     CampaignReport,
     FrequencyPoints,
     InterfaceResult,
@@ -26,7 +27,6 @@ from .procedure import (
     apply_verdict,
     compute_frequencies,
     run_campaign,
-    run_interface_test,
 )
 from .testbed import (
     AnalyzerProfile,
@@ -47,6 +47,7 @@ __all__ = [
     "BerMeasurement",
     "BerValue",
     "Bsc",
+    "CampaignConfig",
     "CampaignReport",
     "ConverterChain",
     "ConverterSpec",
@@ -80,7 +81,6 @@ __all__ = [
     "required_duration",
     "resolve_chain",
     "run_campaign",
-    "run_interface_test",
     "synchronize",
     "__version__",
 ]

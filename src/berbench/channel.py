@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import check_int, check_real
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -133,8 +135,8 @@ class FixedMask:
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
-            raise ValueError("mask indices must be nonnegative")
+        if any(not 0 <= i < 2**63 for i in idx):  # stream positions are int64
+            raise ValueError("mask indices must be in [0, 2**63)")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("mask indices must be strictly increasing")
         object.__setattr__(self, "indices", idx)
@@ -249,9 +251,13 @@ _BY_MODEL = {k.model: k for k in KINDS}
 _BY_NAME = {k.name: k for k in KINDS}
 _BY_SPEC = {k.spec: k for k in KINDS}
 
-#: How a field's declared type reads a value from a document or a spec.
+#: How a field's declared type reads a document value, and a spec's text.
 _INDEX_LIST = "tuple[int, ...]"
-_READERS = {"int": int, "float": float, _INDEX_LIST: lambda vs: tuple(int(v) for v in vs)}
+_READERS = {
+    "float": lambda v: check_real(v, "a probability"),
+    _INDEX_LIST: lambda vs: tuple(check_int(v, "a mask index") for v in vs),
+}
+_PARSERS = {"float": float, _INDEX_LIST: lambda vs: tuple(int(v) for v in vs)}
 
 
 def _params(kind: _Kind) -> tuple[dataclasses.Field, ...]:
@@ -306,7 +312,7 @@ def model_from_dict(data: dict) -> ChannelModel:
         if kind is None:
             raise ValueError(f"unknown channel kind {data['kind']!r}")
         params = {f.name: _READERS[f.type](data[f.name]) for f in _params(kind)}
-        return kind.model(**params, seed=int(data.get("seed", 0)))
+        return kind.model(**params, seed=check_int(data.get("seed", 0), "the seed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad channel description {data!r}: {exc}") from None
 
@@ -322,5 +328,5 @@ def model_from_spec(spec: str, seed: int) -> ChannelModel:
         values = [values]
     if len(values) != len(params):
         raise ValueError(f"expected {len(params)} values, got {len(values)}")
-    read = {f.name: _READERS[f.type](v) for f, v in zip(params, values)}
+    read = {f.name: _PARSERS[f.type](v) for f, v in zip(params, values)}
     return _BY_SPEC[prefix].model(**read, seed=seed)

@@ -17,10 +17,9 @@ saved report re-renders byte-identically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +27,6 @@ from typing import Sequence
 from . import channel as channel_mod
 from .core import (
     BerValue,
-    InterfaceKind,
     Outcome,
     REPORT_ORDER,
     exact_fraction,
@@ -36,27 +34,23 @@ from .core import (
     format_duration,
     parse_interface,
 )
-from .meter import MeasurementConfig, required_duration
+from .meter import required_duration
 from .prbs import PrbsSpec
 from .procedure import (
+    CampaignConfig,
     CampaignPreconditionError,
     CampaignReport,
     VerdictPolicy,
     run_campaign,
 )
 from .testbed import (
-    AnalyzerProfile,
-    ConverterSpec,
-    DEFAULT_ANALYZER,
-    DutProfile,
     FrequencyRangeError,
     UnsupportedRateError,
     analyzer_from_dict,
     analyzer_to_dict,
     catalog_from_list,
-    default_catalog,
-    default_profile,
     profile_from_dict,
+    rate_map_from_dict,
     resolve_chain,
 )
 
@@ -140,31 +134,6 @@ def render_plan_text(plan: dict) -> str:
 # campaign configuration
 
 
-@dataclass
-class CampaignConfig:
-    dut: DutProfile
-    analyzer: AnalyzerProfile
-    catalog: tuple[ConverterSpec, ...]
-    interfaces: tuple[InterfaceKind, ...]
-    rates: dict[InterfaceKind, tuple[int, ...]] | None
-    ber0: Fraction
-    ber_max: Fraction
-    pattern: PrbsSpec
-
-
-def default_config() -> CampaignConfig:
-    return CampaignConfig(
-        dut=default_profile(),
-        analyzer=DEFAULT_ANALYZER,
-        catalog=default_catalog(),
-        interfaces=REPORT_ORDER,
-        rates=None,
-        ber0=Fraction(1, 10**8),
-        ber_max=Fraction(1, 10**5),
-        pattern=PrbsSpec(),
-    )
-
-
 def _load_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -211,44 +180,45 @@ def _load_document(path: Path, schema: str) -> dict:
     return data
 
 
+#: Sections that may be inline or a reference to a file of their own.
+_BENCH_SECTIONS = (
+    ("dut", profile_from_dict),
+    ("analyzer", analyzer_from_dict),
+    ("catalog", catalog_from_list),
+)
+
+
 def load_config(path: str | Path) -> CampaignConfig:
     path = Path(path)
     data = _load_document(path, CONFIG_SCHEMA)
     base = path.parent
-    cfg = default_config()
+    cfg = CampaignConfig()
     try:
-        if "dut" in data:
-            cfg.dut = _resolve_section(data["dut"], base, profile_from_dict)
-        if "analyzer" in data:
-            cfg.analyzer = _resolve_section(data["analyzer"], base, analyzer_from_dict)
-        if "catalog" in data:
-            cfg.catalog = _resolve_section(data["catalog"], base, catalog_from_list)
+        for key, loader in _BENCH_SECTIONS:
+            if key in data:
+                cfg = replace(cfg, **{key: _resolve_section(data[key], base, loader)})
         if "interfaces" in data:
-            cfg.interfaces = tuple(parse_interface(n) for n in data["interfaces"])
+            cfg = replace(cfg, interfaces=tuple(parse_interface(n) for n in data["interfaces"]))
         if "rates" in data:
             rates = _section(data, "rates", list, dict)
-            if isinstance(rates, list):
-                shared = tuple(int(r) for r in rates)
-                cfg.rates = {kind: shared for kind in cfg.interfaces}
-            else:
-                cfg.rates = {
-                    parse_interface(name): tuple(int(r) for r in values)
-                    for name, values in rates.items()
-                }
+            if isinstance(rates, list):  # one list for every interface
+                rates = {kind.value: rates for kind in cfg.interfaces}
+            cfg = replace(cfg, rates=rate_map_from_dict(rates))
         if "ber0" in data:
-            cfg.ber0 = exact_fraction(data["ber0"])
+            cfg = replace(cfg, measurement=replace(cfg.measurement, ber0=data["ber0"]))
         if "ber_max" in data:
-            cfg.ber_max = exact_fraction(data["ber_max"])
+            cfg = replace(cfg, policy=VerdictPolicy(ber_max=data["ber_max"]))
         if "pattern" in data:
             p = _section(data, "pattern", dict)
-            cfg.pattern = PrbsSpec(
-                order=int(p.get("order", 15)),
+            pattern = PrbsSpec(
+                order=p.get("order", 15),
                 taps=tuple(p["taps"]) if "taps" in p else None,
-                seed=int(p["seed"]) if "seed" in p else None,
+                seed=p["seed"] if "seed" in p else None,
             )
+            cfg = replace(cfg, measurement=replace(cfg.measurement, pattern=pattern))
         if "channel" in data:
             model = _channel_from_config(_section(data, "channel", dict))
-            cfg.dut = dataclasses.replace(cfg.dut, loopback_channel=model)
+            cfg = replace(cfg, dut=replace(cfg.dut, loopback_channel=model))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
@@ -281,26 +251,24 @@ def _measurement_to_dict(m) -> dict:
 
 
 def report_to_dict(report: CampaignReport) -> dict:
+    cfg = report.config
+    pattern = cfg.measurement.pattern
     return {
         "schema": REPORT_SCHEMA,
-        "dut": report.dut_name,
-        "analyzer": analyzer_to_dict(report.analyzer),
+        "dut": cfg.dut.name,
+        "analyzer": analyzer_to_dict(cfg.analyzer),
         "config": {
-            "ber0": float(report.ber0),
-            "ber_max": float(report.ber_max),
+            "ber0": float(cfg.measurement.ber0),
+            "ber_max": float(cfg.policy.ber_max),
             "pattern": {
-                "order": report.pattern_order,
-                "taps": list(report.pattern_taps),
-                "seed": report.pattern_seed,
+                "order": pattern.order,
+                "taps": list(pattern.taps),
+                "seed": pattern.seed,
             },
-            "channel": channel_mod.model_to_dict(report.channel),
-            "rates": {kind.value: list(rates) for kind, rates in report.rates},
+            "channel": channel_mod.model_to_dict(cfg.dut.loopback_channel),
+            "rates": {kind.value: list(cfg.rates_for(kind)) for kind in cfg.interfaces},
         },
-        "frequencies_hz": {
-            "f0": report.frequencies.f0,
-            "f1": report.frequencies.f1,
-            "f2": report.frequencies.f2,
-        },
+        "frequencies_hz": report.frequencies._asdict(),
         "results": [
             {
                 "interface": r.iface.value,
@@ -313,7 +281,7 @@ def report_to_dict(report: CampaignReport) -> dict:
             for r in report.results
         ],
         "timestamps": {
-            "virtual_start_s": report.virtual_start_s,
+            "virtual_start_s": 0,
             "virtual_end_s": report.virtual_end_s,
         },
         "log": [[t, msg] for t, msg in report.log],
@@ -435,31 +403,21 @@ def cmd_plan(args) -> int:
 
 
 def _configure(args) -> CampaignConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else CampaignConfig()
     if args.ber0 is not None:
-        cfg.ber0 = exact_fraction(args.ber0)
+        cfg = replace(cfg, measurement=replace(cfg.measurement, ber0=args.ber0))
     if args.bermax is not None:
-        cfg.ber_max = exact_fraction(args.bermax)
+        cfg = replace(cfg, policy=VerdictPolicy(ber_max=args.bermax))
+    model = cfg.dut.loopback_channel
     if args.channel is not None:
-        seed = args.seed if args.seed is not None else cfg.dut.loopback_channel.seed
-        model = parse_channel_spec(args.channel, seed)
-        cfg.dut = dataclasses.replace(cfg.dut, loopback_channel=model)
-    elif args.seed is not None:
-        model = dataclasses.replace(cfg.dut.loopback_channel, seed=args.seed)
-        cfg.dut = dataclasses.replace(cfg.dut, loopback_channel=model)
-    return cfg
+        model = parse_channel_spec(args.channel, model.seed)
+    if args.seed is not None:
+        model = replace(model, seed=args.seed)
+    return replace(cfg, dut=replace(cfg.dut, loopback_channel=model))
 
 
 def cmd_run(args) -> int:
-    cfg = _configure(args)
-    try:
-        config = MeasurementConfig(ber0=cfg.ber0, pattern=cfg.pattern)
-        policy = VerdictPolicy(ber_max=cfg.ber_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    report = run_campaign(
-        cfg.dut, cfg.analyzer, cfg.catalog, cfg.interfaces, config, policy, rates=cfg.rates
-    )
+    report = run_campaign(_configure(args))
     report_dict = report_to_dict(report)
     json_text = _dump_json(report_dict)
     table_text = render_report_text(report_dict)
@@ -471,15 +429,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-        catalog, analyzer = cfg.catalog, cfg.analyzer
-    else:
-        catalog, analyzer = default_catalog(), DEFAULT_ANALYZER
+    cfg = load_config(args.config) if args.config else CampaignConfig()
     rate = args.rate
-    lines = [f"Converter catalog ({len(catalog)} converters)", ""]
-    name_w = max((len(c.name) for c in catalog), default=0)
-    for conv in catalog:
+    lines = [f"Converter catalog ({len(cfg.catalog)} converters)", ""]
+    name_w = max((len(c.name) for c in cfg.catalog), default=0)
+    for conv in cfg.catalog:
         limit = f", up to {conv.max_rate_kbps} kbit/s" if conv.max_rate_kbps else ""
         note = f"  [{conv.notes}]" if conv.notes else ""
         lines.append(f"  {conv.name:<{name_w}}  {conv.describe()}{limit}{note}")
@@ -487,7 +441,7 @@ def cmd_catalog(args) -> int:
     lines.append(f"Chain preview at {rate} kbit/s:")
     kind_w = max(len(k.value) for k in REPORT_ORDER)
     for kind in REPORT_ORDER:
-        chain = resolve_chain(analyzer, kind, catalog, rate)
+        chain = resolve_chain(cfg.analyzer, kind, cfg.catalog, rate)
         if chain is None:
             text = "no path (no connector)"
         elif not chain.converters:

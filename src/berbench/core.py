@@ -35,8 +35,8 @@ class InterfaceKind(enum.Enum):
 REPORT_ORDER: tuple[InterfaceKind, ...] = tuple(InterfaceKind)
 
 #: A combined 10/100 copper port serves both copper Ethernet kinds; reports
-#: keep them as two separate rows.  Profile and catalog loaders expand this
-#: alias, `parse_interface` rejects it with guidance.
+#: keep them as two separate rows.  `parse_port_kinds` expands this alias,
+#: `parse_interface` rejects it with guidance.
 COMBINED_10_100_NAME = "10/100BASE-T"
 COMBINED_10_100: tuple[InterfaceKind, InterfaceKind] = (
     InterfaceKind.BASE10_T,
@@ -67,6 +67,30 @@ def parse_interface(name: str) -> InterfaceKind:
     except KeyError:
         valid = ", ".join(kind.value for kind in InterfaceKind)
         raise ValueError(f"unknown interface {name!r}; valid kinds: {valid}") from None
+
+
+def parse_port_kinds(name: str) -> tuple[InterfaceKind, ...]:
+    """Parse an interface name; the combined copper port expands to both kinds."""
+    if _normalize(name) == _normalize(COMBINED_10_100_NAME):
+        return COMBINED_10_100
+    return (parse_interface(name),)
+
+
+def check_int(value, what: str) -> int:
+    """A document integer: a JSON integer, never a float, a string or a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def check_real(value, what: str) -> float:
+    """A document real number: a JSON integer or float, never a string or a bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond any float
+        raise ValueError(f"{what} is out of range") from None
 
 
 def check_rate_kbps(rate: int) -> int:

@@ -148,6 +148,10 @@ def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np
     return flat.reshape(-1)
 
 
+#: Signal positions searched per pass of `g704_align`; bounds its temporaries.
+_ALIGN_PASS = 1 << 16
+
+
 def g704_align(stream: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> tuple[int, np.ndarray]:
     """Locate frame alignment and extract the payload bits.
 
@@ -165,23 +169,24 @@ def g704_align(stream: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> tuple[int,
     n = len(s)
     if n < 3 * FRAME_BITS:
         raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
-    fas_at = np.ones(n - 7, dtype=bool)
-    for j, bit in enumerate(FAS_PATTERN):
-        fas_at &= s[1 + j : n - 7 + 1 + j] == bit
-    limit = n - 2 * FRAME_BITS - 7  # last offset with room for the confirmation
-    if limit <= 0:
+    # A pass holds the signal positions [a, a + _ALIGN_PASS) and the next
+    # frame pair, so each candidate's confirmation lies inside its pass.
+    period = 2 * FRAME_BITS
+    votes = np.zeros(period, dtype=np.int64)  # signal matches per frame-pair phase
+    confirmed = np.zeros(period, dtype=bool)
+    for a in range(0, n - 7, _ALIGN_PASS):
+        stop = min(a + _ALIGN_PASS + period, n - 7)
+        fas = np.ones(stop - a, dtype=bool)  # the signal follows position a + i
+        for j, bit in enumerate(FAS_PATTERN):
+            fas &= s[a + 1 + j : stop + 1 + j] == bit
+        votes += np.bincount((a + np.flatnonzero(fas[:_ALIGN_PASS])) % period, minlength=period)
+        c = max(len(fas) - period, 0)
+        good = fas[:c] & fas[period:] & (s[FRAME_BITS + 1 + a : FRAME_BITS + 1 + a + c] == 1)
+        confirmed[(a + np.flatnonzero(good)) % period] = True
+    phases = np.flatnonzero(confirmed)
+    if len(phases) == 0:
         raise FrameAlignmentError("no frame alignment found")
-    good = (
-        fas_at[:limit]
-        & (s[FRAME_BITS + 1 : FRAME_BITS + 1 + limit] == 1)
-        & fas_at[2 * FRAME_BITS : 2 * FRAME_BITS + limit]
-    )
-    candidates = np.flatnonzero(good)
-    if len(candidates) == 0:
-        raise FrameAlignmentError("no frame alignment found")
-    phases = np.unique(candidates % (2 * FRAME_BITS))
-    votes = [int(fas_at[int(p) :: 2 * FRAME_BITS].sum()) for p in phases]
-    offset = int(phases[int(np.argmax(votes))])
+    offset = int(phases[int(np.argmax(votes[phases]))])
     frames = (n - offset) // FRAME_BITS
     slots = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32 * 8)
     return offset, slots[:, 8 : 8 * (timeslots + 1)].reshape(-1)

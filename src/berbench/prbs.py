@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_int
+
 #: Second taps that give a maximal-length sequence, per order; the first
 #: tap is always the order.  The ITU-T O.150 choice comes first and is the
 #: default.  PRBS-15 is the default test pattern for serial rates up to
@@ -50,12 +52,12 @@ class PrbsSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.order not in DEFAULT_TAPS:
+        if check_int(self.order, "the pattern order") not in DEFAULT_TAPS:
             raise ValueError(
                 f"unsupported order {self.order}; choose one of {sorted(DEFAULT_TAPS)}"
             )
         taps = self.taps if self.taps is not None else DEFAULT_TAPS[self.order]
-        taps = tuple(int(t) for t in taps)
+        taps = tuple(check_int(t, "a pattern tap") for t in taps)
         if len(taps) != 2 or taps[0] != self.order or taps[1] not in MAXIMAL_TAPS[self.order]:
             pairs = ", ".join(f"({self.order}, {t})" for t in MAXIMAL_TAPS[self.order])
             raise ValueError(
@@ -63,10 +65,10 @@ class PrbsSpec:
                 f"choose one of {pairs}"
             )
         seed = self.seed if self.seed is not None else (1 << self.order) - 1
-        if not 0 < seed < (1 << self.order):
+        if not 0 < check_int(seed, "the pattern seed") < (1 << self.order):
             raise ValueError(f"seed must be a nonzero {self.order}-bit value, got {seed}")
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def period(self) -> int:
@@ -123,6 +125,10 @@ def generate(spec: PrbsSpec, n: int, start: int = 0) -> np.ndarray:
     return _extend(_seed_history(spec), spec.order, spec.taps[1], phase + n)[phase:]
 
 
+#: Largest window `synchronize` scans at once; bounds its temporaries.
+_SCAN_BITS = 1 << 16
+
+
 def synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
     """Self-seed from the stream and lock once predictions hold.
 
@@ -130,28 +136,25 @@ def synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
     `order` received bits; lock is declared at the first run of
     `LOCK_THRESHOLD` consecutive clean predictions whose seed window is not
     all zeros (the all-zero state is a register fixed point and never a
-    valid pattern).  `offset` is the start of that seed window.
+    valid pattern).  `offset` is the start of that seed window.  Windows
+    of doubling size, overlapping by all but one bit of a candidate's span,
+    keep the scan's memory bounded and a clean head cheap.
     """
-    m = LOCK_THRESHOLD
     r = np.ascontiguousarray(received, dtype=np.uint8)
-    k, t = spec.order, spec.taps[1]
-    n = len(r)
-    if n < k + m:
-        return SEARCHING
-    # Fast path: a clean head locks at offset 0 without scanning the stream.
-    head = r[k : k + m] ^ r[:m] ^ r[k - t : k - t + m]
-    if not head.any() and r[:k].any():
-        return SyncState(locked=True, offset=0)
-    pred_err = r[k:] ^ r[: n - k] ^ r[k - t : n - t]
-    clean = np.concatenate(([0], np.cumsum(pred_err == 0, dtype=np.int64)))
-    run_ok = clean[m:] - clean[:-m] == m
-    ones = np.concatenate(([0], np.cumsum(r, dtype=np.int64)))
-    seed_ok = (ones[k:] - ones[:-k]) > 0
-    candidates = run_ok & seed_ok[: len(run_ok)]
-    if not candidates.any():
-        return SEARCHING
-    offset = int(np.argmax(candidates))
-    return SyncState(locked=True, offset=offset)
+    k, t, m = spec.order, spec.taps[1], LOCK_THRESHOLD
+    start, size = 0, k + m  # k + m bits decide one candidate offset
+    while start + k + m <= len(r):
+        w = r[start : start + size]
+        pred_ok = (w[k:] ^ w[: len(w) - k] ^ w[k - t : len(w) - t]) == 0
+        clean = np.concatenate(([0], np.cumsum(pred_ok, dtype=np.int32)))
+        run_ok = clean[m:] - clean[:-m] == m
+        ones = np.concatenate(([0], np.cumsum(w, dtype=np.int32)))
+        candidates = run_ok & (ones[k:] - ones[:-k] > 0)[: len(run_ok)]
+        if candidates.any():
+            return SyncState(locked=True, offset=start + int(np.argmax(candidates)))
+        start += size - k - m + 1
+        size = min(2 * size, _SCAN_BITS)
+    return SEARCHING
 
 
 def count_errors(

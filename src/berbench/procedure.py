@@ -18,16 +18,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple
 
-from .core import BerValue, InterfaceKind, Outcome, Verdict, check_freq_hz, exact_fraction
+from .core import (
+    BerValue,
+    InterfaceKind,
+    Outcome,
+    REPORT_ORDER,
+    Verdict,
+    check_freq_hz,
+    exact_fraction,
+)
 from .meter import BerMeasurement, MeasurementConfig, analyzer_self_test, measure
 from .testbed import (
     AnalyzerProfile,
     ConverterChain,
     ConverterSpec,
+    DEFAULT_ANALYZER,
     DutProfile,
     NoPortError,
+    default_catalog,
+    default_profile,
     dut_open_session,
     resolve_chain,
 )
@@ -45,14 +56,10 @@ class CampaignPreconditionError(Exception):
     """The tuning range cannot host the three frequency points."""
 
 
-@dataclass(frozen=True)
-class FrequencyPoints:
+class FrequencyPoints(NamedTuple):
     f0: float
     f1: float
     f2: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.f0, self.f1, self.f2)
 
 
 def compute_frequencies(f_min_hz: float, f_max_hz: float) -> FrequencyPoints:
@@ -96,19 +103,31 @@ class InterfaceResult:
 
 
 @dataclass(frozen=True)
+class CampaignConfig:
+    """The test plan: bench, interfaces, bit rates, resolution and threshold.
+
+    `rates` maps an interface to the rates it is measured at; an interface
+    it does not list runs at `DEFAULT_RATE_KBPS`.  The defaults are the
+    built-in bench over every interface.
+    """
+
+    dut: DutProfile = field(default_factory=default_profile)
+    analyzer: AnalyzerProfile = DEFAULT_ANALYZER
+    catalog: tuple[ConverterSpec, ...] = field(default_factory=default_catalog)
+    interfaces: tuple[InterfaceKind, ...] = REPORT_ORDER
+    rates: Mapping[InterfaceKind, tuple[int, ...]] = field(default_factory=dict)
+    measurement: MeasurementConfig = MeasurementConfig()
+    policy: VerdictPolicy = VerdictPolicy()
+
+    def rates_for(self, iface: InterfaceKind) -> tuple[int, ...]:
+        return tuple(self.rates.get(iface, (DEFAULT_RATE_KBPS,)))
+
+
+@dataclass(frozen=True)
 class CampaignReport:
-    dut_name: str
-    analyzer: AnalyzerProfile
+    config: CampaignConfig
     results: tuple[InterfaceResult, ...]
-    ber0: Fraction
-    ber_max: Fraction
-    pattern_order: int
-    pattern_taps: tuple[int, int]
-    pattern_seed: int
-    channel: object
-    rates: tuple[tuple[InterfaceKind, tuple[int, ...]], ...]
     frequencies: FrequencyPoints
-    virtual_start_s: int
     virtual_end_s: int
     log: tuple[tuple[int, str], ...]
 
@@ -132,20 +151,13 @@ def _mhz(freq_hz: float) -> str:
 
 
 def _run_interface(
-    dut: DutProfile,
-    analyzer: AnalyzerProfile,
-    catalog: Iterable[ConverterSpec],
-    iface: InterfaceKind,
-    rates: Sequence[int],
-    config: MeasurementConfig,
-    policy: VerdictPolicy,
-    points: FrequencyPoints,
-    clock: _Clock,
+    config: CampaignConfig, iface: InterfaceKind, points: FrequencyPoints, clock: _Clock
 ) -> InterfaceResult:
-    rates = list(rates)
+    """Connector check, rate/frequency sweep, and verdict for one interface."""
+    rates = config.rates_for(iface)
     if not rates:
         raise ValueError(f"no bit rates configured for {iface}")
-    chain = resolve_chain(analyzer, iface, catalog, max(rates))
+    chain = resolve_chain(config.analyzer, iface, config.catalog, max(rates))
     if chain is None:
         note = (
             f"no appropriate {iface} connector: analyzer has no native port "
@@ -160,70 +172,35 @@ def _run_interface(
 
     measurements: list[BerMeasurement] = []
     for rate in rates:
-        for freq in points.as_tuple():
+        for freq in points:
             clock.measurement_index += 1
             try:
                 session = dut_open_session(
-                    dut, iface, rate, freq, seed_tag=clock.measurement_index
+                    config.dut, iface, rate, freq, seed_tag=clock.measurement_index
                 )
             except NoPortError as exc:
                 note = f"no appropriate interface connector: {exc}"
                 clock.note(f"{iface}: {note}")
                 return InterfaceResult(iface, Verdict(Outcome.NO_CONNECTOR, note), chain, bool(chain.converters), ())
-            m = measure(session, config)
+            m = measure(session, config.measurement)
             measurements.append(m)
             clock.advance(
                 m.duration_s,
                 f"{iface} @ {rate} kbit/s, {_mhz(freq)}: "
                 f"{m.errored_bits} errors / {m.transmitted_bits} bits",
             )
-    ok = all(apply_verdict(m.ber, policy) is Outcome.PASS for m in measurements)
+    ok = all(apply_verdict(m.ber, config.policy) is Outcome.PASS for m in measurements)
     verdict = Verdict(Outcome.PASS if ok else Outcome.FAIL)
     return InterfaceResult(iface, verdict, chain, bool(chain.converters), tuple(measurements))
 
 
-def run_interface_test(
-    dut: DutProfile,
-    analyzer: AnalyzerProfile,
-    catalog: Iterable[ConverterSpec],
-    iface: InterfaceKind,
-    rates: Sequence[int],
-    config: MeasurementConfig,
-    policy: VerdictPolicy,
-) -> InterfaceResult:
-    """Connector check, rate/frequency sweep, and verdict for one interface."""
-    points = compute_frequencies(*dut.if_range_hz)
-    return _run_interface(
-        dut, analyzer, list(catalog), iface, rates, config, policy, points, _Clock()
-    )
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    """The full procedure over the config's ordered interface list.
 
-
-def _rates_for(
-    iface: InterfaceKind, rates: Mapping | Sequence[int] | None
-) -> tuple[int, ...]:
-    if rates is None:
-        return (DEFAULT_RATE_KBPS,)
-    if isinstance(rates, Mapping):
-        chosen = rates.get(iface, (DEFAULT_RATE_KBPS,))
-        return tuple(chosen)
-    return tuple(rates)
-
-
-def run_campaign(
-    dut: DutProfile,
-    analyzer: AnalyzerProfile,
-    catalog: Iterable[ConverterSpec],
-    ifaces: Sequence[InterfaceKind],
-    config: MeasurementConfig,
-    policy: VerdictPolicy,
-    rates: Mapping | Sequence[int] | None = None,
-) -> CampaignReport:
-    """The full procedure over an ordered interface list.
-
-    `rates` may be a per-interface mapping, one list for all interfaces,
-    or None for the single default rate.  Results come back in request
-    order, one per requested interface (duplicates measured twice).
+    Results come back in request order, one per requested interface
+    (duplicates measured twice).
     """
+    dut = config.dut
     f_min, f_max = dut.if_range_hz
     if Fraction(f_max) < Fraction(21, 20) * Fraction(f_min):
         raise CampaignPreconditionError(
@@ -231,38 +208,12 @@ def run_campaign(
             "be at least 1.05x the lower edge to host the three tuning points"
         )
     points = compute_frequencies(f_min, f_max)
-    catalog = list(catalog)
     clock = _Clock()
     clock.advance(ANALYZER_WARMUP_S, "analyzer powered, waiting for stability")
-    analyzer_self_test(config.pattern)
+    analyzer_self_test(config.measurement.pattern)
     clock.note("analyzer self-test: pattern self-loop clean")
     clock.note(f"EUT '{dut.name}' set up per its manual")
     clock.advance(dut.warmup_s, "EUT powered, waiting for stability")
-
-    results = []
-    rate_echo = []
-    for iface in ifaces:
-        iface_rates = _rates_for(iface, rates)
-        rate_echo.append((iface, iface_rates))
-        results.append(
-            _run_interface(
-                dut, analyzer, catalog, iface, iface_rates, config, policy, points, clock
-            )
-        )
+    results = tuple(_run_interface(config, iface, points, clock) for iface in config.interfaces)
     clock.note("campaign complete")
-    return CampaignReport(
-        dut_name=dut.name,
-        analyzer=analyzer,
-        results=tuple(results),
-        ber0=config.ber0,
-        ber_max=policy.ber_max,
-        pattern_order=config.pattern.order,
-        pattern_taps=config.pattern.taps,
-        pattern_seed=config.pattern.seed,
-        channel=dut.loopback_channel,
-        rates=tuple(rate_echo),
-        frequencies=points,
-        virtual_start_s=0,
-        virtual_end_s=clock.now_s,
-        log=tuple(clock.log),
-    )
+    return CampaignReport(config, results, points, clock.now_s, tuple(clock.log))

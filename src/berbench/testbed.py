@@ -31,8 +31,11 @@ from .core import (
     COMBINED_10_100_NAME,
     InterfaceKind,
     check_freq_hz,
+    check_int,
     check_rate_kbps,
+    check_real,
     parse_interface,
+    parse_port_kinds,
 )
 from .framing import (
     PAYLOAD_SLOTS,
@@ -130,9 +133,6 @@ class AnalyzerProfile:
             if native_kind is kind and (limit is None or rate_kbps <= limit):
                 return True
         return False
-
-    def kinds(self) -> tuple[InterfaceKind, ...]:
-        return tuple(kind for kind, _ in self.native)
 
 
 @dataclass(frozen=True)
@@ -423,14 +423,6 @@ def default_profile(channel: ChannelModel | None = None) -> DutProfile:
 # JSON document loaders (schemas documented in the README).
 
 
-def _parse_port_kinds(name: str) -> tuple[InterfaceKind, ...]:
-    from .core import _normalize  # local: alias expansion shares the normalizer
-
-    if _normalize(name) == _normalize(COMBINED_10_100_NAME):
-        return COMBINED_10_100
-    return (parse_interface(name),)
-
-
 def profile_to_dict(profile: DutProfile) -> dict:
     return {
         "name": profile.name,
@@ -444,31 +436,42 @@ def profile_to_dict(profile: DutProfile) -> dict:
     }
 
 
+def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
+    """Bit rates per interface; the combined copper port sets both kinds."""
+    if not isinstance(data, dict):
+        raise TypeError(f"'rates' must be a JSON object, got {type(data).__name__}")
+    return {
+        kind: tuple(check_int(r, "a bit rate") for r in values)
+        for name, values in data.items()
+        for kind in parse_port_kinds(name)
+    }
+
+
 def profile_from_dict(data: dict) -> DutProfile:
     try:
         ports = []
         for entry in data["ports"]:
-            for kind in _parse_port_kinds(entry["interface"]):
+            for kind in parse_port_kinds(entry["interface"]):
                 ports.append((kind, entry.get("connector", "")))
-        rates: dict[InterfaceKind, frozenset[int]] = {}
-        if not isinstance(data["rates"], dict):
-            raise TypeError(f"'rates' must be a JSON object, got {type(data['rates']).__name__}")
-        for name, values in data["rates"].items():
-            for kind in _parse_port_kinds(name):
-                rates[kind] = frozenset(int(v) for v in values)
         if data.get("g704_crc4", True) is not True:
             # Older documents carry the key; CRC-4 is the only framed mode.
             raise ValueError(f"'g704_crc4' may only be true, got {data['g704_crc4']!r}")
         return DutProfile(
             name=str(data["name"]),
             ports=tuple(ports),
-            supported_rates=rates,
-            if_range_hz=tuple(float(f) for f in data["if_range_hz"]),
+            supported_rates=rate_map_from_dict(data["rates"]),
+            if_range_hz=tuple(check_real(f, "'if_range_hz'") for f in data["if_range_hz"]),
             loopback_channel=model_from_dict(data["channel"]) if "channel" in data else Ideal(),
-            warmup_s=int(data.get("warmup_s", 0)),
+            warmup_s=check_int(data.get("warmup_s", 0), "'warmup_s'"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad DUT profile document: {exc}") from None
+
+
+def _rate_cap(entry: dict) -> int | None:
+    if "max_rate_kbps" not in entry:
+        return None
+    return check_int(entry["max_rate_kbps"], "'max_rate_kbps'")
 
 
 def catalog_to_list(catalog: Iterable[ConverterSpec]) -> list[dict]:
@@ -495,16 +498,14 @@ def catalog_from_list(entries: Iterable[dict]) -> tuple[ConverterSpec, ...]:
                 kinds: set[InterfaceKind] = set()
                 names = entry[side]
                 for name in [names] if isinstance(names, str) else names:
-                    kinds.update(_parse_port_kinds(name))
+                    kinds.update(parse_port_kinds(name))
                 sides.append(frozenset(kinds))
             converters.append(
                 ConverterSpec(
                     name=str(entry["name"]),
                     side_a=sides[0],
                     side_b=sides[1],
-                    max_rate_kbps=(
-                        int(entry["max_rate_kbps"]) if "max_rate_kbps" in entry else None
-                    ),
+                    max_rate_kbps=_rate_cap(entry),
                     notes=str(entry.get("notes", "")),
                 )
             )
@@ -526,11 +527,7 @@ def analyzer_to_dict(analyzer: AnalyzerProfile) -> dict:
 def analyzer_from_dict(data: dict) -> AnalyzerProfile:
     try:
         native = tuple(
-            (
-                parse_interface(entry["interface"]),
-                int(entry["max_rate_kbps"]) if "max_rate_kbps" in entry else None,
-            )
-            for entry in data["native"]
+            (parse_interface(entry["interface"]), _rate_cap(entry)) for entry in data["native"]
         )
         return AnalyzerProfile(native=native)
     except (KeyError, TypeError, ValueError) as exc:

@@ -31,10 +31,11 @@ from berbench.framing import (
 from berbench.meter import MeasurementConfig, measure
 from berbench.prbs import PrbsSpec, generate, step_register
 from berbench.procedure import (
+    CampaignConfig,
     VerdictPolicy,
     apply_verdict,
     compute_frequencies,
-    run_interface_test,
+    run_campaign,
 )
 from berbench.testbed import (
     DEFAULT_ANALYZER,
@@ -241,15 +242,13 @@ def test_criterion_9_negative_path_no_connector(tmp_path):
             prof, ports=tuple(p for p in prof.ports if p[0] is not IK.V35)
         )
         catalog = tuple(c for c in default_catalog() if c.name != "Tahoe 235")
-        result = run_interface_test(
-            prof,
-            DEFAULT_ANALYZER,
-            catalog,
-            IK.V35,
-            [2048],
-            MeasurementConfig(ber0=1e-5),
-            VerdictPolicy(),
+        config = CampaignConfig(
+            dut=prof,
+            catalog=catalog,
+            interfaces=(IK.V35,),
+            measurement=MeasurementConfig(ber0=1e-5),
         )
+        result = run_campaign(config).results[0]
         assert result.verdict.outcome is Outcome.NO_CONNECTOR
         assert result.verdict.note
         assert result.measurements == ()

@@ -333,6 +333,80 @@ def test_run_narrow_if_range_is_config_error(tmp_path):
     assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "x")) == 3
 
 
+_DUT = {
+    "name": "E1 modem",
+    "ports": [{"interface": "G.703", "connector": "BNC"}],
+    "rates": {"G.703": [2048]},
+    "if_range_hz": [950e6, 1950e6],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"pattern": {"seed": 1.9}},
+        {"pattern": {"seed": True}},
+        {"pattern": {"order": 15.0}},
+        {"pattern": {"taps": [15, 14.0]}},
+        {"rates": [True]},
+        {"rates": ["512"]},
+        {"rates": {"V.35": [512.0]}},
+        {"dut": {**_DUT, "rates": {"G.703": [True]}}},
+        {"dut": {**_DUT, "warmup_s": 1.5}},
+        {"dut": {**_DUT, "if_range_hz": [True, 1950e6]}},
+        {"analyzer": {"native": [{"interface": "G.703", "max_rate_kbps": 2048.0}]}},
+        {"catalog": [{"name": "c", "side_a": "G.703", "side_b": "V.35", "max_rate_kbps": True}]},
+        {"channel": {"kind": "ideal", "seed": 1.9}},
+        {"channel": {"kind": "bsc", "p": True, "seed": 1}},
+        {"channel": {"kind": "bsc", "p": "0.1", "seed": 1}},
+        {"channel": {"kind": "fixed_mask", "indices": [10.7], "seed": 1}},
+    ],
+    ids=[
+        "pattern-seed-float", "pattern-seed-bool", "pattern-order-float", "pattern-tap-float",
+        "rates-bool", "rates-string", "rate-map-float", "dut-rate-bool", "dut-warmup-float",
+        "dut-if-range-bool", "analyzer-max-rate-float", "catalog-max-rate-bool",
+        "channel-seed-float", "channel-p-bool", "channel-p-string", "mask-index-float",
+    ],
+)
+def test_document_number_of_the_wrong_kind_exits_3(doc):
+    code, err = _run_config(doc)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        {"kind": "bsc", "p": 10**400, "seed": 1},
+        {"kind": "fixed_mask", "indices": [2**63], "seed": 1},
+    ],
+    ids=["p-beyond-float", "mask-index-beyond-int64"],
+)
+def test_document_number_out_of_range_exits_3(channel):
+    code, err = _run_config({"channel": channel})
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_combined_port_name_in_the_rate_map_but_not_in_interfaces(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "schema": "ber-campaign-config/1",
+        "ber0": 1e-5,
+        "interfaces": ["10BASE-T", "100BASE-TX"],
+        "rates": {"10/100BASE-T": [1024]},
+    }))
+    args = ("run", "--config", str(path), "--format", "json", "--out", str(tmp_path / "r"))
+    assert run_cli(*args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["rates"] == {"10BASE-T": [1024], "100BASE-TX": [1024]}
+    assert {m["rate_kbps"] for r in report["results"] for m in r["measurements"]} == {1024}
+
+    code, err = _run_config({"interfaces": ["10/100BASE-T"]})
+    assert code == 3
+    assert "combined port" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

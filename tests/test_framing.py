@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berbench import framing
 from berbench.framing import (
     FAS_PATTERN,
     FRAME_BITS,
@@ -144,6 +147,101 @@ def test_align_loses_frame_on_featureless_bits():
 def test_align_needs_three_frames():
     with pytest.raises(FrameAlignmentError):
         g704_align(np.zeros(2 * FRAME_BITS, np.uint8))
+
+
+def whole_stream_align(stream, timeslots=31):
+    """Frame alignment searched over the whole stream at once, as a reference."""
+    s = np.ascontiguousarray(stream, dtype=np.uint8)
+    n = len(s)
+    if n < 3 * FRAME_BITS:
+        raise FrameAlignmentError("short")
+    fas_at = np.ones(n - 7, dtype=bool)
+    for j, bit in enumerate(FAS_PATTERN):
+        fas_at &= s[1 + j : n - 7 + 1 + j] == bit
+    limit = n - 2 * FRAME_BITS - 7
+    good = (
+        fas_at[:limit]
+        & (s[FRAME_BITS + 1 : FRAME_BITS + 1 + limit] == 1)
+        & fas_at[2 * FRAME_BITS : 2 * FRAME_BITS + limit]
+    )
+    candidates = np.flatnonzero(good)
+    if len(candidates) == 0:
+        raise FrameAlignmentError("none")
+    phases = np.unique(candidates % (2 * FRAME_BITS))
+    votes = [int(fas_at[int(p) :: 2 * FRAME_BITS].sum()) for p in phases]
+    offset = int(phases[int(np.argmax(votes))])
+    frames = (n - offset) // FRAME_BITS
+    slots = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32 * 8)
+    return offset, slots[:, 8 : 8 * (timeslots + 1)].reshape(-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), timeslots=st.integers(1, 31))
+def test_align_in_passes_matches_whole_stream_reference(data, timeslots):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def bits(n):
+        return rng.integers(0, 2, n).astype(np.uint8)
+
+    shape = data.draw(st.sampled_from(["framed", "two-phases", "featureless"]))
+    if shape == "framed":
+        line = build_multiframes(bits(data.draw(st.integers(0, 6000))), timeslots)
+        prefix = bits(data.draw(st.integers(0, 600)))
+        kept = len(prefix) + data.draw(st.integers(0, len(line)))
+        stream = np.concatenate([prefix, line])[:kept]
+    elif shape == "two-phases":  # two framings whose votes tie or nearly tie
+        n = data.draw(st.integers(1, 3000))
+        first, second = (build_multiframes(bits(n), timeslots) for _ in range(2))
+        gap = bits(data.draw(st.integers(1, 2 * FRAME_BITS - 1)))
+        stream = np.concatenate([first, gap, second])
+        stream = stream[: len(stream) - data.draw(st.integers(0, 4 * FRAME_BITS))]
+    else:
+        stream = bits(data.draw(st.integers(0, 5000)))
+    p = data.draw(st.sampled_from([0.0, 1e-3, 0.02, 0.3]))
+    stream ^= (rng.random(len(stream)) < p).astype(np.uint8)
+    saved = framing._ALIGN_PASS
+    framing._ALIGN_PASS = data.draw(st.integers(16, 3000))  # many pass boundaries
+    try:
+        got = g704_align(stream, timeslots)
+    except FrameAlignmentError:
+        got = None
+    finally:
+        framing._ALIGN_PASS = saved
+    try:
+        want = whole_stream_align(stream, timeslots)
+    except FrameAlignmentError:
+        want = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("pass_bits", [1, 7, 2 * FRAME_BITS, 4096])
+def test_align_counts_each_signal_match_once(monkeypatch, pass_bits):
+    # The first framing sits at phase 17, the second at phase 0 with one
+    # frame pair fewer: phase 17 wins the vote only if no pass boundary
+    # counts a signal match twice.
+    first = build_multiframes(np.zeros(2 * 16 * 31 * 8, np.uint8))  # no stray signals
+    second = first[: -2 * FRAME_BITS]
+    stream = np.concatenate(
+        [np.zeros(17, np.uint8), first, np.zeros(2 * FRAME_BITS - 17, np.uint8), second]
+    )
+    monkeypatch.setattr(framing, "_ALIGN_PASS", pass_bits)
+    assert g704_align(stream)[0] == whole_stream_align(stream)[0] == 17
+
+
+def test_align_memory_stays_bounded():
+    # The search used to hold about two bytes per line bit in temporaries.
+    payload = np.random.default_rng(8).integers(0, 2, 10**6).astype(np.uint8)
+    line = build_multiframes(payload, 4)  # 256 kbit/s: 8 line bits per payload bit
+    tracemalloc.start()
+    try:
+        offset, recovered = g704_align(line, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert offset == 0 and np.array_equal(recovered[: len(payload)], payload)
+    assert peak < 4 * 2**20
 
 
 def test_multiframe_length():

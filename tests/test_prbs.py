@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,92 @@ def test_prbs23_generates():
 
 # ---------------------------------------------------------------------------
 # the receiver's reference register and the tap table
+
+
+def whole_stream_synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
+    """The receiver lock computed over the whole stream at once, as a reference."""
+    m = LOCK_THRESHOLD
+    r = np.ascontiguousarray(received, dtype=np.uint8)
+    k, t = spec.order, spec.taps[1]
+    n = len(r)
+    if n < k + m:
+        return SEARCHING
+    pred_err = r[k:] ^ r[: n - k] ^ r[k - t : n - t]
+    clean = np.concatenate(([0], np.cumsum(pred_err == 0, dtype=np.int64)))
+    run_ok = clean[m:] - clean[:-m] == m
+    ones = np.concatenate(([0], np.cumsum(r, dtype=np.int64)))
+    seed_ok = (ones[k:] - ones[:-k]) > 0
+    candidates = run_ok & seed_ok[: len(run_ok)]
+    if not candidates.any():
+        return SEARCHING
+    return SyncState(locked=True, offset=int(np.argmax(candidates)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order_tap=_SMALL_SPECS)
+def test_synchronize_matches_whole_stream_reference(data, order_tap):
+    # Errors every few bits up to a random point push the lock into a later
+    # scan window, past the 2^16 window cap for the longer streams.
+    order, tap = order_tap
+    spec = PrbsSpec(order=order, taps=(order, tap))
+    n = data.draw(st.integers(0, 300_000))
+    received = generate(spec, n, data.draw(st.integers(0, spec.period)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dirty_until = data.draw(st.integers(0, n))
+    gap = data.draw(st.integers(1, 3 * LOCK_THRESHOLD))
+    received[rng.integers(0, dirty_until, size=dirty_until // gap)] ^= 1
+    if data.draw(st.booleans()):
+        received[: data.draw(st.integers(0, n))] = 0  # zero windows never lock
+    p = data.draw(st.sampled_from([0.0, 1e-4, 0.02, 0.5]))
+    received ^= (rng.random(n) < p).astype(np.uint8)
+    assert synchronize(spec, received) == whole_stream_synchronize(spec, received)
+
+
+def stream_locking_at(spec: PrbsSpec, lock: int, gap: int, tail: int) -> np.ndarray:
+    """A pattern stream whose first lock candidate is exactly `lock`.
+
+    Flips at lock-1, lock-1-gap, ... spoil every earlier candidate when gap
+    is at most order + LOCK_THRESHOLD; a gap above 23 never equals a tap
+    distance, so no two flips cancel in one prediction.
+    """
+    stream = generate(spec, lock + spec.order + LOCK_THRESHOLD + tail)
+    stream[np.arange(lock - 1, -1, -gap)] ^= 1
+    return stream
+
+
+@pytest.mark.parametrize("order", [9, 23])
+def test_synchronize_finds_every_lock_offset(order):
+    # Every offset up to a few thousand, so each window boundary is hit.
+    spec = PrbsSpec(order=order)
+    for lock in range(3000):
+        stream = stream_locking_at(spec, lock, gap=order + LOCK_THRESHOLD, tail=lock % 7)
+        assert synchronize(spec, stream) == SyncState(locked=True, offset=lock)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), order_tap=_SMALL_SPECS)
+def test_synchronize_finds_a_late_lock(data, order_tap):
+    order, tap = order_tap
+    spec = PrbsSpec(order=order, taps=(order, tap))
+    lock = data.draw(st.integers(0, 300_000))
+    gap = data.draw(st.integers(24, order + LOCK_THRESHOLD))
+    stream = stream_locking_at(spec, lock, gap, tail=data.draw(st.integers(0, 1000)))
+    assert synchronize(spec, stream) == SyncState(locked=True, offset=lock)
+
+
+def test_synchronize_memory_stays_bounded():
+    # An early error used to cost about 27 bytes per bit of the segment.
+    spec = PrbsSpec()
+    stream = generate(spec, 1 << 24)
+    stream[5] ^= 1
+    tracemalloc.start()
+    try:
+        state = synchronize(spec, stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state == SyncState(locked=True, offset=6)
+    assert peak < 8 * 2**20
 
 
 def serial_count(spec: PrbsSpec, received: np.ndarray, offset: int, max_bits) -> tuple[int, int]:

@@ -1,20 +1,22 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
-from berbench.channel import Bsc, FixedMask, Ideal
+from berbench.channel import Bsc, FixedMask
+from berbench.cli import load_config
 from berbench.core import BerValue, InterfaceKind as IK, Outcome, REPORT_ORDER
 from berbench.meter import MeasurementConfig
 from berbench.procedure import (
+    CampaignConfig,
     CampaignPreconditionError,
     VerdictPolicy,
     apply_verdict,
     compute_frequencies,
     run_campaign,
-    run_interface_test,
 )
-from berbench.testbed import DEFAULT_ANALYZER, default_catalog, default_profile
+from berbench.testbed import default_catalog, default_profile
 
 DESK = MeasurementConfig(ber0=1e-5)
 POLICY = VerdictPolicy()
@@ -85,10 +87,19 @@ def test_policy_validation():
 # one interface
 
 
+def run_one(iface, rates=(2048,), **config):
+    """The result of a one-interface campaign at desk resolution."""
+    config = CampaignConfig(interfaces=(iface,), rates={iface: rates}, measurement=DESK, **config)
+    return run_campaign(config).results[0]
+
+
+def without_v35_port():
+    prof = desk_profile()
+    return dataclasses.replace(prof, ports=tuple(p for p in prof.ports if p[0] is not IK.V35))
+
+
 def test_native_interface_passes_with_three_clean_measurements():
-    result = run_interface_test(
-        desk_profile(), DEFAULT_ANALYZER, default_catalog(), IK.G703, [2048], DESK, POLICY
-    )
+    result = run_one(IK.G703)
     assert result.verdict.outcome is Outcome.PASS
     assert not result.converter_used
     assert len(result.measurements) == 3
@@ -98,46 +109,33 @@ def test_native_interface_passes_with_three_clean_measurements():
 
 
 def test_missing_connector_yields_no_connector_with_note():
-    prof = desk_profile()
-    prof = dataclasses.replace(prof, ports=tuple(p for p in prof.ports if p[0] is not IK.V35))
-    catalog = [c for c in default_catalog() if c.name != "Tahoe 235"]
-    result = run_interface_test(prof, DEFAULT_ANALYZER, catalog, IK.V35, [2048], DESK, POLICY)
+    catalog = tuple(c for c in default_catalog() if c.name != "Tahoe 235")
+    result = run_one(IK.V35, dut=without_v35_port(), catalog=catalog)
     assert result.verdict.outcome is Outcome.NO_CONNECTOR
     assert result.verdict.note
     assert result.measurements == ()
 
 
 def test_port_present_but_no_analyzer_path_is_no_connector():
-    catalog = [c for c in default_catalog() if c.name != "EUROCOM B/e1"]
-    result = run_interface_test(
-        desk_profile(), DEFAULT_ANALYZER, catalog, IK.STANAG4210, [2048], DESK, POLICY
-    )
+    catalog = tuple(c for c in default_catalog() if c.name != "EUROCOM B/e1")
+    result = run_one(IK.STANAG4210, catalog=catalog)
     assert result.verdict.outcome is Outcome.NO_CONNECTOR
 
 
 def test_chain_exists_but_port_missing_is_no_connector():
-    prof = desk_profile()
-    prof = dataclasses.replace(prof, ports=tuple(p for p in prof.ports if p[0] is not IK.V35))
-    result = run_interface_test(
-        prof, DEFAULT_ANALYZER, default_catalog(), IK.V35, [2048], DESK, POLICY
-    )
+    result = run_one(IK.V35, dut=without_v35_port())
     assert result.verdict.outcome is Outcome.NO_CONNECTOR
     assert result.measurements == ()
 
 
 def test_noisy_channel_fails():
-    prof = desk_profile(channel=Bsc(p=1e-3, seed=13))
-    result = run_interface_test(
-        prof, DEFAULT_ANALYZER, default_catalog(), IK.G703, [2048], DESK, POLICY
-    )
+    result = run_one(IK.G703, dut=desk_profile(channel=Bsc(p=1e-3, seed=13)))
     assert result.verdict.outcome is Outcome.FAIL
     assert any(not m.ber.is_bound for m in result.measurements)
 
 
 def test_rate_sweep_multiplies_measurements():
-    result = run_interface_test(
-        desk_profile(), DEFAULT_ANALYZER, default_catalog(), IK.G704, [512, 2048], DESK, POLICY
-    )
+    result = run_one(IK.G704, rates=(512, 2048))
     assert len(result.measurements) == 6
     assert [m.rate_kbps for m in result.measurements] == [512, 512, 512, 2048, 2048, 2048]
 
@@ -146,30 +144,20 @@ def test_unsupported_rate_aborts_with_diagnostic():
     from berbench.testbed import UnsupportedRateError
 
     with pytest.raises(UnsupportedRateError):
-        run_interface_test(
-            desk_profile(), DEFAULT_ANALYZER, default_catalog(), IK.G703, [192], DESK, POLICY
-        )
+        run_one(IK.G703, rates=(192,))
 
 
 def test_verdict_is_total_over_outcomes():
     for kind in REPORT_ORDER:
-        result = run_interface_test(
-            desk_profile(), DEFAULT_ANALYZER, default_catalog(), kind, [2048], DESK, POLICY
-        )
+        result = run_one(kind)
         assert result.verdict.outcome in (Outcome.PASS, Outcome.FAIL, Outcome.NO_CONNECTOR)
 
 
 def test_verdict_monotonic_in_mask_size():
     base = tuple(range(20_000, 20_000 + 400 * 977, 977))  # 400 flips > 1e-5 over 1e6 bits
     small = base[:2]
-    prof_small = desk_profile(channel=FixedMask(indices=small))
-    prof_large = desk_profile(channel=FixedMask(indices=base))
-    r_small = run_interface_test(
-        prof_small, DEFAULT_ANALYZER, default_catalog(), IK.V35, [2048], DESK, POLICY
-    )
-    r_large = run_interface_test(
-        prof_large, DEFAULT_ANALYZER, default_catalog(), IK.V35, [2048], DESK, POLICY
-    )
+    r_small = run_one(IK.V35, dut=desk_profile(channel=FixedMask(indices=small)))
+    r_large = run_one(IK.V35, dut=desk_profile(channel=FixedMask(indices=base)))
     assert r_small.verdict.outcome is Outcome.PASS
     assert r_large.verdict.outcome is Outcome.FAIL
     small_errors = sum(m.errored_bits for m in r_small.measurements)
@@ -182,9 +170,7 @@ def test_verdict_monotonic_in_mask_size():
 
 
 def test_default_campaign_matches_published_shape():
-    report = run_campaign(
-        desk_profile(), DEFAULT_ANALYZER, default_catalog(), REPORT_ORDER, DESK, POLICY
-    )
+    report = run_campaign(CampaignConfig(measurement=DESK))
     assert [r.iface for r in report.results] == list(REPORT_ORDER)
     assert all(r.verdict.outcome is Outcome.PASS for r in report.results)
     assert [r.converter_used for r in report.results] == [
@@ -195,14 +181,12 @@ def test_default_campaign_matches_published_shape():
 
 
 def test_campaign_empty_interface_list():
-    report = run_campaign(desk_profile(), DEFAULT_ANALYZER, default_catalog(), (), DESK, POLICY)
+    report = run_campaign(CampaignConfig(interfaces=(), measurement=DESK))
     assert report.results == ()
 
 
 def test_campaign_duplicate_interface_measured_twice():
-    report = run_campaign(
-        desk_profile(), DEFAULT_ANALYZER, default_catalog(), (IK.G703, IK.G703), DESK, POLICY
-    )
+    report = run_campaign(CampaignConfig(interfaces=(IK.G703, IK.G703), measurement=DESK))
     assert len(report.results) == 2
     assert all(r.iface is IK.G703 for r in report.results)
     # Independent seeds per measurement keep results independent objects.
@@ -212,61 +196,42 @@ def test_campaign_duplicate_interface_measured_twice():
 def test_campaign_narrow_range_aborts():
     prof = dataclasses.replace(desk_profile(), if_range_hz=(1000e6, 1040e6))
     with pytest.raises(CampaignPreconditionError):
-        run_campaign(prof, DEFAULT_ANALYZER, default_catalog(), REPORT_ORDER, DESK, POLICY)
+        run_campaign(CampaignConfig(dut=prof, measurement=DESK))
 
 
 def test_campaign_logs_and_virtual_clock():
-    prof = desk_profile()
-    report = run_campaign(
-        prof, DEFAULT_ANALYZER, default_catalog(), (IK.G703,), DESK, POLICY
-    )
+    config = CampaignConfig(interfaces=(IK.G703,), measurement=DESK)
+    report = run_campaign(config)
+    assert report.config is config
     messages = [msg for _, msg in report.log]
     assert any("self-test" in m for m in messages)
     assert any("waiting for stability" in m for m in messages)
     # 900 s analyzer + 300 s EUT warm-up; desk-scale measurements round to 0 s.
-    assert report.virtual_end_s == 900 + prof.warmup_s
-    assert report.virtual_start_s == 0
+    assert report.virtual_end_s == 900 + config.dut.warmup_s
 
 
-def test_campaign_rates_mapping_and_shared_list():
+def test_campaign_rates_mapping_and_shared_list(tmp_path):
     report = run_campaign(
-        desk_profile(),
-        DEFAULT_ANALYZER,
-        default_catalog(),
-        (IK.G703, IK.G704),
-        DESK,
-        POLICY,
-        rates={IK.G703: (512, 2048)},
+        CampaignConfig(
+            interfaces=(IK.G703, IK.G704), rates={IK.G703: (512, 2048)}, measurement=DESK
+        )
     )
     assert len(report.results[0].measurements) == 6
     assert len(report.results[1].measurements) == 3  # falls back to the default rate
-    shared = run_campaign(
-        desk_profile(),
-        DEFAULT_ANALYZER,
-        default_catalog(),
-        (IK.G703, IK.G704),
-        DESK,
-        POLICY,
-        rates=[1024],
-    )
+    # A document's shared rate list becomes a map when the config is read.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"schema": "ber-campaign-config/1", "interfaces": ["G.703", "G.704"], "rates": [1024]}
+    ))
+    shared = run_campaign(dataclasses.replace(load_config(path), measurement=DESK))
     assert all(m.rate_kbps == 1024 for r in shared.results for m in r.measurements)
 
 
 def test_campaign_is_deterministic():
-    r1 = run_campaign(
-        desk_profile(channel=Bsc(p=1e-4, seed=5)),
-        DEFAULT_ANALYZER,
-        default_catalog(),
-        REPORT_ORDER[:3],
-        DESK,
-        POLICY,
-    )
-    r2 = run_campaign(
-        desk_profile(channel=Bsc(p=1e-4, seed=5)),
-        DEFAULT_ANALYZER,
-        default_catalog(),
-        REPORT_ORDER[:3],
-        DESK,
-        POLICY,
-    )
-    assert r1 == r2
+    def config():
+        channel = Bsc(p=1e-4, seed=5)
+        return CampaignConfig(
+            dut=desk_profile(channel=channel), interfaces=REPORT_ORDER[:3], measurement=DESK
+        )
+
+    assert run_campaign(config()) == run_campaign(config())
