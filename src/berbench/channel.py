@@ -12,6 +12,13 @@ with
 constants are fixed here so that identical configurations reproduce
 identical error streams in any implementation.
 
+A bit flips when its uniform ``u = k * 2**-53`` (k the top 53 bits) is
+below the flip probability p.  The kernel compares integers instead:
+k is an integer, so ``k < p * 2**53`` holds exactly when
+``k < ceil(p * 2**53)``, and scaling p by a power of two is exact.  The
+flips are therefore those of the float rule, bit for bit; a threshold of
+0 flips nothing and p = 1 (threshold 2**53) flips every bit.
+
 A model is an immutable configuration; `open_stream` turns it into a
 stateful stream that consumes bits sequentially (bit positions are global
 across calls, so a long run may be fed in segments).
@@ -19,6 +26,7 @@ across calls, so a long run may be fed in segments).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,28 +53,62 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Draws start..start+count of the stream, as float64 in [0, 1)."""
-    idx = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
-    z = idx * np.uint64(_GOLDEN) + np.uint64(seed & _MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)) * 2.0**-53
-
-
-#: Draws per pass of `_flip`, so its temporaries stay cache-sized rather
-#: than 16+ bytes per bit of the whole stream.
+#: Draws per pass of the flip kernel, so its buffers stay cache-sized
+#: rather than 16+ bytes per bit of the whole stream.
 _CHUNK = 1 << 16
 
 
-def _flip(bits: np.ndarray, seed: int, start: int, p: float) -> None:
-    """XOR (draw start+i of stream `seed`) < p into bits[i], in place."""
-    for lo in range(0, len(bits), _CHUNK):
-        hi = min(lo + _CHUNK, len(bits))
-        bits[lo:hi] ^= _uniforms(seed, start + lo, hi - lo) < p
+@functools.cache
+def _steps() -> np.ndarray:
+    """``(i+1) * GOLDEN`` for i < _CHUNK (mod 2**64): one pass of counters.
+
+    Built on first use, so a run that never draws does not hold it.
+    """
+    steps = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps.flags.writeable = False
+    return steps
+
+
+def _top53(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The top 53 bits of draws start .. start+len(z) of stream `seed`, in z.
+
+    len(z) <= _CHUNK; tmp is a scratch buffer of the same size.
+    """
+    # A Python int offset: a numpy uint64 scalar would warn on wrap-around.
+    np.add(_steps()[: len(z)], (seed + start * _GOLDEN) & _MASK64, out=z)
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return np.right_shift(z, 11, out=z)
+
+
+def _threshold(p: float) -> int:
+    """The integer t with ``k * 2**-53 < p`` exactly when ``k < t``."""
+    return math.ceil(p * 2.0**53)
+
+
+def _flip_below(bits: np.ndarray, seed: int, start: int, threshold) -> None:
+    """XOR (top 53 bits of draw start+i of stream `seed`) < threshold into bits[i].
+
+    `threshold` is one int from `_threshold`, or a uint64 array of them as
+    long as `bits`; 0 flips nothing and 2**53 flips every bit.
+    """
+    n = len(bits)
+    z = np.empty(min(n, _CHUNK), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    hit = np.empty(len(z), dtype=bool)
+    scalar = np.ndim(threshold) == 0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        c = hi - lo
+        k = _top53(seed, start + lo, z[:c], tmp[:c])
+        np.less(k, threshold if scalar else threshold[lo:hi], out=hit[:c])
+        np.bitwise_xor(bits[lo:hi], hit[:c].view(np.uint8), out=bits[lo:hi])
 
 
 def _uniform_scalar(seed: int, index: int) -> float:
@@ -156,62 +198,149 @@ class _IdealStream:
 
 class _BscStream:
     def __init__(self, model: Bsc):
-        self.p = float(model.p)
+        self.threshold = _threshold(float(model.p))
         self.seed = model.seed
         self.position = 0
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
         out = bits
-        if len(bits) and self.p > 0.0:
+        if len(bits) and self.threshold:
             out = np.array(bits, dtype=np.uint8)
-            _flip(out, self.seed, self.position, self.p)
+            _flip_below(out, self.seed, self.position, self.threshold)
         self.position += len(bits)
         return out
 
 
+#: Dwells drawn per schedule, at most _CHUNK; bounds the dwell arrays, not
+#: the bits a schedule covers.
+_DWELLS = 1 << 12
+#: A dwell this long that flips nothing is skipped rather than drawn.  One
+#: more kernel call costs about as much as drawing a few thousand bits, so
+#: shorter idle dwells are drawn through.
+_IDLE_BITS = 1 << 12
+
+
 class _GilbertElliottStream:
-    # Dwell times in each state are geometric, sampled in batches from the
-    # transition substream; per-bit error draws come from a second substream
-    # keyed by global bit position, so a state change only moves the
-    # threshold.
+    # The dwell in each state is geometric on {1, 2, ...}: with one draw u
+    # of the dwell substream it is int(log(1-u) / log1p(-leave)) + 1, for a
+    # state whose leave probability lies in (0, 1).  A state never left
+    # dwells forever and one always left dwells 1 bit; neither takes a
+    # draw.  Per-bit error draws come from a second substream keyed by
+    # global bit position, so the dwells only set each bit's threshold.
     def __init__(self, model: GilbertElliott):
-        self.model = model
         self.err_seed = derive_seed(model.seed, 1)
         self.dwell_seed = derive_seed(model.seed, 2)
+        # Indexed by state: False is good, True is bad.
+        self.leave = (model.p_gb, model.p_bg)
+        self.threshold = (_threshold(1.0 - model.p_good), _threshold(1.0 - model.p_bad))
+        mean_cycle = sum(1.0 / p if p > 0.0 else math.inf for p in self.leave)
+        self.dwells_per_bit = 2.0 / mean_cycle
         self.dwell_counter = 0
         self.position = 0
         init = _uniform_scalar(derive_seed(model.seed, 0), 0)
-        self.bad = init < model.stationary_bad
-        self.remaining = self._draw_dwell()
-
-    def _draw_dwell(self) -> float:
-        leave = self.model.p_bg if self.bad else self.model.p_gb
-        if leave <= 0.0:
-            return math.inf
-        if leave >= 1.0:
-            return 1
-        u = _uniform_scalar(self.dwell_seed, self.dwell_counter)
-        self.dwell_counter += 1
-        # Geometric on {1, 2, ...}; 1-u keeps the argument away from log(0).
-        return int(math.log(1.0 - u) / math.log1p(-leave)) + 1
+        # `remaining` counts the bits left in the current dwell.  The stream
+        # opens at the end of an empty dwell in the other state, so the first
+        # schedule draws the first dwell.
+        self.bad = not (init < model.stationary_bad)
+        self.remaining = 0
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
         out = np.array(bits, dtype=np.uint8, copy=True)
-        n = len(out)
-        done = 0
+        done, n = 0, len(out)
         while done < n:
-            span = n - done if math.isinf(self.remaining) else min(int(self.remaining), n - done)
-            flip_p = (1.0 - self.model.p_bad) if self.bad else (1.0 - self.model.p_good)
-            if flip_p > 0.0:
-                _flip(out[done : done + span], self.err_seed, self.position + done, flip_p)
-            done += span
-            if not math.isinf(self.remaining):
-                self.remaining -= span
-                if self.remaining <= 0:
-                    self.bad = not self.bad
-                    self.remaining = self._draw_dwell()
+            start = self.position + done
+            if self.remaining >= n - done:  # the current dwell covers the rest
+                self.remaining -= n - done
+                if self.threshold[self.bad]:
+                    _flip_below(out[done:], self.err_seed, start, self.threshold[self.bad])
+                break
+            bounds, values = self._schedule(n - done)
+            covered = int(bounds[-1])
+            self._flip_dwells(out[done : done + covered], start, bounds, values)
+            done += covered
         self.position += n
         return out
+
+    def _flip_dwells(self, bits: np.ndarray, start: int, bounds: np.ndarray, values: np.ndarray):
+        """Flip bits[bounds[i]:bounds[i+1]] at threshold values[i], for each dwell i.
+
+        A dwell of `_IDLE_BITS` or more that flips nothing takes no draws.
+        Between such dwells, the per-bit thresholds are built and flipped
+        in passes of _CHUNK bits.
+        """
+        spans = np.diff(bounds)
+        idle = np.flatnonzero((values == 0) & (spans >= _IDLE_BITS)).tolist()
+        first = 0
+        for stop in [*idle, len(values)]:
+            if values[first:stop].any():
+                end = int(bounds[stop])
+                for lo in range(int(bounds[first]), end, _CHUNK):
+                    hi = min(lo + _CHUNK, end)
+                    i = int(np.searchsorted(bounds, lo, side="right")) - 1
+                    k = int(np.searchsorted(bounds, hi, side="left"))
+                    if k - i == 1:
+                        threshold = int(values[i])
+                    else:
+                        spans_here = np.diff(np.clip(bounds[i : k + 1], lo, hi))
+                        threshold = np.repeat(values[i:k], spans_here)
+                    _flip_below(bits[lo:hi], self.err_seed, start + lo, threshold)
+            first = stop + 1
+
+    def _schedule(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds and thresholds of the dwells over the next bits.
+
+        Dwell i covers bounds[i]:bounds[i+1] at threshold values[i].  They
+        cover `limit` bits, or fewer when `_DWELLS` drawn dwells end before
+        that.  The current dwell ends within them.
+        """
+        rest = limit - self.remaining  # bits after the current dwell
+        count = min(int(1.25 * rest * self.dwells_per_bit) + 8, _DWELLS)
+        q = self._quotients(count)
+        lengths = np.floor(q) + 1  # exact below 2**53, as are the sums up to rest
+        ends = np.cumsum(lengths)
+        # The dwell that outlasts `limit`, or the last one drawn, used whole.
+        j = min(int(np.searchsorted(ends, rest, side="right")), count - 1)
+        used = int(min(rest - (int(ends[j - 1]) if j else 0), lengths[j]))
+        spans = np.concatenate(([self.remaining], lengths[:j].astype(np.int64), [used]))
+        bounds = np.concatenate(([0], np.cumsum(spans)))
+        values = np.empty(j + 2, dtype=np.uint64)
+        values[0::2] = self.threshold[self.bad]
+        values[1::2] = self.threshold[not self.bad]
+        self.dwell_counter += self._draws(j + 1)
+        self.bad = self.bad != (j % 2 == 0)
+        # A dwell of 2**63 bits or more outlasts every int64 stream position.
+        self.remaining = (int(q[j]) + 1 if q[j] < 2**63 else math.inf) - used
+        return bounds, values
+
+    def _quotients(self, count: int) -> np.ndarray:
+        """log(1-u) / log1p(-leave) of the next `count` dwells (0 or inf if undrawn).
+
+        Dwells 0, 2, 4, ... are in the state other than the current one.
+        """
+        states = (not self.bad, self.bad)
+        drawn = [0.0 < self.leave[s] < 1.0 for s in states]
+        z, tmp = np.empty((2, self._draws(count)), dtype=np.uint64)  # count <= _CHUNK
+        u = _top53(self.dwell_seed, self.dwell_counter, z, tmp) * 2.0**-53
+        # math.log, not np.log: the two differ in the last ulp, and the
+        # dwells must be the scalar formula's.  1.0 - u (never 0) and the
+        # division round the same in numpy as in Python.
+        logs = np.fromiter(map(math.log, (1.0 - u).tolist()), dtype=float, count=len(u))
+        q = np.empty(count)
+        for parity, state in enumerate(states):
+            leave = self.leave[state]
+            if not drawn[parity]:
+                q[parity::2] = 0.0 if leave >= 1.0 else math.inf
+                continue
+            # A denormal leave probability overflows to an endless dwell.
+            with np.errstate(over="ignore"):
+                q[parity::2] = (logs[parity::2] if all(drawn) else logs) / math.log1p(-leave)
+        return q
+
+    def _draws(self, count: int) -> int:
+        """Dwell draws taken by the next `count` dwells."""
+        per_parity = ((count + 1) // 2, count // 2)
+        states = (not self.bad, self.bad)
+        return sum(k for k, s in zip(per_parity, states) if 0.0 < self.leave[s] < 1.0)
 
 
 class _FixedMaskStream:

@@ -11,7 +11,13 @@ from berbench.channel import (
     GilbertElliott,
     Ideal,
     _CHUNK,
-    _uniforms,
+    _GOLDEN,
+    _MASK64,
+    _MIX1,
+    _MIX2,
+    _flip_below,
+    _threshold,
+    _uniform_scalar,
     apply,
     derive_seed,
     mix64,
@@ -20,6 +26,93 @@ from berbench.channel import (
     open_stream,
 )
 from berbench.prbs import PrbsSpec, generate
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the float draws, one `_flip` call per pass and one per
+# Gilbert-Elliott dwell.  The integer kernels must give the same flips.
+
+
+def reference_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start..start+count of the stream, as float64 in [0, 1)."""
+    idx = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
+    z = idx * np.uint64(_GOLDEN) + np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
+def reference_flip(bits: np.ndarray, seed: int, start: int, p: float) -> None:
+    """XOR (draw start+i of stream `seed`) < p into bits[i], in place."""
+    for lo in range(0, len(bits), _CHUNK):
+        hi = min(lo + _CHUNK, len(bits))
+        bits[lo:hi] ^= reference_uniforms(seed, start + lo, hi - lo) < p
+
+
+class ReferenceGilbertElliott:
+    """The per-dwell stream; a dwell of 2**63 bits or more never ends."""
+
+    def __init__(self, model: GilbertElliott):
+        self.model = model
+        self.err_seed = derive_seed(model.seed, 1)
+        self.dwell_seed = derive_seed(model.seed, 2)
+        self.dwell_counter = 0
+        self.position = 0
+        init = _uniform_scalar(derive_seed(model.seed, 0), 0)
+        self.bad = init < model.stationary_bad
+        self.remaining = self._draw_dwell()
+
+    def _draw_dwell(self) -> float:
+        leave = self.model.p_bg if self.bad else self.model.p_gb
+        if leave <= 0.0:
+            return math.inf
+        if leave >= 1.0:
+            return 1
+        u = _uniform_scalar(self.dwell_seed, self.dwell_counter)
+        self.dwell_counter += 1
+        q = math.log(1.0 - u) / math.log1p(-leave)
+        return int(q) + 1 if q < 2**63 else math.inf
+
+    def apply(self, bits: np.ndarray) -> np.ndarray:
+        out = np.array(bits, dtype=np.uint8, copy=True)
+        n = len(out)
+        done = 0
+        while done < n:
+            span = n - done if math.isinf(self.remaining) else min(int(self.remaining), n - done)
+            flip_p = (1.0 - self.model.p_bad) if self.bad else (1.0 - self.model.p_good)
+            if flip_p > 0.0:
+                start = self.position + done
+                reference_flip(out[done : done + span], self.err_seed, start, flip_p)
+            done += span
+            if not math.isinf(self.remaining):
+                self.remaining -= span
+                if self.remaining <= 0:
+                    self.bad = not self.bad
+                    self.remaining = self._draw_dwell()
+        self.position += n
+        return out
+
+
+#: Edge probabilities: none, the least double, small, a repeating binary
+#: fraction, the largest double below 1, and all.
+EDGE_P = (0.0, 5e-324, 1e-6, 1 / 3, 1 - 2.0**-53, 1.0)
+probabilities = st.sampled_from(EDGE_P) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def segmentations(draw, max_bits: int) -> list[int]:
+    """Cut points 0 = c0 <= c1 <= ... <= ck = n of one stream."""
+    n = draw(st.integers(min_value=0, max_value=max_bits))
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=n), max_size=5))
+    return [0, *sorted(cuts), n]
+
+
+def apply_in_pieces(stream, bits: np.ndarray, cuts: list[int]) -> np.ndarray:
+    parts = [stream.apply(bits[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return np.concatenate(parts) if parts else bits
 
 
 def test_mix64_reference_values():
@@ -88,17 +181,22 @@ def test_bsc_flips_are_the_positional_draws_across_passes():
     stream = open_stream(model)
     stream.apply(bits[:1001])
     out = stream.apply(bits)
-    assert np.array_equal(out, (_uniforms(model.seed, 1001, n) < model.p).astype(np.uint8))
+    want = reference_uniforms(model.seed, 1001, n) < model.p
+    assert np.array_equal(out, want.astype(np.uint8))
 
 
 @pytest.mark.parametrize(
     "model",
-    [Bsc(p=1e-3, seed=3), GilbertElliott(p_gb=1e-9, p_bg=1e-9, p_good=0.99, p_bad=0.5, seed=3)],
-    ids=["bsc", "ge-long-dwell"],
+    [
+        Bsc(p=1e-3, seed=3),
+        GilbertElliott(p_gb=1e-9, p_bg=1e-9, p_good=0.99, p_bad=0.5, seed=3),
+        GilbertElliott(p_gb=0.05, p_bg=0.3, p_good=1.0, p_bad=0.9995, seed=3),
+    ],
+    ids=["bsc", "ge-long-dwell", "ge-short-dwell"],
 )
 def test_apply_memory_stays_bounded(model):
-    # Draws run in passes of _CHUNK, so the peak is the output copy plus
-    # cache-sized temporaries, not 16+ bytes per bit.
+    # Draws, thresholds and dwells run in passes of _CHUNK, so the peak is
+    # the output copy plus cache-sized temporaries, not 16+ bytes per bit.
     bits = np.zeros(1 << 23, np.uint8)
     stream = open_stream(model)
     tracemalloc.start()
@@ -208,3 +306,110 @@ def test_model_dict_roundtrip(model):
 def test_model_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         model_from_dict({"kind": "awgn", "seed": 1})
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the reference kernels
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=probabilities,
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    start=st.integers(min_value=0, max_value=2**62),
+    n=st.integers(min_value=0, max_value=2 * _CHUNK + 3),
+)
+def test_flip_kernel_matches_float_reference(p, seed, start, n):
+    bits = generate(PrbsSpec(), n)
+    want = bits.copy()
+    reference_flip(want, seed, start, p)
+    _flip_below(bits, seed, start, _threshold(p))
+    assert np.array_equal(bits, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=probabilities,
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    cuts=segmentations(3 * _CHUNK),
+)
+def test_bsc_stream_matches_reference_under_any_segmentation(p, seed, cuts):
+    bits = generate(PrbsSpec(), cuts[-1])
+    want = bits.copy()
+    reference_flip(want, seed, 0, p)
+    assert np.array_equal(apply_in_pieces(open_stream(Bsc(p=p, seed=seed)), bits, cuts), want)
+
+
+def test_threshold_is_exact_at_the_edges():
+    # k * 2**-53 < p exactly when k < _threshold(p), for k on either side.
+    for p in (*EDGE_P, 0.3, 1e-3, 2.0**-53, 3 * 2.0**-54):
+        t = _threshold(p)
+        for k in {max(t - 1, 0), t, min(t + 1, 2**53 - 1)}:
+            assert (k * 2.0**-53 < p) == (k < t)
+    assert _threshold(0.0) == 0 and _threshold(1.0) == 2**53
+
+
+#: Leave probabilities: never, always, the least double, long and short dwells.
+leave_probabilities = st.sampled_from((0.0, 1.0, 5e-324, 1e-4, 0.05, 0.3)) | st.floats(
+    min_value=0.0, max_value=1.0
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p_gb=leave_probabilities,
+    p_bg=leave_probabilities,
+    p_good=probabilities,
+    p_bad=probabilities,
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    cuts=segmentations(_CHUNK + 200),
+)
+def test_gilbert_elliott_matches_per_dwell_reference(p_gb, p_bg, p_good, p_bad, seed, cuts):
+    model = GilbertElliott(p_gb=p_gb, p_bg=p_bg, p_good=p_good, p_bad=p_bad, seed=seed)
+    bits = generate(PrbsSpec(), cuts[-1])
+    want = ReferenceGilbertElliott(model).apply(bits)
+    assert np.array_equal(apply_in_pieces(open_stream(model), bits, cuts), want)
+
+
+@pytest.mark.parametrize(
+    "p_gb, p_bg",
+    [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.3, 1.0), (1.0, 0.3), (0.0, 0.3),
+     (0.3, 0.0), (0.05, 0.3)],
+)
+def test_gilbert_elliott_leave_edges_match_reference_across_passes(p_gb, p_bg):
+    # The middle call spans a pass boundary.
+    model = GilbertElliott(p_gb=p_gb, p_bg=p_bg, p_good=0.9, p_bad=0.2, seed=11)
+    n = _CHUNK + 200
+    bits = generate(PrbsSpec(), n)
+    want = ReferenceGilbertElliott(model).apply(bits)
+    got = apply_in_pieces(open_stream(model), bits, [0, 5, n - 3, n])
+    assert np.array_equal(got, want)
+
+
+def test_gilbert_elliott_idle_dwells_match_reference():
+    # Good dwells of about 10^4 bits flip nothing and are skipped, not drawn.
+    model = GilbertElliott(p_gb=1e-4, p_bg=1e-2, p_good=1.0, p_bad=0.5, seed=5)
+    n = 3 * _CHUNK
+    bits = generate(PrbsSpec(), n)
+    want = ReferenceGilbertElliott(model).apply(bits)
+    assert np.count_nonzero(want ^ bits)
+    assert np.array_equal(apply_in_pieces(open_stream(model), bits, [0, 1000, n]), want)
+
+
+@pytest.mark.parametrize(
+    "model, flipped",
+    [
+        # Starts good (stationary_bad is about 2e-310) and stays there.
+        (GilbertElliott(p_gb=1e-310, p_bg=0.5, p_good=1.0, p_bad=0.5, seed=3), 0),
+        # Starts bad and stays there, flipping every bit.
+        (GilbertElliott(p_gb=0.5, p_bg=1e-310, p_good=0.5, p_bad=0.0, seed=3), 1),
+    ],
+    ids=["good", "bad"],
+)
+def test_gilbert_elliott_denormal_leave_probability_is_an_endless_dwell(model, flipped):
+    # log1p(-1e-310) is denormal, so the dwell's quotient overflows.
+    bits = generate(PrbsSpec(), 3 * _CHUNK)
+    stream = open_stream(model)
+    out = apply_in_pieces(stream, bits, [0, 100, 3 * _CHUNK])
+    assert np.array_equal(out, bits ^ flipped)
+    assert np.array_equal(out, ReferenceGilbertElliott(model).apply(bits))

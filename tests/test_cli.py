@@ -204,6 +204,17 @@ def test_run_exit_code_failure(tmp_path):
     assert code == 1
 
 
+def test_denormal_burst_leave_probability_runs(tmp_path, capsys):
+    # log1p(-1e-310) is denormal, so a good-state dwell overflows to an
+    # endless one instead of ending the run in an OverflowError traceback.
+    code = run_cli(
+        "run", "--ber0", "1e-4", "--channel", "ge:1e-310,0.5,1,0.5",
+        "--out", str(tmp_path / "denormal"),
+    )
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_run_exit_code_no_connector(tmp_path, capsys):
     config = {
         "schema": "ber-campaign-config/1",

@@ -13,6 +13,8 @@ from berbench.prbs import (
     PrbsSpec,
     SEARCHING,
     SyncState,
+    _extend,
+    _seed_history,
     count_errors,
     generate,
     step_register,
@@ -81,6 +83,49 @@ def test_generate_empty_and_negative():
     assert len(generate(PrbsSpec(), 0)) == 0
     with pytest.raises(ValueError):
         generate(PrbsSpec(), -1)
+
+
+def prefix_generate(spec: PrbsSpec, n: int, start: int) -> np.ndarray:
+    """Generation without the jump: the recurrence through the whole prefix."""
+    phase = start % spec.period
+    return _extend(_seed_history(spec), spec.order, spec.taps[1], phase + n)[phase:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    order_tap=st.sampled_from([(k, t) for k, ts in MAXIMAL_TAPS.items() for t in ts]),
+)
+def test_jump_matches_generation_through_the_prefix(data, order_tap):
+    # Every tabled tap; starts anywhere in four periods, or within a block
+    # of a period boundary on either side.
+    order, tap = order_tap
+    seed = data.draw(st.integers(1, (1 << order) - 1))
+    spec = PrbsSpec(order=order, taps=(order, tap), seed=seed)
+    lap = data.draw(st.integers(0, 3))
+    near_boundary = st.integers(max(0, lap * spec.period - 300), lap * spec.period + 300)
+    start = data.draw(near_boundary | st.integers(0, 4 * spec.period))
+    n = data.draw(st.integers(0, 600))
+    assert np.array_equal(generate(spec, n, start), prefix_generate(spec, n, start))
+
+
+@pytest.mark.parametrize("order", sorted(MAXIMAL_TAPS))
+def test_jump_deep_into_the_period(order):
+    spec = PrbsSpec(order=order, seed=5)
+    for start in (spec.period // 3, spec.period - 7, 2 * spec.period + 1):
+        assert np.array_equal(generate(spec, 300, start), prefix_generate(spec, 300, start))
+
+
+def test_generate_deep_in_the_period_holds_only_its_block():
+    # Generating through the prefix held a 9 MB array for 1 MB of pattern.
+    tracemalloc.start()
+    try:
+        bits = generate(PrbsSpec(order=23), 10**6, start=8_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bits) == 10**6
+    assert peak < 2 * 2**20
 
 
 _SMALL_SPECS = st.sampled_from([(k, t) for k in (9, 11, 15) for t in MAXIMAL_TAPS[k]])
