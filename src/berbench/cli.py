@@ -8,7 +8,8 @@ catalog  list converters and the resolved chain per interface
 report   re-render a saved JSON report as text
 
 Exit codes: 0 all interfaces pass, 1 some interface fails, 2 some
-interface has no connector, 3 configuration error (3 beats 2 beats 1).
+interface has no connector, 3 configuration error, a bad command line or
+an unwritable output (3 beats 2 beats 1).
 
 Human tables group thousands with a space ("15 625"); JSON carries plain
 integers.  Text rendering is a pure function of the JSON report, so a
@@ -370,8 +371,11 @@ def _dump_json(obj: dict) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +475,15 @@ def cmd_report(args) -> int:
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: one line and exit code 3."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="berbench",
         description="Deterministic BER test campaigns for modem traffic interfaces.",
     )
@@ -513,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         ConfigError,

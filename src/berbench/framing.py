@@ -17,12 +17,22 @@ Payload is a flat 0/1 bit array.  At n x 64 kbit/s it fills timeslots
 1..n of every frame in order, and the other timeslots carry the idle
 octet; only this module knows that layout.
 
+The layout is octet-aligned, so the multiframe build runs on octets: the
+payload is packed (a set byte reads as 1), placed beside the timeslot-0
+and idle octets, and unpacked once at the end.  CRC-4 is linear, and x
+has order 15 modulo x^4 + x + 1, so octets 15 apart (120 bits) add the
+same remainder for the same value: a half's 256 octets XOR-fold into 15
+columns, and a 15 x 256 table of 4-bit remainders, XOR-reduced over the
+columns, gives the check.
+
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
 violation pulses alternate polarity, so the wire never carries four
 consecutive empty symbols and stays DC balanced.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,16 +70,17 @@ def _ts0_octets() -> np.ndarray:
     ts0[0::2, 1:] = FAS_PATTERN  # bit 1 stays 0: check-bit placeholder
     ts0[1:12:2, 0] = MULTIFRAME_ALIGNMENT
     ts0[13::2, 0] = 1  # remote check-result bits, fixed to 1
-    return ts0
+    return np.packbits(ts0, axis=1)[:, 0]
 
 
 _TS0 = _ts0_octets()
-_IDLE_BITS = np.unpackbits(np.array([IDLE_OCTET], dtype=np.uint8))
 
-# Check bits live in bit 1 of the FAS octets: frames 0,2,4,6 for the first
-# half, 8,10,12,14 for the second.
-_CHECK_POS_FIRST = np.array([f * FRAME_BITS for f in (0, 2, 4, 6)])
-_CHECK_POS_SECOND = np.array([f * FRAME_BITS for f in (8, 10, 12, 14)])
+#: Octets per check half (8 frames of 32 timeslots).
+_HALF_OCTETS = HALF_BITS // 8
+#: x has order 15 modulo x^4+x+1, and octets 15 apart shift exponents by
+#: 120, a multiple of 15: a half folds into 15 octet columns.
+_FOLD = 15
+_FOLD_ROWS = -(-_HALF_OCTETS // _FOLD)
 
 
 def _residue_table() -> np.ndarray:
@@ -85,37 +96,66 @@ def _residue_table() -> np.ndarray:
     return np.array(vals, dtype=np.uint8)
 
 
-def _crc_contrib() -> np.ndarray:
-    # Bit i of a half (first transmitted = highest degree) contributes
-    # x^(HALF_BITS-1-i+4) mod g to the remainder of message*x^4.
-    table = _residue_table()
-    exps = (HALF_BITS - 1 + 4 - np.arange(HALF_BITS)) % 15
-    residues = table[exps]
-    shifts = np.array([3, 2, 1, 0], dtype=np.uint8)  # C1 = x^3 coefficient
-    return ((residues[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+@functools.cache
+def _crc_table() -> np.ndarray:
+    # Bit b (MSB = 0) of octet p in a half (first transmitted = highest
+    # degree) contributes x^(HALF_BITS+3-8p-b) mod x^4+x+1 to the
+    # remainder of message*x^4.  Entry [j, v] is the remainder octet value
+    # v adds at any p = j (mod 15).
+    exps = (HALF_BITS + 3 - 8 * np.arange(_FOLD)[:, None] - np.arange(8)) % _FOLD
+    residues = _residue_table()[exps]  # (column, bit)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(bool)
+    return np.bitwise_xor.reduce(np.where(bits, residues[:, None, :], 0), axis=2)
 
 
-_CRC_CONTRIB = _crc_contrib()
+def _crc4_octets(halves: np.ndarray) -> np.ndarray:
+    """4-bit remainders (bit 3 = first check bit) of octet halves (..., 256)."""
+    folded = np.zeros(halves.shape[:-1] + (_FOLD_ROWS * _FOLD,), dtype=np.uint8)
+    folded[..., :_HALF_OCTETS] = halves
+    columns = np.bitwise_xor.reduce(
+        folded.reshape(halves.shape[:-1] + (_FOLD_ROWS, _FOLD)), axis=-2
+    )
+    return np.bitwise_xor.reduce(_crc_table()[np.arange(_FOLD), columns], axis=-1)
+
+
+def _half_octets(half_bits: np.ndarray) -> np.ndarray:
+    half = np.asarray(half_bits, dtype=np.uint8)
+    if half.shape[-1] != HALF_BITS:
+        raise ValueError(f"a check half is {HALF_BITS} bits, got {half.shape[-1]}")
+    return np.packbits(half, axis=-1)
+
+
+def _nibble_bits(remainders: np.ndarray) -> np.ndarray:
+    """The 4 low bits of each remainder, bit 3 first."""
+    return np.unpackbits(remainders[..., None], axis=-1)[..., 4:]
 
 
 def crc4_check_bits(half_bits: np.ndarray) -> np.ndarray:
     """Remainder of (half * x^4) mod x^4+x+1 as 4 bits, C1 first."""
-    half = np.asarray(half_bits, dtype=np.uint8)
-    if half.shape[-1] != HALF_BITS:
-        raise ValueError(f"a check half is {HALF_BITS} bits, got {half.shape[-1]}")
-    # uint8 sums wrap mod 256, which keeps their parity.
-    return half @ _CRC_CONTRIB & 1
+    return _nibble_bits(_crc4_octets(_half_octets(half_bits)))
 
 
 def crc4_remainder(half_bits: np.ndarray) -> int:
     """The 4-bit remainder as an integer (bit 3 = first check bit)."""
-    c = crc4_check_bits(half_bits)
-    return int(c[0]) << 3 | int(c[1]) << 2 | int(c[2]) << 1 | int(c[3])
+    return int(_crc4_octets(_half_octets(half_bits)))
 
 
 def _check_timeslots(timeslots: int) -> None:
     if not 1 <= timeslots <= PAYLOAD_SLOTS:
         raise ValueError(f"payload timeslots must be 1..{PAYLOAD_SLOTS}, got {timeslots}")
+
+
+def _multiframe_octets(payload: np.ndarray, timeslots: int) -> np.ndarray:
+    """Multiframe octets (n, 16, 32) carrying `payload`, check bits zero."""
+    per_mf = FRAMES_PER_MULTIFRAME * timeslots
+    n = max(1, -(-len(payload) // (8 * per_mf)))
+    padded = np.zeros(n * per_mf, dtype=np.uint8)
+    padded[: -(-len(payload) // 8)] = np.packbits(payload)  # zero-pads the last octet
+    octets = np.empty((n, FRAMES_PER_MULTIFRAME, 32), dtype=np.uint8)
+    octets[:, :, 0] = _TS0
+    octets[:, :, 1 : timeslots + 1] = padded.reshape(n, FRAMES_PER_MULTIFRAME, timeslots)
+    octets[:, :, timeslots + 1 :] = IDLE_OCTET
+    return octets
 
 
 def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np.ndarray:
@@ -131,21 +171,16 @@ def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np
     if payload.ndim != 1:
         raise ValueError(f"payload must be a flat bit array, got shape {payload.shape}")
     _check_timeslots(timeslots)
-    per_mf = FRAMES_PER_MULTIFRAME * timeslots * 8
-    n = max(1, -(-len(payload) // per_mf))
-    padded = np.zeros(n * per_mf, dtype=np.uint8)
-    padded[: len(payload)] = payload
-    bits = np.empty((n, FRAMES_PER_MULTIFRAME, 32, 8), dtype=np.uint8)
-    bits[:, :, 0] = _TS0
-    bits[:, :, 1 : timeslots + 1] = padded.reshape(n, FRAMES_PER_MULTIFRAME, timeslots, 8)
-    bits[:, :, timeslots + 1 :] = _IDLE_BITS
-    flat = bits.reshape(n, MULTIFRAME_BITS)
-    # Both checks run over C-zeroed halves, so compute before writing.
-    c_first = crc4_check_bits(flat[:, HALF_BITS:])
-    c_second = crc4_check_bits(flat[:, :HALF_BITS])
-    flat[:, _CHECK_POS_FIRST] = c_first
-    flat[:, _CHECK_POS_SECOND] = c_second
-    return flat.reshape(-1)
+    # The payload's temporaries are freed before the line-sized unpack.
+    octets = _multiframe_octets(payload, timeslots)
+    n = len(octets)
+    # Both checks run over halves whose check bits are still zero.
+    remainders = _crc4_octets(octets.reshape(n, 2, _HALF_OCTETS))
+    # Bit 1 of the FAS octets of frames 0, 2, 4, 6 carries the check of
+    # the second half; that of frames 8, 10, 12, 14 the check of the first.
+    check = _nibble_bits(remainders[:, ::-1]).reshape(n, FRAMES_PER_MULTIFRAME // 2)
+    octets[:, 0::2, 0] |= check << 7
+    return np.unpackbits(octets)
 
 
 #: Signal positions searched per pass of `g704_align`; bounds its temporaries.

@@ -567,6 +567,54 @@ def test_two_runs_identical_json(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# usage errors and unwritable outputs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--seed", "1e3"),
+        ("run", "--bogus"),
+        ("plan", "--format", "xml"),
+        ("catalog", "--rate", "x"),
+        ("report",),
+        ("report", "--in"),
+        ("bogus",),
+        (),
+    ],
+    ids=["run-seed", "run-unknown", "plan-format", "catalog-rate", "report-no-in",
+         "report-in-no-value", "unknown-command", "no-command"],
+)
+def test_usage_error_exits_3_with_one_line(argv):
+    code, err = _run_quietly(*argv)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "plan", "catalog", "report"])
+def test_help_still_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "plan", "catalog", "report"])
+def test_unwritable_output_exits_3_with_one_line(tmp_path, command):
+    saved = tmp_path / "saved.json"
+    saved.write_text(_saved_report())
+    args = {
+        "run": ("--ber0", "1e-3"),
+        "plan": (),
+        "catalog": (),
+        "report": ("--in", str(saved)),
+    }[command]
+    code, err = _run_quietly(command, *args, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 3
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
 # channel spec parsing
 
 

@@ -38,6 +38,52 @@ def random_payload(rng, n=1):
     return np.unpackbits(rng.integers(0, 256, size=(n, 16, 31)).astype(np.uint8))
 
 
+def _reference_crc_contrib():
+    # Bit i of a half contributes x^(HALF_BITS-1-i+4) mod x^4+x+1.
+    residues = [1]
+    for _ in range(14):
+        v = residues[-1] << 1
+        residues.append(v ^ 0x13 if v & 0x10 else v)
+    exps = (HALF_BITS + 3 - np.arange(HALF_BITS)) % 15
+    return (np.array(residues, np.uint8)[exps][:, None] >> np.array([3, 2, 1, 0], np.uint8)) & 1
+
+
+_REFERENCE_CRC_CONTRIB = _reference_crc_contrib()
+
+
+def reference_crc4_check_bits(half_bits):
+    """Check bits as a uint8 matrix product over the unpacked half, C1 first."""
+    return np.asarray(half_bits, np.uint8) @ _REFERENCE_CRC_CONTRIB & 1
+
+
+def _reference_ts0():
+    ts0 = np.zeros((16, 8), np.uint8)
+    ts0[1::2] = (1, 1, 0, 1, 1, 1, 1, 1)
+    ts0[0::2, 1:] = FAS_PATTERN
+    ts0[1:12:2, 0] = (0, 0, 1, 0, 1, 1)
+    ts0[13::2, 0] = 1
+    return ts0
+
+
+def reference_build_multiframes(payload, timeslots=31):
+    """The multiframe build on unpacked bits, one uint8 per line bit."""
+    payload = np.asarray(payload, np.uint8)
+    per_mf = 16 * timeslots * 8
+    n = max(1, -(-len(payload) // per_mf))
+    padded = np.zeros(n * per_mf, np.uint8)
+    padded[: len(payload)] = payload
+    bits = np.empty((n, 16, 32, 8), np.uint8)
+    bits[:, :, 0] = _reference_ts0()
+    bits[:, :, 1 : timeslots + 1] = padded.reshape(n, 16, timeslots, 8)
+    bits[:, :, timeslots + 1 :] = np.unpackbits(np.array([IDLE_OCTET], np.uint8))
+    flat = bits.reshape(n, MULTIFRAME_BITS)
+    c_first = reference_crc4_check_bits(flat[:, HALF_BITS:])
+    c_second = reference_crc4_check_bits(flat[:, :HALF_BITS])
+    flat[:, [f * FRAME_BITS for f in (0, 2, 4, 6)]] = c_first
+    flat[:, [f * FRAME_BITS for f in (8, 10, 12, 14)]] = c_second
+    return flat.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # CRC-4
 
@@ -50,6 +96,24 @@ def test_crc4_matches_long_division_oracle():
         value = bits[0] << 3 | bits[1] << 2 | bits[2] << 1 | bits[3]
         assert int(value) == crc4_long_division(half)
         assert crc4_remainder(half) == crc4_long_division(half)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_crc_matches_long_division(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        half = rng.integers(0, 2, HALF_BITS).astype(np.uint8)
+    else:  # a half cut from a real multiframe, check bits as sent
+        timeslots = data.draw(st.integers(1, 31))
+        n_bits = data.draw(st.integers(0, 2 * 16 * timeslots * 8))
+        line = build_multiframes(rng.integers(0, 2, n_bits).astype(np.uint8), timeslots)
+        start = HALF_BITS * data.draw(st.integers(0, len(line) // HALF_BITS - 1))
+        half = line[start : start + HALF_BITS]
+    want = crc4_long_division(half)
+    assert crc4_remainder(half) == want
+    assert crc4_check_bits(half).tolist() == [(want >> s) & 1 for s in (3, 2, 1, 0)]
+    assert np.array_equal(crc4_check_bits(half), reference_crc4_check_bits(half))
 
 
 def test_crc4_of_zero_half_is_zero():
@@ -242,6 +306,31 @@ def test_align_memory_stays_bounded():
         tracemalloc.stop()
     assert offset == 0 and np.array_equal(recovered[: len(payload)], payload)
     assert peak < 4 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), timeslots=st.integers(1, 31))
+def test_build_matches_unpacked_reference(data, timeslots):
+    n_bits = data.draw(st.integers(0, 3 * 16 * timeslots * 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    payload = rng.integers(0, 2, n_bits).astype(np.uint8)
+    line = build_multiframes(payload, timeslots)
+    assert line.dtype == np.uint8
+    assert np.array_equal(line, reference_build_multiframes(payload, timeslots))
+
+
+@pytest.mark.parametrize("timeslots", [4, 31])
+def test_build_memory_stays_bounded(timeslots):
+    # The unpacked build peaked at about 2 bytes per line bit at 31 timeslots.
+    payload = np.random.default_rng(9).integers(0, 2, 10**6).astype(np.uint8)
+    build_multiframes(payload[:8], timeslots)  # tables built on first use
+    tracemalloc.start()
+    try:
+        line = build_multiframes(payload, timeslots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(line)
 
 
 def test_multiframe_length():
