@@ -143,13 +143,8 @@ def _load_json(path: Path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _resolve_section(value, base: Path, loader):
-    if isinstance(value, str):
-        doc = _load_json(base / value if not Path(value).is_absolute() else Path(value))
-        return loader(doc)
-    return loader(value)
+    except RecursionError:
+        raise ConfigError(f"{path} nests too deeply to read") from None
 
 
 _JSON_NAMES = {dict: "object", list: "array"}
@@ -181,12 +176,19 @@ def _load_document(path: Path, schema: str) -> dict:
     return data
 
 
-#: Sections that may be inline or a reference to a file of their own.
+#: Sections that may be inline or the name of a file of their own, with
+#: the JSON type each holds.
 _BENCH_SECTIONS = (
-    ("dut", profile_from_dict),
-    ("analyzer", analyzer_from_dict),
-    ("catalog", catalog_from_list),
+    ("dut", profile_from_dict, dict),
+    ("analyzer", analyzer_from_dict, dict),
+    ("catalog", catalog_from_list, list),
 )
+
+
+def _resolve_section(data: dict, key: str, base: Path, loader, kind: type):
+    if isinstance(data[key], str):  # a file name; an absolute one replaces `base`
+        data = {key: _load_json(base / data[key])}
+    return loader(_section(data, key, kind))
 
 
 def load_config(path: str | Path) -> CampaignConfig:
@@ -195,11 +197,12 @@ def load_config(path: str | Path) -> CampaignConfig:
     base = path.parent
     cfg = CampaignConfig()
     try:
-        for key, loader in _BENCH_SECTIONS:
+        for key, loader, kind in _BENCH_SECTIONS:
             if key in data:
-                cfg = replace(cfg, **{key: _resolve_section(data[key], base, loader)})
+                cfg = replace(cfg, **{key: _resolve_section(data, key, base, loader, kind)})
         if "interfaces" in data:
-            cfg = replace(cfg, interfaces=tuple(parse_interface(n) for n in data["interfaces"]))
+            names = _section(data, "interfaces", list)
+            cfg = replace(cfg, interfaces=tuple(parse_interface(n) for n in names))
         if "rates" in data:
             rates = _section(data, "rates", list, dict)
             if isinstance(rates, list):  # one list for every interface
@@ -421,11 +424,14 @@ def _configure(args) -> CampaignConfig:
 
 
 def cmd_run(args) -> int:
-    report = run_campaign(_configure(args))
+    config = _configure(args)
+    base = Path(args.out) if args.out else Path("ber_campaign")
+    if not base.parent.is_dir():  # fail before the campaign, not after it
+        raise ConfigError(f"cannot write {base.with_suffix('.json')}: no directory {base.parent}")
+    report = run_campaign(config)
     report_dict = report_to_dict(report)
     json_text = _dump_json(report_dict)
     table_text = render_report_text(report_dict)
-    base = Path(args.out) if args.out else Path("ber_campaign")
     _write_text(base.with_suffix(".json"), json_text)
     _write_text(base.with_suffix(".txt"), table_text)
     sys.stdout.write(json_text if args.format == "json" else table_text)

@@ -92,15 +92,15 @@ def measure(session: Session, config: MeasurementConfig) -> BerMeasurement:
     allowance = _lock_allowance(config.pattern)
     duration = required_duration(session.rate_kbps, config.ber0)
 
-    pattern_pos = 0
+    tx = None
     compared = 0
     errored = 0
     sync_failed = False
     remaining = budget
     while remaining > 0:
         seg = min(remaining, SEGMENT_BITS)
-        tx = prbs.generate(config.pattern, seg + allowance, start=pattern_pos)
-        pattern_pos += seg + allowance
+        # Each segment continues the one free-running pattern from the last.
+        tx = prbs.generate(config.pattern, seg + allowance, tx)
         rx = loopback(session, tx)
         state = prbs.synchronize(config.pattern, rx)
         if not state.locked:

@@ -15,8 +15,6 @@ the stream grows: over GF(2) squaring the feedback polynomial gives
 s[n] = s[n - order*2^j] ^ s[n - tap*2^j], so one XOR may produce tap*2^j
 bits at once.  No pattern table is kept: the generator and the receiver's
 reference register both run the recurrence from their own seed window.
-A block that starts deep into the period starts from the window there,
-found by a jump over GF(2), so it costs its own length and no more.
 Tests pin bit-exact equivalence with the serial register definition.
 """
 from __future__ import annotations
@@ -119,49 +117,20 @@ def _extend(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray
     return out[order:]
 
 
-def _polymulmod(a: int, b: int, poly: int, order: int) -> int:
-    """a * b mod poly over GF(2); polynomials as ints, bit i the x^i term."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a >> order & 1:
-            a ^= poly
-    return out
+def generate(spec: PrbsSpec, n: int, history: np.ndarray | None = None) -> np.ndarray:
+    """The `n` pattern bits after `history`, as a uint8 array of 0/1.
 
-
-def _history_at(spec: PrbsSpec, phase: int) -> np.ndarray:
-    """The `order` bits before bit `phase` of the pattern, oldest first.
-
-    The shift E on the stream satisfies f(E) = 0 for f = x^k + x^(k-t) + 1,
-    so with x^m mod f = sum c_i x^i, bit m - k of the stream is
-    sum c_i * (seed history)[i]: a jump of `phase` bits costs O(k log phase)
-    polynomial steps instead of `phase` generated bits.
+    `history` is the stream sent so far: any 0/1 array whose last `order`
+    bits are the most recent ones.  None starts at the seed.
     """
-    k, t = spec.order, spec.taps[1]
-    poly = (1 << k) | (1 << (k - t)) | 1
-    history = sum(int(b) << i for i, b in enumerate(_seed_history(spec)))
-    power, base, e = 1, 2, phase  # x^phase mod f, by squaring
-    while e:
-        if e & 1:
-            power = _polymulmod(power, base, poly, k)
-        base = _polymulmod(base, base, poly, k)
-        e >>= 1
-    out = np.empty(k, dtype=np.uint8)
-    for j in range(k):  # bit phase - k + j needs x^(phase + j)
-        out[j] = (power & history).bit_count() & 1
-        power = _polymulmod(power, 2, poly, k)
-    return out
-
-
-def generate(spec: PrbsSpec, n: int, start: int = 0) -> np.ndarray:
-    """Bits `start .. start+n` of the pattern, as a uint8 array of 0/1."""
-    if n < 0 or start < 0:
+    if n < 0:
         raise ValueError("bit counts must be nonnegative")
-    history = _history_at(spec, start % spec.period)
-    return _extend(history, spec.order, spec.taps[1], n)
+    k = spec.order
+    if history is None:
+        history = _seed_history(spec)
+    elif len(history) < k:
+        raise ValueError(f"history must hold at least {k} bits, got {len(history)}")
+    return _extend(history[-k:], k, spec.taps[1], n)
 
 
 #: Largest window `synchronize` scans at once; bounds its temporaries.

@@ -202,12 +202,14 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """
     dut = config.dut
     f_min, f_max = dut.if_range_hz
-    if Fraction(f_max) < Fraction(21, 20) * Fraction(f_min):
-        raise CampaignPreconditionError(
-            f"IF range [{f_min:g}, {f_max:g}] Hz too narrow: the upper edge must "
-            "be at least 1.05x the lower edge to host the three tuning points"
-        )
     points = compute_frequencies(f_min, f_max)
+    # The same comparison `dut_open_session` makes, before any warm-up.
+    outside = [f for f in points if not f_min <= f <= f_max]
+    if outside:
+        raise CampaignPreconditionError(
+            f"IF range [{f_min:g}, {f_max:g}] Hz too narrow: tuning point "
+            f"{outside[0]:.1f} Hz falls outside it"
+        )
     clock = _Clock()
     clock.advance(ANALYZER_WARMUP_S, "analyzer powered, waiting for stability")
     analyzer_self_test(config.measurement.pattern)

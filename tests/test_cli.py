@@ -151,12 +151,26 @@ def _run_config(doc):
             }
         },
         {"analyzer": {"native": [{"interface": 5}]}},
+        {"interfaces": {"G.703": 5}},
+        {"interfaces": "G.703"},
+        {"catalog": {}},
     ],
     ids=["pattern-list", "pattern-number", "rates-string", "channel-list", "channel-string",
-         "dut-rates-string", "analyzer-interface-number"],
+         "dut-rates-string", "analyzer-interface-number", "interfaces-object",
+         "interfaces-string", "catalog-object"],
 )
 def test_config_section_of_wrong_type_exits_3(doc):
     code, err = _run_config(doc)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert " must be a " in err  # the type check, not a later symptom
+
+
+@pytest.mark.parametrize("command", ["run --config", "report --in"])
+def test_deeply_nested_json_exits_3(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, err = _run_quietly(*command.split(), str(path), "--out", str(tmp_path / "x"))
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -612,6 +626,17 @@ def test_unwritable_output_exits_3_with_one_line(tmp_path, command):
     code, err = _run_quietly(command, *args, "--out", str(tmp_path / "missing" / "x"))
     assert code == 3
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_run_to_a_missing_directory_fails_before_the_campaign(tmp_path, monkeypatch):
+    def no_campaign(config):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", no_campaign)
+    code, err = _run_quietly("run", "--ber0", "1e-3", "--out", str(tmp_path / "missing" / "x"))
+    assert code == 3
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

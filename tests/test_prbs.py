@@ -13,8 +13,6 @@ from berbench.prbs import (
     PrbsSpec,
     SEARCHING,
     SyncState,
-    _extend,
-    _seed_history,
     count_errors,
     generate,
     step_register,
@@ -76,7 +74,7 @@ def test_generate_is_deterministic():
 def test_generate_start_offset_slices_the_same_stream():
     spec = PrbsSpec(seed=777)
     whole = generate(spec, 40_000)
-    assert np.array_equal(generate(spec, 10_000, start=7_000), whole[7_000:17_000])
+    assert np.array_equal(generate(spec, 10_000, whole[:7_000]), whole[7_000:17_000])
 
 
 def test_generate_empty_and_negative():
@@ -85,10 +83,11 @@ def test_generate_empty_and_negative():
         generate(PrbsSpec(), -1)
 
 
-def prefix_generate(spec: PrbsSpec, n: int, start: int) -> np.ndarray:
-    """Generation without the jump: the recurrence through the whole prefix."""
-    phase = start % spec.period
-    return _extend(_seed_history(spec), spec.order, spec.taps[1], phase + n)[phase:]
+def test_generate_needs_a_full_register_of_history():
+    spec = PrbsSpec()
+    with pytest.raises(ValueError):
+        generate(spec, 10, generate(spec, spec.order - 1))
+    assert len(generate(spec, 10, generate(spec, spec.order))) == 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,31 +95,31 @@ def prefix_generate(spec: PrbsSpec, n: int, start: int) -> np.ndarray:
     data=st.data(),
     order_tap=st.sampled_from([(k, t) for k, ts in MAXIMAL_TAPS.items() for t in ts]),
 )
-def test_jump_matches_generation_through_the_prefix(data, order_tap):
-    # Every tabled tap; starts anywhere in four periods, or within a block
-    # of a period boundary on either side.
+def test_generation_in_pieces_matches_one_call(data, order_tap):
+    # Every tabled tap; each piece continues from the one before it.  The
+    # first piece may end within a few pieces of a period boundary, so a
+    # later piece crosses it.
     order, tap = order_tap
     seed = data.draw(st.integers(1, (1 << order) - 1))
     spec = PrbsSpec(order=order, taps=(order, tap), seed=seed)
-    lap = data.draw(st.integers(0, 3))
-    near_boundary = st.integers(max(0, lap * spec.period - 300), lap * spec.period + 300)
-    start = data.draw(near_boundary | st.integers(0, 4 * spec.period))
-    n = data.draw(st.integers(0, 600))
-    assert np.array_equal(generate(spec, n, start), prefix_generate(spec, n, start))
-
-
-@pytest.mark.parametrize("order", sorted(MAXIMAL_TAPS))
-def test_jump_deep_into_the_period(order):
-    spec = PrbsSpec(order=order, seed=5)
-    for start in (spec.period // 3, spec.period - 7, 2 * spec.period + 1):
-        assert np.array_equal(generate(spec, 300, start), prefix_generate(spec, 300, start))
+    near_boundary = st.integers(max(order, spec.period - 600), spec.period)
+    first = data.draw(near_boundary | st.integers(order, 600))
+    rest = data.draw(st.lists(st.integers(order, 300), min_size=1, max_size=8))
+    pieces = [generate(spec, first)]
+    for n in rest:
+        pieces.append(generate(spec, n, pieces[-1]))
+    whole = generate(spec, first + sum(rest))
+    assert np.array_equal(np.concatenate(pieces), whole)
 
 
 def test_generate_deep_in_the_period_holds_only_its_block():
-    # Generating through the prefix held a 9 MB array for 1 MB of pattern.
+    # Only the last `order` bits of the history are read; the block does not
+    # keep it alive or copy it.
+    spec = PrbsSpec(order=23)
+    history = generate(spec, 8_000_000)
     tracemalloc.start()
     try:
-        bits = generate(PrbsSpec(order=23), 10**6, start=8_000_000)
+        bits = generate(spec, 10**6, history)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -134,15 +133,20 @@ _SMALL_SPECS = st.sampled_from([(k, t) for k in (9, 11, 15) for t in MAXIMAL_TAP
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), order_tap=_SMALL_SPECS)
 def test_blocked_generation_matches_serial_register(data, order_tap):
-    # Every maximal tap; starts near 0 or one period in, so a window may
-    # cross the period boundary.
+    # Every maximal tap; continues from the seed or from a serial prefix
+    # ending near 0 or one period in, so a window may cross the period
+    # boundary.
     order, tap = order_tap
     seed = data.draw(st.integers(1, (1 << order) - 1))
     spec = PrbsSpec(order=order, taps=(order, tap), seed=seed)
     lap = data.draw(st.integers(0, 1))
-    start = data.draw(st.integers(max(0, lap * spec.period - 300), lap * spec.period + 300))
+    start = data.draw(
+        st.just(0) | st.integers(max(order, lap * spec.period - 300), lap * spec.period + 300)
+    )
     n = data.draw(st.integers(0, 700))
-    assert np.array_equal(generate(spec, n, start), serial_bits(spec, start + n)[start:])
+    serial = serial_bits(spec, start + n)
+    history = serial[:start] if start else None
+    assert np.array_equal(generate(spec, n, history), serial[start:])
 
 
 @pytest.mark.parametrize("order", [9, 11])
@@ -277,6 +281,12 @@ def whole_stream_synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
     return SyncState(locked=True, offset=int(np.argmax(candidates)))
 
 
+def random_window(data, order: int) -> np.ndarray:
+    """A nonzero `order`-bit history: a random phase of a maximal pattern."""
+    state = data.draw(st.integers(1, (1 << order) - 1))
+    return (state >> np.arange(order) & 1).astype(np.uint8)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), order_tap=_SMALL_SPECS)
 def test_synchronize_matches_whole_stream_reference(data, order_tap):
@@ -285,7 +295,7 @@ def test_synchronize_matches_whole_stream_reference(data, order_tap):
     order, tap = order_tap
     spec = PrbsSpec(order=order, taps=(order, tap))
     n = data.draw(st.integers(0, 300_000))
-    received = generate(spec, n, data.draw(st.integers(0, spec.period)))
+    received = generate(spec, n, random_window(data, order))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dirty_until = data.draw(st.integers(0, n))
     gap = data.draw(st.integers(1, 3 * LOCK_THRESHOLD))
@@ -367,7 +377,7 @@ def test_count_errors_matches_serial_free_run(data, order_tap):
     spec = PrbsSpec(order=order, taps=(order, tap))
     n = data.draw(st.integers(order, 1500))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    received = generate(spec, n, data.draw(st.integers(0, spec.period)))
+    received = generate(spec, n, random_window(data, order))
     p = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
     received ^= (rng.random(n) < p).astype(np.uint8)
     offset = data.draw(st.integers(0, n - order))

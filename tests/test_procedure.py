@@ -194,9 +194,11 @@ def test_campaign_duplicate_interface_measured_twice():
 
 
 def test_campaign_narrow_range_aborts():
-    prof = dataclasses.replace(desk_profile(), if_range_hz=(1000e6, 1040e6))
-    with pytest.raises(CampaignPreconditionError):
-        run_campaign(CampaignConfig(dut=prof, measurement=DESK))
+    # 1051 MHz clears 1.05x the lower edge, but 0.95 * 1051 MHz is below it.
+    for if_range in ((1000e6, 1040e6), (1000e6, 1051e6)):
+        prof = dataclasses.replace(desk_profile(), if_range_hz=if_range)
+        with pytest.raises(CampaignPreconditionError):
+            run_campaign(CampaignConfig(dut=prof, measurement=DESK))
 
 
 def test_campaign_logs_and_virtual_clock():
