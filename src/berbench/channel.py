@@ -296,7 +296,11 @@ class _GilbertElliottStream:
         rest = limit - self.remaining  # bits after the current dwell
         count = min(int(1.25 * rest * self.dwells_per_bit) + 8, _DWELLS)
         q = self._quotients(count)
-        lengths = np.floor(q) + 1  # exact below 2**53, as are the sums up to rest
+        # Exact below 2**53, as are the sums up to rest.  A dwell of 2**63
+        # bits or more outlasts every stream position, so capping it there
+        # changes no bound and keeps the sums finite for a leave probability
+        # near the least normal double, whose dwells are near the largest.
+        lengths = np.floor(np.minimum(q, 2.0**63)) + 1
         ends = np.cumsum(lengths)
         # The dwell that outlasts `limit`, or the last one drawn, used whole.
         j = min(int(np.searchsorted(ends, rest, side="right")), count - 1)

@@ -349,8 +349,11 @@ def test_threshold_is_exact_at_the_edges():
     assert _threshold(0.0) == 0 and _threshold(1.0) == 2**53
 
 
-#: Leave probabilities: never, always, the least double, long and short dwells.
-leave_probabilities = st.sampled_from((0.0, 1.0, 5e-324, 1e-4, 0.05, 0.3)) | st.floats(
+#: Leave probabilities: never, always, the least double, the least normal
+#: double, long and short dwells.
+leave_probabilities = st.sampled_from(
+    (0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-4, 0.05, 0.3)
+) | st.floats(
     min_value=0.0, max_value=1.0
 )
 
@@ -384,6 +387,14 @@ def test_gilbert_elliott_leave_edges_match_reference_across_passes(p_gb, p_bg):
     want = ReferenceGilbertElliott(model).apply(bits)
     got = apply_in_pieces(open_stream(model), bits, [0, 5, n - 3, n])
     assert np.array_equal(got, want)
+
+
+def test_gilbert_elliott_least_normal_leave_probability_matches_reference():
+    # Bad dwells near the largest double: their sum overflows unless capped.
+    model = GilbertElliott(p_gb=1.0, p_bg=2.2250738585072014e-308, p_good=0.0, p_bad=0.0, seed=0)
+    bits = generate(PrbsSpec(), 3 * _CHUNK)
+    want = ReferenceGilbertElliott(model).apply(bits)
+    assert np.array_equal(apply_in_pieces(open_stream(model), bits, [0, 1, 3 * _CHUNK]), want)
 
 
 def test_gilbert_elliott_idle_dwells_match_reference():
