@@ -30,7 +30,6 @@ from .procedure import (
 )
 from .testbed import (
     AnalyzerProfile,
-    ConverterChain,
     ConverterSpec,
     DutProfile,
     default_catalog,
@@ -49,7 +48,6 @@ __all__ = [
     "Bsc",
     "CampaignConfig",
     "CampaignReport",
-    "ConverterChain",
     "ConverterSpec",
     "DutProfile",
     "FixedMask",

@@ -278,8 +278,8 @@ def report_to_dict(report: CampaignReport) -> dict:
                 "interface": r.iface.value,
                 "verdict": r.verdict.outcome.value,
                 "note": r.verdict.note,
-                "converter_used": r.converter_used,
-                "chain": list(r.chain.names()) if r.chain is not None else None,
+                "converter_used": bool(r.chain),
+                "chain": [c.name for c in r.chain] if r.chain is not None else None,
                 "measurements": [_measurement_to_dict(m) for m in r.measurements],
             }
             for r in report.results
@@ -390,8 +390,6 @@ def _parse_rates_arg(text: str) -> tuple[int, ...]:
         rates = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"bad rate list {text!r}; expected comma-separated integers") from None
-    if not rates:
-        raise ConfigError("empty rate list")
     return rates
 
 
@@ -454,10 +452,10 @@ def cmd_catalog(args) -> int:
         chain = resolve_chain(cfg.analyzer, kind, cfg.catalog, rate)
         if chain is None:
             text = "no path (no connector)"
-        elif not chain.converters:
+        elif not chain:
             text = "native (no converter)"
         else:
-            text = " + ".join(chain.names())
+            text = " + ".join(c.name for c in chain)
         lines.append(f"  {kind.value:<{kind_w}}  {text}")
     out = "\n".join(lines) + "\n"
     if args.out:

@@ -131,7 +131,7 @@ def measure(session: Session, config: MeasurementConfig) -> BerMeasurement:
 def analyzer_self_test(pattern: PrbsSpec | None = None) -> None:
     """Pattern generator looped straight into the receiver must be clean."""
     pattern = pattern or PrbsSpec()
-    n = pattern.order + 4 * prbs.LOCK_THRESHOLD + (1 << 16)
+    n = _lock_allowance(pattern) + (1 << 16)
     stream = prbs.generate(pattern, n)
     state = prbs.synchronize(pattern, stream)
     if not state.locked or state.offset != 0:

@@ -27,16 +27,17 @@ from .core import (
     REPORT_ORDER,
     Verdict,
     check_freq_hz,
+    check_rate_kbps,
     exact_fraction,
 )
 from .meter import BerMeasurement, MeasurementConfig, analyzer_self_test, measure
 from .testbed import (
     AnalyzerProfile,
-    ConverterChain,
     ConverterSpec,
     DEFAULT_ANALYZER,
     DutProfile,
     NoPortError,
+    check_port_rate,
     default_catalog,
     default_profile,
     dut_open_session,
@@ -97,8 +98,7 @@ def apply_verdict(ber: BerValue, policy: VerdictPolicy) -> Outcome:
 class InterfaceResult:
     iface: InterfaceKind
     verdict: Verdict
-    chain: ConverterChain | None
-    converter_used: bool
+    chain: tuple[ConverterSpec, ...] | None
     measurements: tuple[BerMeasurement, ...]
 
 
@@ -155,8 +155,6 @@ def _run_interface(
 ) -> InterfaceResult:
     """Connector check, rate/frequency sweep, and verdict for one interface."""
     rates = config.rates_for(iface)
-    if not rates:
-        raise ValueError(f"no bit rates configured for {iface}")
     chain = resolve_chain(config.analyzer, iface, config.catalog, max(rates))
     if chain is None:
         note = (
@@ -164,9 +162,9 @@ def _run_interface(
             f"at {max(rates)} kbit/s and no converter chain exists"
         )
         clock.note(f"{iface}: {note}")
-        return InterfaceResult(iface, Verdict(Outcome.NO_CONNECTOR, note), None, False, ())
-    if chain.converters:
-        clock.note(f"{iface}: connected via {' + '.join(chain.names())}")
+        return InterfaceResult(iface, Verdict(Outcome.NO_CONNECTOR, note), None, ())
+    if chain:
+        clock.note(f"{iface}: connected via {' + '.join(c.name for c in chain)}")
     else:
         clock.note(f"{iface}: connected natively")
 
@@ -181,7 +179,7 @@ def _run_interface(
             except NoPortError as exc:
                 note = f"no appropriate interface connector: {exc}"
                 clock.note(f"{iface}: {note}")
-                return InterfaceResult(iface, Verdict(Outcome.NO_CONNECTOR, note), chain, bool(chain.converters), ())
+                return InterfaceResult(iface, Verdict(Outcome.NO_CONNECTOR, note), chain, ())
             m = measure(session, config.measurement)
             measurements.append(m)
             clock.advance(
@@ -191,7 +189,7 @@ def _run_interface(
             )
     ok = all(apply_verdict(m.ber, config.policy) is Outcome.PASS for m in measurements)
     verdict = Verdict(Outcome.PASS if ok else Outcome.FAIL)
-    return InterfaceResult(iface, verdict, chain, bool(chain.converters), tuple(measurements))
+    return InterfaceResult(iface, verdict, chain, tuple(measurements))
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -210,6 +208,16 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             f"IF range [{f_min:g}, {f_max:g}] Hz too narrow: tuning point "
             f"{outside[0]:.1f} Hz falls outside it"
         )
+    # Every rate is checked before the warm-up, not when its interface comes up.
+    for iface in config.interfaces:
+        rates = config.rates_for(iface)
+        if not rates:
+            raise ValueError(f"no bit rates configured for {iface}")
+        for rate in rates:
+            if dut.port_note(iface) is None:  # no port: a no-connector outcome later
+                check_rate_kbps(rate)
+            else:
+                check_port_rate(dut, iface, rate)
     clock = _Clock()
     clock.advance(ANALYZER_WARMUP_S, "analyzer powered, waiting for stability")
     analyzer_self_test(config.measurement.pattern)

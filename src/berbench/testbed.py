@@ -2,8 +2,9 @@
 
 The analyzer drives one of its native interfaces; when the interface
 under test is not among them, a chain of bidirectional media converters
-bridges the gap.  Chain resolution is a shortest-path search over the
-converter graph, so reports can state whether a converter was needed.
+bridges the gap.  A chain is a plain tuple of converters, each used at
+most once; resolution finds the shortest one, ties broken on converter
+names, so reports can state whether a converter was needed.
 
 A session binds the device to one (interface, bit rate, tuning frequency)
 triple and exposes `loopback`, which pushes a bit stream through the
@@ -18,8 +19,6 @@ which flips bits (no session uses the HDB3 codec in `framing`):
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -135,34 +134,8 @@ class AnalyzerProfile:
         return False
 
 
-@dataclass(frozen=True)
-class ConverterChain:
-    """A resolved analyzer-to-device path; empty means a native connection."""
-
-    converters: tuple[ConverterSpec, ...]
-    analyzer_side: InterfaceKind
-    eut_side: InterfaceKind
-
-    def __post_init__(self):
-        reachable = {self.analyzer_side}
-        for conv in self.converters:
-            touching = reachable & (conv.side_a | conv.side_b)
-            if not touching:
-                raise ValueError(f"chain breaks before {conv.name}")
-            reachable = set().union(*(conv.other_side(k) for k in touching))
-        if self.eut_side not in (reachable if self.converters else {self.analyzer_side}):
-            raise ValueError("chain endpoints do not match its converters")
-
-    def __len__(self) -> int:
-        return len(self.converters)
-
-    @property
-    def max_rate_kbps(self) -> int | None:
-        limits = [c.max_rate_kbps for c in self.converters if c.max_rate_kbps is not None]
-        return min(limits) if limits else None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.converters)
+def _names(chain: tuple[ConverterSpec, ...]) -> tuple[str, ...]:
+    return tuple(c.name for c in chain)
 
 
 def resolve_chain(
@@ -170,40 +143,45 @@ def resolve_chain(
     target: InterfaceKind,
     catalog: Iterable[ConverterSpec],
     rate_kbps: int,
-) -> ConverterChain | None:
+) -> tuple[ConverterSpec, ...] | None:
     """Shortest converter chain from any analyzer interface to `target`.
 
     Every converter on the chain (and the analyzer port itself) must admit
-    `rate_kbps`.  Returns the empty chain when the analyzer speaks the
-    target natively at that rate, and None when no path exists - which is
-    the no-connector case, not an error.  Ties between equal-length chains
-    break on converter names, then on the analyzer-side interface order.
+    `rate_kbps`, and a converter appears at most once.  Returns `()` when
+    the analyzer speaks the target natively at that rate, and None when no
+    chain exists - which is the no-connector case, not an error.  Ties
+    between equal-length chains break on converter names.
+
+    The search is breadth first.  Level d keeps, for each interface reached
+    and set of converters used, the d-converter chain with the least names;
+    any extension of it beats the same extension of a rival.  A chain that
+    visits an interface twice contains a shorter one, so no shortest chain
+    has more converters than there are interfaces.
     """
     check_rate_kbps(rate_kbps)
     if analyzer.admissible(target, rate_kbps):
-        return ConverterChain((), target, target)
+        return ()
     catalog = [c for c in catalog if c.admits(rate_kbps)]
-    heap = []
-    tie = itertools.count()  # keeps heap entries comparable on equal keys
-    for kind, limit in analyzer.native:
-        if limit is None or rate_kbps <= limit:
-            heapq.heappush(heap, ((0, (), _KIND_ORDER[kind]), next(tie), kind, kind, ()))
-    best: dict[InterfaceKind, tuple] = {}
-    while heap:
-        key, _, kind, start, path = heapq.heappop(heap)
-        if kind is target:
-            return ConverterChain(path, start, target)
-        if kind in best and best[kind] <= key:
-            continue
-        best[kind] = key
-        depth, names, start_idx = key
-        for conv in catalog:
-            if conv in path or (kind not in conv.side_a and kind not in conv.side_b):
-                continue
-            next_key = (depth + 1, names + (conv.name,), start_idx)
-            for nxt in conv.other_side(kind):
-                if nxt not in best or best[nxt] > next_key:
-                    heapq.heappush(heap, (next_key, next(tie), nxt, start, path + (conv,)))
+    level = {
+        (kind, frozenset()): ()
+        for kind, _ in analyzer.native
+        if analyzer.admissible(kind, rate_kbps)
+    }
+    for _ in InterfaceKind:
+        longer = {}
+        for (kind, used), chain in level.items():
+            for conv in catalog:
+                if conv in used or (kind not in conv.side_a and kind not in conv.side_b):
+                    continue
+                grown = chain + (conv,)
+                for reached in conv.other_side(kind):
+                    key = (reached, used | {conv})
+                    if key not in longer or _names(grown) < _names(longer[key]):
+                        longer[key] = grown
+        found = [chain for (kind, _), chain in longer.items() if kind is target]
+        if found:
+            return min(found, key=_names)
+        level = longer
     return None
 
 
@@ -267,6 +245,13 @@ class Session:
         return min(PAYLOAD_SLOTS, self.rate_kbps // 64)
 
 
+def check_port_rate(profile: DutProfile, iface: InterfaceKind, rate_kbps: int) -> None:
+    """Refuse a rate the device does not run on its `iface` port."""
+    check_rate_kbps(rate_kbps)
+    if rate_kbps not in profile.supported_rates.get(iface, frozenset()):
+        raise UnsupportedRateError(f"{profile.name} does not run {iface} at {rate_kbps} kbit/s")
+
+
 def dut_open_session(
     profile: DutProfile,
     iface: InterfaceKind,
@@ -283,9 +268,7 @@ def dut_open_session(
     """
     if profile.port_note(iface) is None:
         raise NoPortError(f"{profile.name} has no {iface} connector")
-    check_rate_kbps(rate_kbps)
-    if rate_kbps not in profile.supported_rates.get(iface, frozenset()):
-        raise UnsupportedRateError(f"{profile.name} does not run {iface} at {rate_kbps} kbit/s")
+    check_port_rate(profile, iface, rate_kbps)
     freq_hz = check_freq_hz(freq_hz)
     f_min, f_max = profile.if_range_hz
     if not f_min <= freq_hz <= f_max:

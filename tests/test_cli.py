@@ -303,6 +303,43 @@ def test_run_bad_rate_is_config_error(tmp_path):
     assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "x")) == 3
 
 
+def test_run_rate_error_exits_3_before_the_campaign(tmp_path, capsys, monkeypatch):
+    def measure(*args):
+        raise AssertionError("measured before the rates were checked")
+
+    monkeypatch.setattr("berbench.procedure.measure", measure)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"schema": "ber-campaign-config/1", "ber0": 1e-05, "rates": {"100BASE-SX": [1000]}}
+    ))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not run 100BASE-SX at 1000 kbit/s" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_run_reads_sections_from_files_and_a_top_level_channel(tmp_path):
+    analyzer = {"native": [{"interface": "G.703"}, {"interface": "V.35", "max_rate_kbps": 512}]}
+    catalog = [{"name": "gateway", "side_a": ["G.703"], "side_b": ["STANAG 4210"]}]
+    channel = {"kind": "bsc", "p": 1e-3, "seed": 99}
+    (tmp_path / "an.json").write_text(json.dumps(analyzer))
+    (tmp_path / "cat.json").write_text(json.dumps(catalog))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "schema": "ber-campaign-config/1",
+        "ber0": 1e-04,
+        "interfaces": ["STANAG 4210"],
+        "analyzer": "an.json",
+        "catalog": "cat.json",
+        "channel": channel,
+    }))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "files")) == 1
+    report = json.loads((tmp_path / "files.json").read_text())
+    assert report["config"]["channel"] == channel
+    assert report["analyzer"] == analyzer
+    assert report["results"][0]["chain"] == ["gateway"]
+
+
 @pytest.mark.parametrize("rate", [100, 4096])
 def test_g704_rate_off_the_timeslot_grid_is_config_error(tmp_path, capsys, rate):
     config = {

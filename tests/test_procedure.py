@@ -7,6 +7,7 @@ import pytest
 from berbench.channel import Bsc, FixedMask
 from berbench.cli import load_config
 from berbench.core import BerValue, InterfaceKind as IK, Outcome, REPORT_ORDER
+from berbench import procedure
 from berbench.meter import MeasurementConfig
 from berbench.procedure import (
     CampaignConfig,
@@ -16,7 +17,7 @@ from berbench.procedure import (
     compute_frequencies,
     run_campaign,
 )
-from berbench.testbed import default_catalog, default_profile
+from berbench.testbed import UnsupportedRateError, default_catalog, default_profile
 
 DESK = MeasurementConfig(ber0=1e-5)
 POLICY = VerdictPolicy()
@@ -101,7 +102,7 @@ def without_v35_port():
 def test_native_interface_passes_with_three_clean_measurements():
     result = run_one(IK.G703)
     assert result.verdict.outcome is Outcome.PASS
-    assert not result.converter_used
+    assert result.chain == ()
     assert len(result.measurements) == 3
     assert all(m.ber.is_bound for m in result.measurements)
     freqs = [m.freq_hz for m in result.measurements]
@@ -141,10 +142,35 @@ def test_rate_sweep_multiplies_measurements():
 
 
 def test_unsupported_rate_aborts_with_diagnostic():
-    from berbench.testbed import UnsupportedRateError
-
     with pytest.raises(UnsupportedRateError):
         run_one(IK.G703, rates=(192,))
+
+
+def _no_gateway_converter():
+    return tuple(c for c in default_catalog() if c.name != "EUROCOM B/e1")
+
+
+@pytest.mark.parametrize(
+    "rates, extra, error, message",
+    [
+        ({IK.BASE100_SX: (1000,)}, {}, UnsupportedRateError, "does not run 100BASE-SX at 1000"),
+        ({IK.BASE100_SX: ()}, {}, ValueError, "no bit rates configured for 100BASE-SX"),
+        ({IK.BASE100_SX: (0,)}, {}, ValueError, "bit rate must be a positive integer"),
+        # No port for V.35: still a configuration error, not a no-connector row.
+        ({IK.V35: (-64,)}, {"dut": without_v35_port()}, ValueError, "positive integer"),
+        # A port but no converter chain: the bad rate wins over "no connector".
+        ({IK.STANAG4210: (1000,)}, {"catalog": _no_gateway_converter()},
+         UnsupportedRateError, "does not run STANAG 4210 at 1000"),
+    ],
+    ids=["unsupported", "empty", "zero", "no-port", "no-connector"],
+)
+def test_bad_rates_abort_before_any_measurement(monkeypatch, rates, extra, error, message):
+    def measure(*args):
+        raise AssertionError("measured before the rates were checked")
+
+    monkeypatch.setattr(procedure, "measure", measure)
+    with pytest.raises(error, match=message):
+        run_campaign(CampaignConfig(rates=rates, measurement=DESK, **extra))
 
 
 def test_verdict_is_total_over_outcomes():
@@ -173,7 +199,7 @@ def test_default_campaign_matches_published_shape():
     report = run_campaign(CampaignConfig(measurement=DESK))
     assert [r.iface for r in report.results] == list(REPORT_ORDER)
     assert all(r.verdict.outcome is Outcome.PASS for r in report.results)
-    assert [r.converter_used for r in report.results] == [
+    assert [bool(r.chain) for r in report.results] == [
         False, False, True, True, True, True, True, True, True,
     ]
     assert all(m.ber.is_bound for r in report.results for m in r.measurements)

@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berbench.channel import Bsc, FixedMask, Ideal
 from berbench.core import InterfaceKind as IK
 from berbench.core import REPORT_ORDER
+from berbench.meter import MeasurementConfig, measure
 from berbench.prbs import PrbsSpec, generate
 from berbench.testbed import (
     AnalyzerProfile,
-    ConverterChain,
     ConverterSpec,
     DEFAULT_ANALYZER,
     FrequencyRangeError,
@@ -31,6 +32,11 @@ from berbench.testbed import (
 )
 
 F0 = 1450e6
+
+
+def names(chain):
+    """Converter names of a resolved chain; None stays None."""
+    return None if chain is None else tuple(c.name for c in chain)
 
 
 def enumerate_best_chain(analyzer, target, catalog, rate):
@@ -66,33 +72,28 @@ def enumerate_best_chain(analyzer, target, catalog, rate):
 
 
 def test_native_interface_needs_no_converter():
-    chain = resolve_chain(DEFAULT_ANALYZER, IK.G703, default_catalog(), 2048)
-    assert chain is not None and len(chain) == 0
-    assert not chain.converters
-    assert chain.analyzer_side is IK.G703 and chain.eut_side is IK.G703
+    assert resolve_chain(DEFAULT_ANALYZER, IK.G703, default_catalog(), 2048) == ()
 
 
 def test_tactical_gateway_interface_uses_its_converter():
     chain = resolve_chain(DEFAULT_ANALYZER, IK.STANAG4210, default_catalog(), 2048)
-    assert chain.names() == ("EUROCOM B/e1",)
+    assert names(chain) == ("EUROCOM B/e1",)
 
 
 def test_fiber_ethernet_needs_two_converters():
     chain = resolve_chain(DEFAULT_ANALYZER, IK.BASE10_FL, default_catalog(), 2048)
-    assert chain.names() == ("Tahoe 284", "APP EC100")
-    assert len(chain) == 2
+    assert names(chain) == ("Tahoe 284", "APP EC100")
 
 
 def test_v35_above_native_cap_goes_through_converter():
     for rate in (1024, 2048):
         chain = resolve_chain(DEFAULT_ANALYZER, IK.V35, default_catalog(), rate)
-        assert chain is not None and chain.names() == ("Tahoe 235",)
+        assert names(chain) == ("Tahoe 235",)
     assert resolve_chain(DEFAULT_ANALYZER, IK.V35, default_catalog(), 4096) is None
 
 
 def test_v35_within_native_cap_is_native():
-    chain = resolve_chain(DEFAULT_ANALYZER, IK.V35, default_catalog(), 512)
-    assert chain is not None and len(chain) == 0
+    assert resolve_chain(DEFAULT_ANALYZER, IK.V35, default_catalog(), 512) == ()
 
 
 def test_removed_converter_breaks_the_only_path():
@@ -105,13 +106,51 @@ def test_resolution_matches_exhaustive_enumeration():
     for kind, rate in itertools.product(REPORT_ORDER, (512, 2048)):
         chain = resolve_chain(DEFAULT_ANALYZER, kind, catalog, rate)
         oracle = enumerate_best_chain(DEFAULT_ANALYZER, kind, catalog, rate)
-        got = None if chain is None else chain.names()
-        assert got == oracle, (kind, rate)
+        assert names(chain) == oracle, (kind, rate)
 
 
-def test_chain_rate_limit_is_minimum_of_members():
-    chain = resolve_chain(DEFAULT_ANALYZER, IK.BASE10_FL, default_catalog(), 2048)
-    assert chain.max_rate_kbps == 2048
+#: Interfaces and rate caps the random catalogs below draw from.
+_KINDS = st.sampled_from(list(IK))
+_CAPS = st.sampled_from([None, 512, 2048])
+
+
+@st.composite
+def _converters(draw):
+    kinds = draw(st.lists(_KINDS, min_size=2, max_size=5, unique=True))
+    cut = draw(st.integers(min_value=1, max_value=len(kinds) - 1))
+    return ConverterSpec(
+        draw(st.sampled_from("ABC")), frozenset(kinds[:cut]), frozenset(kinds[cut:]),
+        max_rate_kbps=draw(_CAPS),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    catalog=st.lists(_converters(), min_size=1, max_size=6),
+    native=st.lists(st.tuples(_KINDS, _CAPS), min_size=1, max_size=3),
+)
+def test_resolution_matches_exhaustive_enumeration_on_random_catalogs(catalog, native):
+    analyzer = AnalyzerProfile(native=tuple(native))
+    for kind, rate in itertools.product(REPORT_ORDER, (256, 1024)):
+        chain = resolve_chain(analyzer, kind, catalog, rate)
+        oracle = enumerate_best_chain(analyzer, kind, catalog, rate)
+        assert names(chain) == oracle, (kind, rate)
+
+
+def test_chain_may_pass_through_converters_the_first_route_skipped():
+    # The first chain to reach G.703 (A + B) has used up B, the only
+    # converter onward to 10BASE-FL; going round through C and D reaches
+    # G.703 with B still free.
+    analyzer = AnalyzerProfile(native=((IK.STANAG4210, None),))
+    catalog = (
+        ConverterSpec("A", IK.STANAG4210, IK.BASE10_T),
+        ConverterSpec("B", frozenset({IK.BASE10_T, IK.BASE10_FL}), IK.G703),
+        ConverterSpec("C", IK.BASE10_T, IK.BASE100_TX),
+        ConverterSpec("D", IK.BASE100_TX, IK.G703),
+    )
+    chain = resolve_chain(analyzer, IK.BASE10_FL, catalog, 2048)
+    assert names(chain) == ("A", "C", "D", "B")
+    assert names(chain) == enumerate_best_chain(analyzer, IK.BASE10_FL, catalog, 2048)
 
 
 def test_tie_break_is_lexicographic_by_name():
@@ -119,18 +158,12 @@ def test_tie_break_is_lexicographic_by_name():
     slow = ConverterSpec("B box", IK.G703, IK.V35)
     fast = ConverterSpec("A box", IK.G703, IK.V35)
     chain = resolve_chain(analyzer, IK.V35, (slow, fast), 2048)
-    assert chain.names() == ("A box",)
+    assert names(chain) == ("A box",)
 
 
 def test_converter_sides_must_differ():
     with pytest.raises(ValueError):
         ConverterSpec("loop", IK.G703, IK.G703)
-
-
-def test_chain_validates_adjacency():
-    tahoe = default_catalog()[0]
-    with pytest.raises(ValueError):
-        ConverterChain((tahoe,), IK.V35, IK.BASE10_T)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +270,22 @@ def test_heavy_corruption_returns_worthless_payload_not_exception():
     bits = generate(PrbsSpec(), 50_000)
     out = loopback(session, bits)
     assert len(out) == len(bits)
+
+
+def test_lost_frame_alignment_returns_all_zeros():
+    # Every line bit flipped: no frame alignment signal survives.
+    prof = default_profile(channel=Bsc(p=1.0, seed=1))
+    session = dut_open_session(prof, IK.G704, 2048, F0)
+    out = loopback(session, np.ones(100_000, np.uint8))
+    assert len(out) == 100_000 and not out.any()
+
+
+@pytest.mark.parametrize("rate", [256, 2048])
+def test_lost_frame_alignment_measures_every_bit_errored(rate):
+    prof = default_profile(channel=Bsc(p=1.0, seed=1))
+    m = measure(dut_open_session(prof, IK.G704, rate, F0), MeasurementConfig(ber0=1e-4))
+    assert m.sync_failed
+    assert m.errored_bits == m.transmitted_bits == 100_000
 
 
 # ---------------------------------------------------------------------------
