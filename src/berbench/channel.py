@@ -111,10 +111,6 @@ def _flip_below(bits: np.ndarray, seed: int, start: int, threshold) -> None:
         np.bitwise_xor(bits[lo:hi], hit[:c].view(np.uint8), out=bits[lo:hi])
 
 
-def _uniform_scalar(seed: int, index: int) -> float:
-    return (mix64((seed + (index + 1) * _GOLDEN) & _MASK64) >> 11) * 2.0**-53
-
-
 @dataclass(frozen=True)
 class Ideal:
     """Transparent path: output equals input."""
@@ -237,7 +233,7 @@ class _GilbertElliottStream:
         self.dwells_per_bit = 2.0 / mean_cycle
         self.dwell_counter = 0
         self.position = 0
-        init = _uniform_scalar(derive_seed(model.seed, 0), 0)
+        init = (derive_seed(derive_seed(model.seed, 0), 0) >> 11) * 2.0**-53
         # `remaining` counts the bits left in the current dwell.  The stream
         # opens at the end of an empty dwell in the other state, so the first
         # schedule draws the first dwell.
@@ -419,16 +415,6 @@ def spec_usage() -> str:
 
 def open_stream(model: ChannelModel):
     return _kind_of(model).stream(model)
-
-
-def apply(model: ChannelModel, bits: np.ndarray) -> np.ndarray:
-    """One-shot application of a model to a whole stream."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if isinstance(model, FixedMask) and model.indices and model.indices[-1] >= len(bits):
-        raise ValueError(
-            f"mask index {model.indices[-1]} outside stream of {len(bits)} bits"
-        )
-    return open_stream(model).apply(bits)
 
 
 def model_to_dict(model: ChannelModel) -> dict:

@@ -381,6 +381,14 @@ def _write_text(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _emit(out: str | None, text: str) -> None:
+    """Write `text` to the `--out` path, or to stdout when there is none."""
+    if out:
+        _write_text(Path(out), text)
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -399,11 +407,7 @@ def cmd_plan(args) -> int:
         plan = build_plan(rates, exact_fraction(args.ber0))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
-    out = _dump_json(plan) if args.format == "json" else render_plan_text(plan)
-    if args.out:
-        _write_text(Path(args.out), out)
-    else:
-        sys.stdout.write(out)
+    _emit(args.out, _dump_json(plan) if args.format == "json" else render_plan_text(plan))
     return 0
 
 
@@ -457,11 +461,7 @@ def cmd_catalog(args) -> int:
         else:
             text = " + ".join(c.name for c in chain)
         lines.append(f"  {kind.value:<{kind_w}}  {text}")
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(Path(args.out), out)
-    else:
-        sys.stdout.write(out)
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -472,10 +472,7 @@ def cmd_report(args) -> int:
         code = exit_code_for(data)
     except LookupError as exc:  # a key or a list entry is missing
         raise ConfigError(f"{args.in_path}: incomplete report: {exc}") from None
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return code
 
 

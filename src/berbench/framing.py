@@ -118,26 +118,9 @@ def _crc4_octets(halves: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_crc_table()[np.arange(_FOLD), columns], axis=-1)
 
 
-def _half_octets(half_bits: np.ndarray) -> np.ndarray:
-    half = np.asarray(half_bits, dtype=np.uint8)
-    if half.shape[-1] != HALF_BITS:
-        raise ValueError(f"a check half is {HALF_BITS} bits, got {half.shape[-1]}")
-    return np.packbits(half, axis=-1)
-
-
 def _nibble_bits(remainders: np.ndarray) -> np.ndarray:
     """The 4 low bits of each remainder, bit 3 first."""
     return np.unpackbits(remainders[..., None], axis=-1)[..., 4:]
-
-
-def crc4_check_bits(half_bits: np.ndarray) -> np.ndarray:
-    """Remainder of (half * x^4) mod x^4+x+1 as 4 bits, C1 first."""
-    return _nibble_bits(_crc4_octets(_half_octets(half_bits)))
-
-
-def crc4_remainder(half_bits: np.ndarray) -> int:
-    """The 4-bit remainder as an integer (bit 3 = first check bit)."""
-    return int(_crc4_octets(_half_octets(half_bits)))
 
 
 def _check_timeslots(timeslots: int) -> None:
@@ -225,13 +208,6 @@ def g704_align(stream: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> tuple[int,
     frames = (n - offset) // FRAME_BITS
     slots = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32 * 8)
     return offset, slots[:, 8 : 8 * (timeslots + 1)].reshape(-1)
-
-
-def line_positions(payload_indices: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np.ndarray:
-    """Line positions of payload bits laid out by `build_multiframes`."""
-    _check_timeslots(timeslots)
-    frame, within = np.divmod(np.asarray(payload_indices, dtype=np.int64), 8 * timeslots)
-    return frame * FRAME_BITS + 8 + within  # skip timeslot 0 of each frame
 
 
 def hdb3_encode(bits: np.ndarray, start_polarity: int = 1) -> np.ndarray:

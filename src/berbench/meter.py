@@ -28,6 +28,14 @@ class SelfTestError(Exception):
     """The analyzer's own pattern loop did not come back clean."""
 
 
+def _check_ber0(ber0) -> Fraction:
+    """The resolution BER_0 as an exact fraction in (0, 1)."""
+    ber0 = exact_fraction(ber0)
+    if not 0 < ber0 < 1:
+        raise ValueError(f"resolution must be in (0, 1), got {ber0}")
+    return ber0
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Resolution and pattern for one measurement."""
@@ -36,10 +44,7 @@ class MeasurementConfig:
     pattern: PrbsSpec = PrbsSpec()
 
     def __post_init__(self):
-        ber0 = exact_fraction(self.ber0)
-        if not 0 < ber0 < 1:
-            raise ValueError(f"resolution must be in (0, 1), got {ber0}")
-        object.__setattr__(self, "ber0", ber0)
+        object.__setattr__(self, "ber0", _check_ber0(self.ber0))
 
 
 @dataclass(frozen=True)
@@ -60,18 +65,14 @@ class BerMeasurement:
 def required_duration(rate_kbps: int, ber0) -> int:
     """Whole seconds for one measurement, rounded half-up."""
     check_rate_kbps(rate_kbps)
-    ber0 = exact_fraction(ber0)
-    if ber0 <= 0:
-        raise ValueError("resolution must be positive")
+    ber0 = _check_ber0(ber0)
     t = Fraction(10) / (Fraction(1000 * rate_kbps) * ber0)
     return int(t + Fraction(1, 2))
 
 
 def required_bits(ber0) -> int:
     """Pattern bits needed to resolve `ber0`, independent of rate."""
-    ber0 = exact_fraction(ber0)
-    if ber0 <= 0:
-        raise ValueError("resolution must be positive")
+    ber0 = _check_ber0(ber0)
     return -(-10 // ber0)  # ceil(10 / ber0) in exact arithmetic
 
 

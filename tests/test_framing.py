@@ -13,14 +13,13 @@ from berbench.framing import (
     LineCodeViolationError,
     FrameAlignmentError,
     MULTIFRAME_BITS,
+    _crc4_octets,
     build_multiframes,
-    crc4_check_bits,
-    crc4_remainder,
     g704_align,
     hdb3_decode,
     hdb3_encode,
-    line_positions,
 )
+from oracles import line_positions
 
 
 def crc4_long_division(bits) -> int:
@@ -31,6 +30,11 @@ def crc4_long_division(bits) -> int:
         if reg & 0x10:
             reg ^= 0x13
     return reg & 0xF
+
+
+def crc4_remainder(half_bits) -> int:
+    """The program's table CRC-4 of one unpacked half (bit 3 = first check bit)."""
+    return int(_crc4_octets(np.packbits(half_bits)))
 
 
 def random_payload(rng, n=1):
@@ -92,9 +96,6 @@ def test_crc4_matches_long_division_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
         half = rng.integers(0, 2, HALF_BITS).astype(np.uint8)
-        bits = crc4_check_bits(half)
-        value = bits[0] << 3 | bits[1] << 2 | bits[2] << 1 | bits[3]
-        assert int(value) == crc4_long_division(half)
         assert crc4_remainder(half) == crc4_long_division(half)
 
 
@@ -112,17 +113,11 @@ def test_table_crc_matches_long_division(data):
         half = line[start : start + HALF_BITS]
     want = crc4_long_division(half)
     assert crc4_remainder(half) == want
-    assert crc4_check_bits(half).tolist() == [(want >> s) & 1 for s in (3, 2, 1, 0)]
-    assert np.array_equal(crc4_check_bits(half), reference_crc4_check_bits(half))
+    assert reference_crc4_check_bits(half).tolist() == [(want >> s) & 1 for s in (3, 2, 1, 0)]
 
 
 def test_crc4_of_zero_half_is_zero():
     assert crc4_remainder(np.zeros(HALF_BITS, np.uint8)) == 0
-
-
-def test_crc4_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        crc4_check_bits(np.zeros(100, np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +166,6 @@ def test_build_rejects_wrong_payload_shape():
             build_multiframes(np.zeros(8, np.uint8), timeslots)
         with pytest.raises(ValueError):
             g704_align(build_multiframes(np.zeros(8, np.uint8)), timeslots)
-        with pytest.raises(ValueError):
-            line_positions(np.array([0]), timeslots)
 
 
 def test_align_build_roundtrip():
@@ -460,6 +453,17 @@ def test_hdb3_decode_flags_violation_leaning_on_a_violation():
     sym = np.array([1, 0, 0, 0, 1, 0, 0, 1], np.int8)
     with pytest.raises(LineCodeViolationError):
         hdb3_decode(sym)
+
+
+@pytest.mark.parametrize(
+    "symbols, position",
+    [([0, 0, 0, 0, 1], 3), ([1, 0, 0, 0, 0], 4)],
+    ids=["four-empty-before-the-first-pulse", "four-empty-after-the-last-pulse"],
+)
+def test_hdb3_decode_flags_zero_run_at_either_end(symbols, position):
+    with pytest.raises(LineCodeViolationError) as info:
+        hdb3_decode(np.array(symbols, np.int8))
+    assert info.value.position == position
 
 
 def test_single_bit_flip_changes_crc_spot_check():

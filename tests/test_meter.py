@@ -17,7 +17,8 @@ from berbench.meter import (
     required_duration,
 )
 from berbench.prbs import LOCK_THRESHOLD, PrbsSpec
-from berbench.testbed import default_profile, dut_open_session, payload_line_positions
+from berbench.testbed import default_profile, dut_open_session
+from oracles import payload_line_positions
 
 F0 = 1450e6
 
@@ -59,9 +60,20 @@ def test_required_duration_input_validation():
 def test_required_bits():
     assert required_bits(1e-8) == 10**9
     assert required_bits(1e-5) == 10**6
-    assert required_bits(1) == 10
+    assert required_bits("0.3") == 34  # ceil(33.3...)
     with pytest.raises(ValueError):
         required_bits(0)
+
+
+@pytest.mark.parametrize("ber0", [0, -1e-8, 1, 2])
+def test_every_sizing_refuses_a_resolution_outside_0_1(ber0):
+    message = r"resolution must be in \(0, 1\)"
+    with pytest.raises(ValueError, match=message):
+        required_bits(ber0)
+    with pytest.raises(ValueError, match=message):
+        required_duration(64, ber0)
+    with pytest.raises(ValueError, match=message):
+        MeasurementConfig(ber0=ber0)
 
 
 def test_measurement_config_validation():

@@ -15,9 +15,9 @@ from berbench.prbs import (
     SyncState,
     count_errors,
     generate,
-    step_register,
     synchronize,
 )
+from oracles import step_register
 
 
 def serial_bits(spec: PrbsSpec, n: int) -> np.ndarray:

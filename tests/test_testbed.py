@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,16 +21,14 @@ from berbench.testbed import (
     analyzer_from_dict,
     analyzer_to_dict,
     catalog_from_list,
-    catalog_to_list,
     default_catalog,
     default_profile,
     dut_open_session,
     loopback,
-    payload_line_positions,
     profile_from_dict,
-    profile_to_dict,
     resolve_chain,
 )
+from oracles import payload_line_positions
 
 F0 = 1450e6
 
@@ -153,6 +152,45 @@ def test_chain_may_pass_through_converters_the_first_route_skipped():
     assert names(chain) == enumerate_best_chain(analyzer, IK.BASE10_FL, catalog, 2048)
 
 
+def test_repeated_names_compare_whole_chains():
+    # Name order first reaches STANAG 4210 through A then B, but the chain
+    # through the other two converters named A reads (A, A), which is less.
+    analyzer = AnalyzerProfile(native=((IK.G703, None),))
+    catalog = (
+        ConverterSpec("A", IK.G703, IK.G704),
+        ConverterSpec("B", IK.G704, IK.STANAG4210),
+        ConverterSpec("A", IK.V35, IK.G703),
+        ConverterSpec("A", IK.V35, IK.STANAG4210),
+    )
+    chain = resolve_chain(analyzer, IK.STANAG4210, catalog, 2048)
+    assert names(chain) == ("A", "A")
+    assert names(chain) == enumerate_best_chain(analyzer, IK.STANAG4210, catalog, 2048)
+    assert chain == catalog[2:]
+
+
+def test_interchangeable_converters_resolve_quickly():
+    # Sixteen converters with the same two sides, and no chain to the
+    # target.  A search keyed on the set of converters used visits every
+    # subset of them; one that tries every order of them on the longer
+    # chains the three-interface sides allow visits every arrangement.
+    analyzer = AnalyzerProfile(native=((IK.G703, None),))
+    pairs = [ConverterSpec(f"C{i:02d}", IK.G703, IK.V35) for i in range(16)]
+    triples = [
+        ConverterSpec(
+            f"C{i:02d}",
+            frozenset({IK.G703, IK.G704, IK.V35}),
+            frozenset({IK.BASE10_T, IK.BASE100_TX, IK.BASE10_FL}),
+        )
+        for i in range(16)
+    ]
+    started = time.perf_counter()
+    for catalog in (pairs, triples):
+        assert resolve_chain(analyzer, IK.STANAG4210, catalog, 2048) is None
+    assert names(resolve_chain(analyzer, IK.V35, pairs[::-1], 2048)) == ("C00",)
+    assert names(resolve_chain(analyzer, IK.V35, triples[::-1], 2048)) == ("C00", "C01")
+    assert time.perf_counter() - started < 0.1
+
+
 def test_tie_break_is_lexicographic_by_name():
     analyzer = AnalyzerProfile(native=((IK.G703, None),))
     slow = ConverterSpec("B box", IK.G703, IK.V35)
@@ -164,6 +202,20 @@ def test_tie_break_is_lexicographic_by_name():
 def test_converter_sides_must_differ():
     with pytest.raises(ValueError):
         ConverterSpec("loop", IK.G703, IK.G703)
+
+
+def test_converter_side_must_name_an_interface():
+    with pytest.raises(ValueError, match="at least one interface"):
+        ConverterSpec("empty", frozenset(), IK.G703)
+    with pytest.raises(ValueError, match="at least one interface"):
+        catalog_from_list([{"name": "empty", "side_a": [], "side_b": ["G.703"]}])
+
+
+def test_other_side_refuses_a_kind_on_neither_side():
+    conv = ConverterSpec("E1/V.35", IK.G703, IK.V35)
+    assert conv.other_side(IK.V35) == frozenset({IK.G703})
+    with pytest.raises(ValueError, match="neither side"):
+        conv.other_side(IK.STANAG4210)
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +370,63 @@ def test_profile_validation():
         )
 
 
+_E1_RATES = [256, 512, 1024, 2048]
+
+#: The default modem as a DUT document, with a binary symmetric channel.
+DEFAULT_PROFILE_DOC = {
+    "name": "PD10L-class VSAT modem (simulated)",
+    "ports": [
+        {"interface": "G.703", "connector": "BNC 75 ohm unbalanced / EIA530 120 ohm balanced"},
+        {"interface": "G.704", "connector": "RJ45 120 ohm balanced"},
+        {"interface": "V.35", "connector": "EIA530 25-pin D-type female"},
+        {"interface": "STANAG 4210", "connector": "balanced field-cable pair"},
+        {"interface": "10/100BASE-T", "connector": "RJ45 (shared auto-negotiating port)"},
+        {"interface": "10BASE-FL", "connector": "ST multimode fiber pair"},
+        {"interface": "100BASE-FX", "connector": "SC duplex fiber"},
+        {"interface": "100BASE-SX", "connector": "SC duplex multimode fiber"},
+    ],
+    "rates": {
+        "G.703": _E1_RATES,
+        "G.704": _E1_RATES,
+        "V.35": [64, 128, 192, 256, 320, 384, 448, 512, 1024, 2048],
+        "STANAG 4210": _E1_RATES,
+        "10/100BASE-T": _E1_RATES,
+        "10BASE-FL": _E1_RATES,
+        "100BASE-FX": _E1_RATES,
+        "100BASE-SX": _E1_RATES,
+    },
+    "if_range_hz": [950e6, 1950e6],
+    "channel": {"kind": "bsc", "p": 0.25, "seed": 11},
+    "warmup_s": 300,
+}
+
+#: The default converter catalog as a document.
+DEFAULT_CATALOG_DOC = [
+    {"name": "Tahoe 284", "side_a": ["G.703", "G.704"], "side_b": ["10/100BASE-T"],
+     "max_rate_kbps": 2048, "notes": "managed E1/Ethernet bridge (framed or unframed)"},
+    {"name": "Tahoe 235", "side_a": "G.703", "side_b": "V.35",
+     "max_rate_kbps": 2048, "notes": "unframed E1 to V.35 DCE, up to 2 Mbit/s"},
+    {"name": "APP EC100", "side_a": ["10BASE-T", "100BASE-TX"], "side_b": ["10BASE-FL"],
+     "notes": "10 Mbit/s fiber Ethernet converter"},
+    {"name": "APP EC101", "side_a": ["10/100BASE-T"], "side_b": ["100BASE-FX", "100BASE-SX"],
+     "notes": "100 Mbit/s fiber Ethernet converter"},
+    {"name": "EUROCOM B/e1", "side_a": ["G.703"], "side_b": ["STANAG 4210"],
+     "max_rate_kbps": 2048, "notes": "E1 to tactical gateway line converter"},
+]
+
+
 def test_profile_document_roundtrip():
     prof = default_profile(channel=Bsc(p=0.25, seed=11))
-    assert profile_from_dict(profile_to_dict(prof)) == prof
+    assert profile_from_dict(DEFAULT_PROFILE_DOC) == prof
 
 
 def test_profile_document_still_reads_g704_crc4_true():
-    doc = profile_to_dict(default_profile())
-    assert "g704_crc4" not in doc
+    doc = DEFAULT_PROFILE_DOC
     assert profile_from_dict({**doc, "g704_crc4": True}) == profile_from_dict(doc)
 
 
 def test_catalog_document_roundtrip():
-    catalog = default_catalog()
-    assert catalog_from_list(catalog_to_list(catalog)) == catalog
+    assert catalog_from_list(DEFAULT_CATALOG_DOC) == default_catalog()
 
 
 def test_analyzer_document_roundtrip():
@@ -354,6 +449,8 @@ def test_combined_port_alias_expands_in_documents():
 def test_bad_documents_are_rejected():
     with pytest.raises(ValueError):
         profile_from_dict({"name": "x"})
+    with pytest.raises(ValueError, match="warm-up time cannot be negative"):
+        profile_from_dict({**DEFAULT_PROFILE_DOC, "warmup_s": -5})
     with pytest.raises(ValueError):
         catalog_from_list([{"name": "x", "side_a": ["G.703"]}])
     with pytest.raises(ValueError):
