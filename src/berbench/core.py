@@ -3,6 +3,11 @@
 Bit rates are integers in kbit/s and frequencies are floats in hertz.
 BER figures are carried as exact fractions: threshold comparisons and
 measurement-time rounding must not depend on binary floating point.
+
+Pattern and line bits travel packed: a uint8 array holds eight bits per
+octet, most significant bit first (the order of `np.packbits`), and an
+explicit bit count says how many of them are meant.  Bits past the count
+in the last octet are zero.
 """
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+
+import numpy as np
 
 
 class InterfaceKind(enum.Enum):
@@ -93,6 +100,19 @@ def check_real(value, what: str) -> float:
         raise ValueError(f"{what} is out of range") from None
 
 
+def unpack_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Bits start..stop-1 of a packed stream, one uint8 0/1 per bit."""
+    first = start // 8
+    bits = np.unpackbits(packed[first : -(-stop // 8)])
+    return bits[start - 8 * first : stop - 8 * first]
+
+
+def clear_tail(packed: np.ndarray, n_bits: int) -> None:
+    """Zero, in place, the bits past `n_bits` in the octet that holds bit `n_bits`."""
+    if n_bits % 8:
+        packed[n_bits // 8] &= (0xFF << (8 - n_bits % 8)) & 0xFF
+
+
 def check_rate_kbps(rate: int) -> int:
     if not isinstance(rate, int) or isinstance(rate, bool) or rate <= 0:
         raise ValueError(f"bit rate must be a positive integer in kbit/s, got {rate!r}")
@@ -106,12 +126,19 @@ def check_freq_hz(freq: float) -> float:
     return freq
 
 
+#: Largest decimal exponent, up or down, that `exact_fraction` reads.  The
+#: exact value of 1e-99999999 takes minutes to build; no measurement can
+#: resolve anything near 10**-4000, and every float lies well inside.
+_MAX_EXPONENT = 4000
+
+
 def exact_fraction(value) -> Fraction:
     """Read a number as the decimal it prints as.
 
     Floats go through their shortest decimal repr, so 1e-8 means exactly
     10**-8 rather than the nearest binary double.  Measurement sizing and
-    pass/fail boundaries rely on this.
+    pass/fail boundaries rely on this.  A string or Decimal whose exponent
+    lies beyond `_MAX_EXPONENT` either way is refused before it is built.
     """
     if isinstance(value, Fraction):
         return value
@@ -125,9 +152,17 @@ def exact_fraction(value) -> Fraction:
         return Fraction(Decimal(repr(value)))
     if isinstance(value, (str, Decimal)):
         try:
-            return Fraction(Decimal(value))
-        except (InvalidOperation, OverflowError, ValueError):  # not a finite decimal
-            raise ValueError(f"cannot interpret {value!r} as an exact number") from None
+            decimal = Decimal(value)
+        except InvalidOperation:
+            decimal = None
+        if decimal is None or not decimal.is_finite():
+            raise ValueError(f"cannot interpret {value!r} as an exact number")
+        if decimal and abs(decimal.adjusted()) > _MAX_EXPONENT:
+            raise ValueError(
+                f"cannot interpret {value!r}: decimal exponents beyond "
+                f"+-{_MAX_EXPONENT} are refused"
+            )
+        return Fraction(decimal)
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact number")
 
 

@@ -13,17 +13,21 @@ CRC-4 is always on.
 Remaining not-FAS bits are fixed (bit 3 = 0, spares = 1) to keep golden
 streams stable.
 
-Payload is a flat 0/1 bit array.  At n x 64 kbit/s it fills timeslots
+Payload and line are packed (see `berbench.core`): octets, most
+significant bit first.  At n x 64 kbit/s the payload fills timeslots
 1..n of every frame in order, and the other timeslots carry the idle
 octet; only this module knows that layout.
 
-The layout is octet-aligned, so the multiframe build runs on octets: the
-payload is packed (a set byte reads as 1), placed beside the timeslot-0
-and idle octets, and unpacked once at the end.  CRC-4 is linear, and x
-has order 15 modulo x^4 + x + 1, so octets 15 apart (120 bits) add the
-same remainder for the same value: a half's 256 octets XOR-fold into 15
-columns, and a 15 x 256 table of 4-bit remainders, XOR-reduced over the
-columns, gives the check.
+The layout is octet-aligned, so the multiframe build places payload
+octets beside the timeslot-0 and idle octets and returns the packed
+line.  CRC-4 is linear, and x has order 15 modulo x^4 + x + 1, so octets
+15 apart (120 bits) add the same remainder for the same value: a half's
+256 octets XOR-fold into 15 columns, and a 15 x 256 table of 4-bit
+remainders, XOR-reduced over the columns, gives the check.
+
+Frame alignment searches the packed line bit by bit, one unpacked window
+at a time, and extracts the payload octets at the chosen bit phase
+straight from the packed line.  The line may hold any number of bits.
 
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
@@ -36,9 +40,12 @@ import functools
 
 import numpy as np
 
+from .core import unpack_bits
+
 FRAME_BITS = 256
 FRAMES_PER_MULTIFRAME = 16
 MULTIFRAME_BITS = FRAME_BITS * FRAMES_PER_MULTIFRAME
+MULTIFRAME_OCTETS = MULTIFRAME_BITS // 8
 PAYLOAD_SLOTS = 31
 HALF_BITS = MULTIFRAME_BITS // 2
 
@@ -80,7 +87,8 @@ _HALF_OCTETS = HALF_BITS // 8
 #: x has order 15 modulo x^4+x+1, and octets 15 apart shift exponents by
 #: 120, a multiple of 15: a half folds into 15 octet columns.
 _FOLD = 15
-_FOLD_ROWS = -(-_HALF_OCTETS // _FOLD)
+#: Octets of a half in whole fold rows; the one octet left over is column 0.
+_FOLDED = _HALF_OCTETS // _FOLD * _FOLD
 
 
 def _residue_table() -> np.ndarray:
@@ -110,12 +118,17 @@ def _crc_table() -> np.ndarray:
 
 def _crc4_octets(halves: np.ndarray) -> np.ndarray:
     """4-bit remainders (bit 3 = first check bit) of octet halves (..., 256)."""
-    folded = np.zeros(halves.shape[:-1] + (_FOLD_ROWS * _FOLD,), dtype=np.uint8)
-    folded[..., :_HALF_OCTETS] = halves
-    columns = np.bitwise_xor.reduce(
-        folded.reshape(halves.shape[:-1] + (_FOLD_ROWS, _FOLD)), axis=-2
-    )
-    return np.bitwise_xor.reduce(_crc_table()[np.arange(_FOLD), columns], axis=-1)
+    # Row by row and column by column: a reduce over the strided rows, or
+    # one fancy index over all columns, would make line-sized temporaries.
+    rows = halves[..., :_FOLDED].reshape(halves.shape[:-1] + (-1, _FOLD))
+    columns = rows[..., 0, :].copy()
+    for i in range(1, rows.shape[-2]):
+        columns ^= rows[..., i, :]
+    columns[..., : _HALF_OCTETS - _FOLDED] ^= halves[..., _FOLDED:]
+    remainders = np.zeros(halves.shape[:-1], dtype=np.uint8)
+    for j, table in enumerate(_crc_table()):
+        remainders ^= table[columns[..., j]]
+    return remainders
 
 
 def _nibble_bits(remainders: np.ndarray) -> np.ndarray:
@@ -129,32 +142,36 @@ def _check_timeslots(timeslots: int) -> None:
 
 
 def _multiframe_octets(payload: np.ndarray, timeslots: int) -> np.ndarray:
-    """Multiframe octets (n, 16, 32) carrying `payload`, check bits zero."""
+    """Multiframe octets (n, 16, 32) carrying payload octets, check bits zero."""
     per_mf = FRAMES_PER_MULTIFRAME * timeslots
-    n = max(1, -(-len(payload) // (8 * per_mf)))
-    padded = np.zeros(n * per_mf, dtype=np.uint8)
-    padded[: -(-len(payload) // 8)] = np.packbits(payload)  # zero-pads the last octet
+    whole, left = divmod(len(payload), per_mf)
+    n = max(1, whole + (left > 0))
     octets = np.empty((n, FRAMES_PER_MULTIFRAME, 32), dtype=np.uint8)
     octets[:, :, 0] = _TS0
-    octets[:, :, 1 : timeslots + 1] = padded.reshape(n, FRAMES_PER_MULTIFRAME, timeslots)
+    body = octets[:, :, 1 : timeslots + 1]
+    body[:whole] = payload[: whole * per_mf].reshape(whole, FRAMES_PER_MULTIFRAME, timeslots)
+    if whole < n:  # the last multiframe is zero-padded
+        last = np.zeros(per_mf, dtype=np.uint8)
+        last[:left] = payload[whole * per_mf :]
+        body[whole] = last.reshape(FRAMES_PER_MULTIFRAME, timeslots)
     octets[:, :, timeslots + 1 :] = IDLE_OCTET
     return octets
 
 
 def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np.ndarray:
-    """Emit check multiframes carrying a flat 0/1 payload bit array.
+    """Emit check multiframes carrying packed payload octets.
 
     The payload is zero-padded to whole multiframes (at least one) and
     fills timeslots 1..`timeslots` of every frame in order; the others
-    carry the idle octet.  Returns the transmitted bit stream (4096 bits
-    per multiframe).  Each multiframe's two halves carry each other's
-    check bits, computed over the half with its check bits zeroed.
+    carry the idle octet.  A multiframe carries 16 * `timeslots` payload
+    octets.  Returns the packed line, `MULTIFRAME_OCTETS` octets per
+    multiframe.  Each multiframe's two halves carry each other's check
+    bits, computed over the half with its check bits zeroed.
     """
     payload = np.asarray(payload, dtype=np.uint8)
     if payload.ndim != 1:
-        raise ValueError(f"payload must be a flat bit array, got shape {payload.shape}")
+        raise ValueError(f"payload must be a flat octet array, got shape {payload.shape}")
     _check_timeslots(timeslots)
-    # The payload's temporaries are freed before the line-sized unpack.
     octets = _multiframe_octets(payload, timeslots)
     n = len(octets)
     # Both checks run over halves whose check bits are still zero.
@@ -163,28 +180,34 @@ def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np
     # the second half; that of frames 8, 10, 12, 14 the check of the first.
     check = _nibble_bits(remainders[:, ::-1]).reshape(n, FRAMES_PER_MULTIFRAME // 2)
     octets[:, 0::2, 0] |= check << 7
-    return np.unpackbits(octets)
+    return octets.reshape(-1)
 
 
-#: Signal positions searched per pass of `g704_align`; bounds its temporaries.
+#: Signal positions searched per pass of `g704_align`, and line octets per
+#: pass of its payload extraction; bounds its temporaries.
 _ALIGN_PASS = 1 << 16
 
 
-def g704_align(stream: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> tuple[int, np.ndarray]:
-    """Locate frame alignment and extract the payload bits.
+def g704_align(
+    line: np.ndarray, timeslots: int = PAYLOAD_SLOTS, n_bits: int | None = None
+) -> tuple[int, np.ndarray]:
+    """Locate frame alignment and extract the payload octets.
 
+    `line` is packed and holds `n_bits` bits (all its octets when None).
     Candidates come from the standard confirmation rule: alignment signal
     found, bit 2 of the following frame is 1, and the signal repeats one
     frame later.  The frame phase is then chosen by majority vote of
-    signal matches over the whole stream, so sparse corruption of a few
+    signal matches over the whole line, so sparse corruption of a few
     alignment octets cannot slip the alignment by a frame.  Returns (bit
     offset of the first frame in phase, timeslots 1..`timeslots` of every
-    whole frame from there, as one flat bit array).  Raises
+    whole frame from there, as packed octets).  Raises
     FrameAlignmentError when no alignment exists.
     """
     _check_timeslots(timeslots)
-    s = np.ascontiguousarray(stream, dtype=np.uint8)
-    n = len(s)
+    line = np.ascontiguousarray(line, dtype=np.uint8)
+    n = 8 * len(line) if n_bits is None else n_bits
+    if not 0 <= n <= 8 * len(line):
+        raise ValueError(f"{len(line)} octets cannot hold {n} bits")
     if n < 3 * FRAME_BITS:
         raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
     # A pass holds the signal positions [a, a + _ALIGN_PASS) and the next
@@ -194,20 +217,36 @@ def g704_align(stream: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> tuple[int,
     confirmed = np.zeros(period, dtype=bool)
     for a in range(0, n - 7, _ALIGN_PASS):
         stop = min(a + _ALIGN_PASS + period, n - 7)
+        s = unpack_bits(line, a, stop + 7)  # s[i] is line bit a + i
         fas = np.ones(stop - a, dtype=bool)  # the signal follows position a + i
         for j, bit in enumerate(FAS_PATTERN):
-            fas &= s[a + 1 + j : stop + 1 + j] == bit
+            fas &= s[1 + j : stop - a + 1 + j] == bit
         votes += np.bincount((a + np.flatnonzero(fas[:_ALIGN_PASS])) % period, minlength=period)
         c = max(len(fas) - period, 0)
-        good = fas[:c] & fas[period:] & (s[FRAME_BITS + 1 + a : FRAME_BITS + 1 + a + c] == 1)
+        good = fas[:c] & fas[period:] & (s[FRAME_BITS + 1 : FRAME_BITS + 1 + c] == 1)
         confirmed[(a + np.flatnonzero(good)) % period] = True
     phases = np.flatnonzero(confirmed)
     if len(phases) == 0:
         raise FrameAlignmentError("no frame alignment found")
     offset = int(phases[int(np.argmax(votes[phases]))])
-    frames = (n - offset) // FRAME_BITS
-    slots = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32 * 8)
-    return offset, slots[:, 8 : 8 * (timeslots + 1)].reshape(-1)
+    return offset, _payload_octets(line, offset, (n - offset) // FRAME_BITS, timeslots)
+
+
+def _payload_octets(line: np.ndarray, offset: int, frames: int, timeslots: int) -> np.ndarray:
+    """Timeslots 1..`timeslots` of `frames` frames from line bit `offset`, packed."""
+    first, shift = divmod(offset, 8)
+    out = np.empty((frames, timeslots), dtype=np.uint8)
+    rows = max(1, _ALIGN_PASS // 32)  # frames per pass
+    for f in range(0, frames, rows):
+        lo, g = first + 32 * f, min(rows, frames - f)
+        slots = line[lo : lo + 32 * g].reshape(g, 32)[:, 1 : timeslots + 1]
+        if shift:
+            # Each payload octet straddles two line octets.  The frames end
+            # by bit n, so octet lo + 32*g exists when the phase is not 0.
+            after = line[lo + 1 : lo + 1 + 32 * g].reshape(g, 32)[:, 1 : timeslots + 1]
+            slots = (slots << shift) | (after >> (8 - shift))
+        out[f : f + g] = slots
+    return out.reshape(-1)
 
 
 def hdb3_encode(bits: np.ndarray, start_polarity: int = 1) -> np.ndarray:

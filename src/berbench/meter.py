@@ -8,7 +8,10 @@ expected errors at the resolution limit), which at B kbit/s takes
 The meter transmits that budget plus a small lock allowance through the
 session loopback, self-synchronizes on the returned stream, and counts
 errors against a free-running reference.  Lock-acquisition bits are spent
-on top of the budget, never counted inside it.
+on top of the budget, never counted inside it.  Long runs go in segments
+of `SEGMENT_BITS`, each locked and counted on its own.  The pattern
+travels packed (see `berbench.core`): a segment's stream is about
+SEGMENT_BITS / 8 octets wherever it is held.
 """
 from __future__ import annotations
 
@@ -93,7 +96,7 @@ def measure(session: Session, config: MeasurementConfig) -> BerMeasurement:
     allowance = _lock_allowance(config.pattern)
     duration = required_duration(session.rate_kbps, config.ber0)
 
-    tx = None
+    tx, tx_bits = None, 0
     compared = 0
     errored = 0
     sync_failed = False
@@ -101,15 +104,16 @@ def measure(session: Session, config: MeasurementConfig) -> BerMeasurement:
     while remaining > 0:
         seg = min(remaining, SEGMENT_BITS)
         # Each segment continues the one free-running pattern from the last.
-        tx = prbs.generate(config.pattern, seg + allowance, tx)
-        rx = loopback(session, tx)
-        state = prbs.synchronize(config.pattern, rx)
+        tx = prbs.generate(config.pattern, seg + allowance, tx, tx_bits)
+        tx_bits = seg + allowance
+        rx = loopback(session, tx, tx_bits)
+        state = prbs.synchronize(config.pattern, rx, tx_bits)
         if not state.locked:
             compared += seg
             errored += seg
             sync_failed = True
         else:
-            got, bad = prbs.count_errors(config.pattern, rx, state, max_bits=seg)
+            got, bad = prbs.count_errors(config.pattern, rx, tx_bits, state, max_bits=seg)
             compared += got
             errored += bad
         remaining -= seg
@@ -134,9 +138,9 @@ def analyzer_self_test(pattern: PrbsSpec | None = None) -> None:
     pattern = pattern or PrbsSpec()
     n = _lock_allowance(pattern) + (1 << 16)
     stream = prbs.generate(pattern, n)
-    state = prbs.synchronize(pattern, stream)
+    state = prbs.synchronize(pattern, stream, n)
     if not state.locked or state.offset != 0:
         raise SelfTestError("pattern receiver failed to lock on its own generator")
-    _, errors = prbs.count_errors(pattern, stream, state)
+    _, errors = prbs.count_errors(pattern, stream, n, state)
     if errors:
         raise SelfTestError(f"self-loop produced {errors} errors")

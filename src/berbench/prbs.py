@@ -10,12 +10,20 @@ and any `order` consecutive output bits reveal the full register state.
 That is what lets the receiver seed itself from the incoming stream and
 then verify its own predictions until it declares lock.
 
-Generation runs the recurrence over numpy arrays, doubling its stride as
-the stream grows: over GF(2) squaring the feedback polynomial gives
-s[n] = s[n - order*2^j] ^ s[n - tap*2^j], so one XOR may produce tap*2^j
-bits at once.  No pattern table is kept: the generator and the receiver's
-reference register both run the recurrence from their own seed window.
-Tests pin bit-exact equivalence with the serial register definition.
+Streams are packed (see `berbench.core`): uint8 octets, most significant
+bit first, with the bit count passed alongside.
+
+Generation runs the recurrence with a doubling stride: over GF(2)
+squaring the feedback polynomial gives s[n] = s[n - order*2^j] ^
+s[n - tap*2^j], so one XOR may produce tap*2^j bits at once.  The first
+16*order bits come from the recurrence on unpacked bits; from there the
+stride is at least 8, both read offsets are whole octets, and every chunk
+is one XOR of packed octet slices.  No pattern table is kept: the
+generator and the receiver's reference register both run the recurrence
+from their own seed window.  The receiver unpacks only the windows it
+scans for lock, and counts errors as the popcount of the received octets
+XOR the reference octets.  Tests pin bit-exact equivalence with the
+serial register definition.
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_int
+from .core import check_int, clear_tail, unpack_bits
 
 #: Second taps that give a maximal-length sequence, per order; the first
 #: tap is always the order.  The ITU-T O.150 choice comes first and is the
@@ -111,42 +119,72 @@ def _extend(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray
     return out[order:]
 
 
-def generate(spec: PrbsSpec, n: int, history: np.ndarray | None = None) -> np.ndarray:
-    """The `n` pattern bits after `history`, as a uint8 array of 0/1.
+def _extend_packed(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray:
+    """The `count` output bits after `history` (as for `_extend`), packed."""
+    out = np.zeros(-(-count // 8), dtype=np.uint8)
+    head = _extend(history, order, tap, min(count, 16 * order))
+    out[: -(-len(head) // 8)] = np.packbits(head)
+    # In octets of the output alone: bit i = 8*o has 2*order*step <= i
+    # for step = 8*s, so from o = 2*order on the stride is whole octets.
+    o, end, s = 2 * order, len(out), 1
+    while o < end:
+        while 2 * order * s <= o:
+            s *= 2
+        c = min(tap * s, end - o)
+        a, b = o - order * s, o - tap * s
+        np.bitwise_xor(out[a : a + c], out[b : b + c], out=out[o : o + c])
+        o += c
+    clear_tail(out, count)
+    return out
 
-    `history` is the stream sent so far: any 0/1 array whose last `order`
-    bits are the most recent ones.  None starts at the seed.
+
+def generate(
+    spec: PrbsSpec, n: int, history: np.ndarray | None = None, history_bits: int | None = None
+) -> np.ndarray:
+    """The `n` pattern bits after `history`, packed into -(-n // 8) octets.
+
+    `history` is the packed stream sent so far, `history_bits` long (all
+    its octets when None); its last `order` bits are the most recent ones.
+    None starts at the seed.
     """
     if n < 0:
         raise ValueError("bit counts must be nonnegative")
     k = spec.order
     if history is None:
-        history = _seed_history(spec)
-    elif len(history) < k:
-        raise ValueError(f"history must hold at least {k} bits, got {len(history)}")
-    return _extend(history[-k:], k, spec.taps[1], n)
+        window = _seed_history(spec)
+    else:
+        if history_bits is None:
+            history_bits = 8 * len(history)
+        if not k <= history_bits <= 8 * len(history):
+            raise ValueError(
+                f"history must hold at least {k} bits, got {history_bits} "
+                f"in {len(history)} octets"
+            )
+        window = unpack_bits(history, history_bits - k, history_bits)
+    return _extend_packed(window, k, spec.taps[1], n)
 
 
 #: Largest window `synchronize` scans at once; bounds its temporaries.
 _SCAN_BITS = 1 << 16
 
 
-def synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
+def synchronize(spec: PrbsSpec, received: np.ndarray, n_bits: int) -> SyncState:
     """Self-seed from the stream and lock once predictions hold.
 
-    Every incoming bit is checked against the prediction from the previous
-    `order` received bits; lock is declared at the first run of
-    `LOCK_THRESHOLD` consecutive clean predictions whose seed window is not
-    all zeros (the all-zero state is a register fixed point and never a
-    valid pattern).  `offset` is the start of that seed window.  Windows
-    of doubling size, overlapping by all but one bit of a candidate's span,
-    keep the scan's memory bounded and a clean head cheap.
+    `received` is packed and holds `n_bits` bits.  Every incoming bit is
+    checked against the prediction from the previous `order` received
+    bits; lock is declared at the first run of `LOCK_THRESHOLD`
+    consecutive clean predictions whose seed window is not all zeros (the
+    all-zero state is a register fixed point and never a valid pattern).
+    `offset` is the start of that seed window.  Windows of doubling size,
+    overlapping by all but one bit of a candidate's span, are unpacked
+    one at a time, which keeps the scan's memory bounded and a clean head
+    cheap.
     """
-    r = np.ascontiguousarray(received, dtype=np.uint8)
     k, t, m = spec.order, spec.taps[1], LOCK_THRESHOLD
     start, size = 0, k + m  # k + m bits decide one candidate offset
-    while start + k + m <= len(r):
-        w = r[start : start + size]
+    while start + k + m <= n_bits:
+        w = unpack_bits(received, start, min(start + size, n_bits))
         pred_ok = (w[k:] ^ w[: len(w) - k] ^ w[k - t : len(w) - t]) == 0
         clean = np.concatenate(([0], np.cumsum(pred_ok, dtype=np.int32)))
         run_ok = clean[m:] - clean[:-m] == m
@@ -160,23 +198,41 @@ def synchronize(spec: PrbsSpec, received: np.ndarray) -> SyncState:
 
 
 def count_errors(
-    spec: PrbsSpec, received: np.ndarray, sync: SyncState, max_bits: int | None = None
+    spec: PrbsSpec,
+    received: np.ndarray,
+    n_bits: int,
+    sync: SyncState,
+    max_bits: int | None = None,
 ) -> tuple[int, int]:
     """Compare post-lock bits against a free-running reference register.
 
-    Returns (compared_bits, errored_bits).  The reference is seeded from
-    the verified window at the lock offset and then runs free, so errors
-    are counted one-for-one with no aliasing.
+    `received` is packed and holds `n_bits` bits.  Returns
+    (compared_bits, errored_bits).  The reference is seeded from the
+    window at the lock offset and then runs free, so errors are counted
+    one-for-one with no aliasing.  Its first few bits, up to the next
+    octet boundary of the stream, are compared unpacked; the rest is
+    generated packed in step with the received octets.
     """
     if not sync.locked:
         raise ValueError("receiver is not locked")
-    r = np.ascontiguousarray(received, dtype=np.uint8)
     k = spec.order
-    compared = r[sync.offset + k :]
+    first = sync.offset + k  # the first compared bit
+    length = max(n_bits - first, 0)
     if max_bits is not None:
-        compared = compared[:max_bits]
-    if len(compared) == 0:
+        length = min(length, max_bits)
+    if length == 0:
         return 0, 0
-    seed_window = r[sync.offset : sync.offset + k]
-    reference = _extend(seed_window, k, spec.taps[1], len(compared))
-    return len(compared), int(np.count_nonzero(compared ^ reference))
+    seed_window = unpack_bits(received, sync.offset, first)
+    aligned = min(-(-first // 8) * 8, first + length)
+    head = _extend(seed_window, k, spec.taps[1], aligned - first)
+    errored = int(np.count_nonzero(unpack_bits(received, first, aligned) != head))
+    rest = first + length - aligned
+    if rest:
+        window = np.concatenate((seed_window, head))[-k:]
+        diff = _extend_packed(window, k, spec.taps[1], rest)
+        np.bitwise_xor(diff, received[aligned // 8 : aligned // 8 + len(diff)], out=diff)
+        clear_tail(diff, rest)
+        whole = len(diff) - len(diff) % 8  # popcount eight octets at a time
+        errored += int(np.bitwise_count(diff[:whole].view(np.uint64)).sum())
+        errored += int(np.bitwise_count(diff[whole:]).sum())
+    return length, errored

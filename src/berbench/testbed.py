@@ -9,14 +9,22 @@ returns the shortest chain; among equally short ones, the chain whose
 converter names compare least, name by name, wins.
 
 A session binds the device to one (interface, bit rate, tuning frequency)
-triple and exposes `loopback`, which pushes a bit stream through the
-line discipline of the interface under test and the device's fault model,
-which flips bits (no session uses the HDB3 codec in `framing`):
+triple and exposes `loopback`, which pushes a packed bit stream (see
+`berbench.core`) through the line discipline of the interface under test
+and the device's fault model, which flips bits (no session uses the HDB3
+codec in `framing`):
 
 * G.704 paths build CRC-4 check multiframes and recover the payload by
   frame alignment;
 * everything else (G.703, V.35, STANAG 4210, Ethernet family) is a
   transparent bit pipe, since the converters bridge raw test patterns.
+
+The line runs in passes of `_LINE_PASS` bits, whole multiframes on G.704:
+each pass is built, unpacked for the fault model's per-bit stream, and
+packed again.  Fault draws are keyed by stream position, so the passes
+flip the same bits as one call would.  On G.704 only the packed received
+line is kept whole, because the frame phase is voted over all of it; a
+session keeps that buffer from one segment to the next.
 """
 from __future__ import annotations
 
@@ -35,10 +43,14 @@ from .core import (
     check_int,
     check_rate_kbps,
     check_real,
+    clear_tail,
     parse_interface,
     parse_port_kinds,
 )
 from .framing import (
+    FRAMES_PER_MULTIFRAME,
+    MULTIFRAME_BITS,
+    MULTIFRAME_OCTETS,
     PAYLOAD_SLOTS,
     FrameAlignmentError,
     build_multiframes,
@@ -257,6 +269,8 @@ class Session:
     rate_kbps: int
     freq_hz: float
     _stream: object = field(default=None, repr=False, compare=False)
+    #: The received G.704 line, reused by every segment of the session.
+    _line: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def payload_timeslots(self) -> int:
@@ -301,23 +315,57 @@ def dut_open_session(
     return Session(profile, iface, rate_kbps, freq_hz, open_stream(model))
 
 
-def loopback(session: Session, bits: np.ndarray) -> np.ndarray:
-    """Push payload bits through the session's line path and fault model.
+#: Line bits per pass of `loopback`: a multiple of the multiframe and of
+#: the octet, so passes hold whole multiframes and whole payload octets.
+_LINE_PASS = 1 << 19
 
-    Length-preserving.  Loss of frame alignment caused by the fault model
-    comes back as a worthless payload (all zeros), never as an exception:
-    the meter sees it as a massive error count.
+
+def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
+    """Push packed payload bits through the session's line path and fault model.
+
+    `payload` holds `n_bits` bits, packed; the result holds the same
+    number, packed the same way.  Loss of frame alignment caused by the
+    fault model comes back as a worthless payload (all zeros), never as
+    an exception: the meter sees it as a massive error count.
     """
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    payload = np.ascontiguousarray(payload, dtype=np.uint8)
+    size = -(-n_bits // 8)
+    if len(payload) < size:
+        raise ValueError(f"{len(payload)} octets cannot hold {n_bits} bits")
+    stream = session._stream
     if session.iface is not InterfaceKind.G704:
-        return session._stream.apply(bits)
+        out = np.empty(size, dtype=np.uint8)
+        for lo in range(0, size, _LINE_PASS // 8):
+            hi = min(lo + _LINE_PASS // 8, size)
+            bits = np.unpackbits(payload[lo:hi], count=min(n_bits - 8 * lo, _LINE_PASS))
+            out[lo:hi] = np.packbits(stream.apply(bits))
+        return out
     n_ts = session.payload_timeslots
-    rx_line = session._stream.apply(build_multiframes(bits, n_ts))
+    per_mf = FRAMES_PER_MULTIFRAME * n_ts  # payload octets per multiframe
+    n_mf = max(1, -(-size // per_mf))
+    # One line buffer per session: a fresh 32 MB line per segment, each a
+    # little shorter than the last, lets the allocator keep them all in
+    # its heap, which added about 30 MB to the peak RSS of a campaign.
+    if session._line is None or len(session._line) < n_mf * MULTIFRAME_OCTETS:
+        session._line = np.empty(n_mf * MULTIFRAME_OCTETS, dtype=np.uint8)
+    line = session._line[: n_mf * MULTIFRAME_OCTETS]
+    step = _LINE_PASS // MULTIFRAME_BITS  # multiframes per pass
+    for m in range(0, n_mf, step):
+        chunk = payload[m * per_mf : min((m + step) * per_mf, size)]
+        if m + step >= n_mf:  # the last pass frames no bit past n_bits
+            chunk = chunk.copy()
+            clear_tail(chunk, n_bits - 8 * m * per_mf)
+        tx = build_multiframes(chunk, n_ts)
+        lo = m * MULTIFRAME_OCTETS
+        line[lo : lo + len(tx)] = np.packbits(stream.apply(np.unpackbits(tx)))
+    out = np.zeros(size, dtype=np.uint8)
     try:
-        recovered = g704_align(rx_line, n_ts)[1][: len(bits)]
+        recovered = g704_align(line, n_ts)[1][:size]
     except FrameAlignmentError:
-        recovered = np.zeros(0, dtype=np.uint8)
-    return np.pad(recovered, (0, len(bits) - len(recovered)))
+        return out
+    out[: len(recovered)] = recovered
+    clear_tail(out, n_bits)
+    return out
 
 
 # ---------------------------------------------------------------------------

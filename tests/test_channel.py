@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,11 @@ from berbench.channel import (
     model_to_dict,
     open_stream,
 )
-from berbench.prbs import PrbsSpec, generate
+from berbench.core import InterfaceKind
+from berbench.meter import SEGMENT_BITS, MeasurementConfig, measure
+from berbench.prbs import PrbsSpec
+from berbench.testbed import default_profile, dut_open_session
+from oracles import generate
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +209,23 @@ def test_apply_memory_stays_bounded(model):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_framed_measurement_memory_stays_bounded():
+    # One full segment at 256 kbit/s G.704 puts 2^28 line bits through the
+    # channel.  With one uint8 per bit that peaked near 600 MB; packed, the
+    # received line is 32 MB and the rest is a few segment-sized arrays.
+    config = MeasurementConfig(ber0=Fraction(10, SEGMENT_BITS))  # one whole segment
+    profile = default_profile(channel=Bsc(p=1e-6, seed=1))
+    session = dut_open_session(profile, InterfaceKind.G704, 256, 1450e6)
+    tracemalloc.start()
+    try:
+        m = measure(session, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.transmitted_bits == SEGMENT_BITS and not m.sync_failed
+    assert peak < 64 * 2**20
 
 
 def test_fixed_mask_flips_exactly_listed_positions():

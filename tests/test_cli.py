@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import tempfile
+import time
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -77,6 +78,24 @@ def test_bad_ber0_is_config_error(tmp_path, capsys, command, ber0):
     assert err.startswith("error: ") and err.count("\n") == 1
     if ber0 != "abc":  # plan and run share one resolution rule
         assert err == f"error: resolution must be in (0, 1), got {ber0}\n"
+
+
+@pytest.mark.parametrize("ber0", ["1e-99999999", "1e99999999"])
+@pytest.mark.parametrize("source", ["plan", "run", "config"])
+def test_ber0_with_a_huge_exponent_exits_3_at_once(tmp_path, capsys, source, ber0):
+    # These ran past a 5 s timeout when the exact value was built first.
+    started = time.perf_counter()
+    if source == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema": "ber-campaign-config/1", "ber0": ber0}))
+        code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "x"))
+    else:
+        code = run_cli(source, "--ber0", ber0, "--out", str(tmp_path / "x"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exponents beyond" in err
+    assert time.perf_counter() - started < 2.0
 
 
 def _run_quietly(*argv):

@@ -1,3 +1,5 @@
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,23 @@ def test_exact_fraction_rejects_junk():
             exact_fraction(junk)
     with pytest.raises(TypeError):
         exact_fraction(True)
+
+
+@pytest.mark.parametrize("text", ["1e-99999999", "1e99999999", "-7.5e-4001", "1e4001"])
+def test_exact_fraction_refuses_a_huge_exponent_at_once(text):
+    # Building 10**99999999 exactly took minutes; the bound refuses first.
+    started = time.perf_counter()
+    for value in (text, Decimal(text)):
+        with pytest.raises(ValueError, match="exponents beyond"):
+            exact_fraction(value)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_exact_fraction_reads_exponents_up_to_the_bound():
+    assert exact_fraction("1e-400") == Fraction(1, 10**400)
+    assert exact_fraction("2.5e-4000") == Fraction(25, 10**4001)
+    assert exact_fraction("1e4000") == 10**4000
+    assert exact_fraction("0e-99999999") == 0  # zero has no magnitude to bound
 
 
 def test_ber_point_is_exact_division():

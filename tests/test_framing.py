@@ -19,7 +19,19 @@ from berbench.framing import (
     hdb3_decode,
     hdb3_encode,
 )
+import oracles
 from oracles import line_positions
+
+
+def build_bits(payload, timeslots=31):
+    """`build_multiframes` on unpacked payload bits, read back as unpacked line bits."""
+    return np.unpackbits(build_multiframes(np.packbits(payload), timeslots))
+
+
+def align_bits(stream, timeslots=31):
+    """`g704_align` on unpacked line bits: (offset, unpacked payload bits)."""
+    offset, payload = g704_align(np.packbits(stream), timeslots, len(stream))
+    return offset, np.unpackbits(payload)
 
 
 def crc4_long_division(bits) -> int:
@@ -108,7 +120,7 @@ def test_table_crc_matches_long_division(data):
     else:  # a half cut from a real multiframe, check bits as sent
         timeslots = data.draw(st.integers(1, 31))
         n_bits = data.draw(st.integers(0, 2 * 16 * timeslots * 8))
-        line = build_multiframes(rng.integers(0, 2, n_bits).astype(np.uint8), timeslots)
+        line = build_bits(rng.integers(0, 2, n_bits).astype(np.uint8), timeslots)
         start = HALF_BITS * data.draw(st.integers(0, len(line) // HALF_BITS - 1))
         half = line[start : start + HALF_BITS]
     want = crc4_long_division(half)
@@ -129,7 +141,7 @@ def test_multiframe_carries_oracle_checked_remainders():
     # check-bit positions zeroed.
     rng = np.random.default_rng(2)
     for payload in (np.zeros(16 * 31 * 8, np.uint8), random_payload(rng)):
-        mf = build_multiframes(payload)
+        mf = build_bits(payload)
         check_pos_first = [f * FRAME_BITS for f in (0, 2, 4, 6)]
         check_pos_second = [f * FRAME_BITS for f in (8, 10, 12, 14)]
         first = mf[:HALF_BITS].copy()
@@ -148,7 +160,7 @@ def test_multiframe_carries_oracle_checked_remainders():
 
 def test_every_even_frame_carries_the_alignment_signal():
     rng = np.random.default_rng(3)
-    mf = build_multiframes(random_payload(rng))
+    mf = build_bits(random_payload(rng))
     for f in range(0, 16, 2):
         octet = mf[f * FRAME_BITS : f * FRAME_BITS + 8]
         assert octet[1:].tolist() == list(FAS_PATTERN)
@@ -158,38 +170,40 @@ def test_every_even_frame_carries_the_alignment_signal():
 
 def test_build_rejects_wrong_payload_shape():
     with pytest.raises(ValueError):
-        build_multiframes(np.zeros((16, 31 * 8), np.uint8))
+        build_multiframes(np.zeros((16, 31), np.uint8))
     with pytest.raises(ValueError):
         build_multiframes(np.uint8(1))
     for timeslots in (0, 32):
         with pytest.raises(ValueError):
-            build_multiframes(np.zeros(8, np.uint8), timeslots)
+            build_multiframes(np.zeros(1, np.uint8), timeslots)
         with pytest.raises(ValueError):
-            g704_align(build_multiframes(np.zeros(8, np.uint8)), timeslots)
+            g704_align(build_multiframes(np.zeros(1, np.uint8)), timeslots)
+    with pytest.raises(ValueError):  # more bits than the octets hold
+        g704_align(np.zeros(400, np.uint8), 31, 8 * 400 + 1)
 
 
 def test_align_build_roundtrip():
     rng = np.random.default_rng(4)
     payload = random_payload(rng, 3)
-    stream = build_multiframes(payload)
-    offset, recovered = g704_align(stream)
+    stream = build_bits(payload)
+    offset, recovered = align_bits(stream)
     assert offset == 0
     assert np.array_equal(recovered, payload)
 
 
 def test_align_reports_junk_prefix_offset():
     rng = np.random.default_rng(5)
-    stream = build_multiframes(random_payload(rng))
+    stream = build_bits(random_payload(rng))
     prefixed = np.concatenate([np.zeros(17, np.uint8), stream])
-    offset, _ = g704_align(prefixed)
+    offset, _ = align_bits(prefixed)
     assert offset == 17
 
 
 def test_align_shift_equivariance():
     rng = np.random.default_rng(6)
-    stream = build_multiframes(random_payload(rng))
+    stream = build_bits(random_payload(rng))
     for k in range(0, 256, 7):
-        offset, _ = g704_align(np.concatenate([np.zeros(k, np.uint8), stream]))
+        offset, _ = align_bits(np.concatenate([np.zeros(k, np.uint8), stream]))
         assert offset == k
 
 
@@ -198,12 +212,12 @@ def test_align_loses_frame_on_featureless_bits():
     rng = np.random.default_rng(123)
     noise = rng.integers(0, 2, 3 * FRAME_BITS).astype(np.uint8)
     with pytest.raises(FrameAlignmentError):
-        g704_align(noise)
+        align_bits(noise)
 
 
 def test_align_needs_three_frames():
     with pytest.raises(FrameAlignmentError):
-        g704_align(np.zeros(2 * FRAME_BITS, np.uint8))
+        align_bits(np.zeros(2 * FRAME_BITS, np.uint8))
 
 
 def whole_stream_align(stream, timeslots=31):
@@ -242,24 +256,27 @@ def test_align_in_passes_matches_whole_stream_reference(data, timeslots):
 
     shape = data.draw(st.sampled_from(["framed", "two-phases", "featureless"]))
     if shape == "framed":
-        line = build_multiframes(bits(data.draw(st.integers(0, 6000))), timeslots)
+        line = build_bits(bits(data.draw(st.integers(0, 6000))), timeslots)
         prefix = bits(data.draw(st.integers(0, 600)))
         kept = len(prefix) + data.draw(st.integers(0, len(line)))
         stream = np.concatenate([prefix, line])[:kept]
     elif shape == "two-phases":  # two framings whose votes tie or nearly tie
         n = data.draw(st.integers(1, 3000))
-        first, second = (build_multiframes(bits(n), timeslots) for _ in range(2))
+        first, second = (build_bits(bits(n), timeslots) for _ in range(2))
         gap = bits(data.draw(st.integers(1, 2 * FRAME_BITS - 1)))
         stream = np.concatenate([first, gap, second])
         stream = stream[: len(stream) - data.draw(st.integers(0, 4 * FRAME_BITS))]
     else:
         stream = bits(data.draw(st.integers(0, 5000)))
-    p = data.draw(st.sampled_from([0.0, 1e-3, 0.02, 0.3]))
+    p = data.draw(st.sampled_from([0.0, 1e-3, 0.02, 0.3, 0.5]))
     stream ^= (rng.random(len(stream)) < p).astype(np.uint8)
+    line = np.packbits(stream)
+    if len(stream) % 8:  # set bits past the bit count are not read
+        line[-1] |= (1 << (8 - len(stream) % 8)) - 1
     saved = framing._ALIGN_PASS
     framing._ALIGN_PASS = data.draw(st.integers(16, 3000))  # many pass boundaries
     try:
-        got = g704_align(stream, timeslots)
+        got = g704_align(line, timeslots, len(stream))
     except FrameAlignmentError:
         got = None
     finally:
@@ -268,9 +285,15 @@ def test_align_in_passes_matches_whole_stream_reference(data, timeslots):
         want = whole_stream_align(stream, timeslots)
     except FrameAlignmentError:
         want = None
-    assert (got is None) == (want is None)
+    try:
+        oracle = oracles.g704_align(stream, timeslots)
+    except FrameAlignmentError:
+        oracle = None
+    assert (got is None) == (want is None) == (oracle is None)
     if got is not None:
-        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert got[0] == want[0] == oracle[0]
+        assert np.array_equal(np.unpackbits(got[1]), want[1])
+        assert np.array_equal(got[1], np.packbits(oracle[1]))
 
 
 @pytest.mark.parametrize("pass_bits", [1, 7, 2 * FRAME_BITS, 4096])
@@ -278,18 +301,18 @@ def test_align_counts_each_signal_match_once(monkeypatch, pass_bits):
     # The first framing sits at phase 17, the second at phase 0 with one
     # frame pair fewer: phase 17 wins the vote only if no pass boundary
     # counts a signal match twice.
-    first = build_multiframes(np.zeros(2 * 16 * 31 * 8, np.uint8))  # no stray signals
+    first = build_bits(np.zeros(2 * 16 * 31 * 8, np.uint8))  # no stray signals
     second = first[: -2 * FRAME_BITS]
     stream = np.concatenate(
         [np.zeros(17, np.uint8), first, np.zeros(2 * FRAME_BITS - 17, np.uint8), second]
     )
     monkeypatch.setattr(framing, "_ALIGN_PASS", pass_bits)
-    assert g704_align(stream)[0] == whole_stream_align(stream)[0] == 17
+    assert align_bits(stream)[0] == whole_stream_align(stream)[0] == 17
 
 
 def test_align_memory_stays_bounded():
     # The search used to hold about two bytes per line bit in temporaries.
-    payload = np.random.default_rng(8).integers(0, 2, 10**6).astype(np.uint8)
+    payload = np.random.default_rng(8).integers(0, 256, 10**6 // 8).astype(np.uint8)
     line = build_multiframes(payload, 4)  # 256 kbit/s: 8 line bits per payload bit
     tracemalloc.start()
     try:
@@ -307,16 +330,19 @@ def test_build_matches_unpacked_reference(data, timeslots):
     n_bits = data.draw(st.integers(0, 3 * 16 * timeslots * 8))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     payload = rng.integers(0, 2, n_bits).astype(np.uint8)
-    line = build_multiframes(payload, timeslots)
+    line = build_multiframes(np.packbits(payload), timeslots)
     assert line.dtype == np.uint8
-    assert np.array_equal(line, reference_build_multiframes(payload, timeslots))
+    want = reference_build_multiframes(payload, timeslots)
+    assert np.array_equal(want, oracles.build_multiframes(payload, timeslots))
+    assert np.array_equal(line, np.packbits(want))
 
 
 @pytest.mark.parametrize("timeslots", [4, 31])
 def test_build_memory_stays_bounded(timeslots):
-    # The unpacked build peaked at about 2 bytes per line bit at 31 timeslots.
-    payload = np.random.default_rng(9).integers(0, 2, 10**6).astype(np.uint8)
-    build_multiframes(payload[:8], timeslots)  # tables built on first use
+    # The unpacked build peaked at about 2 bytes per line bit at 31 timeslots;
+    # the packed one holds no line-sized temporary beside its result.
+    payload = np.random.default_rng(9).integers(0, 256, 10**6 // 8).astype(np.uint8)
+    build_multiframes(payload[:1], timeslots)  # tables built on first use
     tracemalloc.start()
     try:
         line = build_multiframes(payload, timeslots)
@@ -328,10 +354,10 @@ def test_build_memory_stays_bounded(timeslots):
 
 def test_multiframe_length():
     assert MULTIFRAME_BITS == 4096
-    assert len(build_multiframes(np.zeros(2 * 16 * 31 * 8, np.uint8))) == 8192
+    assert len(build_bits(np.zeros(2 * 16 * 31 * 8, np.uint8))) == 8192
     # Zero-padded to whole multiframes, with at least one.
-    assert len(build_multiframes(np.zeros(0, np.uint8))) == 4096
-    assert len(build_multiframes(np.zeros(16 * 4 * 8 + 1, np.uint8), 4)) == 8192
+    assert len(build_bits(np.zeros(0, np.uint8))) == 4096
+    assert len(build_bits(np.zeros(16 * 4 * 8 + 1, np.uint8), 4)) == 8192
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,11 +369,11 @@ def test_multiframe_length():
 )
 def test_fractional_layout_roundtrips_and_maps_flips(timeslots, n_bits, seed, where):
     payload = np.random.default_rng(seed).integers(0, 2, n_bits).astype(np.uint8)
-    line = build_multiframes(payload, timeslots)
+    line = build_bits(payload, timeslots)
     per_mf = 16 * timeslots * 8
     padded = np.zeros(max(1, -(-n_bits // per_mf)) * per_mf, np.uint8)
     padded[:n_bits] = payload
-    offset, recovered = g704_align(line, timeslots)
+    offset, recovered = align_bits(line, timeslots)
     assert offset == 0 and np.array_equal(recovered, padded)
     # Unequipped timeslots carry the idle octet.
     idle = line.reshape(-1, 32, 8)[:, timeslots + 1 :]
@@ -355,7 +381,7 @@ def test_fractional_layout_roundtrips_and_maps_flips(timeslots, n_bits, seed, wh
     # A flip at a payload bit's line position comes back at that bit.
     i = int(where * len(padded))
     line[line_positions(i, timeslots)] ^= 1
-    _, flipped = g704_align(line, timeslots)
+    _, flipped = align_bits(line, timeslots)
     assert np.flatnonzero(flipped != padded).tolist() == [i]
 
 

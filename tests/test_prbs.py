@@ -17,7 +17,25 @@ from berbench.prbs import (
     generate,
     synchronize,
 )
+import oracles
 from oracles import step_register
+
+
+def pattern(spec: PrbsSpec, n: int, history: np.ndarray | None = None) -> np.ndarray:
+    """`n` pattern bits after the unpacked `history`: the packed generator, read back."""
+    if history is None:
+        return np.unpackbits(generate(spec, n), count=n)
+    return np.unpackbits(generate(spec, n, np.packbits(history), len(history)), count=n)
+
+
+def sync(spec: PrbsSpec, bits: np.ndarray) -> SyncState:
+    """`synchronize` on unpacked bits."""
+    return synchronize(spec, np.packbits(bits), len(bits))
+
+
+def count(spec: PrbsSpec, bits: np.ndarray, state: SyncState, max_bits=None) -> tuple[int, int]:
+    """`count_errors` on unpacked bits."""
+    return count_errors(spec, np.packbits(bits), len(bits), state, max_bits)
 
 
 def serial_bits(spec: PrbsSpec, n: int) -> np.ndarray:
@@ -59,7 +77,7 @@ def test_state_cycle_is_maximal(order):
 
 def test_period_and_balance_order_15():
     spec = PrbsSpec(order=15, seed=0x2B)
-    two_periods = generate(spec, 2 * spec.period)
+    two_periods = pattern(spec, 2 * spec.period)
     assert np.array_equal(two_periods[: spec.period], two_periods[spec.period :])
     ones = int(two_periods[: spec.period].sum())
     assert ones == 16384
@@ -68,13 +86,13 @@ def test_period_and_balance_order_15():
 
 def test_generate_is_deterministic():
     spec = PrbsSpec(seed=123)
-    assert np.array_equal(generate(spec, 5000), generate(spec, 5000))
+    assert np.array_equal(pattern(spec, 5000), pattern(spec, 5000))
 
 
 def test_generate_start_offset_slices_the_same_stream():
     spec = PrbsSpec(seed=777)
-    whole = generate(spec, 40_000)
-    assert np.array_equal(generate(spec, 10_000, whole[:7_000]), whole[7_000:17_000])
+    whole = pattern(spec, 40_000)
+    assert np.array_equal(pattern(spec, 10_000, whole[:7_000]), whole[7_000:17_000])
 
 
 def test_generate_empty_and_negative():
@@ -85,9 +103,14 @@ def test_generate_empty_and_negative():
 
 def test_generate_needs_a_full_register_of_history():
     spec = PrbsSpec()
+    k = spec.order
     with pytest.raises(ValueError):
-        generate(spec, 10, generate(spec, spec.order - 1))
-    assert len(generate(spec, 10, generate(spec, spec.order))) == 10
+        generate(spec, 10, generate(spec, k - 1), k - 1)
+    with pytest.raises(ValueError):
+        generate(spec, 10, np.zeros(1, np.uint8))  # eight bits, all of the octet
+    with pytest.raises(ValueError):
+        generate(spec, 10, generate(spec, k), 8 * 2 + 1)  # more bits than octets hold
+    assert len(generate(spec, 10, generate(spec, k), k)) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,10 +129,33 @@ def test_generation_in_pieces_matches_one_call(data, order_tap):
     first = data.draw(near_boundary | st.integers(order, 600))
     rest = data.draw(st.lists(st.integers(order, 300), min_size=1, max_size=8))
     pieces = [generate(spec, first)]
-    for n in rest:
-        pieces.append(generate(spec, n, pieces[-1]))
+    for n, before in zip(rest, [first, *rest]):
+        pieces.append(generate(spec, n, pieces[-1], before))
+    read = [np.unpackbits(p, count=n) for p, n in zip(pieces, [first, *rest])]
     whole = generate(spec, first + sum(rest))
-    assert np.array_equal(np.concatenate(pieces), whole)
+    assert np.array_equal(np.packbits(np.concatenate(read)), whole)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    order_tap=st.sampled_from([(k, t) for k, ts in MAXIMAL_TAPS.items() for t in ts]),
+)
+def test_packed_generation_matches_unpacked_oracle(data, order_tap):
+    # Every tabled tap, from any history of any length (the recurrence runs
+    # from any `order` bits), in pieces long and short enough to end inside
+    # the unpacked head, at its edge, or far past it at any bit phase.
+    order, tap = order_tap
+    spec = PrbsSpec(order=order, taps=(order, tap))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    history = rng.integers(0, 2, data.draw(st.integers(order, 4 * order))).astype(np.uint8)
+    head = 16 * order
+    lengths = st.integers(0, 40) | st.integers(head - 9, head + 9) | st.integers(0, 20 * head)
+    for n in data.draw(st.lists(lengths, min_size=1, max_size=4)):
+        got = generate(spec, n, np.packbits(history), len(history))
+        want = oracles.generate(spec, n, history)
+        assert np.array_equal(got, np.packbits(want))
+        history = np.concatenate((history, want))
 
 
 def test_generate_deep_in_the_period_holds_only_its_block():
@@ -119,11 +165,11 @@ def test_generate_deep_in_the_period_holds_only_its_block():
     history = generate(spec, 8_000_000)
     tracemalloc.start()
     try:
-        bits = generate(spec, 10**6, history)
+        octets = generate(spec, 10**6, history, 8_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(bits) == 10**6
+    assert len(octets) == 10**6 // 8
     assert peak < 2 * 2**20
 
 
@@ -146,14 +192,14 @@ def test_blocked_generation_matches_serial_register(data, order_tap):
     n = data.draw(st.integers(0, 700))
     serial = serial_bits(spec, start + n)
     history = serial[:start] if start else None
-    assert np.array_equal(generate(spec, n, history), serial[start:])
+    assert np.array_equal(pattern(spec, n, history), serial[start:])
 
 
 @pytest.mark.parametrize("order", [9, 11])
 def test_shift_and_add_property(order):
     # XOR with a shifted copy of the sequence is another shift of it.
     spec = PrbsSpec(order=order, seed=3)
-    period = generate(spec, spec.period)
+    period = pattern(spec, spec.period)
     doubled = np.concatenate([period, period])
     for shift in (1, 5, 37, 101):
         mixed = period ^ doubled[shift : shift + spec.period]
@@ -165,25 +211,25 @@ def test_shift_and_add_property(order):
 
 def test_synchronize_clean_stream_locks_at_zero():
     spec = PrbsSpec()
-    state = synchronize(spec, generate(spec, 4000))
+    state = sync(spec, pattern(spec, 4000))
     assert state.locked and state.offset == 0
 
 
 def test_synchronize_all_zeros_never_locks():
-    assert synchronize(PrbsSpec(), np.zeros(100_000, np.uint8)) == SEARCHING
+    assert sync(PrbsSpec(), np.zeros(100_000, np.uint8)) == SEARCHING
 
 
 def test_synchronize_short_stream_is_searching():
     spec = PrbsSpec()
-    short = generate(spec, spec.order + LOCK_THRESHOLD - 1)
-    assert synchronize(spec, short) == SEARCHING
+    short = pattern(spec, spec.order + LOCK_THRESHOLD - 1)
+    assert sync(spec, short) == SEARCHING
 
 
 def test_synchronize_skips_corrupted_head():
     spec = PrbsSpec(seed=99)
-    stream = generate(spec, 5000)
+    stream = pattern(spec, 5000)
     stream[:5] ^= 1
-    state = synchronize(spec, stream)
+    state = sync(spec, stream)
     assert state.locked
     assert 0 < state.offset <= 5 + spec.order + LOCK_THRESHOLD
 
@@ -191,25 +237,25 @@ def test_synchronize_skips_corrupted_head():
 def test_count_errors_requires_lock():
     spec = PrbsSpec()
     with pytest.raises(ValueError):
-        count_errors(spec, generate(spec, 1000), SEARCHING)
+        count(spec, pattern(spec, 1000), SEARCHING)
 
 
 def test_count_errors_clean():
     spec = PrbsSpec()
-    stream = generate(spec, 50_000)
-    state = synchronize(spec, stream)
-    compared, errored = count_errors(spec, stream, state)
+    stream = pattern(spec, 50_000)
+    state = sync(spec, stream)
+    compared, errored = count(spec, stream, state)
     assert (compared, errored) == (50_000 - spec.order, 0)
 
 
 def test_count_errors_exact_for_isolated_flips():
     spec = PrbsSpec(seed=0x1234)
-    stream = generate(spec, 100_000)
+    stream = pattern(spec, 100_000)
     positions = np.arange(10) * 541 + 2000  # separated by far more than the order
     stream[positions] ^= 1
-    state = synchronize(spec, stream)
+    state = sync(spec, stream)
     assert state.locked and state.offset == 0
-    compared, errored = count_errors(spec, stream, state)
+    compared, errored = count(spec, stream, state)
     assert errored == 10
     assert compared == 100_000 - spec.order
 
@@ -217,18 +263,18 @@ def test_count_errors_exact_for_isolated_flips():
 def test_count_errors_fully_inverted_post_lock():
     spec = PrbsSpec()
     n = 20_000
-    stream = generate(spec, n)
+    stream = pattern(spec, n)
     stream[spec.order :] ^= 1
     state = SyncState(locked=True, offset=0)
-    compared, errored = count_errors(spec, stream, state)
+    compared, errored = count(spec, stream, state)
     assert (compared, errored) == (n - spec.order, n - spec.order)
 
 
 def test_count_errors_respects_max_bits():
     spec = PrbsSpec()
-    stream = generate(spec, 10_000)
-    state = synchronize(spec, stream)
-    compared, errored = count_errors(spec, stream, state, max_bits=1234)
+    stream = pattern(spec, 10_000)
+    state = sync(spec, stream)
+    compared, errored = count(spec, stream, state, max_bits=1234)
     assert (compared, errored) == (1234, 0)
 
 
@@ -241,20 +287,20 @@ def test_flip_mask_counts_exactly(flips):
     spec = PrbsSpec(seed=0x55AA)
     base = spec.order + LOCK_THRESHOLD
     positions = sorted(base + 200 + f * (spec.order + 1) for f in flips)
-    stream = generate(spec, 30_000)
+    stream = pattern(spec, 30_000)
     for p in positions:
         stream[p] ^= 1
-    state = synchronize(spec, stream)
+    state = sync(spec, stream)
     assert state.locked and state.offset == 0
-    _, errored = count_errors(spec, stream, state)
+    _, errored = count(spec, stream, state)
     assert errored == len(set(positions))
 
 
 def test_prbs23_generates():
     spec = PrbsSpec(order=23)
     assert spec.taps == DEFAULT_TAPS[23]
-    bits = generate(spec, 10_000)
-    state = synchronize(spec, bits)
+    bits = pattern(spec, 10_000)
+    state = sync(spec, bits)
     assert state.locked and state.offset == 0
 
 
@@ -295,7 +341,7 @@ def test_synchronize_matches_whole_stream_reference(data, order_tap):
     order, tap = order_tap
     spec = PrbsSpec(order=order, taps=(order, tap))
     n = data.draw(st.integers(0, 300_000))
-    received = generate(spec, n, random_window(data, order))
+    received = pattern(spec, n, random_window(data, order))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dirty_until = data.draw(st.integers(0, n))
     gap = data.draw(st.integers(1, 3 * LOCK_THRESHOLD))
@@ -304,7 +350,7 @@ def test_synchronize_matches_whole_stream_reference(data, order_tap):
         received[: data.draw(st.integers(0, n))] = 0  # zero windows never lock
     p = data.draw(st.sampled_from([0.0, 1e-4, 0.02, 0.5]))
     received ^= (rng.random(n) < p).astype(np.uint8)
-    assert synchronize(spec, received) == whole_stream_synchronize(spec, received)
+    assert sync(spec, received) == whole_stream_synchronize(spec, received)
 
 
 def stream_locking_at(spec: PrbsSpec, lock: int, gap: int, tail: int) -> np.ndarray:
@@ -314,7 +360,7 @@ def stream_locking_at(spec: PrbsSpec, lock: int, gap: int, tail: int) -> np.ndar
     is at most order + LOCK_THRESHOLD; a gap above 23 never equals a tap
     distance, so no two flips cancel in one prediction.
     """
-    stream = generate(spec, lock + spec.order + LOCK_THRESHOLD + tail)
+    stream = pattern(spec, lock + spec.order + LOCK_THRESHOLD + tail)
     stream[np.arange(lock - 1, -1, -gap)] ^= 1
     return stream
 
@@ -325,7 +371,7 @@ def test_synchronize_finds_every_lock_offset(order):
     spec = PrbsSpec(order=order)
     for lock in range(3000):
         stream = stream_locking_at(spec, lock, gap=order + LOCK_THRESHOLD, tail=lock % 7)
-        assert synchronize(spec, stream) == SyncState(locked=True, offset=lock)
+        assert sync(spec, stream) == SyncState(locked=True, offset=lock)
 
 
 @settings(max_examples=30, deadline=None)
@@ -336,17 +382,17 @@ def test_synchronize_finds_a_late_lock(data, order_tap):
     lock = data.draw(st.integers(0, 300_000))
     gap = data.draw(st.integers(24, order + LOCK_THRESHOLD))
     stream = stream_locking_at(spec, lock, gap, tail=data.draw(st.integers(0, 1000)))
-    assert synchronize(spec, stream) == SyncState(locked=True, offset=lock)
+    assert sync(spec, stream) == SyncState(locked=True, offset=lock)
 
 
 def test_synchronize_memory_stays_bounded():
     # An early error used to cost about 27 bytes per bit of the segment.
     spec = PrbsSpec()
     stream = generate(spec, 1 << 24)
-    stream[5] ^= 1
+    stream[0] ^= 0x04  # bit 5
     tracemalloc.start()
     try:
-        state = synchronize(spec, stream)
+        state = synchronize(spec, stream, 1 << 24)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -377,7 +423,7 @@ def test_count_errors_matches_serial_free_run(data, order_tap):
     spec = PrbsSpec(order=order, taps=(order, tap))
     n = data.draw(st.integers(order, 1500))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    received = generate(spec, n, random_window(data, order))
+    received = pattern(spec, n, random_window(data, order))
     p = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
     received ^= (rng.random(n) < p).astype(np.uint8)
     offset = data.draw(st.integers(0, n - order))
@@ -385,8 +431,35 @@ def test_count_errors_matches_serial_free_run(data, order_tap):
         received[offset : offset + order] = 0  # the all-zero window is a fixed point
     max_bits = data.draw(st.none() | st.integers(0, n))
     state = SyncState(locked=True, offset=offset)
-    assert count_errors(spec, received, state, max_bits) == serial_count(
+    assert count(spec, received, state, max_bits) == serial_count(
         spec, received, offset, max_bits
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    order_tap=st.sampled_from([(k, t) for k, ts in MAXIMAL_TAPS.items() for t in ts]),
+    residue=st.integers(0, 7),
+)
+def test_packed_count_errors_matches_unpacked_oracle(data, order_tap, residue):
+    # Lock offsets of every residue mod 8 put the first compared bit at
+    # every phase of an octet; set bits past the bit count are not read.
+    order, tap = order_tap
+    spec = PrbsSpec(order=order, taps=(order, tap))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    offset = 8 * data.draw(st.integers(0, 40)) + residue
+    n = offset + data.draw(st.integers(0, 40 * order) | st.integers(0, 20_000))
+    received = oracles.generate(spec, n, random_window(data, order))
+    p = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    received ^= (rng.random(n) < p).astype(np.uint8)
+    max_bits = data.draw(st.none() | st.integers(0, n))
+    packed = np.packbits(received)
+    if n % 8:
+        packed[-1] |= (1 << (8 - n % 8)) - 1
+    state = SyncState(locked=True, offset=offset)
+    assert count_errors(spec, packed, n, state, max_bits) == oracles.count_errors(
+        spec, received, state, max_bits
     )
 
 

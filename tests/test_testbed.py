@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berbench.channel import Bsc, FixedMask, Ideal
+from berbench import testbed
+from berbench.channel import Bsc, FixedMask, GilbertElliott, Ideal
 from berbench.core import InterfaceKind as IK
 from berbench.core import REPORT_ORDER
 from berbench.meter import MeasurementConfig, measure
-from berbench.prbs import PrbsSpec, generate
+from berbench.prbs import PrbsSpec
 from berbench.testbed import (
     AnalyzerProfile,
     ConverterSpec,
@@ -28,9 +30,15 @@ from berbench.testbed import (
     profile_from_dict,
     resolve_chain,
 )
-from oracles import payload_line_positions
+import oracles
+from oracles import generate, payload_line_positions
 
 F0 = 1450e6
+
+
+def loop_bits(session, bits):
+    """`loopback` on unpacked bits, read back unpacked."""
+    return np.unpackbits(loopback(session, np.packbits(bits), len(bits)), count=len(bits))
 
 
 def names(chain):
@@ -245,9 +253,9 @@ def test_open_session_rejections():
 def test_session_seed_tags_fork_error_streams():
     prof = default_profile(channel=Bsc(p=1e-3, seed=5))
     bits = generate(PrbsSpec(), 200_000)
-    out1 = loopback(dut_open_session(prof, IK.V35, 2048, F0, seed_tag=1), bits)
-    out2 = loopback(dut_open_session(prof, IK.V35, 2048, F0, seed_tag=2), bits)
-    same = loopback(dut_open_session(prof, IK.V35, 2048, F0, seed_tag=1), bits)
+    out1 = loop_bits(dut_open_session(prof, IK.V35, 2048, F0, seed_tag=1), bits)
+    out2 = loop_bits(dut_open_session(prof, IK.V35, 2048, F0, seed_tag=2), bits)
+    same = loop_bits(dut_open_session(prof, IK.V35, 2048, F0, seed_tag=1), bits)
     assert not np.array_equal(out1, out2)
     assert np.array_equal(out1, same)
 
@@ -261,7 +269,7 @@ def test_loopback_is_identity_on_ideal_channel(kind):
     prof = default_profile()
     session = dut_open_session(prof, kind, 2048, F0)
     bits = generate(PrbsSpec(), 30_000)
-    assert np.array_equal(loopback(session, bits), bits)
+    assert np.array_equal(loop_bits(session, bits), bits)
 
 
 @pytest.mark.parametrize("rate", [256, 512, 1024, 2048])
@@ -269,7 +277,7 @@ def test_framed_loopback_identity_at_fractional_rates(rate):
     prof = default_profile()
     session = dut_open_session(prof, IK.G704, rate, F0)
     bits = generate(PrbsSpec(), 10_000)
-    assert np.array_equal(loopback(session, bits), bits)
+    assert np.array_equal(loop_bits(session, bits), bits)
 
 
 @pytest.mark.parametrize("kind", [IK.G703, IK.V35])
@@ -278,7 +286,7 @@ def test_fixed_mask_flips_exact_payload_positions_unframed(kind):
     prof = default_profile(channel=FixedMask(indices=tuple(payload_hits)))
     session = dut_open_session(prof, kind, 2048, F0)
     bits = np.zeros(30_000, np.uint8)
-    out = loopback(session, bits)
+    out = loop_bits(session, bits)
     assert np.flatnonzero(out).tolist() == payload_hits.tolist()
 
 
@@ -291,7 +299,7 @@ def test_fixed_mask_flips_exact_payload_positions_framed(rate):
     prof = default_profile(channel=FixedMask(indices=tuple(int(p) for p in line_positions)))
     session = dut_open_session(prof, IK.G704, rate, F0)
     bits = np.zeros(19_840, np.uint8)
-    out = loopback(session, bits)
+    out = loop_bits(session, bits)
     assert np.flatnonzero(out).tolist() == payload_hits.tolist()
 
 
@@ -310,7 +318,7 @@ def test_bsc_on_framed_path_preserves_payload_error_rate():
     prof = default_profile(channel=Bsc(p=p, seed=99))
     session = dut_open_session(prof, IK.G704, 2048, F0)
     bits = generate(PrbsSpec(), n)
-    out = loopback(session, bits)
+    out = loop_bits(session, bits)
     flips = int(np.count_nonzero(out ^ bits))
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(flips - n * p) <= 3 * sigma
@@ -320,7 +328,7 @@ def test_heavy_corruption_returns_worthless_payload_not_exception():
     prof = default_profile(channel=Bsc(p=0.5, seed=31))
     session = dut_open_session(prof, IK.G704, 2048, F0)
     bits = generate(PrbsSpec(), 50_000)
-    out = loopback(session, bits)
+    out = loop_bits(session, bits)
     assert len(out) == len(bits)
 
 
@@ -328,7 +336,7 @@ def test_lost_frame_alignment_returns_all_zeros():
     # Every line bit flipped: no frame alignment signal survives.
     prof = default_profile(channel=Bsc(p=1.0, seed=1))
     session = dut_open_session(prof, IK.G704, 2048, F0)
-    out = loopback(session, np.ones(100_000, np.uint8))
+    out = loop_bits(session, np.ones(100_000, np.uint8))
     assert len(out) == 100_000 and not out.any()
 
 
@@ -338,6 +346,51 @@ def test_lost_frame_alignment_measures_every_bit_errored(rate):
     m = measure(dut_open_session(prof, IK.G704, rate, F0), MeasurementConfig(ber0=1e-4))
     assert m.sync_failed
     assert m.errored_bits == m.transmitted_bits == 100_000
+
+
+_CHANNELS = st.one_of(
+    st.builds(Ideal),
+    st.builds(Bsc, p=st.sampled_from([1e-3, 0.02, 0.3, 1.0])),
+    st.builds(
+        GilbertElliott,
+        p_gb=st.sampled_from([0.01, 0.2]),
+        p_bg=st.sampled_from([0.1, 0.5]),
+        p_good=st.sampled_from([1.0, 0.999]),
+        p_bad=st.sampled_from([0.5, 0.9]),
+    ),
+    st.builds(
+        FixedMask, indices=st.sets(st.integers(0, 300_000), max_size=40).map(sorted).map(tuple)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    channel=_CHANNELS,
+    seed=st.integers(0, 2**32 - 1),
+    session=st.sampled_from([(IK.G704, 256), (IK.G704, 1024), (IK.G704, 2048), (IK.V35, 512)]),
+)
+def test_packed_loopback_matches_unpacked_oracle(data, channel, seed, session):
+    # Consecutive calls on one session, with short passes and payloads that
+    # are not a whole pass, a whole multiframe or a whole octet; heavy flips
+    # lose the frame alignment.
+    prof = default_profile(channel=dataclasses.replace(channel, seed=seed))
+    kind, rate = session
+    packed, unpacked = (dut_open_session(prof, kind, rate, F0, seed_tag=3) for _ in range(2))
+    rng = np.random.default_rng(seed)
+    saved = testbed._LINE_PASS
+    testbed._LINE_PASS = data.draw(st.sampled_from([4096, 8192, 1 << 19]))
+    try:
+        for n in data.draw(st.lists(st.integers(0, 40_000), min_size=1, max_size=3)):
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            payload = np.packbits(bits)
+            if n % 8:  # set bits past the bit count are not sent
+                payload[-1] |= (1 << (8 - n % 8)) - 1
+            got = loopback(packed, payload, n)
+            assert np.array_equal(got, np.packbits(oracles.loopback(unpacked, bits)))
+    finally:
+        testbed._LINE_PASS = saved
 
 
 # ---------------------------------------------------------------------------
