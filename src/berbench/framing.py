@@ -13,8 +13,10 @@ CRC-4 is always on.
 Remaining not-FAS bits are fixed (bit 3 = 0, spares = 1) to keep golden
 streams stable.
 
-Payload and line are packed (see `berbench.core`): octets, most
-significant bit first.  At n x 64 kbit/s the payload fills timeslots
+Payload and line are packed (see `berbench.core`): uint8 octets, most
+significant bit first (`np.packbits` order); a line of whole multiframes
+needs no bit count, and `g704_align` takes one for any other length.  At
+n x 64 kbit/s the payload fills timeslots
 1..n of every frame in order, and the other timeslots carry the idle
 octet; only this module knows that layout.
 

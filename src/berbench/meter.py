@@ -10,8 +10,11 @@ session loopback, self-synchronizes on the returned stream, and counts
 errors against a free-running reference.  Lock-acquisition bits are spent
 on top of the budget, never counted inside it.  Long runs go in segments
 of `SEGMENT_BITS`, each locked and counted on its own.  The pattern
-travels packed (see `berbench.core`): a segment's stream is about
-SEGMENT_BITS / 8 octets wherever it is held.
+travels packed (uint8 octets, most significant bit first as in
+`np.packbits`, with the segment's bit count alongside; see
+`berbench.core`), so a segment's stream is about SEGMENT_BITS / 8 octets
+wherever it is held.  The loopback runs its line in passes (see
+`berbench.testbed`).
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ That is what lets the receiver seed itself from the incoming stream and
 then verify its own predictions until it declares lock.
 
 Streams are packed (see `berbench.core`): uint8 octets, most significant
-bit first, with the bit count passed alongside.
+bit first (`np.packbits` order), with the bit count passed alongside.
 
 Generation runs the recurrence with a doubling stride: over GF(2)
 squaring the feedback polynomial gives s[n] = s[n - order*2^j] ^
@@ -121,11 +121,12 @@ def _extend(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray
 
 def _extend_packed(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray:
     """The `count` output bits after `history` (as for `_extend`), packed."""
-    out = np.zeros(-(-count // 8), dtype=np.uint8)
+    out = np.empty(-(-count // 8), dtype=np.uint8)
     head = _extend(history, order, tap, min(count, 16 * order))
     out[: -(-len(head) // 8)] = np.packbits(head)
-    # In octets of the output alone: bit i = 8*o has 2*order*step <= i
-    # for step = 8*s, so from o = 2*order on the stride is whole octets.
+    # Counting octets o of the output alone (bit i = 8*o), the stride rule
+    # 2*order*step <= i reads 2*order*s <= o for step = 8*s: after the
+    # 16*order head bits every stride is whole octets.
     o, end, s = 2 * order, len(out), 1
     while o < end:
         while 2 * order * s <= o:

@@ -9,10 +9,11 @@ returns the shortest chain; among equally short ones, the chain whose
 converter names compare least, name by name, wins.
 
 A session binds the device to one (interface, bit rate, tuning frequency)
-triple and exposes `loopback`, which pushes a packed bit stream (see
-`berbench.core`) through the line discipline of the interface under test
-and the device's fault model, which flips bits (no session uses the HDB3
-codec in `framing`):
+triple and exposes `loopback`, which pushes a packed bit stream (uint8
+octets, most significant bit first as in `np.packbits`, with a bit count;
+see `berbench.core`) through the line discipline of the interface under
+test and the device's fault model, which flips bits (no session uses the
+HDB3 codec in `framing`):
 
 * G.704 paths build CRC-4 check multiframes and recover the payload by
   frame alignment;
