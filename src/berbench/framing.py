@@ -27,9 +27,15 @@ line.  CRC-4 is linear, and x has order 15 modulo x^4 + x + 1, so octets
 256 octets XOR-fold into 15 columns, and a 15 x 256 table of 4-bit
 remainders, XOR-reduced over the columns, gives the check.
 
-Frame alignment searches the packed line bit by bit, one unpacked window
-at a time, and extracts the payload octets at the chosen bit phase
-straight from the packed line.  The line may hold any number of bits.
+Frame alignment reads the packed line in passes, never unpacking it: a
+table maps each 16-bit window of two neighbouring octets to the bit
+shifts at which the alignment signal starts.  A frame pair is 64 octets,
+so the vote of every bit phase is one octet column and one bit.  After
+each pass the leading confirmed phase is counted over the whole line
+from its column alone, and the search stops when no other phase could
+still beat that count.  The payload octets are then extracted at the
+chosen bit phase straight from the packed line.  The line may hold any
+number of bits.
 
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
@@ -41,8 +47,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .core import unpack_bits
 
 FRAME_BITS = 256
 FRAMES_PER_MULTIFRAME = 16
@@ -185,9 +189,87 @@ def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np
     return octets.reshape(-1)
 
 
-#: Signal positions searched per pass of `g704_align`, and line octets per
-#: pass of its payload extraction; bounds its temporaries.
-_ALIGN_PASS = 1 << 16
+#: Line bits per pass of `g704_align`, in its search and in its payload
+#: extraction; bounds its temporaries.
+_ALIGN_PASS = 1 << 19
+
+#: Line octets per frame pair, the period of the frame-alignment vote.
+_PAIR_OCTETS = 2 * FRAME_BITS // 8
+
+
+@functools.cache
+def _fas_table() -> np.ndarray:
+    # Entry a << 8 | b has bit 7-k set when the octet that starts k bits
+    # into octet a, and ends in octet b, has FAS in bits 2-8.
+    fas = int("".join(map(str, FAS_PATTERN)), 2)
+    windows = np.arange(1 << 16, dtype=np.uint16)  # small temporaries: built mid-campaign
+    table = np.zeros(1 << 16, dtype=np.uint8)
+    for k in range(8):
+        table |= (((windows >> (8 - k)) & 0x7F) == fas).astype(np.uint8) << (7 - k)
+    return table
+
+
+def _fas_masks(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Per octet of `heads`, bit 7-k set when FAS follows its bit k.
+
+    `tails` holds the line octet after each head.  It is one short when
+    the last head ends the line; the missing octet then reads as zeros.
+    """
+    windows = heads.astype(np.uint16)
+    windows <<= 8
+    windows[: len(tails)] |= tails
+    return _fas_table()[windows]
+
+
+def _phases(first: int, masks: np.ndarray) -> np.ndarray:
+    """Frame-pair phase 8 * (i % 64) + k of each bit 7-k set in masks[i - first]."""
+    i = np.flatnonzero(masks)
+    bits = np.unpackbits(masks[i, None], axis=1).view(bool)  # column k
+    return (((first + i) % _PAIR_OCTETS * 8)[:, None] + np.arange(8))[bits]
+
+
+def _positions_below(stop: int) -> np.ndarray:
+    """Per frame-pair phase p, the number of signal positions p + 512 j below `stop`."""
+    period = 2 * FRAME_BITS
+    return np.maximum(0, -(-(stop - np.arange(period)) // period))
+
+
+def _phase_votes(line: np.ndarray, phase: int, end: int) -> int:
+    """Signal matches at the positions `phase` + 512 j below `end`."""
+    first, k = divmod(phase, 8)
+    stop = first + _PAIR_OCTETS * int(_positions_below(end)[phase])
+    masks = _fas_masks(line[first:stop:_PAIR_OCTETS], line[first + 1 : stop + 1 : _PAIR_OCTETS])
+    return int(np.count_nonzero(masks & (0x80 >> k)))
+
+
+def _leader(votes: np.ndarray, confirmed: np.ndarray) -> int | None:
+    """The confirmed phase with the most votes, the lowest of a tie."""
+    phases = np.flatnonzero(confirmed)
+    return int(phases[np.argmax(votes[phases])]) if len(phases) else None
+
+
+def _proven(
+    line: np.ndarray, q: int, votes: np.ndarray, scanned: int, end: int, exact: dict[int, int]
+) -> bool:
+    """Whether confirmed phase `q` wins the vote over all positions below `end`.
+
+    `votes` counts the positions below `scanned`.  Every other phase p,
+    even with a match at each position it has left, must end below q's
+    count over the whole line, or level with it when p > q.  `exact`
+    caches that count per phase.  A phase matching at no more than half
+    its scanned positions is not counted, so a line without framing does
+    not pay for a count on every pass.
+    """
+    seen = _positions_below(scanned)
+    if 2 * votes[q] <= seen[q]:
+        return False
+    if q not in exact:
+        exact[q] = _phase_votes(line, q, end)
+    best = votes + _positions_below(end) - seen
+    beaten = best < exact[q]
+    beaten[q + 1 :] |= best[q + 1 :] == exact[q]
+    beaten[q] = True
+    return bool(beaten.all())
 
 
 def g704_align(
@@ -200,10 +282,11 @@ def g704_align(
     found, bit 2 of the following frame is 1, and the signal repeats one
     frame later.  The frame phase is then chosen by majority vote of
     signal matches over the whole line, so sparse corruption of a few
-    alignment octets cannot slip the alignment by a frame.  Returns (bit
-    offset of the first frame in phase, timeslots 1..`timeslots` of every
-    whole frame from there, as packed octets).  Raises
-    FrameAlignmentError when no alignment exists.
+    alignment octets cannot slip the alignment by a frame; a tie goes to
+    the lowest phase.  The search stops at the first pass after which no
+    other phase can win.  Returns (bit offset of the first frame in phase,
+    timeslots 1..`timeslots` of every whole frame from there, as packed
+    octets).  Raises FrameAlignmentError when no alignment exists.
     """
     _check_timeslots(timeslots)
     line = np.ascontiguousarray(line, dtype=np.uint8)
@@ -212,33 +295,40 @@ def g704_align(
         raise ValueError(f"{len(line)} octets cannot hold {n} bits")
     if n < 3 * FRAME_BITS:
         raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
-    # A pass holds the signal positions [a, a + _ALIGN_PASS) and the next
-    # frame pair, so each candidate's confirmation lies inside its pass.
-    period = 2 * FRAME_BITS
-    votes = np.zeros(period, dtype=np.int64)  # signal matches per frame-pair phase
-    confirmed = np.zeros(period, dtype=bool)
-    for a in range(0, n - 7, _ALIGN_PASS):
-        stop = min(a + _ALIGN_PASS + period, n - 7)
-        s = unpack_bits(line, a, stop + 7)  # s[i] is line bit a + i
-        fas = np.ones(stop - a, dtype=bool)  # the signal follows position a + i
-        for j, bit in enumerate(FAS_PATTERN):
-            fas &= s[1 + j : stop - a + 1 + j] == bit
-        votes += np.bincount((a + np.flatnonzero(fas[:_ALIGN_PASS])) % period, minlength=period)
-        c = max(len(fas) - period, 0)
-        good = fas[:c] & fas[period:] & (s[FRAME_BITS + 1 : FRAME_BITS + 1 + c] == 1)
-        confirmed[(a + np.flatnonzero(good)) % period] = True
-    phases = np.flatnonzero(confirmed)
-    if len(phases) == 0:
+    end = n - 7  # signal positions: the seven signal bits lie inside the line
+    octets = -(-end // 8)  # line octets holding a signal position
+    votes = np.zeros(2 * FRAME_BITS, dtype=np.int64)  # signal matches per frame-pair phase
+    confirmed = np.zeros(2 * FRAME_BITS, dtype=bool)
+    exact: dict[int, int] = {}
+    step = -(-_ALIGN_PASS // 8)
+    for lo in range(0, octets, step):
+        # A pass votes for the positions in octets [lo, hi) and confirms
+        # them against the next frame pair, 64 octets on.
+        hi = min(lo + step, octets)
+        ahead = min(hi + _PAIR_OCTETS, octets)
+        masks = _fas_masks(line[lo:ahead], line[lo + 1 : ahead + 1])
+        if ahead == octets and end % 8:  # no signal at or past `end`
+            masks[-1] &= 0xFF << (8 - end % 8) & 0xFF
+        votes += np.bincount(_phases(lo, masks[: hi - lo]), minlength=len(votes))
+        # Octets whose signal positions have a next frame pair in the line.
+        c = max(min(hi, octets - _PAIR_OCTETS) - lo, 0)
+        # Bit 7-k of `bit2` is line bit 8i+k+257: bit 2 of timeslot 0 in
+        # the frame after a signal at 8i+k.
+        bit2 = line[lo + 32 : lo + 32 + c] << 1 | line[lo + 33 : lo + 33 + c] >> 7
+        confirmed[_phases(lo, masks[:c] & masks[_PAIR_OCTETS : _PAIR_OCTETS + c] & bit2)] = True
+        q = _leader(votes, confirmed)
+        if q is not None and _proven(line, q, votes, min(8 * hi, end), end, exact):
+            break
+    if q is None:
         raise FrameAlignmentError("no frame alignment found")
-    offset = int(phases[int(np.argmax(votes[phases]))])
-    return offset, _payload_octets(line, offset, (n - offset) // FRAME_BITS, timeslots)
+    return q, _payload_octets(line, q, (n - q) // FRAME_BITS, timeslots)
 
 
 def _payload_octets(line: np.ndarray, offset: int, frames: int, timeslots: int) -> np.ndarray:
     """Timeslots 1..`timeslots` of `frames` frames from line bit `offset`, packed."""
     first, shift = divmod(offset, 8)
     out = np.empty((frames, timeslots), dtype=np.uint8)
-    rows = max(1, _ALIGN_PASS // 32)  # frames per pass
+    rows = max(1, _ALIGN_PASS // FRAME_BITS)  # frames per pass
     for f in range(0, frames, rows):
         lo, g = first + 32 * f, min(rows, frames - f)
         slots = line[lo : lo + 32 * g].reshape(g, 32)[:, 1 : timeslots + 1]

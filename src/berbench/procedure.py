@@ -29,8 +29,15 @@ from .core import (
     check_freq_hz,
     check_rate_kbps,
     exact_fraction,
+    format_duration,
 )
-from .meter import BerMeasurement, MeasurementConfig, analyzer_self_test, measure
+from .meter import (
+    BerMeasurement,
+    MeasurementConfig,
+    analyzer_self_test,
+    measure,
+    required_duration,
+)
 from .testbed import (
     AnalyzerProfile,
     ConverterSpec,
@@ -208,7 +215,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             f"IF range [{f_min:g}, {f_max:g}] Hz too narrow: tuning point "
             f"{outside[0]:.1f} Hz falls outside it"
         )
-    # Every rate is checked before the warm-up, not when its interface comes up.
+    # Every rate is checked before the warm-up, not when its interface comes
+    # up; a measurement gets the duration bound of `berbench plan`.
     for iface in config.interfaces:
         rates = config.rates_for(iface)
         if not rates:
@@ -216,8 +224,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         for rate in rates:
             if dut.port_note(iface) is None:  # no port: a no-connector outcome later
                 check_rate_kbps(rate)
-            else:
-                check_port_rate(dut, iface, rate)
+                continue
+            check_port_rate(dut, iface, rate)
+            try:
+                format_duration(required_duration(rate, config.measurement.ber0))
+            except ValueError as exc:
+                raise ValueError(f"{iface} at {rate} kbit/s: {exc}") from None
     clock = _Clock()
     clock.advance(ANALYZER_WARMUP_S, "analyzer powered, waiting for stability")
     analyzer_self_test(config.measurement.pattern)

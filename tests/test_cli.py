@@ -98,6 +98,19 @@ def test_ber0_with_a_huge_exponent_exits_3_at_once(tmp_path, capsys, source, ber
     assert time.perf_counter() - started < 2.0
 
 
+@pytest.mark.parametrize("ber0", ["1e-30", "1e-400"])
+def test_run_refuses_a_duration_plan_refuses_before_measuring(tmp_path, capsys, ber0):
+    # `run --ber0 1e-30` used to start 10^31-bit measurements.
+    started = time.perf_counter()
+    assert run_cli("plan", "--ber0", ber0, "--rates", "2048") == 3
+    assert run_cli("run", "--ber0", ber0, "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[1].startswith("error: G.703 at 2048 kbit/s: duration ")
+    assert err[1].endswith(err[0].removeprefix("error: "))  # the rule `plan` applies
+    assert not list(tmp_path.iterdir())
+    assert time.perf_counter() - started < 1.0
+
+
 def _run_quietly(*argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

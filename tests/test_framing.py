@@ -301,13 +301,112 @@ def test_align_counts_each_signal_match_once(monkeypatch, pass_bits):
     # The first framing sits at phase 17, the second at phase 0 with one
     # frame pair fewer: phase 17 wins the vote only if no pass boundary
     # counts a signal match twice.
-    first = build_bits(np.zeros(2 * 16 * 31 * 8, np.uint8))  # no stray signals
+    first = build_bits(np.zeros(2 * 16 * 31 * 8, np.uint8))  # stray signals at phase 253 only
     second = first[: -2 * FRAME_BITS]
     stream = np.concatenate(
         [np.zeros(17, np.uint8), first, np.zeros(2 * FRAME_BITS - 17, np.uint8), second]
     )
     monkeypatch.setattr(framing, "_ALIGN_PASS", pass_bits)
     assert align_bits(stream)[0] == whole_stream_align(stream)[0] == 17
+
+
+def two_framings(first_phase, first, second_phase, second):
+    """Line bits: zeros, framing `first` from bit `first_phase`, zeros, then
+    framing `second` from a bit at frame-pair phase `second_phase`."""
+    gap = (second_phase - first_phase - len(first)) % (2 * FRAME_BITS)
+    zeros = np.zeros(max(first_phase, gap), np.uint8)
+    return np.concatenate([zeros[:first_phase], first, zeros[:gap], second])
+
+
+def counting_recounts(monkeypatch):
+    """Record the phases whose votes the stopping rule counts over the whole line."""
+    recounted = []
+    count = framing._phase_votes
+
+    def spy(line, phase, end):
+        recounted.append(phase)
+        return count(line, phase, end)
+
+    monkeypatch.setattr(framing, "_phase_votes", spy)
+    return recounted
+
+
+def test_align_leader_after_the_first_pass_can_lose(monkeypatch):
+    # Phase 17 for 1.5 passes, phase 0 for the 2.5 after: phase 17 leads
+    # with a majority after the first pass, and only the rest of the line
+    # shows that phase 0 wins.
+    rng = np.random.default_rng(13)
+    per_pass = framing._ALIGN_PASS // MULTIFRAME_BITS  # multiframes
+    stream = two_framings(
+        17, build_bits(random_payload(rng, 3 * per_pass // 2)),
+        0, build_bits(random_payload(rng, 5 * per_pass // 2)),
+    )
+    recounted = counting_recounts(monkeypatch)
+    offset, payload = align_bits(stream)
+    want = oracles.g704_align(stream)
+    assert offset == want[0] == 0
+    assert np.array_equal(payload, want[1])
+    assert recounted[0] == 17
+
+
+def ones_framing(multiframes):
+    """Line bits of framing whose payload is all ones: it holds no stray signal."""
+    return build_bits(np.ones(multiframes * 16 * 31 * 8, np.uint8))
+
+
+def voting_phases(stream):
+    """{frame-pair phase: signal matches} of unpacked line bits, for phases with any."""
+    match = np.ones(len(stream) - 7, dtype=bool)
+    for j, bit in enumerate(FAS_PATTERN):
+        match &= stream[1 + j : len(stream) - 6 + j] == bit
+    votes = np.bincount(np.flatnonzero(match) % (2 * FRAME_BITS), minlength=2 * FRAME_BITS)
+    return {p: int(v) for p, v in enumerate(votes) if v}
+
+
+def test_align_late_tie_goes_to_the_lower_phase(monkeypatch):
+    # Phase 300 leads for two passes; phase 0 draws level only with the
+    # last frame pair of the line.  Three passes in, phase 0 could at most
+    # tie, counting the one position it has left past the last whole
+    # frame pair, so only a rule that gives a tie to the lower phase and
+    # counts every position left keeps scanning.
+    per_pass = framing._ALIGN_PASS // MULTIFRAME_BITS
+    framed = ones_framing(2 * per_pass)
+    stream = two_framings(300, framed, 0, framed)
+    assert voting_phases(stream) == {0: 2 * per_pass * 8, 300: 2 * per_pass * 8}
+    recounted = counting_recounts(monkeypatch)
+    offset, payload = align_bits(stream)
+    want = oracles.g704_align(stream)
+    assert offset == want[0] == 0
+    assert np.array_equal(payload, want[1])
+    assert recounted[0] == 300
+
+
+def test_align_reads_no_signal_past_the_bit_count():
+    # Phases 100 and 300 tie within the bit count, and the bits after it
+    # hold one more signal at phase 300.
+    stream = two_framings(100, ones_framing(1), 300, ones_framing(2))
+    n = 100 + 16 * FRAME_BITS + 200 + 8 * 2 * FRAME_BITS + 7  # all but the ninth signal's last bit
+    assert voting_phases(stream[:n]) == {100: 8, 300: 8}
+    assert voting_phases(stream)[300] == 16
+    offset, payload = g704_align(np.packbits(stream), 31, n)
+    want = oracles.g704_align(stream[:n])
+    assert offset == want[0] == 100
+    assert np.array_equal(np.unpackbits(payload), want[1])
+
+
+def test_align_on_a_full_segment_line_holds_no_line_sized_copy():
+    # A 2^25-bit segment at 256 kbit/s is a 2^28-bit (32 MiB) line.
+    payload = np.random.default_rng(9).integers(0, 256, 1 << 22).astype(np.uint8)
+    line = build_multiframes(payload, 4)
+    assert 8 * len(line) == 1 << 28
+    tracemalloc.start()
+    try:
+        offset, recovered = g704_align(line, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert offset == 0 and np.array_equal(recovered, payload)
+    assert peak - recovered.nbytes < 4 * 2**20  # beyond the returned payload
 
 
 def test_align_memory_stays_bounded():
