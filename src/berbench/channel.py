@@ -21,7 +21,11 @@ flips are therefore those of the float rule, bit for bit; a threshold of
 
 A model is an immutable configuration; `open_stream` turns it into a
 stateful stream that consumes bits sequentially (bit positions are global
-across calls, so a long run may be fed in segments).
+across calls, so a long run may be fed in segments).  A stream's
+``apply(bits)`` returns the bits with its flips applied; ``skip_clean(n)``
+moves past the next n bits and returns True when none of them can flip,
+so a caller may pass them on untouched, and otherwise returns False and
+moves nothing.
 """
 from __future__ import annotations
 
@@ -191,6 +195,10 @@ class _IdealStream:
         self.position += len(bits)
         return bits
 
+    def skip_clean(self, n: int) -> bool:
+        self.position += n
+        return True
+
 
 class _BscStream:
     def __init__(self, model: Bsc):
@@ -205,6 +213,12 @@ class _BscStream:
             _flip_below(out, self.seed, self.position, self.threshold)
         self.position += len(bits)
         return out
+
+    def skip_clean(self, n: int) -> bool:
+        if self.threshold:
+            return False
+        self.position += n
+        return True
 
 
 #: Dwells drawn per schedule, at most _CHUNK; bounds the dwell arrays, not
@@ -256,6 +270,9 @@ class _GilbertElliottStream:
             done += covered
         self.position += n
         return out
+
+    def skip_clean(self, n: int) -> bool:
+        return False  # the dwells are drawn through every bit, flipping or not
 
     def _flip_dwells(self, bits: np.ndarray, start: int, bounds: np.ndarray, values: np.ndarray):
         """Flip bits[bounds[i]:bounds[i+1]] at threshold values[i], for each dwell i.
@@ -359,6 +376,13 @@ class _FixedMaskStream:
         hit = self.indices[lo:hi] - (self.position - n)
         out[hit] ^= 1
         return out
+
+    def skip_clean(self, n: int) -> bool:
+        lo = np.searchsorted(self.indices, self.position, side="left")
+        if lo < len(self.indices) and self.indices[lo] < self.position + n:
+            return False
+        self.position += n
+        return True
 
 
 class _Kind(NamedTuple):

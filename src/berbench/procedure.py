@@ -13,9 +13,21 @@ A measurement passes when its BER does not exceed the policy threshold;
 an interface passes only when every measurement does.  A missing
 connector is a recorded outcome, not an error.  All bookkeeping runs on a
 virtual clock so reports are deterministic.
+
+A campaign runs in three steps.  `_plan` decides every interface's
+connector outcome and its measurement jobs, each with the seed tag that
+forks its channel stream, before anything is measured.  `_execute`
+measures the jobs, on every CPU the process may use: each job opens its
+own session, so the order they run in changes no result.  `_fold` then
+rebuilds the clock, the log and the verdicts in plan order, so the report
+is the same byte for byte whatever ran where.
 """
 from __future__ import annotations
 
+import io
+import os
+import pickle
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -44,6 +56,7 @@ from .testbed import (
     DEFAULT_ANALYZER,
     DutProfile,
     NoPortError,
+    check_port,
     check_port_rate,
     default_catalog,
     default_profile,
@@ -143,7 +156,6 @@ class CampaignReport:
 class _Clock:
     now_s: int = 0
     log: list[tuple[int, str]] = field(default_factory=list)
-    measurement_index: int = 0
 
     def note(self, message: str) -> None:
         self.log.append((self.now_s, message))
@@ -157,46 +169,271 @@ def _mhz(freq_hz: float) -> str:
     return f"{freq_hz / 1e6:g} MHz"
 
 
-def _run_interface(
-    config: CampaignConfig, iface: InterfaceKind, points: FrequencyPoints, clock: _Clock
-) -> InterfaceResult:
-    """Connector check, rate/frequency sweep, and verdict for one interface."""
-    rates = config.rates_for(iface)
-    chain = resolve_chain(config.analyzer, iface, config.catalog, max(rates))
-    if chain is None:
-        note = (
-            f"no appropriate {iface} connector: analyzer has no native port "
-            f"at {max(rates)} kbit/s and no converter chain exists"
-        )
-        clock.note(f"{iface}: {note}")
-        return InterfaceResult(iface, Verdict(Outcome.NO_CONNECTOR, note), None, ())
-    if chain:
-        clock.note(f"{iface}: connected via {' + '.join(c.name for c in chain)}")
-    else:
-        clock.note(f"{iface}: connected natively")
+class _Job(NamedTuple):
+    """One measurement: `measure` on the session these values open."""
 
-    measurements: list[BerMeasurement] = []
-    for rate in rates:
-        for freq in points:
-            clock.measurement_index += 1
+    iface: InterfaceKind
+    rate_kbps: int
+    freq_hz: float
+    seed_tag: int
+
+
+class _Step(NamedTuple):
+    """One requested interface, as decided before any measurement.
+
+    `chain` is None when no converter chain exists.  `note` is the
+    no-connector note, or None when `jobs` measure the interface.
+    """
+
+    iface: InterfaceKind
+    chain: tuple[ConverterSpec, ...] | None
+    note: str | None
+    jobs: tuple[_Job, ...]
+
+
+def _plan(config: CampaignConfig, points: FrequencyPoints) -> list[_Step]:
+    """The campaign's interfaces in request order, with their measurement jobs.
+
+    Each job gets the next seed tag, counting from 1 over the campaign.  An
+    interface without a port spends one too: earlier versions opened its
+    first session before the refusal, and the tags, so the reports, stay
+    theirs.
+    """
+    steps = []
+    tag = 0
+    for iface in config.interfaces:
+        rates = config.rates_for(iface)
+        chain = resolve_chain(config.analyzer, iface, config.catalog, max(rates))
+        if chain is None:
+            note = (
+                f"no appropriate {iface} connector: analyzer has no native port "
+                f"at {max(rates)} kbit/s and no converter chain exists"
+            )
+            steps.append(_Step(iface, None, note, ()))
+            continue
+        try:
+            check_port(config.dut, iface)
+        except NoPortError as exc:
+            tag += 1
+            steps.append(_Step(iface, chain, f"no appropriate interface connector: {exc}", ()))
+            continue
+        jobs = []
+        for rate in rates:
+            for freq in points:
+                tag += 1
+                jobs.append(_Job(iface, rate, freq, tag))
+        steps.append(_Step(iface, chain, None, tuple(jobs)))
+    return steps
+
+
+def _measure_job(config: CampaignConfig, job: _Job) -> BerMeasurement:
+    session = dut_open_session(
+        config.dut, job.iface, job.rate_kbps, job.freq_hz, seed_tag=job.seed_tag
+    )
+    return measure(session, config.measurement)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _execute(config: CampaignConfig, jobs: list[_Job]) -> list[BerMeasurement]:
+    """Every job's measurement, in plan order.
+
+    With more than one CPU and `os.fork`, the jobs run in this process and
+    in forked children (see `_measure_forked`); a job none of them
+    reported is measured here afterwards.  Either way the first job in plan
+    order that raises raises here, and no later job's result is used.
+    """
+    outcomes: dict[int, BerMeasurement | Exception] = {}
+    workers = min(_cpu_count(), len(jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        outcomes = _measure_forked(config, jobs, workers)
+    measured = []
+    for index, job in enumerate(jobs):
+        outcome = outcomes[index] if index in outcomes else _measure_job(config, job)
+        if isinstance(outcome, Exception):
+            raise outcome
+        measured.append(outcome)
+    return measured
+
+
+#: Octets of one job index in the dispatch pipe.
+_INDEX_OCTETS = 4
+#: Job indices per write to the dispatch pipe: 512 octets, the least
+#: PIPE_BUF POSIX allows, so a write is atomic and a full pipe refuses it
+#: whole.
+_INDICES_PER_WRITE = 512 // _INDEX_OCTETS
+
+
+def _dispatch_pipe(count: int) -> int:
+    """The read end of a pipe that holds job indices 1 .. count - 1.
+
+    Its write end is closed, so a worker reads end of file once the indices
+    are gone.
+    """
+    read_end, write_end = os.pipe()
+    indices = b"".join(i.to_bytes(_INDEX_OCTETS, "little") for i in range(1, count))
+    step = _INDICES_PER_WRITE * _INDEX_OCTETS
+    try:
+        os.set_blocking(write_end, False)
+        for lo in range(0, len(indices), step):
+            os.write(write_end, indices[lo : lo + step])
+    except BlockingIOError:
+        pass  # the pipe is full (thousands of jobs); `_execute` measures the rest
+    finally:
+        os.close(write_end)
+    return read_end
+
+
+def _next_index(dispatch: int) -> int | None:
+    raw = os.read(dispatch, _INDEX_OCTETS)
+    return int.from_bytes(raw, "little") if raw else None
+
+
+def _work(config: CampaignConfig, jobs: list[_Job], index: int | None, dispatch: int, report):
+    """Measure job `index`, then each job whose index this worker reads next.
+
+    A job that raises is reported with its exception, and the worker then
+    reads the indices left, so that no worker starts a later job.
+    """
+    while index is not None:
+        try:
+            outcome = _measure_job(config, jobs[index])
+        except Exception as exc:  # carried to the plan-order check in `_execute`
+            outcome = exc
+            while _next_index(dispatch) is not None:
+                pass
+        report(index, outcome)
+        index = _next_index(dispatch)
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # numpy's BLAS keeps threads of its own, and Python 3.12 and later
+        # warn that forking a process with threads may deadlock the child.
+        # The children call no BLAS, only the measurement, and a warning on
+        # stderr would break the one-line error contract of the CLI.
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded, use of fork", DeprecationWarning
+        )
+        return os.fork()
+
+
+def _measure_forked(
+    config: CampaignConfig, jobs: list[_Job], workers: int
+) -> dict[int, BerMeasurement | Exception]:
+    """Run the jobs in this process and `workers - 1` forked children.
+
+    Job indices wait in a pipe, and each worker reads the next one when it
+    is free, so a slow job holds up no other.  This process takes job 0
+    itself.  A child pickles (index, measurement or exception) for each job
+    into a pipe of its own and leaves with `os._exit`, so no stdio buffer or
+    exit handler runs twice.  Returns the outcomes that arrived, by job
+    index.  Every child is reaped before this returns or raises.
+    """
+    outcomes: dict[int, BerMeasurement | Exception] = {}
+    dispatch = _dispatch_pipe(len(jobs))
+    pids: list[int] = []
+    results: list[int] = []  # the read end of each child's pipe
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
             try:
-                session = dut_open_session(
-                    config.dut, iface, rate, freq, seed_tag=clock.measurement_index
-                )
-            except NoPortError as exc:
-                note = f"no appropriate interface connector: {exc}"
-                clock.note(f"{iface}: {note}")
-                return InterfaceResult(iface, Verdict(Outcome.NO_CONNECTOR, note), chain, ())
-            m = measure(session, config.measurement)
+                pid = _fork()
+            except OSError:  # no more processes: the workers running so far share the jobs
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _child(config, jobs, dispatch, write_end)
+            pids.append(pid)
+            results.append(read_end)
+            os.close(write_end)
+        _work(config, jobs, 0, dispatch, outcomes.__setitem__)
+        for read_end in results:
+            with open(read_end, "rb", closefd=False) as stream:
+                _load_outcomes(stream.read(), outcomes)  # to the end: the child has left
+        return outcomes
+    except BaseException:
+        import signal  # only here: a campaign that ends well never loads it
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in (dispatch, *results):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _load_outcomes(data: bytes, outcomes: dict) -> None:
+    """Add a child's pickled (index, outcome) records to `outcomes`.
+
+    The records end early at one that is cut short (the child was killed
+    while writing it) or that does not load (an exception class whose
+    constructor takes other arguments); `_execute` measures those jobs again,
+    so a failing one raises its own exception.
+    """
+    stream = io.BytesIO(data)
+    try:
+        while stream.tell() < len(data):
+            index, outcome = pickle.load(stream)
+            outcomes[index] = outcome
+    except Exception:
+        return
+
+
+def _child(config: CampaignConfig, jobs: list[_Job], dispatch: int, write_end: int):
+    """A forked worker's whole life: it never returns."""
+    code = 1
+    try:
+        with open(write_end, "wb") as out:
+
+            def report(index: int, outcome) -> None:
+                out.write(pickle.dumps((index, outcome)))
+                out.flush()
+
+            _work(config, jobs, _next_index(dispatch), dispatch, report)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fold(
+    config: CampaignConfig, steps: list[_Step], measured: list[BerMeasurement], clock: _Clock
+) -> tuple[InterfaceResult, ...]:
+    """Log and verdict of every interface, in plan order, as it is measured."""
+    remaining = iter(measured)
+    results = []
+    for step in steps:
+        iface, chain = step.iface, step.chain
+        if chain:
+            clock.note(f"{iface}: connected via {' + '.join(c.name for c in chain)}")
+        elif chain is not None:
+            clock.note(f"{iface}: connected natively")
+        if step.note is not None:
+            clock.note(f"{iface}: {step.note}")
+            verdict = Verdict(Outcome.NO_CONNECTOR, step.note)
+            results.append(InterfaceResult(iface, verdict, chain, ()))
+            continue
+        measurements = []
+        for job in step.jobs:
+            m = next(remaining)
             measurements.append(m)
             clock.advance(
                 m.duration_s,
-                f"{iface} @ {rate} kbit/s, {_mhz(freq)}: "
+                f"{iface} @ {job.rate_kbps} kbit/s, {_mhz(job.freq_hz)}: "
                 f"{m.errored_bits} errors / {m.transmitted_bits} bits",
             )
-    ok = all(apply_verdict(m.ber, config.policy) is Outcome.PASS for m in measurements)
-    verdict = Verdict(Outcome.PASS if ok else Outcome.FAIL)
-    return InterfaceResult(iface, verdict, chain, tuple(measurements))
+        ok = all(apply_verdict(m.ber, config.policy) is Outcome.PASS for m in measurements)
+        verdict = Verdict(Outcome.PASS if ok else Outcome.FAIL)
+        results.append(InterfaceResult(iface, verdict, chain, tuple(measurements)))
+    return tuple(results)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -236,6 +473,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     clock.note("analyzer self-test: pattern self-loop clean")
     clock.note(f"EUT '{dut.name}' set up per its manual")
     clock.advance(dut.warmup_s, "EUT powered, waiting for stability")
-    results = tuple(_run_interface(config, iface, points, clock) for iface in config.interfaces)
+    steps = _plan(config, points)
+    measured = _execute(config, [job for step in steps for job in step.jobs])
+    results = _fold(config, steps, measured, clock)
     clock.note("campaign complete")
     return CampaignReport(config, results, points, clock.now_s, tuple(clock.log))

@@ -22,10 +22,11 @@ HDB3 codec in `framing`):
 
 The line runs in passes of `_LINE_PASS` bits, whole multiframes on G.704:
 each pass is built, unpacked for the fault model's per-bit stream, and
-packed again.  Fault draws are keyed by stream position, so the passes
-flip the same bits as one call would.  On G.704 only the packed received
-line is kept whole, because the frame phase is voted over all of it; a
-session keeps that buffer from one segment to the next.
+packed again, unless the stream cannot flip a bit of it, when its octets
+pass straight through.  Fault draws are keyed by stream position, so the
+passes flip the same bits as one call would.  On G.704 only the packed
+received line is kept whole, because the frame phase is voted over all of
+it; a session keeps that buffer from one segment to the next.
 """
 from __future__ import annotations
 
@@ -287,6 +288,12 @@ def check_port_rate(profile: DutProfile, iface: InterfaceKind, rate_kbps: int) -
         raise UnsupportedRateError(f"{profile.name} does not run {iface} at {rate_kbps} kbit/s")
 
 
+def check_port(profile: DutProfile, iface: InterfaceKind) -> None:
+    """Refuse an interface the device has no port for: the no-connector case."""
+    if profile.port_note(iface) is None:
+        raise NoPortError(f"{profile.name} has no {iface} connector")
+
+
 def dut_open_session(
     profile: DutProfile,
     iface: InterfaceKind,
@@ -301,8 +308,7 @@ def dut_open_session(
     a configuration error.  `seed_tag` forks the profile's channel seed so
     independent measurements see independent error streams.
     """
-    if profile.port_note(iface) is None:
-        raise NoPortError(f"{profile.name} has no {iface} connector")
+    check_port(profile, iface)
     check_port_rate(profile, iface, rate_kbps)
     freq_hz = check_freq_hz(freq_hz)
     f_min, f_max = profile.if_range_hz
@@ -338,8 +344,12 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
         out = np.empty(size, dtype=np.uint8)
         for lo in range(0, size, _LINE_PASS // 8):
             hi = min(lo + _LINE_PASS // 8, size)
-            bits = np.unpackbits(payload[lo:hi], count=min(n_bits - 8 * lo, _LINE_PASS))
-            out[lo:hi] = np.packbits(stream.apply(bits))
+            count = min(n_bits - 8 * lo, _LINE_PASS)
+            if stream.skip_clean(count):
+                out[lo:hi] = payload[lo:hi]
+            else:
+                out[lo:hi] = np.packbits(stream.apply(np.unpackbits(payload[lo:hi], count=count)))
+        clear_tail(out, n_bits)
         return out
     n_ts = session.payload_timeslots
     per_mf = FRAMES_PER_MULTIFRAME * n_ts  # payload octets per multiframe
@@ -358,7 +368,10 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
             clear_tail(chunk, n_bits - 8 * m * per_mf)
         tx = build_multiframes(chunk, n_ts)
         lo = m * MULTIFRAME_OCTETS
-        line[lo : lo + len(tx)] = np.packbits(stream.apply(np.unpackbits(tx)))
+        if stream.skip_clean(8 * len(tx)):
+            line[lo : lo + len(tx)] = tx
+        else:
+            line[lo : lo + len(tx)] = np.packbits(stream.apply(np.unpackbits(tx)))
     out = np.zeros(size, dtype=np.uint8)
     try:
         recovered = g704_align(line, n_ts)[1][:size]

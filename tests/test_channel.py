@@ -256,6 +256,22 @@ def test_fixed_mask_streaming_uses_global_positions():
     assert np.flatnonzero(b).tolist() == [2, 3]
 
 
+def test_skip_clean_moves_only_past_bits_that_cannot_flip():
+    stream = open_stream(FixedMask(indices=(2, 10, 11)))
+    assert stream.skip_clean(2) and stream.position == 2
+    assert not stream.skip_clean(1) and stream.position == 2
+    assert np.flatnonzero(stream.apply(np.zeros(9, np.uint8))).tolist() == [0, 8]
+    assert not stream.skip_clean(10**6) and stream.position == 11
+    assert np.flatnonzero(stream.apply(np.zeros(1, np.uint8))).tolist() == [0]
+    assert stream.skip_clean(10**6) and stream.position == 10**6 + 12
+    for model, clean in [
+        (Ideal(), True), (Bsc(p=0.0), True), (Bsc(p=1e-9), False),
+        (GilbertElliott(p_gb=0.1, p_bg=0.1, p_good=1.0, p_bad=1.0), False),
+    ]:
+        stream = open_stream(model)
+        assert stream.skip_clean(100) is clean and stream.position == (100 if clean else 0)
+
+
 def _ge_asymptotic_sigma(model: GilbertElliott, n: int) -> float:
     # Mean error rate of the two-state chain: per-bit variance plus the
     # geometric autocovariance pi_g*pi_b*(mu_b-mu_g)^2 * lambda^l summed

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import os
+import time
 from fractions import Fraction
 
 import pytest
 
-from berbench.channel import Bsc, FixedMask
-from berbench.cli import load_config
+from berbench.channel import Bsc, FixedMask, GilbertElliott, Ideal
+from berbench.cli import load_config, main as cli_main, report_to_dict
 from berbench.core import BerValue, InterfaceKind as IK, Outcome, REPORT_ORDER
 from berbench import procedure
 from berbench.meter import MeasurementConfig
@@ -263,3 +265,251 @@ def test_campaign_is_deterministic():
         )
 
     assert run_campaign(config()) == run_campaign(config())
+
+
+# ---------------------------------------------------------------------------
+# plan, execute, fold
+
+
+def _jobs(config):
+    """(iface, rate, frequency, seed tag) of every planned job, in plan order."""
+    points = compute_frequencies(*config.dut.if_range_hz)
+    steps = procedure._plan(config, points)
+    return [(j.iface, j.rate_kbps, j.freq_hz, j.seed_tag) for s in steps for j in s.jobs]
+
+
+def test_plan_orders_jobs_and_seed_tags_as_the_sequential_walk(monkeypatch):
+    interfaces = (IK.G703, IK.V35, IK.STANAG4210, IK.G703, IK.BASE10_T)
+    config = CampaignConfig(
+        dut=without_v35_port(),
+        catalog=_no_gateway_converter(),
+        interfaces=interfaces,
+        rates={IK.BASE10_T: (256, 2048)},
+        measurement=DESK,
+    )
+    points = compute_frequencies(*config.dut.if_range_hz)
+    steps = procedure._plan(config, points)
+    assert [s.iface for s in steps] == list(interfaces)
+    # No port: a chain and a note.  No chain: a note alone.
+    assert [(s.chain is None, s.note is None) for s in steps] == [
+        (False, True), (False, False), (True, False), (False, True), (False, True),
+    ]
+    # The V.35 interface, with no port, spends tag 4; STANAG 4210 spends none.
+    want = [(IK.G703, 2048, f, t) for f, t in zip(points, (1, 2, 3))]
+    want += [(IK.G703, 2048, f, t) for f, t in zip(points, (5, 6, 7))]
+    want += [(IK.BASE10_T, 256, f, t) for f, t in zip(points, (8, 9, 10))]
+    want += [(IK.BASE10_T, 2048, f, t) for f, t in zip(points, (11, 12, 13))]
+    assert _jobs(config) == want
+
+    # The sessions a one-process run opens are the plan's, in its order.
+    opened = []
+    open_session = procedure.dut_open_session
+
+    def spy(profile, iface, rate, freq, *, seed_tag):
+        opened.append((iface, rate, freq, seed_tag))
+        return open_session(profile, iface, rate, freq, seed_tag=seed_tag)
+
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(procedure, "dut_open_session", spy)
+    report = run_campaign(config)
+    assert opened == want
+    assert [r.verdict.outcome for r in report.results] == [
+        Outcome.PASS, Outcome.NO_CONNECTOR, Outcome.NO_CONNECTOR, Outcome.PASS, Outcome.PASS,
+    ]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        Ideal(seed=3),
+        Bsc(p=2e-5, seed=3),
+        GilbertElliott(p_gb=0.001, p_bg=0.05, p_good=1.0, p_bad=0.9, seed=3),
+        FixedMask(indices=tuple(range(20_000, 900_000, 43_331)), seed=3),
+    ],
+    ids=["ideal", "bsc", "ge", "mask"],
+)
+def test_report_is_the_same_with_one_or_two_workers(monkeypatch, channel):
+    config = CampaignConfig(
+        dut=desk_profile(channel=channel),
+        interfaces=(IK.G704, IK.V35, IK.G703, IK.V35, IK.BASE100_FX),
+        rates={IK.G704: (256, 2048), IK.V35: (512,)},
+        measurement=DESK,
+    )
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(procedure, "_cpu_count", lambda: workers)
+        reports.append(report_to_dict(run_campaign(config)))
+        assert_no_children()
+    assert reports[0] == reports[1]
+
+
+def test_one_worker_or_no_job_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(procedure, "_fork", no_fork)
+    run_campaign(CampaignConfig(interfaces=(), measurement=DESK))
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    run_campaign(CampaignConfig(interfaces=(IK.G703,), measurement=DESK))
+
+
+#: Nine jobs, one interface: G.703 at three rates.
+FAILING = CampaignConfig(interfaces=(IK.G703,), rates={IK.G703: (256, 512, 2048)}, measurement=DESK)
+
+
+def _wait_for(path):
+    deadline = time.monotonic() + 60
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"no worker wrote {path}")
+        time.sleep(0.005)
+
+
+def patch_jobs(monkeypatch, tmp_path, act):
+    """Two workers; `act(index, in_child)` runs before each job's measurement.
+
+    Returns a function that lists the (index, "parent" or "child") of every
+    job started so far.
+    """
+    keys = [(rate, freq) for _, rate, freq, _ in _jobs(FAILING)]
+    parent = os.getpid()
+    measure = procedure.measure
+    starts = tmp_path / "starts"
+    starts.mkdir()
+
+    def patched(session, config):
+        index = keys.index((session.rate_kbps, session.freq_hz))
+        in_child = os.getpid() != parent
+        (starts / f"{index}-{'child' if in_child else 'parent'}").touch()
+        act(index, in_child)
+        return measure(session, config)
+
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(procedure, "measure", patched)
+    return lambda: sorted((int(i), who) for i, who in (p.name.split("-") for p in starts.iterdir()))
+
+
+def fail_in_child_first(monkeypatch, tmp_path, parent_fails=False):
+    """Jobs 2 and 3 raise; job 0, which the parent takes, waits until a child raised.
+
+    The child measures jobs 1 and 2, so its failure at job 2 reaches the
+    parent first; with `parent_fails`, job 0 then raises too.
+    """
+    marker = tmp_path / "raised"
+
+    def act(index, in_child):
+        if index == 0 and not in_child:
+            _wait_for(marker)
+            if parent_fails:
+                raise ValueError("job 0 failed")
+        if index in (2, 3):
+            if in_child:
+                marker.touch()
+            raise ValueError(f"job {index} failed")
+
+    return patch_jobs(monkeypatch, tmp_path, act)
+
+
+@pytest.mark.parametrize("parent_fails, first", [(False, 2), (True, 0)])
+def test_first_failing_job_in_plan_order_raises(monkeypatch, tmp_path, parent_fails, first):
+    started = fail_in_child_first(monkeypatch, tmp_path, parent_fails)
+    with pytest.raises(ValueError, match=f"^job {first} failed$"):
+        run_campaign(FAILING)
+    assert_no_children()
+    # After its failure the child starts no job, and leaves the parent none.
+    assert [i for i, who in started() if who == "child"] == [1, 2]
+
+
+def test_an_earlier_job_that_fails_later_still_raises(monkeypatch, tmp_path):
+    # The parent's job 2 fails first; the child's job 1, earlier in plan
+    # order, fails after it and is the one raised.
+    claimed, parent_failed = tmp_path / "claimed", tmp_path / "parent-failed"
+
+    def act(index, in_child):
+        if index == 0:
+            _wait_for(claimed)
+        elif index == 1:
+            claimed.touch()
+            _wait_for(parent_failed)
+            raise ValueError("job 1 failed")
+        elif index == 2:
+            parent_failed.touch()
+            raise ValueError("job 2 failed")
+
+    started = patch_jobs(monkeypatch, tmp_path, act)
+    with pytest.raises(ValueError, match="^job 1 failed$"):
+        run_campaign(FAILING)
+    assert_no_children()
+    assert started() == [(0, "parent"), (1, "child"), (2, "parent")]
+
+
+def test_cli_exits_3_when_a_child_job_fails(monkeypatch, tmp_path, capsys):
+    fail_in_child_first(monkeypatch, tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "schema": "ber-campaign-config/1", "interfaces": ["G.703"],
+        "rates": {"G.703": [256, 512, 2048]}, "ber0": 1e-5,
+    }))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == "error: job 2 failed\n"
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.txt").exists()
+    assert_no_children()
+
+
+class _TwoPartError(Exception):
+    """Pickles, but does not load: its constructor takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def test_a_failure_that_does_not_load_is_measured_again(monkeypatch, tmp_path):
+    marker = tmp_path / "raised"
+
+    def act(index, in_child):
+        if index == 0 and not in_child:
+            _wait_for(marker)
+        if index == 2:
+            if in_child:
+                marker.touch()
+            raise _TwoPartError("job", 2)
+
+    started = patch_jobs(monkeypatch, tmp_path, act)
+    with pytest.raises(_TwoPartError, match="^job 2$"):
+        run_campaign(FAILING)
+    assert_no_children()
+    assert (2, "parent") in started()  # measured again
+
+
+def test_jobs_of_a_child_that_dies_are_measured_in_the_parent(monkeypatch, tmp_path):
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    want = report_to_dict(run_campaign(FAILING))
+    marker = tmp_path / "died"
+
+    def act(index, in_child):
+        if in_child:
+            marker.touch()
+            os._exit(0)
+        if index == 0:
+            _wait_for(marker)
+
+    started = patch_jobs(monkeypatch, tmp_path, act)
+    assert report_to_dict(run_campaign(FAILING)) == want
+    assert_no_children()
+    [(died, _)] = [s for s in started() if s[1] == "child"]
+    assert (died, "parent") in started()
+
+
+def test_each_job_runs_once_with_more_workers_than_cpus(monkeypatch, tmp_path):
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    want = report_to_dict(run_campaign(FAILING))
+    started = patch_jobs(monkeypatch, tmp_path, lambda index, in_child: None)
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 6)
+    assert report_to_dict(run_campaign(FAILING)) == want
+    assert_no_children()
+    assert [i for i, _ in started()] == list(range(9))

@@ -348,9 +348,31 @@ def test_lost_frame_alignment_measures_every_bit_errored(rate):
     assert m.errored_bits == m.transmitted_bits == 100_000
 
 
+@pytest.mark.parametrize(
+    "channel", [Ideal(), Bsc(p=0.0), FixedMask(indices=(10**9,))], ids=["ideal", "bsc0", "mask"]
+)
+@pytest.mark.parametrize("kind, rate", [(IK.G704, 256), (IK.G704, 2048), (IK.V35, 512)])
+def test_a_stream_that_cannot_flip_passes_the_octets_through(channel, kind, rate):
+    session = dut_open_session(default_profile(channel=channel), kind, rate, F0)
+
+    def apply(bits):
+        raise AssertionError("a stream that cannot flip was applied")
+
+    session._stream.apply = apply
+    bits = generate(PrbsSpec(), 70_001)
+    payload = np.packbits(bits)
+    payload[-1] |= 0x7F  # set bits past the bit count are not sent
+    assert np.array_equal(loopback(session, payload, len(bits)), np.packbits(bits))
+    if kind is IK.G704:
+        line = testbed.build_multiframes(np.packbits(bits), session.payload_timeslots)
+        assert session._stream.position == 8 * len(line)
+    else:
+        assert session._stream.position == len(bits)
+
+
 _CHANNELS = st.one_of(
     st.builds(Ideal),
-    st.builds(Bsc, p=st.sampled_from([1e-3, 0.02, 0.3, 1.0])),
+    st.builds(Bsc, p=st.sampled_from([0.0, 1e-3, 0.02, 0.3, 1.0])),
     st.builds(
         GilbertElliott,
         p_gb=st.sampled_from([0.01, 0.2]),
