@@ -45,6 +45,7 @@ consecutive empty symbols and stays DC balanced.
 from __future__ import annotations
 
 import functools
+import mmap
 
 import numpy as np
 
@@ -152,7 +153,11 @@ def _multiframe_octets(payload: np.ndarray, timeslots: int) -> np.ndarray:
     per_mf = FRAMES_PER_MULTIFRAME * timeslots
     whole, left = divmod(len(payload), per_mf)
     n = max(1, whole + (left > 0))
-    octets = np.empty((n, FRAMES_PER_MULTIFRAME, 32), dtype=np.uint8)
+    # A line in a mapping of its own goes back to the system when freed; from
+    # the C heap, a freed line just under 32 MiB stayed resident beside the
+    # next, longer one (111 MB instead of 79 for three 256 kbit/s jobs).
+    line = np.frombuffer(mmap.mmap(-1, n * MULTIFRAME_OCTETS), dtype=np.uint8)
+    octets = line.reshape(n, FRAMES_PER_MULTIFRAME, 32)
     octets[:, :, 0] = _TS0
     body = octets[:, :, 1 : timeslots + 1]
     body[:whole] = payload[: whole * per_mf].reshape(whole, FRAMES_PER_MULTIFRAME, timeslots)

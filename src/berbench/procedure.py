@@ -18,13 +18,13 @@ A campaign runs in three steps.  `_plan` decides every interface's
 connector outcome and its measurement jobs, each with the seed tag that
 forks its channel stream, before anything is measured.  `_execute`
 measures the jobs, on every CPU the process may use: each job opens its
-own session, so the order they run in changes no result.  `_fold` then
+own session, so the order they run in changes no result, and each forked
+worker sends its outcomes back in one message.  `_fold` then
 rebuilds the clock, the log and the verdicts in plan order, so the report
 is the same byte for byte whatever ran where.
 """
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import warnings
@@ -294,21 +294,25 @@ def _next_index(dispatch: int) -> int | None:
     return int.from_bytes(raw, "little") if raw else None
 
 
-def _work(config: CampaignConfig, jobs: list[_Job], index: int | None, dispatch: int, report):
+def _work(
+    config: CampaignConfig, jobs: list[_Job], index: int | None, dispatch: int
+) -> dict[int, BerMeasurement | Exception]:
     """Measure job `index`, then each job whose index this worker reads next.
 
-    A job that raises is reported with its exception, and the worker then
-    reads the indices left, so that no worker starts a later job.
+    Returns the outcomes by job index.  A job that raises has its exception
+    as outcome, and the worker then reads the indices left, so that no
+    worker starts a later job.
     """
+    outcomes: dict[int, BerMeasurement | Exception] = {}
     while index is not None:
         try:
-            outcome = _measure_job(config, jobs[index])
+            outcomes[index] = _measure_job(config, jobs[index])
         except Exception as exc:  # carried to the plan-order check in `_execute`
-            outcome = exc
+            outcomes[index] = exc
             while _next_index(dispatch) is not None:
                 pass
-        report(index, outcome)
         index = _next_index(dispatch)
+    return outcomes
 
 
 def _fork() -> int:
@@ -330,12 +334,12 @@ def _measure_forked(
 
     Job indices wait in a pipe, and each worker reads the next one when it
     is free, so a slow job holds up no other.  This process takes job 0
-    itself.  A child pickles (index, measurement or exception) for each job
-    into a pipe of its own and leaves with `os._exit`, so no stdio buffer or
-    exit handler runs twice.  Returns the outcomes that arrived, by job
-    index.  Every child is reaped before this returns or raises.
+    itself.  A child pickles its outcomes (measurement or exception, by job
+    index) once, when no index is left, into a pipe of its own, and leaves
+    with `os._exit`, so no stdio buffer or exit handler runs twice.  Returns
+    the outcomes that arrived, by job index.  Every child is reaped before
+    this returns or raises.
     """
-    outcomes: dict[int, BerMeasurement | Exception] = {}
     dispatch = _dispatch_pipe(len(jobs))
     pids: list[int] = []
     results: list[int] = []  # the read end of each child's pipe
@@ -353,10 +357,16 @@ def _measure_forked(
             pids.append(pid)
             results.append(read_end)
             os.close(write_end)
-        _work(config, jobs, 0, dispatch, outcomes.__setitem__)
+        outcomes = _work(config, jobs, 0, dispatch)
         for read_end in results:
             with open(read_end, "rb", closefd=False) as stream:
-                _load_outcomes(stream.read(), outcomes)  # to the end: the child has left
+                try:
+                    outcomes.update(pickle.load(stream))
+                except Exception:
+                    # Cut short (the child died) or not loadable (an exception
+                    # whose constructor takes other arguments): `_execute`
+                    # measures the child's jobs again, and a failing one raises.
+                    pass
         return outcomes
     except BaseException:
         import signal  # only here: a campaign that ends well never loads it
@@ -371,34 +381,13 @@ def _measure_forked(
             os.waitpid(pid, 0)
 
 
-def _load_outcomes(data: bytes, outcomes: dict) -> None:
-    """Add a child's pickled (index, outcome) records to `outcomes`.
-
-    The records end early at one that is cut short (the child was killed
-    while writing it) or that does not load (an exception class whose
-    constructor takes other arguments); `_execute` measures those jobs again,
-    so a failing one raises its own exception.
-    """
-    stream = io.BytesIO(data)
-    try:
-        while stream.tell() < len(data):
-            index, outcome = pickle.load(stream)
-            outcomes[index] = outcome
-    except Exception:
-        return
-
-
 def _child(config: CampaignConfig, jobs: list[_Job], dispatch: int, write_end: int):
     """A forked worker's whole life: it never returns."""
     code = 1
     try:
+        outcomes = _work(config, jobs, _next_index(dispatch), dispatch)
         with open(write_end, "wb") as out:
-
-            def report(index: int, outcome) -> None:
-                out.write(pickle.dumps((index, outcome)))
-                out.flush()
-
-            _work(config, jobs, _next_index(dispatch), dispatch, report)
+            pickle.dump(outcomes, out)
         code = 0
     finally:
         os._exit(code)

@@ -20,13 +20,13 @@ HDB3 codec in `framing`):
 * everything else (G.703, V.35, STANAG 4210, Ethernet family) is a
   transparent bit pipe, since the converters bridge raw test patterns.
 
-The line runs in passes of `_LINE_PASS` bits, whole multiframes on G.704:
-each pass is built, unpacked for the fault model's per-bit stream, and
-packed again, unless the stream cannot flip a bit of it, when its octets
-pass straight through.  Fault draws are keyed by stream position, so the
-passes flip the same bits as one call would.  On G.704 only the packed
-received line is kept whole, because the frame phase is voted over all of
-it; a session keeps that buffer from one segment to the next.
+The line is built in one call: the check multiframes over the whole
+payload on G.704, a copy of the payload elsewhere.  The fault model then
+flips it in place, in passes of `_LINE_PASS` bits: each pass is unpacked
+for the model's per-bit stream and packed again, unless the stream cannot
+flip a bit of it, when its octets stay as they are.  Fault draws are keyed
+by stream position, so the passes flip the same bits as one call would.
+On G.704 the frame phase is then voted over the whole received line.
 """
 from __future__ import annotations
 
@@ -50,9 +50,6 @@ from .core import (
     parse_port_kinds,
 )
 from .framing import (
-    FRAMES_PER_MULTIFRAME,
-    MULTIFRAME_BITS,
-    MULTIFRAME_OCTETS,
     PAYLOAD_SLOTS,
     FrameAlignmentError,
     build_multiframes,
@@ -191,11 +188,7 @@ def resolve_chain(
         for conv in usable:
             if best_names and (*names, conv.name) > best_names[: len(names) + 1]:
                 break  # so does every later converter, whose name is no less
-            if kind in conv.side_a:
-                onward = conv.side_b
-            elif kind in conv.side_b:
-                onward = conv.side_a
-            else:
+            if kind not in conv.side_a and kind not in conv.side_b:
                 continue
             sides = frozenset((conv.side_a, conv.side_b))
             if sides in tried or conv in chain:
@@ -203,7 +196,7 @@ def resolve_chain(
             tried.add(sides)
             chain.append(conv)
             names.append(conv.name)
-            for nxt in sorted(onward - reached, key=_KIND_ORDER.get):
+            for nxt in sorted(conv.other_side(kind) - reached, key=_KIND_ORDER.get):
                 if len(chain) < depth:
                     extend(nxt, reached | {nxt}, depth)
                 elif nxt is target and (not best_names or tuple(names) < best_names):
@@ -271,8 +264,6 @@ class Session:
     rate_kbps: int
     freq_hz: float
     _stream: object = field(default=None, repr=False, compare=False)
-    #: The received G.704 line, reused by every segment of the session.
-    _line: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def payload_timeslots(self) -> int:
@@ -322,8 +313,8 @@ def dut_open_session(
     return Session(profile, iface, rate_kbps, freq_hz, open_stream(model))
 
 
-#: Line bits per pass of `loopback`: a multiple of the multiframe and of
-#: the octet, so passes hold whole multiframes and whole payload octets.
+#: Line bits per pass of `loopback`'s fault model, a multiple of the octet;
+#: bounds the unpacked bits and the model's draws.
 _LINE_PASS = 1 << 19
 
 
@@ -339,47 +330,32 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
     size = -(-n_bits // 8)
     if len(payload) < size:
         raise ValueError(f"{len(payload)} octets cannot hold {n_bits} bits")
+    payload = payload[:size]
+    if n_bits % 8 and payload[-1] & (0xFF >> n_bits % 8):  # send no bit past n_bits
+        payload = payload.copy()
+        clear_tail(payload, n_bits)
+    g704 = session.iface is InterfaceKind.G704
+    if g704:
+        line = build_multiframes(payload, session.payload_timeslots)
+        line_bits = 8 * len(line)
+    else:
+        line, line_bits = payload.copy(), n_bits
     stream = session._stream
-    if session.iface is not InterfaceKind.G704:
-        out = np.empty(size, dtype=np.uint8)
-        for lo in range(0, size, _LINE_PASS // 8):
-            hi = min(lo + _LINE_PASS // 8, size)
-            count = min(n_bits - 8 * lo, _LINE_PASS)
-            if stream.skip_clean(count):
-                out[lo:hi] = payload[lo:hi]
-            else:
-                out[lo:hi] = np.packbits(stream.apply(np.unpackbits(payload[lo:hi], count=count)))
-        clear_tail(out, n_bits)
-        return out
-    n_ts = session.payload_timeslots
-    per_mf = FRAMES_PER_MULTIFRAME * n_ts  # payload octets per multiframe
-    n_mf = max(1, -(-size // per_mf))
-    # One line buffer per session: a fresh 32 MB line per segment, each a
-    # little shorter than the last, lets the allocator keep them all in
-    # its heap, which added about 30 MB to the peak RSS of a campaign.
-    if session._line is None or len(session._line) < n_mf * MULTIFRAME_OCTETS:
-        session._line = np.empty(n_mf * MULTIFRAME_OCTETS, dtype=np.uint8)
-    line = session._line[: n_mf * MULTIFRAME_OCTETS]
-    step = _LINE_PASS // MULTIFRAME_BITS  # multiframes per pass
-    for m in range(0, n_mf, step):
-        chunk = payload[m * per_mf : min((m + step) * per_mf, size)]
-        if m + step >= n_mf:  # the last pass frames no bit past n_bits
-            chunk = chunk.copy()
-            clear_tail(chunk, n_bits - 8 * m * per_mf)
-        tx = build_multiframes(chunk, n_ts)
-        lo = m * MULTIFRAME_OCTETS
-        if stream.skip_clean(8 * len(tx)):
-            line[lo : lo + len(tx)] = tx
-        else:
-            line[lo : lo + len(tx)] = np.packbits(stream.apply(np.unpackbits(tx)))
-    out = np.zeros(size, dtype=np.uint8)
+    for lo in range(0, line_bits, _LINE_PASS):
+        count = min(line_bits - lo, _LINE_PASS)
+        if not stream.skip_clean(count):
+            chunk = line[lo // 8 : -(-(lo + count) // 8)]
+            chunk[:] = np.packbits(stream.apply(np.unpackbits(chunk, count=count)))
+    if not g704:
+        return line
     try:
-        recovered = g704_align(line, n_ts)[1][:size]
+        recovered = g704_align(line, session.payload_timeslots)[1][:size]
     except FrameAlignmentError:
-        return out
-    out[: len(recovered)] = recovered
-    clear_tail(out, n_bits)
-    return out
+        return np.zeros(size, dtype=np.uint8)
+    if len(recovered) < size:  # a frame phase past 0 extracts one frame less
+        recovered = np.pad(recovered, (0, size - len(recovered)))
+    clear_tail(recovered, n_bits)
+    return recovered
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,16 @@ CASES = [
         0,
         300_000,
     ),
+    (
+        # Four G.704 segments of unequal line length through one session.
+        "g704-256-segments",
+        ("--channel", "bsc:1e-5", "--seed", "31"),
+        {"interfaces": ["G.704"], "rates": {"G.704": [256]}, "ber0": 1e-5},
+        "0e2ebd4540b04d15aeaf535657b8a07849fbae78c553b4923b01ff31882559e4",
+        "3734ca1788a39e448c41538ce5ca3b474be7349b77e87068d85ca60b01f8cf53",
+        1,
+        300_000,
+    ),
 ]
 
 

@@ -513,3 +513,18 @@ def test_each_job_runs_once_with_more_workers_than_cpus(monkeypatch, tmp_path):
     assert report_to_dict(run_campaign(FAILING)) == want
     assert_no_children()
     assert [i for i, _ in started()] == list(range(9))
+
+
+def test_a_child_is_not_held_up_by_its_results(monkeypatch):
+    # Each outcome pickles to over 1 KiB, so a few dozen fill a pipe; the
+    # child must keep measuring while the parent is busy with its own jobs.
+    def measure_job(config, job):
+        time.sleep(0.001)
+        return os.getpid(), bytes(1024)
+
+    monkeypatch.setattr(procedure, "_measure_job", measure_job)
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 2)
+    jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(400)]
+    outcomes = procedure._execute(CampaignConfig(), jobs)
+    assert_no_children()
+    assert sum(pid != os.getpid() for pid, _ in outcomes) >= 100

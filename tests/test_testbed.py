@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,39 @@ def test_a_stream_that_cannot_flip_passes_the_octets_through(channel, kind, rate
         assert session._stream.position == 8 * len(line)
     else:
         assert session._stream.position == len(bits)
+
+
+def test_a_late_frame_phase_returns_the_missing_octets_as_zeros():
+    # The mask turns the line into itself delayed by 3 bits: alignment then
+    # finds phase 3 and one frame fewer, whose payload octets read as zeros.
+    session = dut_open_session(default_profile(), IK.G704, 256, F0)
+    payload = np.packbits(generate(PrbsSpec(), 2 * 16 * 4 * 8))  # two whole multiframes
+    line = np.unpackbits(testbed.build_multiframes(payload, session.payload_timeslots))
+    flips = np.flatnonzero(line ^ np.roll(line, 3))
+    session = dut_open_session(
+        default_profile(channel=FixedMask(indices=tuple(flips.tolist()))), IK.G704, 256, F0
+    )
+    want = payload.copy()
+    want[-session.payload_timeslots :] = 0
+    assert np.array_equal(loopback(session, payload, 8 * len(payload)), want)
+
+
+def test_framed_loopback_takes_no_line_sized_heap_memory():
+    # The line (4 MiB here) has a mapping of its own, which tracemalloc does
+    # not see: what it sees is the fault model's pass temporaries and the
+    # payload-sized result.  A line from the heap, or a second whole-line
+    # temporary, would pass the bound.
+    session = dut_open_session(default_profile(channel=Bsc(p=1e-6, seed=5)), IK.G704, 256, F0)
+    n = (1 << 22) + 271
+    payload = np.packbits(generate(PrbsSpec(), n))
+    tracemalloc.start()
+    try:
+        out = loopback(session, payload, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(payload)
+    assert peak <= 3 * 2**20
 
 
 _CHANNELS = st.one_of(
