@@ -19,9 +19,9 @@ connector outcome and its measurement jobs, each with the seed tag that
 forks its channel stream, before anything is measured.  `_execute`
 measures the jobs, on every CPU the process may use: each job opens its
 own session, so the order they run in changes no result, and each forked
-worker sends its outcomes back in one message.  `_fold` then
-rebuilds the clock, the log and the verdicts in plan order, so the report
-is the same byte for byte whatever ran where.
+worker sends its outcomes back once it is done.  `_fold` then rebuilds the
+clock, the log and the verdicts in plan order, so the report is the same
+byte for byte whatever ran where.
 """
 from __future__ import annotations
 
@@ -240,6 +240,10 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+#: Each job's measurement or the exception it raised, by job index.
+_Outcomes = dict[int, BerMeasurement | Exception]
+
+
 def _execute(config: CampaignConfig, jobs: list[_Job]) -> list[BerMeasurement]:
     """Every job's measurement, in plan order.
 
@@ -248,10 +252,9 @@ def _execute(config: CampaignConfig, jobs: list[_Job]) -> list[BerMeasurement]:
     reported is measured here afterwards.  Either way the first job in plan
     order that raises raises here, and no later job's result is used.
     """
-    outcomes: dict[int, BerMeasurement | Exception] = {}
     workers = min(_cpu_count(), len(jobs))
-    if workers > 1 and hasattr(os, "fork"):
-        outcomes = _measure_forked(config, jobs, workers)
+    forked = workers > 1 and hasattr(os, "fork")
+    outcomes = _measure_forked(config, jobs, workers) if forked else {}
     measured = []
     for index, job in enumerate(jobs):
         outcome = outcomes[index] if index in outcomes else _measure_job(config, job)
@@ -294,16 +297,14 @@ def _next_index(dispatch: int) -> int | None:
     return int.from_bytes(raw, "little") if raw else None
 
 
-def _work(
-    config: CampaignConfig, jobs: list[_Job], index: int | None, dispatch: int
-) -> dict[int, BerMeasurement | Exception]:
+def _work(config: CampaignConfig, jobs: list[_Job], index: int | None, dispatch: int) -> _Outcomes:
     """Measure job `index`, then each job whose index this worker reads next.
 
     Returns the outcomes by job index.  A job that raises has its exception
     as outcome, and the worker then reads the indices left, so that no
     worker starts a later job.
     """
-    outcomes: dict[int, BerMeasurement | Exception] = {}
+    outcomes: _Outcomes = {}
     while index is not None:
         try:
             outcomes[index] = _measure_job(config, jobs[index])
@@ -327,18 +328,16 @@ def _fork() -> int:
         return os.fork()
 
 
-def _measure_forked(
-    config: CampaignConfig, jobs: list[_Job], workers: int
-) -> dict[int, BerMeasurement | Exception]:
+def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _Outcomes:
     """Run the jobs in this process and `workers - 1` forked children.
 
     Job indices wait in a pipe, and each worker reads the next one when it
     is free, so a slow job holds up no other.  This process takes job 0
-    itself.  A child pickles its outcomes (measurement or exception, by job
-    index) once, when no index is left, into a pipe of its own, and leaves
-    with `os._exit`, so no stdio buffer or exit handler runs twice.  Returns
-    the outcomes that arrived, by job index.  Every child is reaped before
-    this returns or raises.
+    itself.  Once no index is left, a child pickles its measurements, then
+    its failure if any, into a pipe of its own, and leaves with `os._exit`,
+    so no stdio buffer or exit handler runs twice.  Returns the outcomes
+    that arrived, by job index.  Every child is reaped before this returns
+    or raises.
     """
     dispatch = _dispatch_pipe(len(jobs))
     pids: list[int] = []
@@ -361,11 +360,12 @@ def _measure_forked(
         for read_end in results:
             with open(read_end, "rb", closefd=False) as stream:
                 try:
-                    outcomes.update(pickle.load(stream))
+                    outcomes.update(pickle.load(stream))  # the measurements
+                    outcomes.update(pickle.load(stream))  # the failure, if any
                 except Exception:
                     # Cut short (the child died) or not loadable (an exception
                     # whose constructor takes other arguments): `_execute`
-                    # measures the child's jobs again, and a failing one raises.
+                    # measures the missing jobs again, and a failing one raises.
                     pass
         return outcomes
     except BaseException:
@@ -386,8 +386,10 @@ def _child(config: CampaignConfig, jobs: list[_Job], dispatch: int, write_end: i
     code = 1
     try:
         outcomes = _work(config, jobs, _next_index(dispatch), dispatch)
-        with open(write_end, "wb") as out:
-            pickle.dump(outcomes, out)
+        failed = {i: o for i, o in outcomes.items() if isinstance(o, Exception)}
+        with open(write_end, "wb") as out:  # the failure apart: it may not load
+            pickle.dump({i: o for i, o in outcomes.items() if i not in failed}, out)
+            pickle.dump(failed, out)
         code = 0
     finally:
         os._exit(code)

@@ -331,15 +331,14 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
     if len(payload) < size:
         raise ValueError(f"{len(payload)} octets cannot hold {n_bits} bits")
     payload = payload[:size]
-    if n_bits % 8 and payload[-1] & (0xFF >> n_bits % 8):  # send no bit past n_bits
-        payload = payload.copy()
-        clear_tail(payload, n_bits)
     g704 = session.iface is InterfaceKind.G704
+    if not g704 or n_bits % 8 and payload[-1] & (0xFF >> n_bits % 8):
+        payload = payload.copy()  # off G.704, the line itself
+        clear_tail(payload, n_bits)  # send no bit past n_bits
+    line, line_bits = payload, n_bits
     if g704:
         line = build_multiframes(payload, session.payload_timeslots)
         line_bits = 8 * len(line)
-    else:
-        line, line_bits = payload.copy(), n_bits
     stream = session._stream
     for lo in range(0, line_bits, _LINE_PASS):
         count = min(line_bits - lo, _LINE_PASS)

@@ -214,7 +214,9 @@ def test_apply_memory_stays_bounded(model):
 def test_framed_measurement_memory_stays_bounded():
     # One full segment at 256 kbit/s G.704 puts 2^28 line bits through the
     # channel.  With one uint8 per bit that peaked near 600 MB; packed, the
-    # received line is 32 MB and the rest is a few segment-sized arrays.
+    # received line is 32 MB and the rest is a few segment-sized arrays.  The
+    # line has a mapping of its own, which tracemalloc does not see, so the
+    # peak is those arrays alone (about 13 MiB): a line-sized temporary fails.
     config = MeasurementConfig(ber0=Fraction(10, SEGMENT_BITS))  # one whole segment
     profile = default_profile(channel=Bsc(p=1e-6, seed=1))
     session = dut_open_session(profile, InterfaceKind.G704, 256, 1450e6)
@@ -225,7 +227,7 @@ def test_framed_measurement_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert m.transmitted_bits == SEGMENT_BITS and not m.sync_failed
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
 
 
 def test_fixed_mask_flips_exactly_listed_positions():

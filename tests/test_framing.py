@@ -439,7 +439,9 @@ def test_build_matches_unpacked_reference(data, timeslots):
 @pytest.mark.parametrize("timeslots", [4, 31])
 def test_build_memory_stays_bounded(timeslots):
     # The unpacked build peaked at about 2 bytes per line bit at 31 timeslots;
-    # the packed one holds no line-sized temporary beside its result.
+    # the packed one holds no line-sized temporary beside its result.  The
+    # line has a mapping of its own, which tracemalloc does not see, so the
+    # peak is the build's temporaries alone (about 0.1 line here).
     payload = np.random.default_rng(9).integers(0, 256, 10**6 // 8).astype(np.uint8)
     build_multiframes(payload[:1], timeslots)  # tables built on first use
     tracemalloc.start()
@@ -448,7 +450,7 @@ def test_build_memory_stays_bounded(timeslots):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * len(line)
+    assert peak < 0.5 * len(line)
 
 
 def test_multiframe_length():

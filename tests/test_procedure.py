@@ -484,6 +484,7 @@ def test_a_failure_that_does_not_load_is_measured_again(monkeypatch, tmp_path):
         run_campaign(FAILING)
     assert_no_children()
     assert (2, "parent") in started()  # measured again
+    assert (1, "parent") not in started()  # the child's measurement arrived
 
 
 def test_jobs_of_a_child_that_dies_are_measured_in_the_parent(monkeypatch, tmp_path):

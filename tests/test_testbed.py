@@ -390,7 +390,7 @@ def test_framed_loopback_takes_no_line_sized_heap_memory():
     # The line (4 MiB here) has a mapping of its own, which tracemalloc does
     # not see: what it sees is the fault model's pass temporaries and the
     # payload-sized result.  A line from the heap, or a second whole-line
-    # temporary, would pass the bound.
+    # temporary, would exceed the bound.
     session = dut_open_session(default_profile(channel=Bsc(p=1e-6, seed=5)), IK.G704, 256, F0)
     n = (1 << 22) + 271
     payload = np.packbits(generate(PrbsSpec(), n))
