@@ -19,13 +19,26 @@ k is an integer, so ``k < p * 2**53`` holds exactly when
 flips are therefore those of the float rule, bit for bit; a threshold of
 0 flips nothing and p = 1 (threshold 2**53) flips every bit.
 
+A flip needs ``z < t << 11`` for the finished draw z, and the last step
+``z ^= z >> 31`` leaves the top 31 bits of its input z2 as they are.  So
+a draw that flips has ``z2 >> 33 <= ((t << 11) - 1) >> 33``, that is
+``z2 < cap = ((((t << 11) - 1) >> 33) + 1) << 33``.  `_flips` compares
+z2 with the cap and finishes the mix only below it, which keeps a share
+of the draws only 2**-31 above p.  The flips are still exactly those of
+the full kernel `_flip_below`, which serves flip probabilities above
+about 2**-6, where most draws pass the cap, and Gilbert-Elliott's
+per-bit thresholds.
+
 A model is an immutable configuration; `open_stream` turns it into a
 stateful stream that consumes bits sequentially (bit positions are global
 across calls, so a long run may be fed in segments).  A stream's
 ``apply(bits)`` returns the bits with its flips applied; ``skip_clean(n)``
-moves past the next n bits and returns True when none of them can flip,
-so a caller may pass them on untouched, and otherwise returns False and
-moves nothing.
+moves past the next n bits and returns True when none of them flips, so
+a caller may pass them on untouched, and otherwise returns False and
+moves nothing.  A `bsc` stream draws the n bits to tell, and keeps the
+flips it found for an `apply` of the same n bits at the same position;
+above a flip probability of about 2**-6 nearly every pass flips, and it
+returns False undrawn.  Gilbert-Elliott streams always return False.
 """
 from __future__ import annotations
 
@@ -73,10 +86,11 @@ def _steps() -> np.ndarray:
     return steps
 
 
-def _top53(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The top 53 bits of draws start .. start+len(z) of stream `seed`, in z.
+def _mixed(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Draws start .. start+len(z) of stream `seed` before their last step, in z.
 
-    len(z) <= _CHUNK; tmp is a scratch buffer of the same size.
+    That is, z after the second multiply of `mix64`.  len(z) <= _CHUNK;
+    tmp is a scratch buffer of the same size.
     """
     # A Python int offset: a numpy uint64 scalar would warn on wrap-around.
     np.add(_steps()[: len(z)], (seed + start * _GOLDEN) & _MASK64, out=z)
@@ -86,6 +100,12 @@ def _top53(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.right_shift(z, 27, out=tmp)
     z ^= tmp
     z *= _MIX2
+    return z
+
+
+def _top53(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The top 53 bits of draws start .. start+len(z) of stream `seed`, in z."""
+    _mixed(seed, start, z, tmp)
     np.right_shift(z, 31, out=tmp)
     z ^= tmp
     return np.right_shift(z, 11, out=z)
@@ -113,6 +133,44 @@ def _flip_below(bits: np.ndarray, seed: int, start: int, threshold) -> None:
         k = _top53(seed, start + lo, z[:c], tmp[:c])
         np.less(k, threshold if scalar else threshold[lo:hi], out=hit[:c])
         np.bitwise_xor(bits[lo:hi], hit[:c].view(np.uint8), out=bits[lo:hi])
+
+
+def _cap(threshold: int) -> int:
+    """A bound on the draws that flip at `threshold`, before their last step.
+
+    A draw z flips when ``z < threshold << 11``, and z shares its top 31
+    bits with the value before its last step, so that value is below this
+    multiple of 2**33 (see the module docstring).
+    """
+    return ((((threshold << 11) - 1) >> 33) + 1) << 33
+
+
+#: The largest cap `_flips` takes, which lets 1/64 of the draws through
+#: (p up to about 0.016).  `_flips` gathers its candidates one by one, so
+#: above it the whole-pass mask of `_flip_below` is cheaper.
+_SPARSE_CAP = 1 << 58
+
+
+def _flips(seed: int, start: int, n: int, threshold: int) -> np.ndarray:
+    """Offsets i < n whose draw start+i of stream `seed` flips at `threshold`.
+
+    The same flips as `_flip_below` with this one threshold: the mix stops
+    at `_mixed`, and only draws below `_cap` finish it.
+    """
+    cap = _cap(threshold)
+    z = np.empty(min(n, _CHUNK), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    below = np.empty(len(z), dtype=bool)
+    found = []
+    for lo in range(0, n, _CHUNK):
+        c = min(n - lo, _CHUNK)
+        mixed = _mixed(seed, start + lo, z[:c], tmp[:c])
+        candidates = np.flatnonzero(np.less(mixed, cap, out=below[:c]))
+        if len(candidates):
+            last = mixed[candidates]
+            last ^= last >> 31
+            found.append(candidates[last >> 11 < threshold] + lo)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -203,20 +261,35 @@ class _IdealStream:
 class _BscStream:
     def __init__(self, model: Bsc):
         self.threshold = _threshold(float(model.p))
+        self.sparse = _cap(self.threshold) <= _SPARSE_CAP
         self.seed = model.seed
         self.position = 0
+        # The flip offsets `skip_clean` last drew, by (position, n) of the
+        # pass, for the `apply` of that pass.
+        self._drawn: dict[tuple[int, int], np.ndarray] = {}
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
-        out = bits
-        if len(bits) and self.threshold:
+        n, out = len(bits), bits
+        if n and self.threshold:
             out = np.array(bits, dtype=np.uint8)
-            _flip_below(out, self.seed, self.position, self.threshold)
-        self.position += len(bits)
+            if not self.sparse:
+                _flip_below(out, self.seed, self.position, self.threshold)
+            else:
+                offsets = self._drawn.pop((self.position, n), None)
+                if offsets is None:
+                    offsets = _flips(self.seed, self.position, n, self.threshold)
+                out[offsets] ^= 1
+        self.position += n
         return out
 
     def skip_clean(self, n: int) -> bool:
         if self.threshold:
-            return False
+            if not self.sparse:
+                return False  # nearly every pass flips a bit: `apply` draws it
+            offsets = _flips(self.seed, self.position, n, self.threshold)
+            if len(offsets):
+                self._drawn = {(self.position, n): offsets}
+                return False
         self.position += n
         return True
 

@@ -18,6 +18,7 @@ saved report re-renders byte-identically.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -540,5 +541,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry of the `berbench` script and `python -m berbench.cli`.
+
+    Freezes the heap the imports left before `main` runs: the run's
+    collections and the one at exit then skip it, and a forked worker's
+    collections leave the pages it shares with its parent alone.  `main`
+    itself does not, because tests call it in their own process.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -25,6 +25,7 @@ byte for byte whatever ran where.
 """
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import warnings
@@ -264,55 +265,70 @@ def _execute(config: CampaignConfig, jobs: list[_Job]) -> list[BerMeasurement]:
     return measured
 
 
-#: Octets of one job index in the dispatch pipe.
-_INDEX_OCTETS = 4
-#: Job indices per write to the dispatch pipe: 512 octets, the least
-#: PIPE_BUF POSIX allows, so a write is atomic and a full pipe refuses it
-#: whole.
-_INDICES_PER_WRITE = 512 // _INDEX_OCTETS
+#: Octets of one run of job indices in the dispatch pipe: its first index
+#: and the one past its last.
+_RUN_OCTETS = 8
+#: Runs per write to the dispatch pipe: 512 octets, the least PIPE_BUF
+#: POSIX allows, so a write is atomic and a full pipe refuses it whole.
+_RUNS_PER_WRITE = 512 // _RUN_OCTETS
+#: Most runs of one campaign: one 4 KiB page of them, the least a Linux
+#: pipe holds, so the whole plan waits in the pipe before a worker reads.
+_MOST_RUNS = 4096 // _RUN_OCTETS
 
 
 def _dispatch_pipe(count: int) -> int:
-    """The read end of a pipe that holds job indices 1 .. count - 1.
+    """The read end of a pipe that holds job indices 1 .. count - 1, in runs.
 
-    Its write end is closed, so a worker reads end of file once the indices
-    are gone.
+    A run is one index long while there are at most `_MOST_RUNS` indices,
+    and just long enough beyond that for `_MOST_RUNS` runs to hold them
+    all.  The write end is closed, so a worker reads end of file once the
+    runs are gone.
     """
     read_end, write_end = os.pipe()
-    indices = b"".join(i.to_bytes(_INDEX_OCTETS, "little") for i in range(1, count))
-    step = _INDICES_PER_WRITE * _INDEX_OCTETS
+    length = max(1, -(-(count - 1) // _MOST_RUNS))
+    runs = b"".join(
+        first.to_bytes(4, "little") + min(first + length, count).to_bytes(4, "little")
+        for first in range(1, count, length)
+    )
+    step = _RUNS_PER_WRITE * _RUN_OCTETS
     try:
         os.set_blocking(write_end, False)
-        for lo in range(0, len(indices), step):
-            os.write(write_end, indices[lo : lo + step])
+        for lo in range(0, len(runs), step):
+            os.write(write_end, runs[lo : lo + step])
     except BlockingIOError:
-        pass  # the pipe is full (thousands of jobs); `_execute` measures the rest
+        pass  # a pipe smaller than a page is full; `_execute` measures the rest
     finally:
         os.close(write_end)
     return read_end
 
 
-def _next_index(dispatch: int) -> int | None:
-    raw = os.read(dispatch, _INDEX_OCTETS)
-    return int.from_bytes(raw, "little") if raw else None
+def _next_run(dispatch: int) -> range:
+    """The next run of job indices; empty once none is left."""
+    raw = os.read(dispatch, _RUN_OCTETS)
+    return range(int.from_bytes(raw[:4], "little"), int.from_bytes(raw[4:], "little"))
 
 
-def _work(config: CampaignConfig, jobs: list[_Job], index: int | None, dispatch: int) -> _Outcomes:
-    """Measure job `index`, then each job whose index this worker reads next.
+def _work(
+    config: CampaignConfig, jobs: list[_Job], run: range, dispatch: int, failed: mmap.mmap
+) -> _Outcomes:
+    """Measure the jobs of `run`, then of each run this worker reads next.
 
-    Returns the outcomes by job index.  A job that raises has its exception
-    as outcome, and the worker then reads the indices left, so that no
-    worker starts a later job.
+    Returns the outcomes by job index.  `failed` is one octet that every
+    worker shares: a job that raises has its exception as outcome and sets
+    it, and no worker starts a job once it is set.
     """
     outcomes: _Outcomes = {}
-    while index is not None:
-        try:
-            outcomes[index] = _measure_job(config, jobs[index])
-        except Exception as exc:  # carried to the plan-order check in `_execute`
-            outcomes[index] = exc
-            while _next_index(dispatch) is not None:
-                pass
-        index = _next_index(dispatch)
+    while run:
+        for index in run:
+            if failed[0]:
+                return outcomes
+            try:
+                outcomes[index] = _measure_job(config, jobs[index])
+            except Exception as exc:  # carried to the plan-order check in `_execute`
+                outcomes[index] = exc
+                failed[0] = 1
+                return outcomes
+        run = _next_run(dispatch)
     return outcomes
 
 
@@ -331,15 +347,16 @@ def _fork() -> int:
 def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _Outcomes:
     """Run the jobs in this process and `workers - 1` forked children.
 
-    Job indices wait in a pipe, and each worker reads the next one when it
-    is free, so a slow job holds up no other.  This process takes job 0
-    itself.  Once no index is left, a child pickles its measurements, then
-    its failure if any, into a pipe of its own, and leaves with `os._exit`,
-    so no stdio buffer or exit handler runs twice.  Returns the outcomes
+    Runs of job indices wait in a pipe, and each worker reads the next run
+    when it is free, so a slow job holds up no other.  This process takes
+    job 0 itself.  Once no run is left, a child pickles its measurements,
+    then its failure if any, into a pipe of its own, and leaves with
+    `os._exit`, so no stdio buffer or exit handler runs twice.  Returns the outcomes
     that arrived, by job index.  Every child is reaped before this returns
     or raises.
     """
     dispatch = _dispatch_pipe(len(jobs))
+    failed = mmap.mmap(-1, 1)  # anonymous and shared: the children write the parent's octet
     pids: list[int] = []
     results: list[int] = []  # the read end of each child's pipe
     try:
@@ -352,11 +369,11 @@ def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _
                 os.close(write_end)
                 break
             if pid == 0:
-                _child(config, jobs, dispatch, write_end)
+                _child(config, jobs, dispatch, failed, write_end)
             pids.append(pid)
             results.append(read_end)
             os.close(write_end)
-        outcomes = _work(config, jobs, 0, dispatch)
+        outcomes = _work(config, jobs, range(1), dispatch, failed)
         for read_end in results:
             with open(read_end, "rb", closefd=False) as stream:
                 try:
@@ -379,17 +396,20 @@ def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
+        failed.close()
 
 
-def _child(config: CampaignConfig, jobs: list[_Job], dispatch: int, write_end: int):
+def _child(
+    config: CampaignConfig, jobs: list[_Job], dispatch: int, failed: mmap.mmap, write_end: int
+):
     """A forked worker's whole life: it never returns."""
     code = 1
     try:
-        outcomes = _work(config, jobs, _next_index(dispatch), dispatch)
-        failed = {i: o for i, o in outcomes.items() if isinstance(o, Exception)}
+        outcomes = _work(config, jobs, _next_run(dispatch), dispatch, failed)
+        errors = {i: o for i, o in outcomes.items() if isinstance(o, Exception)}
         with open(write_end, "wb") as out:  # the failure apart: it may not load
-            pickle.dump({i: o for i, o in outcomes.items() if i not in failed}, out)
-            pickle.dump(failed, out)
+            pickle.dump({i: o for i, o in outcomes.items() if i not in errors}, out)
+            pickle.dump(errors, out)
         code = 0
     finally:
         os._exit(code)

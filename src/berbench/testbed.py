@@ -23,10 +23,11 @@ HDB3 codec in `framing`):
 The line is built in one call: the check multiframes over the whole
 payload on G.704, a copy of the payload elsewhere.  The fault model then
 flips it in place, in passes of `_LINE_PASS` bits: each pass is unpacked
-for the model's per-bit stream and packed again, unless the stream cannot
-flip a bit of it, when its octets stay as they are.  Fault draws are keyed
-by stream position, so the passes flip the same bits as one call would.
-On G.704 the frame phase is then voted over the whole received line.
+for the model's per-bit stream and packed again, unless the stream finds
+no flip in it (`skip_clean`), when its octets stay as they are.  Fault
+draws are keyed by stream position, so the passes flip the same bits as
+one call would.  On G.704 the frame phase is then voted over the whole
+received line.
 """
 from __future__ import annotations
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from berbench.channel import (
     Bsc,
@@ -16,7 +16,9 @@ from berbench.channel import (
     _MASK64,
     _MIX1,
     _MIX2,
+    _cap,
     _flip_below,
+    _flips,
     _threshold,
     derive_seed,
     mix64,
@@ -267,11 +269,34 @@ def test_skip_clean_moves_only_past_bits_that_cannot_flip():
     assert np.flatnonzero(stream.apply(np.zeros(1, np.uint8))).tolist() == [0]
     assert stream.skip_clean(10**6) and stream.position == 10**6 + 12
     for model, clean in [
-        (Ideal(), True), (Bsc(p=0.0), True), (Bsc(p=1e-9), False),
+        (Ideal(), True), (Bsc(p=0.0), True),
         (GilbertElliott(p_gb=0.1, p_bg=0.1, p_good=1.0, p_bad=1.0), False),
     ]:
         stream = open_stream(model)
         assert stream.skip_clean(100) is clean and stream.position == (100 if clean else 0)
+
+
+def test_bsc_skip_clean_is_true_exactly_when_the_pass_draws_no_flip():
+    # A `bsc` stream draws the pass: True means no drawn flip, not that no
+    # flip could be drawn.
+    seen = set()
+    for p in (1e-9, 1e-6, 1e-4, 1e-2):
+        for seed in range(4):
+            for offset in (0, 12_345):
+                for n in (1, 7, 100, _CHUNK + 1, 3 * _CHUNK):
+                    fresh = open_stream(Bsc(p=p, seed=seed))
+                    fresh.apply(np.zeros(offset, np.uint8))
+                    clean = not fresh.apply(np.zeros(n, np.uint8)).any()
+                    stream = open_stream(Bsc(p=p, seed=seed))
+                    stream.apply(np.zeros(offset, np.uint8))
+                    assert stream.skip_clean(n) is clean
+                    assert stream.position == offset + (n if clean else 0)
+                    seen.add(clean)
+    assert seen == {True, False}
+    # Above a flip probability of about 2**-6 nearly every pass flips, and
+    # the stream says so without drawing.
+    stream = open_stream(Bsc(p=0.3))
+    assert not stream.skip_clean(1) and stream.position == 0
 
 
 def _ge_asymptotic_sigma(model: GilbertElliott, n: int) -> float:
@@ -371,6 +396,93 @@ def test_bsc_stream_matches_reference_under_any_segmentation(p, seed, cuts):
     want = bits.copy()
     reference_flip(want, seed, 0, p)
     assert np.array_equal(apply_in_pieces(open_stream(Bsc(p=p, seed=seed)), bits, cuts), want)
+
+
+#: Thresholds on either side of an edge of `_cap` (a multiple of 2**22),
+#: mostly where `_flips` is the draw, and the two ends.
+thresholds = (
+    st.integers(min_value=0, max_value=2**31)
+    | st.integers(min_value=0, max_value=2**10)
+).flatmap(
+    lambda m: st.sampled_from((m * 2**22 - 1, m * 2**22, m * 2**22 + 1))
+).filter(lambda t: 0 <= t <= 2**53) | st.sampled_from((0, 1, 2**53))
+
+#: Draw counts: one, a few, either side of a pass of the kernel, several.
+lengths = st.sampled_from((1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK)) | st.integers(
+    min_value=0, max_value=2 * _CHUNK + 3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=thresholds, low=st.integers(min_value=0, max_value=2**33 - 1), step=st.integers(-2, 1))
+def test_cap_bounds_every_draw_that_flips(t, low, step):
+    # z2 is the value before the last step, its top 31 bits next to the cap's.
+    top = (_cap(t) >> 33) + step
+    assume(0 <= top < 2**31)
+    z2 = top << 33 | low
+    if (z2 ^ z2 >> 31) >> 11 < t:
+        assert z2 < _cap(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=thresholds,
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    start=st.integers(min_value=0, max_value=2**62),
+    n=lengths,
+)
+def test_flips_match_the_flip_kernel(t, seed, start, n):
+    bits = np.zeros(n, np.uint8)
+    _flip_below(bits, seed, start, t)
+    assert np.array_equal(_flips(seed, start, n, t), np.flatnonzero(bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    start=st.integers(min_value=0, max_value=2**62),
+    n=st.integers(min_value=1, max_value=2 * _CHUNK + 3),
+    above=st.booleans(),
+)
+def test_flips_are_exact_for_a_draw_at_the_threshold(seed, start, n, above):
+    # The least draw of the pass sits at the threshold, or just below it.
+    k = reference_uniforms(seed, start, n) * 2.0**53
+    least = int(np.argmin(k))
+    t = int(k[least]) + above
+    assert (least in _flips(seed, start, n, t).tolist()) == above
+    bits = np.zeros(n, np.uint8)
+    _flip_below(bits, seed, start, t)
+    assert np.array_equal(_flips(seed, start, n, t), np.flatnonzero(bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from((1e-6, 1e-3, 2.0**-6, 0.3)) | probabilities,
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    cuts=segmentations(3 * _CHUNK),
+    modes=st.lists(st.sampled_from(("apply", "skip", "skip, then split")), min_size=6, max_size=6),
+)
+def test_bsc_passes_match_the_flip_kernel_under_any_cuts(p, seed, cuts, modes):
+    # A pass is applied whole, skipped when clean and applied otherwise as
+    # `testbed.loopback` does, or applied in two pieces after `skip_clean`
+    # drew it whole, so that neither piece may take that draw.
+    bits = generate(PrbsSpec(), cuts[-1])
+    want = bits.copy()
+    _flip_below(want, seed, 0, _threshold(p))
+    stream = open_stream(Bsc(p=p, seed=seed))
+    parts = []
+    for (a, b), mode in zip(zip(cuts, cuts[1:]), modes):
+        if mode == "apply":
+            parts.append(stream.apply(bits[a:b]))
+        elif stream.skip_clean(b - a):
+            parts.append(bits[a:b])
+        elif mode == "skip":
+            parts.append(stream.apply(bits[a:b]))
+        else:
+            middle = (a + b) // 2
+            parts += [stream.apply(bits[a:middle]), stream.apply(bits[middle:b])]
+    assert stream.position == cuts[-1]
+    assert np.array_equal(np.concatenate(parts), want)
 
 
 def test_threshold_is_exact_at_the_edges():

@@ -10,8 +10,13 @@ The multi-segment cases shrink `meter.SEGMENT_BITS` so that one 10^6-bit
 measurement spans four segments, which pins pattern generation from a
 nonzero start and a receiver lock inside a later segment.
 """
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,8 +143,36 @@ def test_report_digests(
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"schema": CONFIG_SCHEMA, **config}))
         args += ["--config", str(path)]
+    frozen = gc.get_freeze_count()
     assert cli.main(args) == code
+    assert gc.get_freeze_count() == frozen  # only the process entry freezes
     assert capsys.readouterr().err == ""
+    assert (_sha256(tmp_path / "report.json"), _sha256(tmp_path / "report.txt")) == (
+        json_sha,
+        txt_sha,
+    )
+
+
+def _python(tmp_path, *args) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, timeout=300,
+    )
+
+
+def test_the_process_entry_freezes_the_heap_before_main(tmp_path):
+    code = "import gc; from berbench import cli; cli.main = lambda: print(gc.get_freeze_count())"
+    child = _python(tmp_path, "-c", f"{code}; cli.entry()")
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert int(child.stdout) > 0
+
+
+def test_a_child_process_writes_the_golden_report(tmp_path):
+    [(argv, _, json_sha, txt_sha, code, _)] = [c[1:] for c in CASES if c[0] == "bsc"]
+    child = _python(tmp_path, "-m", "berbench.cli", "run", *argv, "--out", str(tmp_path / "report"))
+    assert (child.returncode, child.stderr) == (code, b"")
     assert (_sha256(tmp_path / "report.json"), _sha256(tmp_path / "report.txt")) == (
         json_sha,
         txt_sha,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import mmap
 import os
 import time
 from fractions import Fraction
@@ -529,3 +530,52 @@ def test_a_child_is_not_held_up_by_its_results(monkeypatch):
     outcomes = procedure._execute(CampaignConfig(), jobs)
     assert_no_children()
     assert sum(pid != os.getpid() for pid, _ in outcomes) >= 100
+
+
+#: More job indices than a 64 KiB pipe holds one by one.
+LARGE_PLAN = 20_000
+
+
+def test_the_dispatch_pipe_hands_out_every_index_of_a_large_plan_once():
+    for count, length in [(9, 1), (procedure._MOST_RUNS + 1, 1), (LARGE_PLAN, 40)]:
+        dispatch = procedure._dispatch_pipe(count)
+        runs = []
+        try:
+            while run := procedure._next_run(dispatch):
+                runs.append(run)
+        finally:
+            os.close(dispatch)
+        assert [i for run in runs for i in run] == list(range(1, count))
+        assert max(map(len, runs)) == length
+
+
+def test_every_job_of_a_large_plan_reaches_the_parent(monkeypatch):
+    monkeypatch.setattr(procedure, "_measure_job", lambda config, job: job.seed_tag)
+    jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(LARGE_PLAN)]
+    outcomes = procedure._measure_forked(CampaignConfig(), jobs, 2)
+    assert_no_children()
+    assert outcomes == {i: i for i in range(LARGE_PLAN)}
+
+
+def test_no_worker_starts_a_job_once_a_job_raised(monkeypatch):
+    started = []
+
+    def measure_job(config, job):
+        started.append(job.seed_tag)
+        if job.seed_tag == 1002:
+            raise ValueError("job 1002 failed")
+        return job.seed_tag
+
+    monkeypatch.setattr(procedure, "_measure_job", measure_job)
+    jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(LARGE_PLAN)]
+    dispatch = procedure._dispatch_pipe(len(jobs))
+    failed = mmap.mmap(-1, 1)
+    try:
+        # Mid-run, the failure ends the run; another worker's run starts nothing.
+        outcomes = procedure._work(CampaignConfig(), jobs, range(1001, 1041), dispatch, failed)
+        assert procedure._work(CampaignConfig(), jobs, range(1, 41), dispatch, failed) == {}
+    finally:
+        os.close(dispatch)
+        failed.close()
+    assert started == [1001, 1002]
+    assert outcomes[1001] == 1001 and str(outcomes[1002]) == "job 1002 failed"
