@@ -40,14 +40,11 @@ from .meter import required_duration
 from .prbs import PrbsSpec
 from .procedure import (
     CampaignConfig,
-    CampaignPreconditionError,
     CampaignReport,
     VerdictPolicy,
     run_campaign,
 )
 from .testbed import (
-    FrequencyRangeError,
-    UnsupportedRateError,
     analyzer_from_dict,
     analyzer_to_dict,
     catalog_from_list,
@@ -403,7 +400,7 @@ def _parse_rates_arg(text: str) -> tuple[int, ...]:
 
 
 def cmd_plan(args) -> int:
-    rates = _parse_rates_arg(args.rates) if args.rates else None
+    rates = _parse_rates_arg(args.rates) if args.rates is not None else None
     try:
         plan = build_plan(rates, exact_fraction(args.ber0))
     except (ValueError, TypeError) as exc:
@@ -529,14 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (
-        ConfigError,
-        CampaignPreconditionError,
-        UnsupportedRateError,
-        FrequencyRangeError,
-        ValueError,
-        TypeError,
-    ) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -7,7 +7,9 @@ measurement-time rounding must not depend on binary floating point.
 Pattern and line bits travel packed: a uint8 array holds eight bits per
 octet, most significant bit first (the order of `np.packbits`), and an
 explicit bit count says how many of them are meant.  Bits past the count
-in the last octet are zero.
+in the last octet are zero.  A count must lie in 0 .. 8 x the octets:
+`check_bit_count` refuses any other, and the loopback, the frame
+alignment and the receiver call it on what they are given.
 """
 from __future__ import annotations
 
@@ -105,6 +107,12 @@ def unpack_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
     first = start // 8
     bits = np.unpackbits(packed[first : -(-stop // 8)])
     return bits[start - 8 * first : stop - 8 * first]
+
+
+def check_bit_count(packed: np.ndarray, n_bits: int) -> None:
+    """Refuse a bit count that the octets of `packed` cannot hold."""
+    if not 0 <= n_bits <= 8 * len(packed):
+        raise ValueError(f"{len(packed)} octets cannot hold {n_bits} bits")
 
 
 def clear_tail(packed: np.ndarray, n_bits: int) -> None:

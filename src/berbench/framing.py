@@ -49,6 +49,8 @@ import mmap
 
 import numpy as np
 
+from .core import check_bit_count
+
 FRAME_BITS = 256
 FRAMES_PER_MULTIFRAME = 16
 MULTIFRAME_BITS = FRAME_BITS * FRAMES_PER_MULTIFRAME
@@ -296,8 +298,7 @@ def g704_align(
     _check_timeslots(timeslots)
     line = np.ascontiguousarray(line, dtype=np.uint8)
     n = 8 * len(line) if n_bits is None else n_bits
-    if not 0 <= n <= 8 * len(line):
-        raise ValueError(f"{len(line)} octets cannot hold {n} bits")
+    check_bit_count(line, n)
     if n < 3 * FRAME_BITS:
         raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
     end = n - 7  # signal positions: the seven signal bits lie inside the line

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_int, clear_tail, unpack_bits
+from .core import check_bit_count, check_int, clear_tail, unpack_bits
 
 #: Second taps that give a maximal-length sequence, per order; the first
 #: tap is always the order.  The ITU-T O.150 choice comes first and is the
@@ -182,6 +182,7 @@ def synchronize(spec: PrbsSpec, received: np.ndarray, n_bits: int) -> SyncState:
     one at a time, which keeps the scan's memory bounded and a clean head
     cheap.
     """
+    check_bit_count(received, n_bits)
     k, t, m = spec.order, spec.taps[1], LOCK_THRESHOLD
     start, size = 0, k + m  # k + m bits decide one candidate offset
     while start + k + m <= n_bits:
@@ -214,6 +215,9 @@ def count_errors(
     octet boundary of the stream, are compared unpacked; the rest is
     generated packed in step with the received octets.
     """
+    check_bit_count(received, n_bits)
+    if max_bits is not None and max_bits < 0:
+        raise ValueError(f"max_bits must be nonnegative, got {max_bits}")
     if not sync.locked:
         raise ValueError("receiver is not locked")
     k = spec.order

@@ -14,14 +14,14 @@ an interface passes only when every measurement does.  A missing
 connector is a recorded outcome, not an error.  All bookkeeping runs on a
 virtual clock so reports are deterministic.
 
-A campaign runs in three steps.  `_plan` decides every interface's
-connector outcome and its measurement jobs, each with the seed tag that
-forks its channel stream, before anything is measured.  `_execute`
-measures the jobs, on every CPU the process may use: each job opens its
-own session, so the order they run in changes no result, and each forked
-worker sends its outcomes back once it is done.  `_fold` then rebuilds the
-clock, the log and the verdicts in plan order, so the report is the same
-byte for byte whatever ran where.
+A campaign runs in three steps.  `_plan`, before the warm-up, refuses a
+plan the device cannot run and decides every interface's connector
+outcome and its measurement jobs, each with the seed tag that forks its
+channel stream.  `_execute` measures the jobs, on every CPU the process
+may use: each job opens its own session, so the order they run in
+changes no result, and each forked worker sends its outcomes back once
+it is done.  `_fold` then rebuilds the clock, the log and the verdicts in
+plan order, so the report is the same byte for byte whatever ran where.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ ANALYZER_WARMUP_S = 900
 DEFAULT_RATE_KBPS = 2048
 
 
-class CampaignPreconditionError(Exception):
+class CampaignPreconditionError(ValueError):
     """The tuning range cannot host the three frequency points."""
 
 
@@ -195,6 +195,11 @@ class _Step(NamedTuple):
 def _plan(config: CampaignConfig, points: FrequencyPoints) -> list[_Step]:
     """The campaign's interfaces in request order, with their measurement jobs.
 
+    The one walk over them, made before the warm-up, so it refuses what the
+    device cannot run before any measurement: an interface with no rate,
+    and a rate that is not a positive integer or, where the device has the
+    port, one it does not run or whose duration `berbench plan` refuses.
+
     Each job gets the next seed tag, counting from 1 over the campaign.  An
     interface without a port spends one too: earlier versions opened its
     first session before the refusal, and the tags, so the reports, stay
@@ -204,26 +209,37 @@ def _plan(config: CampaignConfig, points: FrequencyPoints) -> list[_Step]:
     tag = 0
     for iface in config.interfaces:
         rates = config.rates_for(iface)
+        if not rates:
+            raise ValueError(f"no bit rates configured for {iface}")
+        try:
+            check_port(config.dut, iface)
+            note = None
+        except NoPortError as exc:
+            note = f"no appropriate interface connector: {exc}"
+        for rate in rates:
+            if note is not None:  # no port: a no-connector outcome at any rate
+                check_rate_kbps(rate)
+                continue
+            check_port_rate(config.dut, iface, rate)
+            try:
+                format_duration(required_duration(rate, config.measurement.ber0))
+            except ValueError as exc:
+                raise ValueError(f"{iface} at {rate} kbit/s: {exc}") from None
         chain = resolve_chain(config.analyzer, iface, config.catalog, max(rates))
+        jobs = []
         if chain is None:
             note = (
                 f"no appropriate {iface} connector: analyzer has no native port "
                 f"at {max(rates)} kbit/s and no converter chain exists"
             )
-            steps.append(_Step(iface, None, note, ()))
-            continue
-        try:
-            check_port(config.dut, iface)
-        except NoPortError as exc:
+        elif note is not None:
             tag += 1
-            steps.append(_Step(iface, chain, f"no appropriate interface connector: {exc}", ()))
-            continue
-        jobs = []
-        for rate in rates:
-            for freq in points:
-                tag += 1
-                jobs.append(_Job(iface, rate, freq, tag))
-        steps.append(_Step(iface, chain, None, tuple(jobs)))
+        else:
+            for rate in rates:
+                for freq in points:
+                    tag += 1
+                    jobs.append(_Job(iface, rate, freq, tag))
+        steps.append(_Step(iface, chain, note, tuple(jobs)))
     return steps
 
 
@@ -463,28 +479,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             f"IF range [{f_min:g}, {f_max:g}] Hz too narrow: tuning point "
             f"{outside[0]:.1f} Hz falls outside it"
         )
-    # Every rate is checked before the warm-up, not when its interface comes
-    # up; a measurement gets the duration bound of `berbench plan`.
-    for iface in config.interfaces:
-        rates = config.rates_for(iface)
-        if not rates:
-            raise ValueError(f"no bit rates configured for {iface}")
-        for rate in rates:
-            if dut.port_note(iface) is None:  # no port: a no-connector outcome later
-                check_rate_kbps(rate)
-                continue
-            check_port_rate(dut, iface, rate)
-            try:
-                format_duration(required_duration(rate, config.measurement.ber0))
-            except ValueError as exc:
-                raise ValueError(f"{iface} at {rate} kbit/s: {exc}") from None
+    steps = _plan(config, points)
     clock = _Clock()
     clock.advance(ANALYZER_WARMUP_S, "analyzer powered, waiting for stability")
     analyzer_self_test(config.measurement.pattern)
     clock.note("analyzer self-test: pattern self-loop clean")
     clock.note(f"EUT '{dut.name}' set up per its manual")
     clock.advance(dut.warmup_s, "EUT powered, waiting for stability")
-    steps = _plan(config, points)
     measured = _execute(config, [job for step in steps for job in step.jobs])
     results = _fold(config, steps, measured, clock)
     clock.note("campaign complete")

@@ -42,6 +42,7 @@ from .core import (
     COMBINED_10_100,
     COMBINED_10_100_NAME,
     InterfaceKind,
+    check_bit_count,
     check_freq_hz,
     check_int,
     check_rate_kbps,
@@ -65,11 +66,11 @@ class NoPortError(Exception):
     """The device has no port for the requested interface."""
 
 
-class UnsupportedRateError(Exception):
+class UnsupportedRateError(ValueError):
     """The device does not run the requested interface at this bit rate."""
 
 
-class FrequencyRangeError(Exception):
+class FrequencyRangeError(ValueError):
     """Requested tuning frequency outside the device's IF range."""
 
 
@@ -328,9 +329,8 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
     an exception: the meter sees it as a massive error count.
     """
     payload = np.ascontiguousarray(payload, dtype=np.uint8)
+    check_bit_count(payload, n_bits)
     size = -(-n_bits // 8)
-    if len(payload) < size:
-        raise ValueError(f"{len(payload)} octets cannot hold {n_bits} bits")
     payload = payload[:size]
     g704 = session.iface is InterfaceKind.G704
     if not g704 or n_bits % 8 and payload[-1] & (0xFF >> n_bits % 8):

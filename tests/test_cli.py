@@ -65,6 +65,11 @@ def test_plan_rejects_bad_rates(capsys):
     assert run_cli("plan", "--rates", "64,fast") == 3
     assert "error:" in capsys.readouterr().err
     assert run_cli("plan", "--rates", "-64") == 3
+    capsys.readouterr()
+    # An empty list is a bad list, not the default table.
+    assert run_cli("plan", "--rates", "") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bad rate list ''; expected comma-separated integers\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from berbench.core import (
     Outcome,
     REPORT_ORDER,
     Verdict,
+    check_bit_count,
     exact_fraction,
     format_ber,
     format_duration,
@@ -155,3 +157,12 @@ def test_no_connector_requires_note():
         Verdict(Outcome.NO_CONNECTOR)
     assert Verdict(Outcome.NO_CONNECTOR, "missing port").note == "missing port"
     assert Verdict(Outcome.PASS).note is None
+
+
+def test_bit_count_must_fit_the_octets():
+    octets = np.zeros(3, np.uint8)
+    for n_bits in (0, 1, 24):
+        check_bit_count(octets, n_bits)
+    for n_bits in (-1, 25):
+        with pytest.raises(ValueError, match=f"^3 octets cannot hold {n_bits} bits$"):
+            check_bit_count(octets, n_bits)

@@ -16,7 +16,8 @@ from berbench.meter import (
     required_bits,
     required_duration,
 )
-from berbench.prbs import LOCK_THRESHOLD, PrbsSpec
+from berbench import prbs
+from berbench.prbs import LOCK_THRESHOLD, PrbsSpec, SyncState
 from berbench.testbed import default_profile, dut_open_session
 from oracles import payload_line_positions
 
@@ -171,5 +172,12 @@ def test_measure_spans_segments():
 def test_self_test_passes_and_detects_breakage():
     analyzer_self_test()
     analyzer_self_test(PrbsSpec(order=9, seed=17))
-    with pytest.raises(SelfTestError):
-        raise SelfTestError("forced")
+    for name, result, message in [
+        ("synchronize", SyncState(locked=False), "failed to lock"),
+        ("synchronize", SyncState(locked=True, offset=3), "failed to lock"),
+        ("count_errors", (1000, 2), "^self-loop produced 2 errors$"),
+    ]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prbs, name, lambda *args, result=result, **kwargs: result)
+            with pytest.raises(SelfTestError, match=message):
+                analyzer_self_test()

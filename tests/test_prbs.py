@@ -240,6 +240,24 @@ def test_count_errors_requires_lock():
         count(spec, pattern(spec, 1000), SEARCHING)
 
 
+def test_receiver_refuses_a_bit_count_its_octets_cannot_hold():
+    spec = PrbsSpec()
+    stream = generate(spec, 1000)  # 125 octets
+    locked = SyncState(locked=True, offset=0)
+    for n_bits in (5000, 1001, -3, -5):
+        with pytest.raises(ValueError, match=f"^125 octets cannot hold {n_bits} bits$"):
+            synchronize(spec, stream, n_bits)
+        with pytest.raises(ValueError, match=f"^125 octets cannot hold {n_bits} bits$"):
+            count_errors(spec, stream, n_bits, locked)
+    with pytest.raises(ValueError, match="max_bits must be nonnegative"):
+        count_errors(spec, stream, 1000, locked, max_bits=-1)
+    # The whole stream, and none of it, are still counts it holds.
+    assert synchronize(spec, stream, 1000) == locked
+    assert count_errors(spec, stream, 1000, locked) == (1000 - spec.order, 0)
+    assert count_errors(spec, stream, 1000, locked, max_bits=0) == (0, 0)
+    assert synchronize(spec, stream, 0) == SEARCHING
+
+
 def test_count_errors_clean():
     spec = PrbsSpec()
     stream = pattern(spec, 50_000)

@@ -3,6 +3,7 @@ import json
 import mmap
 import os
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,30 @@ def test_one_worker_or_no_job_forks_nothing(monkeypatch):
     run_campaign(CampaignConfig(interfaces=(IK.G703,), measurement=DESK))
 
 
+#: The warning Python 3.12 and later give when a process with threads forks.
+FORK_WARNING = (
+    "This process (pid=1) is multi-threaded, use of fork() may lead to deadlocks in the child."
+)
+
+
+def test_fork_silences_only_the_multithreaded_fork_warning(monkeypatch):
+    def fork_warning(message):
+        def fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return 4321
+
+        return fork
+
+    monkeypatch.setattr(os, "fork", fork_warning(FORK_WARNING))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert procedure._fork() == 4321
+    assert caught == []
+    monkeypatch.setattr(os, "fork", fork_warning("some other deprecation"))
+    with pytest.warns(DeprecationWarning, match="^some other deprecation$"):
+        assert procedure._fork() == 4321
+
+
 #: Nine jobs, one interface: G.703 at three rates.
 FAILING = CampaignConfig(interfaces=(IK.G703,), rates={IK.G703: (256, 512, 2048)}, measurement=DESK)
 
@@ -505,6 +530,41 @@ def test_jobs_of_a_child_that_dies_are_measured_in_the_parent(monkeypatch, tmp_p
     assert_no_children()
     [(died, _)] = [s for s in started() if s[1] == "child"]
     assert (died, "parent") in started()
+
+
+def test_a_failed_fork_leaves_every_job_to_this_process(monkeypatch):
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    want = report_to_dict(run_campaign(FAILING))
+
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(procedure, "_fork", no_fork)
+    assert report_to_dict(run_campaign(FAILING)) == want
+    assert_no_children()
+
+
+class _Abort(BaseException):
+    """Not an `Exception`, so no worker keeps it as a job's outcome."""
+
+
+def test_a_base_exception_in_the_parents_job_kills_and_reaps_the_children(monkeypatch):
+    parent = os.getpid()
+
+    def measure_job(config, job):
+        if os.getpid() == parent:
+            raise _Abort
+        time.sleep(60)  # a child ends early only when it is killed
+
+    monkeypatch.setattr(procedure, "_measure_job", measure_job)
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 3)
+    jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(9)]
+    began = time.monotonic()
+    with pytest.raises(_Abort):
+        procedure._execute(CampaignConfig(), jobs)
+    assert_no_children()
+    assert time.monotonic() - began < 30
 
 
 def test_each_job_runs_once_with_more_workers_than_cpus(monkeypatch, tmp_path):

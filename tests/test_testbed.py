@@ -273,6 +273,14 @@ def test_loopback_is_identity_on_ideal_channel(kind):
     assert np.array_equal(loop_bits(session, bits), bits)
 
 
+@pytest.mark.parametrize("kind", [IK.G704, IK.V35])
+@pytest.mark.parametrize("n_bits", [-8, -5, 25])
+def test_loopback_refuses_a_bit_count_its_octets_cannot_hold(kind, n_bits):
+    session = dut_open_session(default_profile(), kind, 2048, F0)
+    with pytest.raises(ValueError, match=f"^3 octets cannot hold {n_bits} bits$"):
+        loopback(session, np.zeros(3, np.uint8), n_bits)
+
+
 @pytest.mark.parametrize("rate", [256, 512, 1024, 2048])
 def test_framed_loopback_identity_at_fractional_rates(rate):
     prof = default_profile()
