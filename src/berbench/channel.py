@@ -264,9 +264,9 @@ class _BscStream:
         self.sparse = _cap(self.threshold) <= _SPARSE_CAP
         self.seed = model.seed
         self.position = 0
-        # The flip offsets `skip_clean` last drew, by (position, n) of the
-        # pass, for the `apply` of that pass.
-        self._drawn: dict[tuple[int, int], np.ndarray] = {}
+        # (position, n, flip offsets) of the pass `skip_clean` last drew,
+        # for the `apply` of that pass; None once `apply` has run.
+        self._drawn: tuple[int, int, np.ndarray] | None = None
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
         n, out = len(bits), bits
@@ -275,10 +275,10 @@ class _BscStream:
             if not self.sparse:
                 _flip_below(out, self.seed, self.position, self.threshold)
             else:
-                offsets = self._drawn.pop((self.position, n), None)
-                if offsets is None:
-                    offsets = _flips(self.seed, self.position, n, self.threshold)
-                out[offsets] ^= 1
+                drawn, self._drawn = self._drawn, None
+                if drawn is None or drawn[:2] != (self.position, n):
+                    drawn = (self.position, n, _flips(self.seed, self.position, n, self.threshold))
+                out[drawn[2]] ^= 1
         self.position += n
         return out
 
@@ -288,7 +288,7 @@ class _BscStream:
                 return False  # nearly every pass flips a bit: `apply` draws it
             offsets = _flips(self.seed, self.position, n, self.threshold)
             if len(offsets):
-                self._drawn = {(self.position, n): offsets}
+                self._drawn = (self.position, n, offsets)
                 return False
         self.position += n
         return True
@@ -438,21 +438,22 @@ class _FixedMaskStream:
         self.indices = np.asarray(model.indices, dtype=np.int64)
         self.position = 0
 
+    def _hits(self, n: int) -> np.ndarray:
+        """The mask offsets in the next `n` bits, counted from the pass's first."""
+        lo, hi = np.searchsorted(self.indices, (self.position, self.position + n))
+        return self.indices[lo:hi] - self.position
+
     def apply(self, bits: np.ndarray) -> np.ndarray:
-        n = len(bits)
-        lo = np.searchsorted(self.indices, self.position, side="left")
-        hi = np.searchsorted(self.indices, self.position + n, side="left")
-        self.position += n
-        if lo == hi:
+        hits = self._hits(len(bits))
+        self.position += len(bits)
+        if not len(hits):
             return bits
         out = np.array(bits, dtype=np.uint8, copy=True)
-        hit = self.indices[lo:hi] - (self.position - n)
-        out[hit] ^= 1
+        out[hits] ^= 1
         return out
 
     def skip_clean(self, n: int) -> bool:
-        lo = np.searchsorted(self.indices, self.position, side="left")
-        if lo < len(self.indices) and self.indices[lo] < self.position + n:
+        if len(self._hits(n)):
             return False
         self.position += n
         return True

@@ -220,6 +220,8 @@ def count_errors(
         raise ValueError(f"max_bits must be nonnegative, got {max_bits}")
     if not sync.locked:
         raise ValueError("receiver is not locked")
+    if sync.offset < 0:
+        raise ValueError(f"lock offset must be nonnegative, got {sync.offset}")
     k = spec.order
     first = sync.offset + k  # the first compared bit
     length = max(n_bits - first, 0)

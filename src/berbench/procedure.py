@@ -17,17 +17,17 @@ virtual clock so reports are deterministic.
 A campaign runs in three steps.  `_plan`, before the warm-up, refuses a
 plan the device cannot run and decides every interface's connector
 outcome and its measurement jobs, each with the seed tag that forks its
-channel stream.  `_execute` measures the jobs, on every CPU the process
-may use: each job opens its own session, so the order they run in
-changes no result, and each forked worker sends its outcomes back once
-it is done.  `_fold` then rebuilds the clock, the log and the verdicts in
-plan order, so the report is the same byte for byte whatever ran where.
+channel stream.  `_execute` measures the jobs on every CPU the process
+may use, each worker taking the next job from one shared counter; each
+job opens its own session, so where it runs changes no result.  `_fold`
+then rebuilds the clock, the log and the verdicts in plan order, so the
+report is the same byte for byte whatever ran where.
 """
 from __future__ import annotations
 
-import mmap
 import os
 import pickle
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -281,70 +281,40 @@ def _execute(config: CampaignConfig, jobs: list[_Job]) -> list[BerMeasurement]:
     return measured
 
 
-#: Octets of one run of job indices in the dispatch pipe: its first index
-#: and the one past its last.
-_RUN_OCTETS = 8
-#: Runs per write to the dispatch pipe: 512 octets, the least PIPE_BUF
-#: POSIX allows, so a write is atomic and a full pipe refuses it whole.
-_RUNS_PER_WRITE = 512 // _RUN_OCTETS
-#: Most runs of one campaign: one 4 KiB page of them, the least a Linux
-#: pipe holds, so the whole plan waits in the pipe before a worker reads.
-_MOST_RUNS = 4096 // _RUN_OCTETS
+def _take(counter: int, stop: int | None = None) -> int:
+    """The job index the `counter` file holds, leaving it one more (or `stop`).
 
-
-def _dispatch_pipe(count: int) -> int:
-    """The read end of a pipe that holds job indices 1 .. count - 1, in runs.
-
-    A run is one index long while there are at most `_MOST_RUNS` indices,
-    and just long enough beyond that for `_MOST_RUNS` runs to hold them
-    all.  The write end is closed, so a worker reads end of file once the
-    runs are gone.
+    A POSIX record lock (`lockf`) holds the file from the read to the
+    write.  It is per process, where a `flock` is shared with every child
+    through the inherited descriptor, and the kernel drops it when its
+    holder dies, so a worker killed inside blocks no other.
     """
-    read_end, write_end = os.pipe()
-    length = max(1, -(-(count - 1) // _MOST_RUNS))
-    runs = b"".join(
-        first.to_bytes(4, "little") + min(first + length, count).to_bytes(4, "little")
-        for first in range(1, count, length)
-    )
-    step = _RUNS_PER_WRITE * _RUN_OCTETS
+    import fcntl  # only here: POSIX alone, and only a forked campaign counts
+
+    fcntl.lockf(counter, fcntl.LOCK_EX)
     try:
-        os.set_blocking(write_end, False)
-        for lo in range(0, len(runs), step):
-            os.write(write_end, runs[lo : lo + step])
-    except BlockingIOError:
-        pass  # a pipe smaller than a page is full; `_execute` measures the rest
+        index = int.from_bytes(os.pread(counter, 8, 0), "little")  # empty: 0
+        os.pwrite(counter, (index + 1 if stop is None else stop).to_bytes(8, "little"), 0)
     finally:
-        os.close(write_end)
-    return read_end
+        fcntl.lockf(counter, fcntl.LOCK_UN)
+    return index
 
 
-def _next_run(dispatch: int) -> range:
-    """The next run of job indices; empty once none is left."""
-    raw = os.read(dispatch, _RUN_OCTETS)
-    return range(int.from_bytes(raw[:4], "little"), int.from_bytes(raw[4:], "little"))
+def _work(config: CampaignConfig, jobs: list[_Job], counter: int, index: int) -> _Outcomes:
+    """Measure job `index`, then each job `_take` hands out, until none is left.
 
-
-def _work(
-    config: CampaignConfig, jobs: list[_Job], run: range, dispatch: int, failed: mmap.mmap
-) -> _Outcomes:
-    """Measure the jobs of `run`, then of each run this worker reads next.
-
-    Returns the outcomes by job index.  `failed` is one octet that every
-    worker shares: a job that raises has its exception as outcome and sets
-    it, and no worker starts a job once it is set.
+    Returns the outcomes by job index.  A job that raises has its exception
+    as outcome and moves the counter to the end: no worker starts another.
     """
     outcomes: _Outcomes = {}
-    while run:
-        for index in run:
-            if failed[0]:
-                return outcomes
-            try:
-                outcomes[index] = _measure_job(config, jobs[index])
-            except Exception as exc:  # carried to the plan-order check in `_execute`
-                outcomes[index] = exc
-                failed[0] = 1
-                return outcomes
-        run = _next_run(dispatch)
+    while index < len(jobs):
+        try:
+            outcomes[index] = _measure_job(config, jobs[index])
+        except Exception as exc:  # carried to the plan-order check in `_execute`
+            outcomes[index] = exc
+            _take(counter, stop=len(jobs))
+            break
+        index = _take(counter)
     return outcomes
 
 
@@ -363,19 +333,23 @@ def _fork() -> int:
 def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _Outcomes:
     """Run the jobs in this process and `workers - 1` forked children.
 
-    Runs of job indices wait in a pipe, and each worker reads the next run
-    when it is free, so a slow job holds up no other.  This process takes
-    job 0 itself.  Once no run is left, a child pickles its measurements,
-    then its failure if any, into a pipe of its own, and leaves with
-    `os._exit`, so no stdio buffer or exit handler runs twice.  Returns the outcomes
-    that arrived, by job index.  Every child is reaped before this returns
-    or raises.
+    Each worker takes the next job index from one counter in an unlinked
+    file (`_take`) when it is free, so a slow job holds up no other; this
+    process takes job 0.  Once no job is left, a child pickles its
+    measurements, then its failure if any, into a pipe of its own, and
+    leaves with `os._exit`, so no stdio buffer or exit handler runs twice.
+    Returns the outcomes that arrived, by job index: none if the counter
+    cannot be made.  Every child is reaped before this returns or raises.
     """
-    dispatch = _dispatch_pipe(len(jobs))
-    failed = mmap.mmap(-1, 1)  # anonymous and shared: the children write the parent's octet
+    try:
+        file = tempfile.TemporaryFile()
+    except OSError:  # no counter: `_execute` measures every job in this process
+        return {}
+    counter = file.fileno()
     pids: list[int] = []
     results: list[int] = []  # the read end of each child's pipe
     try:
+        _take(counter)  # job 0, this process's own: the counter holds 1 now
         for _ in range(workers - 1):
             read_end, write_end = os.pipe()
             try:
@@ -385,11 +359,11 @@ def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _
                 os.close(write_end)
                 break
             if pid == 0:
-                _child(config, jobs, dispatch, failed, write_end)
+                _child(config, jobs, counter, write_end)
             pids.append(pid)
             results.append(read_end)
             os.close(write_end)
-        outcomes = _work(config, jobs, range(1), dispatch, failed)
+        outcomes = _work(config, jobs, counter, 0)
         for read_end in results:
             with open(read_end, "rb", closefd=False) as stream:
                 try:
@@ -408,20 +382,18 @@ def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for fd in (dispatch, *results):
+        for fd in results:
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-        failed.close()
+        file.close()
 
 
-def _child(
-    config: CampaignConfig, jobs: list[_Job], dispatch: int, failed: mmap.mmap, write_end: int
-):
+def _child(config: CampaignConfig, jobs: list[_Job], counter: int, write_end: int):
     """A forked worker's whole life: it never returns."""
     code = 1
     try:
-        outcomes = _work(config, jobs, _next_run(dispatch), dispatch, failed)
+        outcomes = _work(config, jobs, counter, _take(counter))
         errors = {i: o for i, o in outcomes.items() if isinstance(o, Exception)}
         with open(write_end, "wb") as out:  # the failure apart: it may not load
             pickle.dump({i: o for i, o in outcomes.items() if i not in errors}, out)

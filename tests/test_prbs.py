@@ -251,6 +251,9 @@ def test_receiver_refuses_a_bit_count_its_octets_cannot_hold():
             count_errors(spec, stream, n_bits, locked)
     with pytest.raises(ValueError, match="max_bits must be nonnegative"):
         count_errors(spec, stream, 1000, locked, max_bits=-1)
+    for offset in (-1, -5):
+        with pytest.raises(ValueError, match=f"^lock offset must be nonnegative, got {offset}$"):
+            count_errors(spec, stream, 1000, SyncState(locked=True, offset=offset))
     # The whole stream, and none of it, are still counts it holds.
     assert synchronize(spec, stream, 1000) == locked
     assert count_errors(spec, stream, 1000, locked) == (1000 - spec.order, 0)

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import json
-import mmap
 import os
+import pickle
+import signal
+import tempfile
 import time
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -592,21 +596,42 @@ def test_a_child_is_not_held_up_by_its_results(monkeypatch):
     assert sum(pid != os.getpid() for pid, _ in outcomes) >= 100
 
 
-#: More job indices than a 64 KiB pipe holds one by one.
+#: Job indices enough for workers that race for them to interleave.
 LARGE_PLAN = 20_000
 
 
-def test_the_dispatch_pipe_hands_out_every_index_of_a_large_plan_once():
-    for count, length in [(9, 1), (procedure._MOST_RUNS + 1, 1), (LARGE_PLAN, 40)]:
-        dispatch = procedure._dispatch_pipe(count)
-        runs = []
+def test_the_counter_hands_out_every_index_of_a_large_plan_once():
+    # Three processes race for one counter; each sends what it took through a pipe.
+    with tempfile.TemporaryFile() as file:
+        counter = file.fileno()
+        pids, pipes = [], []
+        for _ in range(3):
+            read_end, write_end = os.pipe()
+            pid = procedure._fork()
+            if pid == 0:
+                code = 1
+                try:
+                    taken = []
+                    while (index := procedure._take(counter)) < LARGE_PLAN:
+                        taken.append(index)
+                    with open(write_end, "wb") as out:
+                        pickle.dump(taken, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            pids.append(pid)
+            pipes.append(read_end)
+        taken = []
         try:
-            while run := procedure._next_run(dispatch):
-                runs.append(run)
+            for read_end in pipes:
+                with open(read_end, "rb") as stream:
+                    taken.append(pickle.load(stream))
         finally:
-            os.close(dispatch)
-        assert [i for run in runs for i in run] == list(range(1, count))
-        assert max(map(len, runs)) == length
+            for pid in pids:
+                os.waitpid(pid, 0)
+    assert all(t == sorted(t) for t in taken)
+    assert sorted(i for t in taken for i in t) == list(range(LARGE_PLAN))
 
 
 def test_every_job_of_a_large_plan_reaches_the_parent(monkeypatch):
@@ -628,14 +653,113 @@ def test_no_worker_starts_a_job_once_a_job_raised(monkeypatch):
 
     monkeypatch.setattr(procedure, "_measure_job", measure_job)
     jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(LARGE_PLAN)]
-    dispatch = procedure._dispatch_pipe(len(jobs))
-    failed = mmap.mmap(-1, 1)
-    try:
-        # Mid-run, the failure ends the run; another worker's run starts nothing.
-        outcomes = procedure._work(CampaignConfig(), jobs, range(1001, 1041), dispatch, failed)
-        assert procedure._work(CampaignConfig(), jobs, range(1, 41), dispatch, failed) == {}
-    finally:
-        os.close(dispatch)
-        failed.close()
+    with tempfile.TemporaryFile() as file:
+        counter = file.fileno()
+        procedure._take(counter, stop=1002)  # the next job handed out is 1002
+        # Mid-plan, the failure ends this worker; a second one then starts nothing.
+        outcomes = procedure._work(CampaignConfig(), jobs, counter, 1001)
+        assert procedure._work(CampaignConfig(), jobs, counter, procedure._take(counter)) == {}
     assert started == [1001, 1002]
     assert outcomes[1001] == 1001 and str(outcomes[1002]) == "job 1002 failed"
+
+
+class _Timeout(BaseException):
+    """Raised in the parent by `deadline`: `_measure_forked` then kills its children."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, a block that runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise _Timeout(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# A counter held in a pipe would hang before the write: the dead child read
+# the index out of the pipe and never put the next one back.
+@pytest.mark.parametrize("after_write", [False, True], ids=["before-write", "after-write"])
+def test_a_child_killed_while_it_holds_the_counter_hangs_nothing(monkeypatch, tmp_path, after_write):
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    want = report_to_dict(run_campaign(FAILING))
+    parent, pwrite, measure_job = os.getpid(), os.pwrite, procedure._measure_job
+    dying = tmp_path / "dying"
+
+    def locked_pwrite(fd, data, offset):
+        # Only `_take` writes here, between its lock and its unlock.
+        in_child = os.getpid() != parent
+        if after_write or not in_child:
+            written = pwrite(fd, data, offset)
+        if in_child:  # the child dies holding the lock
+            dying.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return written
+
+    def parent_waits(config, job):
+        if os.getpid() == parent and job.seed_tag == 1:  # job 0
+            _wait_for(dying)
+        return measure_job(config, job)
+
+    monkeypatch.setattr(os, "pwrite", locked_pwrite)
+    monkeypatch.setattr(procedure, "_measure_job", parent_waits)
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 2)
+    with deadline(60):
+        assert report_to_dict(run_campaign(FAILING)) == want
+    assert_no_children()
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_no_counter_file_leaves_every_job_to_this_process(monkeypatch):
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    want = report_to_dict(run_campaign(FAILING))
+
+    def no_file():
+        raise OSError("no space left on device")
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(procedure, "tempfile", SimpleNamespace(TemporaryFile=no_file))
+    monkeypatch.setattr(procedure, "_fork", no_fork)
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 2)
+    assert report_to_dict(run_campaign(FAILING)) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+@pytest.mark.parametrize("path", ["normal", "failed-fork", "dead-child", "base-exception"])
+def test_execute_leaves_no_descriptor_open(monkeypatch, path):
+    parent = os.getpid()
+
+    def measure_job(config, job):
+        if path == "dead-child" and os.getpid() != parent:
+            os._exit(0)
+        if path == "base-exception" and os.getpid() == parent:
+            raise _Abort
+        return job.seed_tag
+
+    def failed_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(procedure, "_measure_job", measure_job)
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 3)
+    if path == "failed-fork":
+        monkeypatch.setattr(procedure, "_fork", failed_fork)
+    jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(9)]
+    before = open_fds()
+    if path == "base-exception":
+        with pytest.raises(_Abort):
+            procedure._execute(CampaignConfig(), jobs)
+    else:
+        assert procedure._execute(CampaignConfig(), jobs) == list(range(9))
+    assert_no_children()
+    assert open_fds() == before
