@@ -39,6 +39,12 @@ moves nothing.  A `bsc` stream draws the n bits to tell, and keeps the
 flips it found for an `apply` of the same n bits at the same position;
 above a flip probability of about 2**-6 nearly every pass flips, and it
 returns False undrawn.  Gilbert-Elliott streams always return False.
+
+The kernels draw into one scratch per process, built by the first draw
+(`_scratch`), so a pass allocates no block above 128 KiB, glibc's
+default mmap threshold, and takes no fresh pages.  Nothing a kernel
+returns is a view of the scratch, so the flips a stream keeps survive
+the draws of other streams.
 """
 from __future__ import annotations
 
@@ -70,9 +76,14 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-#: Draws per pass of the flip kernel, so its buffers stay cache-sized
-#: rather than 16+ bytes per bit of the whole stream.
-_CHUNK = 1 << 16
+#: Draws per pass of the flip kernels.  Their buffers are the per-process
+#: `_scratch`, allocated once, and what a pass still allocates (at most
+#: the bad-state marks of a Gilbert-Elliott pass, 32 KiB) stays below
+#: 128 KiB, glibc's default mmap threshold: a larger block is mapped,
+#: zero-filled and unmapped again by every call.  With 1 MiB of fresh
+#: buffers per call at 2**16 draws, a warm campaign-bsc run in one process
+#: took 16 274 minor faults; with the scratch at 2**15 draws it takes 99.
+_CHUNK = 1 << 15
 
 
 @functools.cache
@@ -84,6 +95,17 @@ def _steps() -> np.ndarray:
     steps = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     steps.flags.writeable = False
     return steps
+
+
+@functools.cache
+def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two uint64 buffers and one bool buffer of _CHUNK entries for the kernels.
+
+    Built on first use like `_steps` and shared by every stream of the
+    process, so a kernel holds its draws here only while it runs: nothing
+    it returns is a view of them.
+    """
+    return np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, bool)
 
 
 def _mixed(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -116,22 +138,22 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0**53)
 
 
-def _flip_below(bits: np.ndarray, seed: int, start: int, threshold) -> None:
+def _flip_below(bits: np.ndarray, seed: int, start: int, threshold: int, where=None, other=0):
     """XOR (top 53 bits of draw start+i of stream `seed`) < threshold into bits[i].
 
-    `threshold` is one int from `_threshold`, or a uint64 array of them as
-    long as `bits`; 0 flips nothing and 2**53 flips every bit.
+    `threshold` is one int from `_threshold`; 0 flips nothing and 2**53
+    flips every bit.  With `where`, a bool array as long as `bits`, the
+    bits where it is True take the threshold `other` instead.
     """
     n = len(bits)
-    z = np.empty(min(n, _CHUNK), dtype=np.uint64)
-    tmp = np.empty_like(z)
-    hit = np.empty(len(z), dtype=bool)
-    scalar = np.ndim(threshold) == 0
+    z, tmp, hit = _scratch()
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         c = hi - lo
         k = _top53(seed, start + lo, z[:c], tmp[:c])
-        np.less(k, threshold if scalar else threshold[lo:hi], out=hit[:c])
+        np.less(k, threshold, out=hit[:c])
+        if where is not None:
+            np.less(k, other, out=hit[:c], where=where[lo:hi])
         np.bitwise_xor(bits[lo:hi], hit[:c].view(np.uint8), out=bits[lo:hi])
 
 
@@ -158,9 +180,7 @@ def _flips(seed: int, start: int, n: int, threshold: int) -> np.ndarray:
     at `_mixed`, and only draws below `_cap` finish it.
     """
     cap = _cap(threshold)
-    z = np.empty(min(n, _CHUNK), dtype=np.uint64)
-    tmp = np.empty_like(z)
-    below = np.empty(len(z), dtype=bool)
+    z, tmp, below = _scratch()
     found = []
     for lo in range(0, n, _CHUNK):
         c = min(n - lo, _CHUNK)
@@ -351,8 +371,8 @@ class _GilbertElliottStream:
         """Flip bits[bounds[i]:bounds[i+1]] at threshold values[i], for each dwell i.
 
         A dwell of `_IDLE_BITS` or more that flips nothing takes no draws.
-        Between such dwells, the per-bit thresholds are built and flipped
-        in passes of _CHUNK bits.
+        Between such dwells, the bits are flipped in passes of _CHUNK bits;
+        a pass that spans several dwells marks the bits of its bad ones.
         """
         spans = np.diff(bounds)
         idle = np.flatnonzero((values == 0) & (spans >= _IDLE_BITS)).tolist()
@@ -365,11 +385,12 @@ class _GilbertElliottStream:
                     i = int(np.searchsorted(bounds, lo, side="right")) - 1
                     k = int(np.searchsorted(bounds, hi, side="left"))
                     if k - i == 1:
-                        threshold = int(values[i])
-                    else:
-                        spans_here = np.diff(np.clip(bounds[i : k + 1], lo, hi))
-                        threshold = np.repeat(values[i:k], spans_here)
-                    _flip_below(bits[lo:hi], self.err_seed, start + lo, threshold)
+                        _flip_below(bits[lo:hi], self.err_seed, start + lo, int(values[i]))
+                        continue
+                    good, bad = self.threshold
+                    spans_here = np.diff(np.clip(bounds[i : k + 1], lo, hi))
+                    in_bad = np.repeat(values[i:k] != good, spans_here)
+                    _flip_below(bits[lo:hi], self.err_seed, start + lo, good, in_bad, bad)
             first = stop + 1
 
     def _schedule(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,8 +430,9 @@ class _GilbertElliottStream:
         """
         states = (not self.bad, self.bad)
         drawn = [0.0 < self.leave[s] < 1.0 for s in states]
-        z, tmp = np.empty((2, self._draws(count)), dtype=np.uint64)  # count <= _CHUNK
-        u = _top53(self.dwell_seed, self.dwell_counter, z, tmp) * 2.0**-53
+        z, tmp, _ = _scratch()
+        draws = self._draws(count)  # count <= _CHUNK
+        u = _top53(self.dwell_seed, self.dwell_counter, z[:draws], tmp[:draws]) * 2.0**-53
         # math.log, not np.log: the two differ in the last ulp, and the
         # dwells must be the scalar formula's.  1.0 - u (never 0) and the
         # division round the same in numpy as in Python.

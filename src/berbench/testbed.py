@@ -26,8 +26,10 @@ flips it in place, in passes of `_LINE_PASS` bits: each pass is unpacked
 for the model's per-bit stream and packed again, unless the stream finds
 no flip in it (`skip_clean`), when its octets stay as they are.  Fault
 draws are keyed by stream position, so the passes flip the same bits as
-one call would.  On G.704 the frame phase is then voted over the whole
-received line.
+one call would.  A pass's unpacked bits and the model's copy of them are
+128 KiB each, no more than glibc's default mmap threshold, so they come
+from the heap rather than fresh zero-filled pages.  On G.704 the frame
+phase is then voted over the whole received line.
 """
 from __future__ import annotations
 
@@ -316,8 +318,14 @@ def dut_open_session(
 
 
 #: Line bits per pass of `loopback`'s fault model, a multiple of the octet;
-#: bounds the unpacked bits and the model's draws.
-_LINE_PASS = 1 << 19
+#: bounds the unpacked bits and the model's draws.  A pass with a flip
+#: allocates 128 KiB twice, the unpacked bits and the model's copy: no more
+#: than glibc's default mmap threshold, above which each pass maps fresh
+#: pages.  Passes of 2**19 bits left a warm campaign-bsc run in one
+#: process 16 274 minor faults and framed-prbs23 8 020; with passes of
+#: 2**17 bits and the channel's scratch they take 99 and 1 391, nearly
+#: all of those the G.704 lines' own mappings.
+_LINE_PASS = 1 << 17
 
 
 def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:

@@ -200,8 +200,8 @@ def test_bsc_flips_are_the_positional_draws_across_passes():
     ids=["bsc", "ge-long-dwell", "ge-short-dwell"],
 )
 def test_apply_memory_stays_bounded(model):
-    # Draws, thresholds and dwells run in passes of _CHUNK, so the peak is
-    # the output copy plus cache-sized temporaries, not 16+ bytes per bit.
+    # Draws, bad-state marks and dwells run in passes of _CHUNK, so the peak
+    # is the output copy plus cache-sized temporaries, not 16+ bytes per bit.
     bits = np.zeros(1 << 23, np.uint8)
     stream = open_stream(model)
     tracemalloc.start()
@@ -483,6 +483,40 @@ def test_bsc_passes_match_the_flip_kernel_under_any_cuts(p, seed, cuts, modes):
             parts += [stream.apply(bits[a:middle]), stream.apply(bits[middle:b])]
     assert stream.position == cuts[-1]
     assert np.array_equal(np.concatenate(parts), want)
+
+
+def test_kept_flips_survive_the_draws_of_other_streams():
+    # Every stream draws into one scratch per process.  The offsets a `bsc`
+    # stream keeps from `skip_clean` must not be a view of it, or the draws
+    # of other streams before its `apply` would change them.
+    n = 3 * _CHUNK + 17
+    bits = generate(PrbsSpec(), n)
+    model = Bsc(p=1e-3, seed=21)
+    want = bits.copy()
+    _flip_below(want, model.seed, 0, _threshold(model.p))
+    stream = open_stream(model)
+    assert not stream.skip_clean(n)  # about 100 flips, drawn and kept
+    other = open_stream(Bsc(p=1e-3, seed=22))
+    assert not other.skip_clean(n)
+    other.apply(bits)
+    open_stream(GilbertElliott(p_gb=0.05, p_bg=0.3, p_good=0.99, p_bad=0.5, seed=23)).apply(bits)
+    assert np.array_equal(stream.apply(bits), want)
+
+
+def test_a_warm_draw_allocates_no_pass_sized_block():
+    # Once the first draw has built the scratch, a 2**19-bit pass allocates
+    # only its few flip offsets: nothing near glibc's 128 KiB mmap threshold.
+    n, t = 1 << 19, _threshold(1e-6)
+    bits = np.zeros(n, np.uint8)
+    _flips(3, 0, 1, t)
+    tracemalloc.start()
+    try:
+        _flips(3, 0, n, t)
+        _flip_below(bits, 3, 0, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_threshold_is_exact_at_the_edges():
