@@ -5,6 +5,20 @@ converter chains, BER meter) plus the orchestration that sweeps bit
 rates, tuning frequencies, and interface types into a verdict table.
 """
 
+import os
+
+# berbench calls no BLAS routine, yet numpy's OpenBLAS starts a worker
+# thread per CPU when numpy loads.  One thread is enough; a value the user
+# set is kept, and the environment is as it was once numpy is loaded.
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+_user_blas_threads = os.environ.get(_BLAS_THREADS)
+os.environ.setdefault(_BLAS_THREADS, "1")
+try:
+    import numpy  # noqa: F401
+finally:
+    if _user_blas_threads is None:
+        del os.environ[_BLAS_THREADS]
+
 from .channel import Bsc, FixedMask, GilbertElliott, Ideal
 from .core import (
     BerValue,

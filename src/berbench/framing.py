@@ -24,18 +24,22 @@ The layout is octet-aligned, so the multiframe build places payload
 octets beside the timeslot-0 and idle octets and returns the packed
 line.  CRC-4 is linear, and x has order 15 modulo x^4 + x + 1, so octets
 15 apart (120 bits) add the same remainder for the same value: a half's
-256 octets XOR-fold into 15 columns, and a 15 x 256 table of 4-bit
-remainders, XOR-reduced over the columns, gives the check.
+256 octets XOR-fold, 15 uint64 words at a time, into 15 columns, and a
+15 x 256 table of 4-bit remainders, XOR-reduced over the columns, gives
+the check.  The checks are computed 64 multiframes at a time.
 
-Frame alignment reads the packed line in passes, never unpacking it: a
-table maps each 16-bit window of two neighbouring octets to the bit
-shifts at which the alignment signal starts.  A frame pair is 64 octets,
-so the vote of every bit phase is one octet column and one bit.  After
-each pass the leading confirmed phase is counted over the whole line
-from its column alone, and the search stops when no other phase could
-still beat that count.  The payload octets are then extracted at the
-chosen bit phase straight from the packed line.  The line may hold any
-number of bits.
+Frame alignment reads the packed line window by window, never unpacking
+it and never needing it whole: the line is an array or a re-iterable of
+windows, such as a received line rebuilt on each read.  A table maps
+each 16-bit window of two neighbouring octets to the bit shifts at which
+the alignment signal starts.  A frame pair is 64 octets, so the vote of
+every bit phase is one octet column and one bit.  The first read votes
+on every phase until a confirmed phase clearly leads, then counts that
+phase's column alone, and extracts the payload octets at phase 0 as it
+goes.  A second read votes in full only when the count shows that some
+other phase could still beat the leader, and a last one extracts the
+payload when the winner is not phase 0.  The line may hold any number
+of bits.
 
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
@@ -45,7 +49,6 @@ consecutive empty symbols and stays DC balanced.
 from __future__ import annotations
 
 import functools
-import mmap
 
 import numpy as np
 
@@ -55,6 +58,7 @@ FRAME_BITS = 256
 FRAMES_PER_MULTIFRAME = 16
 MULTIFRAME_BITS = FRAME_BITS * FRAMES_PER_MULTIFRAME
 MULTIFRAME_OCTETS = MULTIFRAME_BITS // 8
+_FRAME_OCTETS = FRAME_BITS // 8
 PAYLOAD_SLOTS = 31
 HALF_BITS = MULTIFRAME_BITS // 2
 
@@ -96,8 +100,6 @@ _HALF_OCTETS = HALF_BITS // 8
 #: x has order 15 modulo x^4+x+1, and octets 15 apart shift exponents by
 #: 120, a multiple of 15: a half folds into 15 octet columns.
 _FOLD = 15
-#: Octets of a half in whole fold rows; the one octet left over is column 0.
-_FOLDED = _HALF_OCTETS // _FOLD * _FOLD
 
 
 def _residue_table() -> np.ndarray:
@@ -125,19 +127,23 @@ def _crc_table() -> np.ndarray:
     return np.bitwise_xor.reduce(np.where(bits, residues[:, None, :], 0), axis=2)
 
 
+#: Index of column j's row in the flattened `_crc_table`.
+_COLUMN_ROWS = 256 * np.arange(_FOLD, dtype=np.uint16)
+
+
 def _crc4_octets(halves: np.ndarray) -> np.ndarray:
     """4-bit remainders (bit 3 = first check bit) of octet halves (..., 256)."""
-    # Row by row and column by column: a reduce over the strided rows, or
-    # one fancy index over all columns, would make line-sized temporaries.
-    rows = halves[..., :_FOLDED].reshape(halves.shape[:-1] + (-1, _FOLD))
-    columns = rows[..., 0, :].copy()
-    for i in range(1, rows.shape[-2]):
-        columns ^= rows[..., i, :]
-    columns[..., : _HALF_OCTETS - _FOLDED] ^= halves[..., _FOLDED:]
-    remainders = np.zeros(halves.shape[:-1], dtype=np.uint8)
-    for j, table in enumerate(_crc_table()):
-        remainders ^= table[columns[..., j]]
-    return remainders
+    # Octets 120 apart are 15 apart, 15 uint64 words: the half folds into
+    # 15 words (its last 16 octets onto the first), then its 120 octets
+    # into 15 columns.  The temporaries are half the size of `halves`.
+    words = np.ascontiguousarray(halves).reshape(-1, _HALF_OCTETS).view(np.uint64)
+    folded = words[:, :_FOLD] ^ words[:, _FOLD : 2 * _FOLD]
+    folded[:, : _HALF_OCTETS // 8 - 2 * _FOLD] ^= words[:, 2 * _FOLD :]
+    columns = folded.view(np.uint8)
+    for width in (4 * _FOLD, 2 * _FOLD, _FOLD):
+        columns = columns[:, :width] ^ columns[:, width:]
+    remainders = _crc_table().reshape(-1)[_COLUMN_ROWS + columns]
+    return np.bitwise_xor.reduce(remainders, axis=-1).reshape(halves.shape[:-1])
 
 
 def _nibble_bits(remainders: np.ndarray) -> np.ndarray:
@@ -155,11 +161,7 @@ def _multiframe_octets(payload: np.ndarray, timeslots: int) -> np.ndarray:
     per_mf = FRAMES_PER_MULTIFRAME * timeslots
     whole, left = divmod(len(payload), per_mf)
     n = max(1, whole + (left > 0))
-    # A line in a mapping of its own goes back to the system when freed; from
-    # the C heap, a freed line just under 32 MiB stayed resident beside the
-    # next, longer one (111 MB instead of 79 for three 256 kbit/s jobs).
-    line = np.frombuffer(mmap.mmap(-1, n * MULTIFRAME_OCTETS), dtype=np.uint8)
-    octets = line.reshape(n, FRAMES_PER_MULTIFRAME, 32)
+    octets = np.empty((n, FRAMES_PER_MULTIFRAME, 32), dtype=np.uint8)
     octets[:, :, 0] = _TS0
     body = octets[:, :, 1 : timeslots + 1]
     body[:whole] = payload[: whole * per_mf].reshape(whole, FRAMES_PER_MULTIFRAME, timeslots)
@@ -169,6 +171,11 @@ def _multiframe_octets(payload: np.ndarray, timeslots: int) -> np.ndarray:
         body[whole] = last.reshape(FRAMES_PER_MULTIFRAME, timeslots)
     octets[:, :, timeslots + 1 :] = IDLE_OCTET
     return octets
+
+
+#: Multiframes whose check bits `build_multiframes` computes at a time (a
+#: 2**18-bit line window); bounds its temporaries.
+_CHECK_BLOCK = 64
 
 
 def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np.ndarray:
@@ -186,19 +193,21 @@ def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np
         raise ValueError(f"payload must be a flat octet array, got shape {payload.shape}")
     _check_timeslots(timeslots)
     octets = _multiframe_octets(payload, timeslots)
-    n = len(octets)
-    # Both checks run over halves whose check bits are still zero.
-    remainders = _crc4_octets(octets.reshape(n, 2, _HALF_OCTETS))
-    # Bit 1 of the FAS octets of frames 0, 2, 4, 6 carries the check of
-    # the second half; that of frames 8, 10, 12, 14 the check of the first.
-    check = _nibble_bits(remainders[:, ::-1]).reshape(n, FRAMES_PER_MULTIFRAME // 2)
-    octets[:, 0::2, 0] |= check << 7
+    for lo in range(0, len(octets), _CHECK_BLOCK):
+        block = octets[lo : lo + _CHECK_BLOCK]
+        # Both checks run over halves whose check bits are still zero.
+        remainders = _crc4_octets(block.reshape(-1, 2, _HALF_OCTETS))
+        # Bit 1 of the FAS octets of frames 0, 2, 4, 6 carries the check of
+        # the second half; that of frames 8, 10, 12, 14 the check of the first.
+        check = _nibble_bits(remainders[:, ::-1]).reshape(-1, FRAMES_PER_MULTIFRAME // 2)
+        block[:, 0::2, 0] |= check << 7
     return octets.reshape(-1)
 
 
-#: Line bits per pass of `g704_align`, in its search and in its payload
-#: extraction; bounds its temporaries.
-_ALIGN_PASS = 1 << 19
+#: Line bits per window of a line read by `g704_align`, and per pass of its
+#: vote and its payload extraction; bounds its temporaries.  A vote pass over
+#: 2**18 bits holds about 0.2 MiB of them on a line of random payload.
+_ALIGN_PASS = 1 << 18
 
 #: Line octets per frame pair, the period of the frame-alignment vote.
 _PAIR_OCTETS = 2 * FRAME_BITS // 8
@@ -216,23 +225,27 @@ def _fas_table() -> np.ndarray:
     return table
 
 
-def _fas_masks(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Per octet of `heads`, bit 7-k set when FAS follows its bit k.
+def _fas_masks(line: np.ndarray, start: int, stop: int, step: int = 1) -> np.ndarray:
+    """Per octet of line[start:stop:step], bit 7-k set when FAS follows its bit k.
 
-    `tails` holds the line octet after each head.  It is one short when
-    the last head ends the line; the missing octet then reads as zeros.
+    `line` is contiguous; the octet after its last reads as zeros.
     """
-    windows = heads.astype(np.uint16)
-    windows <<= 8
-    windows[: len(tails)] |= tails
-    return _fas_table()[windows]
+    heads = range(start, min(stop, len(line)), step)
+    paired = range(start, min(stop, len(line) - 1), step)  # heads with an octet after them
+    # Each such head and the octet after it, read in place as one big-endian word.
+    words = np.ndarray((len(paired),), ">u2", line, start if paired else 0, (step,))
+    masks = _fas_table()[words]
+    if len(paired) < len(heads):
+        masks = np.append(masks, _fas_table()[int(line[-1]) << 8])
+    return masks
 
 
 def _phases(first: int, masks: np.ndarray) -> np.ndarray:
     """Frame-pair phase 8 * (i % 64) + k of each bit 7-k set in masks[i - first]."""
     i = np.flatnonzero(masks)
     bits = np.unpackbits(masks[i, None], axis=1).view(bool)  # column k
-    return (((first + i) % _PAIR_OCTETS * 8)[:, None] + np.arange(8))[bits]
+    columns = ((first + i) % _PAIR_OCTETS * 8).astype(np.int16)
+    return (columns[:, None] + np.arange(8, dtype=np.int16))[bits]
 
 
 def _positions_below(stop: int) -> np.ndarray:
@@ -244,8 +257,8 @@ def _positions_below(stop: int) -> np.ndarray:
 def _phase_votes(line: np.ndarray, phase: int, end: int) -> int:
     """Signal matches at the positions `phase` + 512 j below `end`."""
     first, k = divmod(phase, 8)
-    stop = first + _PAIR_OCTETS * int(_positions_below(end)[phase])
-    masks = _fas_masks(line[first:stop:_PAIR_OCTETS], line[first + 1 : stop + 1 : _PAIR_OCTETS])
+    stop = first + _PAIR_OCTETS * max(0, -(-(end - phase) // (2 * FRAME_BITS)))
+    masks = _fas_masks(line, first, stop, _PAIR_OCTETS)
     return int(np.count_nonzero(masks & (0x80 >> k)))
 
 
@@ -255,88 +268,210 @@ def _leader(votes: np.ndarray, confirmed: np.ndarray) -> int | None:
     return int(phases[np.argmax(votes[phases])]) if len(phases) else None
 
 
-def _proven(
-    line: np.ndarray, q: int, votes: np.ndarray, scanned: int, end: int, exact: dict[int, int]
-) -> bool:
-    """Whether confirmed phase `q` wins the vote over all positions below `end`.
+def _proven(q: int, matches: int, votes: np.ndarray, scanned: int, end: int) -> bool:
+    """Whether confirmed phase `q`, with `matches` over all positions below
+    `end`, wins the vote.
 
     `votes` counts the positions below `scanned`.  Every other phase p,
     even with a match at each position it has left, must end below q's
-    count over the whole line, or level with it when p > q.  `exact`
-    caches that count per phase.  A phase matching at no more than half
-    its scanned positions is not counted, so a line without framing does
-    not pay for a count on every pass.
+    count, or level with it when p > q.
     """
-    seen = _positions_below(scanned)
-    if 2 * votes[q] <= seen[q]:
-        return False
-    if q not in exact:
-        exact[q] = _phase_votes(line, q, end)
-    best = votes + _positions_below(end) - seen
-    beaten = best < exact[q]
-    beaten[q + 1 :] |= best[q + 1 :] == exact[q]
+    best = votes + _positions_below(end) - _positions_below(scanned)
+    beaten = best < matches
+    beaten[q + 1 :] |= best[q + 1 :] == matches
     beaten[q] = True
     return bool(beaten.all())
 
 
-def g704_align(
-    line: np.ndarray, timeslots: int = PAYLOAD_SLOTS, n_bits: int | None = None
-) -> tuple[int, np.ndarray]:
-    """Locate frame alignment and extract the payload octets.
+class _Vote:
+    """The frame-phase vote over one read of a line of `n` bits, pass by pass.
 
-    `line` is packed and holds `n_bits` bits (all its octets when None).
     Candidates come from the standard confirmation rule: alignment signal
     found, bit 2 of the following frame is 1, and the signal repeats one
-    frame later.  The frame phase is then chosen by majority vote of
-    signal matches over the whole line, so sparse corruption of a few
-    alignment octets cannot slip the alignment by a frame; a tie goes to
-    the lowest phase.  The search stops at the first pass after which no
-    other phase can win.  Returns (bit offset of the first frame in phase,
-    timeslots 1..`timeslots` of every whole frame from there, as packed
-    octets).  Raises FrameAlignmentError when no alignment exists.
+    frame later.  Every phase's signal matches are counted, until (when
+    `early`) a confirmed phase leads by more than twice the misses it
+    would make over the rest of the line at its rate so far.  From there
+    on only that leader's matches are counted, and the read ends with a
+    `leader`; `proven` then says whether it wins.
     """
-    _check_timeslots(timeslots)
-    line = np.ascontiguousarray(line, dtype=np.uint8)
-    n = 8 * len(line) if n_bits is None else n_bits
-    check_bit_count(line, n)
-    if n < 3 * FRAME_BITS:
-        raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
-    end = n - 7  # signal positions: the seven signal bits lie inside the line
-    octets = -(-end // 8)  # line octets holding a signal position
-    votes = np.zeros(2 * FRAME_BITS, dtype=np.int64)  # signal matches per frame-pair phase
-    confirmed = np.zeros(2 * FRAME_BITS, dtype=bool)
-    exact: dict[int, int] = {}
-    step = -(-_ALIGN_PASS // 8)
-    for lo in range(0, octets, step):
+
+    def __init__(self, n: int, early: bool):
+        self.end = n - 7  # signal positions: the seven signal bits lie inside the line
+        self.octets = -(-self.end // 8)  # line octets holding a signal position
+        self.early = early
+        self.votes = np.zeros(2 * FRAME_BITS, dtype=np.int64)  # matches per frame-pair phase
+        self.confirmed = np.zeros(2 * FRAME_BITS, dtype=bool)
+        self.lo = 0  # the first line octet whose positions are not yet counted
+        self.scanned = 0  # signal positions below this have every phase's votes
+        self.leader: tuple[int, int] | None = None  # (phase, matches) once it alone counts
+
+    def feed(self, line: np.ndarray, base: int, last: bool) -> None:
+        """Count every position `line` holds the octets for.
+
+        `line` holds the line's octets from octet `base`, up to its end
+        when `last`.  A count reads some octets past its positions, so
+        positions near the end of a window wait for the next one.
+        """
+        have = base + len(line)
+        step = -(-_ALIGN_PASS // 8)
+        while self.lo < self.octets:
+            lo = self.lo
+            if self.leader is None:
+                # A pass reads 65 octets past its own: the next frame pair and
+                # one.  Short of that, it ends on the last whole frame pair it
+                # can read, so a window need not wait for the next.
+                hi = min(lo + step, self.octets)
+                if not last and hi + _PAIR_OCTETS + 1 > have:
+                    hi = (have - _PAIR_OCTETS - 1) // _PAIR_OCTETS * _PAIR_OCTETS
+                    if hi <= lo:
+                        return
+                self._pass(line, base, lo, hi)
+            else:
+                # Whole frame pairs, so `lo` keeps the leader's phase in the count.
+                hi = self.octets
+                if not last:
+                    hi = min(hi, (have - 1) // _PAIR_OCTETS * _PAIR_OCTETS)
+                if hi <= lo:
+                    return
+                q, matches = self.leader
+                count = _phase_votes(line[lo - base :], q, min(8 * hi, self.end) - 8 * lo)
+                self.leader = q, matches + count
+            self.lo = hi
+
+    def _pass(self, line: np.ndarray, base: int, lo: int, hi: int) -> None:
         # A pass votes for the positions in octets [lo, hi) and confirms
         # them against the next frame pair, 64 octets on.
-        hi = min(lo + step, octets)
+        octets, end = self.octets, self.end
         ahead = min(hi + _PAIR_OCTETS, octets)
-        masks = _fas_masks(line[lo:ahead], line[lo + 1 : ahead + 1])
+        at = lo - base
+        masks = _fas_masks(line, at, ahead - base)
         if ahead == octets and end % 8:  # no signal at or past `end`
             masks[-1] &= 0xFF << (8 - end % 8) & 0xFF
-        votes += np.bincount(_phases(lo, masks[: hi - lo]), minlength=len(votes))
+        self.votes += np.bincount(_phases(lo, masks[: hi - lo]), minlength=len(self.votes))
         # Octets whose signal positions have a next frame pair in the line.
         c = max(min(hi, octets - _PAIR_OCTETS) - lo, 0)
         # Bit 7-k of `bit2` is line bit 8i+k+257: bit 2 of timeslot 0 in
         # the frame after a signal at 8i+k.
-        bit2 = line[lo + 32 : lo + 32 + c] << 1 | line[lo + 33 : lo + 33 + c] >> 7
-        confirmed[_phases(lo, masks[:c] & masks[_PAIR_OCTETS : _PAIR_OCTETS + c] & bit2)] = True
-        q = _leader(votes, confirmed)
-        if q is not None and _proven(line, q, votes, min(8 * hi, end), end, exact):
-            break
+        bit2 = line[at + 32 : at + 32 + c] << 1 | line[at + 33 : at + 33 + c] >> 7
+        confirmed = masks[:c] & masks[_PAIR_OCTETS : _PAIR_OCTETS + c] & bit2
+        self.confirmed[_phases(lo, confirmed)] = True
+        self.scanned = min(8 * hi, end)
+        if self.early and hi < octets and hi % _PAIR_OCTETS == 0:
+            self._choose()
+
+    def _choose(self) -> None:
+        q = _leader(self.votes, self.confirmed)
+        if q is None:
+            return
+        seen = int(_positions_below(self.scanned)[q])
+        rest = int(_positions_below(self.end)[q]) - seen
+        misses = seen - int(self.votes[q])
+        lead = int(self.votes[q]) - int(np.delete(self.votes, q).max())
+        if lead * seen > 2 * (misses + 1) * rest:
+            self.leader = q, int(self.votes[q])
+
+    def proven(self) -> bool:
+        q, matches = self.leader
+        return _proven(q, matches, self.votes, self.scanned, self.end)
+
+    def winner(self) -> int | None:
+        """The phase the vote chose: the counted leader, else the confirmed
+        phase with the most votes; None when no phase is confirmed."""
+        return self.leader[0] if self.leader else _leader(self.votes, self.confirmed)
+
+
+def _read(
+    line, n: int, timeslots: int, vote: _Vote | None, phase: int | None
+) -> np.ndarray | None:
+    """Read `line` (see `g704_align`) once, window by window.
+
+    Feeds `vote`, when given, and returns timeslots 1..`timeslots` of
+    every whole frame from line bit `phase`, as (frames, timeslots)
+    octets, when `phase` is not None.  Only the octets that the vote or
+    the extraction still needs are kept from one window to the next.
+    """
+    total = len(line)
+    if phase is not None:
+        first, shift = divmod(phase, 8)
+        out = np.empty(((n - phase) // FRAME_BITS, timeslots), dtype=np.uint8)
+        done = 0  # frames extracted
+    base, kept = 0, np.zeros(0, dtype=np.uint8)
+    for window in [line] if isinstance(line, np.ndarray) else line:
+        window = np.ascontiguousarray(window, dtype=np.uint8)
+        buf = np.concatenate((kept, window)) if len(kept) else window
+        kept = window = None  # free the parts before the passes
+        have = base + len(buf)
+        last = have >= total
+        keep = have
+        if vote is not None:
+            vote.feed(buf, base, last)
+            keep = vote.lo
+        if phase is not None:
+            # A frame reads one octet past its own when the phase is not 0.
+            ready = len(out)
+            if not last:
+                ready = min(ready, (have - first - (shift > 0)) // _FRAME_OCTETS)
+            if ready > done:
+                at = 8 * (first + _FRAME_OCTETS * done - base) + shift
+                _payload_octets(buf, at, out[done:ready])
+                done = ready
+            keep = min(keep, first + _FRAME_OCTETS * done)
+        # A copy, so that no window outlives its turn.
+        kept, base = buf[keep - base :].copy(), keep
+        del buf
+    return out if phase is not None else None
+
+
+def g704_align(
+    line, timeslots: int = PAYLOAD_SLOTS, n_bits: int | None = None
+) -> tuple[int, np.ndarray]:
+    """Locate frame alignment and extract the payload octets.
+
+    `line` is packed and holds `n_bits` bits (all its octets when None).
+    It is an array, or a re-iterable whose `len` is the line's octets and
+    whose every iteration yields those octets again, in consecutive
+    windows: the line is then never held whole.
+
+    The frame phase is chosen by majority vote of signal matches over the
+    whole line among confirmed candidates (see `_Vote`), so sparse
+    corruption of a few alignment octets cannot slip the alignment by a
+    frame; a tie goes to the lowest phase.  One read votes, counting only
+    a clear leader's matches once there is one, and keeps the payload at
+    phase 0, the phase an intact line keeps.  The line is read again only
+    to vote in full when that leader does not win for certain, and to
+    extract the payload when the winner is not phase 0.  Returns (bit
+    offset of the first frame in phase, timeslots 1..`timeslots` of every
+    whole frame from there, as packed octets).  Raises
+    FrameAlignmentError when no alignment exists.
+    """
+    _check_timeslots(timeslots)
+    if isinstance(line, np.ndarray):
+        line = np.ascontiguousarray(line, dtype=np.uint8)
+    n = 8 * len(line) if n_bits is None else n_bits
+    check_bit_count(line, n)
+    if n < 3 * FRAME_BITS:
+        raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
+    _fas_table()  # built before the payload array, so their peaks do not add
+    vote = _Vote(n, early=True)
+    payload = _read(line, n, timeslots, vote, 0)
+    if vote.leader is not None and not vote.proven():
+        vote = _Vote(n, early=False)
+        _read(line, n, timeslots, vote, None)
+    q = vote.winner()
     if q is None:
         raise FrameAlignmentError("no frame alignment found")
-    return q, _payload_octets(line, q, (n - q) // FRAME_BITS, timeslots)
+    if q:
+        payload = _read(line, n, timeslots, None, q)
+    return q, payload.reshape(-1)
 
 
-def _payload_octets(line: np.ndarray, offset: int, frames: int, timeslots: int) -> np.ndarray:
-    """Timeslots 1..`timeslots` of `frames` frames from line bit `offset`, packed."""
+def _payload_octets(line: np.ndarray, offset: int, out: np.ndarray) -> None:
+    """Timeslots 1..k of frames from line bit `offset`, packed, into `out` (frames, k)."""
     first, shift = divmod(offset, 8)
-    out = np.empty((frames, timeslots), dtype=np.uint8)
+    frames, timeslots = out.shape
     rows = max(1, _ALIGN_PASS // FRAME_BITS)  # frames per pass
     for f in range(0, frames, rows):
-        lo, g = first + 32 * f, min(rows, frames - f)
+        lo, g = first + _FRAME_OCTETS * f, min(rows, frames - f)
         slots = line[lo : lo + 32 * g].reshape(g, 32)[:, 1 : timeslots + 1]
         if shift:
             # Each payload octet straddles two line octets.  The frames end
@@ -344,7 +479,6 @@ def _payload_octets(line: np.ndarray, offset: int, frames: int, timeslots: int) 
             after = line[lo + 1 : lo + 1 + 32 * g].reshape(g, 32)[:, 1 : timeslots + 1]
             slots = (slots << shift) | (after >> (8 - shift))
         out[f : f + g] = slots
-    return out.reshape(-1)
 
 
 def hdb3_encode(bits: np.ndarray, start_polarity: int = 1) -> np.ndarray:

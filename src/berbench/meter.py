@@ -13,8 +13,9 @@ of `SEGMENT_BITS`, each locked and counted on its own.  The pattern
 travels packed (uint8 octets, most significant bit first as in
 `np.packbits`, with the segment's bit count alongside; see
 `berbench.core`), so a segment's stream is about SEGMENT_BITS / 8 octets
-wherever it is held.  The loopback builds a segment's line in one call
-and runs the fault model over it in passes (see `berbench.testbed`).
+wherever it is held.  On G.704 the loopback builds and flips a segment's
+line window by window, so no segment's line is held whole (see
+`berbench.testbed`).
 """
 from __future__ import annotations
 

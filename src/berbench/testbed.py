@@ -20,19 +20,24 @@ HDB3 codec in `framing`):
 * everything else (G.703, V.35, STANAG 4210, Ethernet family) is a
   transparent bit pipe, since the converters bridge raw test patterns.
 
-The line is built in one call: the check multiframes over the whole
-payload on G.704, a copy of the payload elsewhere.  The fault model then
-flips it in place, in passes of `_LINE_PASS` bits: each pass is unpacked
-for the model's per-bit stream and packed again, unless the stream finds
-no flip in it (`skip_clean`), when its octets stay as they are.  Fault
-draws are keyed by stream position, so the passes flip the same bits as
-one call would.  A pass's unpacked bits and the model's copy of them are
-128 KiB each, no more than glibc's default mmap threshold, so they come
-from the heap rather than fresh zero-filled pages.  On G.704 the frame
-phase is then voted over the whole received line.
+Off G.704 the line is a copy of the payload.  The fault model flips it
+in place, in passes of `_LINE_PASS` bits: each pass is unpacked for the
+model's per-bit stream and packed again, unless the stream finds no flip
+in it (`skip_clean`), when its octets stay as they are.  Fault draws are
+keyed by stream position, so the passes flip the same bits as one call
+would.  A pass's unpacked bits and the model's copy of them are 64 KiB
+each, below glibc's default mmap threshold, so they come from the heap
+rather than fresh zero-filled pages.  On G.704 the line is never whole:
+`g704_align` reads it as a `_ReceivedLine`, whose windows of 2**18 bits
+are built from their share of the payload and flipped the same way, one
+at a time.  The frame phase is voted over the whole received line; when
+the line must be read again, it is rebuilt and flipped from a copy of
+the stream taken before the first read, so every read sees the same
+flips.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -53,7 +58,11 @@ from .core import (
     parse_interface,
     parse_port_kinds,
 )
+from . import framing
 from .framing import (
+    FRAMES_PER_MULTIFRAME,
+    MULTIFRAME_BITS,
+    MULTIFRAME_OCTETS,
     PAYLOAD_SLOTS,
     FrameAlignmentError,
     build_multiframes,
@@ -319,13 +328,59 @@ def dut_open_session(
 
 #: Line bits per pass of `loopback`'s fault model, a multiple of the octet;
 #: bounds the unpacked bits and the model's draws.  A pass with a flip
-#: allocates 128 KiB twice, the unpacked bits and the model's copy: no more
-#: than glibc's default mmap threshold, above which each pass maps fresh
-#: pages.  Passes of 2**19 bits left a warm campaign-bsc run in one
-#: process 16 274 minor faults and framed-prbs23 8 020; with passes of
-#: 2**17 bits and the channel's scratch they take 99 and 1 391, nearly
-#: all of those the G.704 lines' own mappings.
-_LINE_PASS = 1 << 17
+#: allocates 64 KiB twice, the unpacked bits and the model's copy: below
+#: glibc's default mmap threshold, above which each pass would map fresh
+#: pages, and small enough to sit beside a G.704 window and a segment's
+#: payload in `test_framed_loopback_takes_no_line_sized_heap_memory`.
+_LINE_PASS = 1 << 16
+
+
+def _flip(stream, line: np.ndarray, line_bits: int | None = None) -> np.ndarray:
+    """Flip the first `line_bits` bits of packed `line` (all when None) in
+    place, pass by pass, and return `line`."""
+    if line_bits is None:
+        line_bits = 8 * len(line)
+    for lo in range(0, line_bits, _LINE_PASS):
+        count = min(line_bits - lo, _LINE_PASS)
+        if not stream.skip_clean(count):
+            chunk = line[lo // 8 : -(-(lo + count) // 8)]
+            chunk[:] = np.packbits(stream.apply(np.unpackbits(chunk, count=count)))
+    return line
+
+
+class _ReceivedLine:
+    """The G.704 line of one payload as it comes back, window by window.
+
+    Each iteration builds the check multiframes of the payload, a window
+    of about `framing._ALIGN_PASS` line bits at a time, and flips each
+    window with the fault model before yielding it.  The first iteration
+    flips with the session's stream; every later one with a copy of that
+    stream as it stood before the first, so all yield the same octets.
+    `len` is the line's octets, as for the whole line in an array.
+    """
+
+    def __init__(self, payload: np.ndarray, timeslots: int, stream):
+        self.payload = payload
+        self.timeslots = timeslots
+        self.stream = stream
+        self.start = copy.copy(stream)
+        self.multiframes = max(1, -(-len(payload) // (FRAMES_PER_MULTIFRAME * timeslots)))
+
+    def __len__(self) -> int:
+        return self.multiframes * MULTIFRAME_OCTETS
+
+    def __iter__(self):
+        stream, self.stream = self.stream, None
+        if stream is None:
+            stream = copy.copy(self.start)
+            # An `apply` set on the instance (a wrapper, say) is bound to the
+            # stream it was set on; the copy flips with its class's own.
+            vars(stream).pop("apply", None)
+        multiframes = max(1, framing._ALIGN_PASS // MULTIFRAME_BITS)
+        share = multiframes * FRAMES_PER_MULTIFRAME * self.timeslots  # payload octets
+        for lo in range(0, max(len(self.payload), 1), share):
+            # No name here holds a window while the reader works on it.
+            yield _flip(stream, build_multiframes(self.payload[lo : lo + share], self.timeslots))
 
 
 def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
@@ -344,20 +399,13 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
     if not g704 or n_bits % 8 and payload[-1] & (0xFF >> n_bits % 8):
         payload = payload.copy()  # off G.704, the line itself
         clear_tail(payload, n_bits)  # send no bit past n_bits
-    line, line_bits = payload, n_bits
-    if g704:
-        line = build_multiframes(payload, session.payload_timeslots)
-        line_bits = 8 * len(line)
-    stream = session._stream
-    for lo in range(0, line_bits, _LINE_PASS):
-        count = min(line_bits - lo, _LINE_PASS)
-        if not stream.skip_clean(count):
-            chunk = line[lo // 8 : -(-(lo + count) // 8)]
-            chunk[:] = np.packbits(stream.apply(np.unpackbits(chunk, count=count)))
     if not g704:
-        return line
+        _flip(session._stream, payload, n_bits)
+        return payload
+    timeslots = session.payload_timeslots
+    line = _ReceivedLine(payload, timeslots, session._stream)
     try:
-        recovered = g704_align(line, session.payload_timeslots)[1][:size]
+        recovered = g704_align(line, timeslots)[1][:size]
     except FrameAlignmentError:
         return np.zeros(size, dtype=np.uint8)
     if len(recovered) < size:  # a frame phase past 0 extracts one frame less

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from berbench import testbed
 from berbench.channel import _CHUNK, Bsc, FixedMask, GilbertElliott, Ideal, _flips
+from berbench.framing import MULTIFRAME_BITS
 from berbench.core import InterfaceKind as IK
 from berbench.core import REPORT_ORDER
 from berbench.meter import MeasurementConfig, measure
@@ -397,14 +398,11 @@ def test_a_late_frame_phase_returns_the_missing_octets_as_zeros():
     assert np.array_equal(loopback(session, payload, 8 * len(payload)), want)
 
 
-def test_framed_loopback_takes_no_line_sized_heap_memory():
-    # The line (4 MiB here) has a mapping of its own, which tracemalloc does
-    # not see: what it sees is the payload-sized result (512 KiB) and the
-    # fault model's pass temporaries, 272 KiB on a pass with a flip.  A line
-    # from the heap, a second whole-line temporary or passes of 2**19 bits
-    # (1.07 MiB in all) would exceed the bound.  The kernels' scratch is
-    # built once per process, before tracing.
-    session = dut_open_session(default_profile(channel=Bsc(p=1e-6, seed=5)), IK.G704, 256, F0)
+def framed_loopback_peak(rate):
+    """Traced peak of one G.704 `loopback` of 2**22 + 271 bits at `rate` kbit/s."""
+    prof = default_profile(channel=Bsc(p=1e-6, seed=5))
+    rates = {**prof.supported_rates, IK.G704: frozenset({rate})}
+    session = dut_open_session(dataclasses.replace(prof, supported_rates=rates), IK.G704, rate, F0)
     n = (1 << 22) + 271
     payload = np.packbits(generate(PrbsSpec(), n))
     _flips(0, 0, 1, 1)
@@ -415,7 +413,90 @@ def test_framed_loopback_takes_no_line_sized_heap_memory():
     finally:
         tracemalloc.stop()
     assert len(out) == len(payload)
-    assert peak <= 768 * 2**10
+    return peak
+
+
+def test_framed_loopback_takes_no_line_sized_heap_memory():
+    # The line (4 MiB here) is never whole: what tracemalloc sees is the
+    # payload-sized result (512 KiB), one 32 KiB window of the line, and
+    # the larger of the frame vote's pass temporaries (about 0.2 MiB) and
+    # the fault model's (128 KiB on a pass with a flip).  A whole line, a
+    # second payload-sized temporary, or passes of 2**17 bits (272 KiB)
+    # would exceed the bound.  The kernels' scratch is built once per
+    # process, before tracing.
+    assert framed_loopback_peak(256) <= 768 * 2**10
+
+
+def test_framed_loopback_memory_does_not_grow_with_line_expansion():
+    # At 64 kbit/s (a custom profile: one timeslot, 32 line bits per payload
+    # bit) the same payload makes a 16 MiB line, four times the line at 256.
+    assert framed_loopback_peak(64) <= 768 * 2**10
+
+
+def recording_offsets(monkeypatch):
+    """Record the frame phase each G.704 `loopback` aligns to."""
+    offsets = []
+    align = testbed.g704_align
+
+    def spy(line, timeslots):
+        result = align(line, timeslots)
+        offsets.append(result[0])
+        return result
+
+    monkeypatch.setattr(testbed, "g704_align", spy)
+    return offsets
+
+
+def shifted_mask(session, payload, shift, start=0):
+    """A mask that turns the session's line from bit `start` on into itself
+    delayed by `shift` bits."""
+    line = np.unpackbits(testbed.build_multiframes(payload, session.payload_timeslots))
+    flips = np.flatnonzero(line ^ np.roll(line, shift))
+    return FixedMask(indices=tuple(int(f) for f in flips[flips >= start]))
+
+
+@pytest.mark.parametrize("case", ["bsc", "gilbert-elliott", "mask", "mask-late"])
+def test_loopback_rereads_a_line_whose_phase_is_not_zero(monkeypatch, case):
+    # The frame vote does not settle on phase 0, so the line is built and
+    # flipped again from a copy of the stream: every read must see the
+    # flips of the first, and the session's stream must move on once.
+    rate, multiframes = 256, 200  # four windows of the line
+    bits = generate(PrbsSpec(), multiframes * 16 * 4 * 8)
+    payload = np.packbits(bits)
+    session = dut_open_session(default_profile(), IK.G704, rate, F0)
+    channel = {
+        "bsc": Bsc(p=0.5, seed=2),
+        "gilbert-elliott": GilbertElliott(p_gb=0.5, p_bg=0.01, p_good=1.0, p_bad=0.5, seed=4),
+        # The whole line delayed by 3 bits: phase 3 from the first pass on.
+        "mask": shifted_mask(session, payload, 3),
+        # Phase 0 for the first window and more, then phase 3 for longer:
+        # the vote settles on phase 0 and loses, so it votes again in full
+        # and extracts in a third read.
+        "mask-late": shifted_mask(session, payload, 3, start=90 * MULTIFRAME_BITS),
+    }[case]
+    prof = default_profile(channel=channel)
+    session, reference = (dut_open_session(prof, IK.G704, rate, F0, seed_tag=1) for _ in range(2))
+    apply = session._stream.apply
+    session._stream.apply = lambda chunk: apply(chunk)  # on the instance, as a wrapper is
+    offsets = recording_offsets(monkeypatch)
+    windows = []
+    build = testbed.build_multiframes
+
+    def counting_build(payload, timeslots):
+        windows.append(len(payload))
+        return build(payload, timeslots)
+
+    monkeypatch.setattr(testbed, "build_multiframes", counting_build)
+    for _ in range(2):  # the second call starts where the first left the stream
+        got = np.unpackbits(loopback(session, payload, len(bits)), count=len(bits))
+        assert np.array_equal(got, oracles.loopback(reference, bits))
+        assert session._stream.position == reference._stream.position
+    if case.startswith("mask"):
+        assert offsets == [3, 0]  # the mask lies in the first call's line
+    else:
+        assert 0 not in offsets
+    if case == "mask-late":
+        assert len(windows) == 3 * 4 + 4
 
 
 _CHANNELS = st.one_of(
