@@ -48,6 +48,7 @@ the draws of other streams.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -457,13 +458,18 @@ class _GilbertElliottStream:
 
 class _FixedMaskStream:
     def __init__(self, model: FixedMask):
-        self.indices = np.asarray(model.indices, dtype=np.int64)
+        self.indices = model.indices  # a sorted tuple: bisect finds a pass's share fast
         self.position = 0
+
+    def _span(self, n: int) -> tuple[int, int]:
+        """The slice of `indices` that falls in the next `n` bits."""
+        lo = bisect.bisect_left(self.indices, self.position)
+        return lo, bisect.bisect_left(self.indices, self.position + n, lo)
 
     def _hits(self, n: int) -> np.ndarray:
         """The mask offsets in the next `n` bits, counted from the pass's first."""
-        lo, hi = np.searchsorted(self.indices, (self.position, self.position + n))
-        return self.indices[lo:hi] - self.position
+        lo, hi = self._span(n)
+        return np.array(self.indices[lo:hi], dtype=np.int64) - self.position
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
         hits = self._hits(len(bits))
@@ -475,7 +481,8 @@ class _FixedMaskStream:
         return out
 
     def skip_clean(self, n: int) -> bool:
-        if len(self._hits(n)):
+        lo, hi = self._span(n)
+        if hi > lo:
             return False
         self.position += n
         return True

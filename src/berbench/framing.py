@@ -36,10 +36,13 @@ the alignment signal starts.  A frame pair is 64 octets, so the vote of
 every bit phase is one octet column and one bit.  The first read votes
 on every phase until a confirmed phase clearly leads, then counts that
 phase's column alone, and extracts the payload octets at phase 0 as it
-goes.  A second read votes in full only when the count shows that some
-other phase could still beat the leader, and a last one extracts the
-payload when the winner is not phase 0.  The line may hold any number
-of bits.
+goes.  Once phase 0 leads, a received line's windows need not be built:
+the framing sent has the signal at phase 0 in every frame pair, so the
+bits that flip in a window give its count and, with the payload it
+carries, its payload.  A second read votes in full only when the count
+shows that some other phase could still beat the leader, and a last one
+extracts the payload when the winner is not phase 0.  The line may hold
+any number of bits.
 
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
@@ -242,7 +245,7 @@ def _fas_masks(line: np.ndarray, start: int, stop: int, step: int = 1) -> np.nda
 
 def _phases(first: int, masks: np.ndarray) -> np.ndarray:
     """Frame-pair phase 8 * (i % 64) + k of each bit 7-k set in masks[i - first]."""
-    i = np.flatnonzero(masks)
+    i = np.flatnonzero(masks != 0)  # numpy scans bools several times faster
     bits = np.unpackbits(masks[i, None], axis=1).view(bool)  # column k
     columns = ((first + i) % _PAIR_OCTETS * 8).astype(np.int16)
     return (columns[:, None] + np.arange(8, dtype=np.int16))[bits]
@@ -327,16 +330,34 @@ class _Vote:
                         return
                 self._pass(line, base, lo, hi)
             else:
-                # Whole frame pairs, so `lo` keeps the leader's phase in the count.
+                # Whole frame pairs, so `lo` keeps the leader's phase in the
+                # count; a phase inside an octet reads the octet after it.
+                q, matches = self.leader
                 hi = self.octets
                 if not last:
-                    hi = min(hi, (have - 1) // _PAIR_OCTETS * _PAIR_OCTETS)
+                    hi = min(hi, (have - (q % 8 > 0)) // _PAIR_OCTETS * _PAIR_OCTETS)
                 if hi <= lo:
                     return
-                q, matches = self.leader
                 count = _phase_votes(line[lo - base :], q, min(8 * hi, self.end) - 8 * lo)
                 self.leader = q, matches + count
             self.lo = hi
+
+    def feed_flips(self, base: int, size: int, flips: np.ndarray | None) -> None:
+        """Count leader phase 0's matches in line octets [base, base + size).
+
+        The line there is framed from phase 0 and differs from the framing
+        sent by the set bits of `flips`, its octets (None: by none), and
+        every count so far ends at `base`, a frame pair's first octet.  A
+        position matches unless a flip lands in the signal bits after it,
+        the low seven bits of its octet.
+        """
+        q, matches = self.leader
+        hi = min(base + size, self.octets)
+        pairs = max(0, -(-(min(8 * hi, self.end) - 8 * base) // (2 * FRAME_BITS)))
+        if flips is not None:
+            pairs -= np.count_nonzero(flips[: _PAIR_OCTETS * pairs : _PAIR_OCTETS] & 0x7F)
+        self.leader = q, matches + pairs
+        self.lo = hi
 
     def _pass(self, line: np.ndarray, base: int, lo: int, hi: int) -> None:
         # A pass votes for the positions in octets [lo, hi) and confirms
@@ -393,10 +414,22 @@ def _read(
     total = len(line)
     if phase is not None:
         first, shift = divmod(phase, 8)
-        out = np.empty(((n - phase) // FRAME_BITS, timeslots), dtype=np.uint8)
+        out = np.zeros(((n - phase) // FRAME_BITS, timeslots), dtype=np.uint8)
         done = 0  # frames extracted
     base, kept = 0, np.zeros(0, dtype=np.uint8)
     for window in [line] if isinstance(line, np.ndarray) else line:
+        if hasattr(window, "flips"):  # a frame window (see `g704_align`)
+            leader = vote.leader if vote is not None else None
+            if phase == 0 and leader is not None and leader[0] == 0 and not len(kept):
+                # Phase 0 leads, and every count and frame so far ends here:
+                # the flips alone give the window's count and payload.
+                size, flips = len(window), window.flips()
+                vote.feed_flips(base, size, flips)
+                frames = min(size // _FRAME_OCTETS, len(out) - done)
+                _flipped_payload(window.payload, flips, out[done : done + frames])
+                base, done = base + size, done + frames
+                continue
+            window = window.octets()
         window = np.ascontiguousarray(window, dtype=np.uint8)
         buf = np.concatenate((kept, window)) if len(kept) else window
         kept = window = None  # free the parts before the passes
@@ -430,7 +463,12 @@ def g704_align(
     `line` is packed and holds `n_bits` bits (all its octets when None).
     It is an array, or a re-iterable whose `len` is the line's octets and
     whose every iteration yields those octets again, in consecutive
-    windows: the line is then never held whole.
+    windows: the line is then never held whole.  A window is an array of
+    octets or a frame window: whole check multiframes, as received, of
+    the `payload` octets that follow the previous window's, whose
+    `octets()` are the window and whose `flips()` are the window XOR the
+    framing sent (None may stand for all zeros).  Each is read once, by
+    one of the two.
 
     The frame phase is chosen by majority vote of signal matches over the
     whole line among confirmed candidates (see `_Vote`), so sparse
@@ -479,6 +517,16 @@ def _payload_octets(line: np.ndarray, offset: int, out: np.ndarray) -> None:
             after = line[lo + 1 : lo + 1 + 32 * g].reshape(g, 32)[:, 1 : timeslots + 1]
             slots = (slots << shift) | (after >> (8 - shift))
         out[f : f + g] = slots
+
+
+def _flipped_payload(payload: np.ndarray, flips: np.ndarray | None, out: np.ndarray) -> None:
+    """Fill zeroed `out` (frames, k) with timeslots 1..k of the frames that
+    carry `payload` (zero-padded) and differ from the framing sent by the
+    set bits of `flips`, their octets (None: by none)."""
+    share = payload[: out.size]
+    out.reshape(-1)[: len(share)] = share
+    if flips is not None:
+        out ^= flips.reshape(-1, _FRAME_OCTETS)[: len(out), 1 : out.shape[1] + 1]
 
 
 def hdb3_encode(bits: np.ndarray, start_polarity: int = 1) -> np.ndarray:

@@ -30,10 +30,13 @@ each, below glibc's default mmap threshold, so they come from the heap
 rather than fresh zero-filled pages.  On G.704 the line is never whole:
 `g704_align` reads it as a `_ReceivedLine`, whose windows of 2**18 bits
 are built from their share of the payload and flipped the same way, one
-at a time.  The frame phase is voted over the whole received line; when
-the line must be read again, it is rebuilt and flipped from a copy of
-the stream taken before the first read, so every read sees the same
-flips.
+at a time, until the frame vote settles on phase 0.  From there on a
+window is not built: the stream flips zeros in the same passes, which
+gives the bits that flip in it, and alignment takes its count and its
+payload from those and its payload share.  The frame phase is voted over
+the whole received line; when the line must be read again, it is rebuilt
+and flipped from a copy of the stream taken before the first read, so
+every read sees the same flips.
 """
 from __future__ import annotations
 
@@ -335,28 +338,60 @@ def dut_open_session(
 _LINE_PASS = 1 << 16
 
 
-def _flip(stream, line: np.ndarray, line_bits: int | None = None) -> np.ndarray:
+def _flip(stream, line: np.ndarray, line_bits: int | None = None) -> bool:
     """Flip the first `line_bits` bits of packed `line` (all when None) in
-    place, pass by pass, and return `line`."""
+    place, pass by pass; return whether any pass went through the model."""
     if line_bits is None:
         line_bits = 8 * len(line)
+    applied = False
     for lo in range(0, line_bits, _LINE_PASS):
         count = min(line_bits - lo, _LINE_PASS)
         if not stream.skip_clean(count):
             chunk = line[lo // 8 : -(-(lo + count) // 8)]
             chunk[:] = np.packbits(stream.apply(np.unpackbits(chunk, count=count)))
-    return line
+            applied = True
+    return applied
+
+
+class _Window:
+    """Whole check multiframes of a received line, carrying `payload`.
+
+    Read once, when the fault model's stream reaches it: `octets` builds
+    and flips the window; `flips` flips zeros instead, which gives the
+    bits that flip, packed as the window's octets, or None when the
+    stream skips every pass of it clean.
+    """
+
+    def __init__(self, payload: np.ndarray, timeslots: int, stream):
+        self.payload = payload
+        self.timeslots = timeslots
+        self.stream = stream
+
+    def __len__(self) -> int:
+        per_mf = FRAMES_PER_MULTIFRAME * self.timeslots
+        return max(1, -(-len(self.payload) // per_mf)) * MULTIFRAME_OCTETS
+
+    def octets(self) -> np.ndarray:
+        stream, self.stream = self.stream, None
+        line = build_multiframes(self.payload, self.timeslots)
+        _flip(stream, line)
+        return line
+
+    def flips(self) -> np.ndarray | None:
+        stream, self.stream = self.stream, None
+        flips = np.zeros(len(self), dtype=np.uint8)
+        return flips if _flip(stream, flips) else None
 
 
 class _ReceivedLine:
     """The G.704 line of one payload as it comes back, window by window.
 
-    Each iteration builds the check multiframes of the payload, a window
-    of about `framing._ALIGN_PASS` line bits at a time, and flips each
-    window with the fault model before yielding it.  The first iteration
-    flips with the session's stream; every later one with a copy of that
-    stream as it stood before the first, so all yield the same octets.
-    `len` is the line's octets, as for the whole line in an array.
+    Each iteration yields `_Window`s of about `framing._ALIGN_PASS` line
+    bits, each with its share of the payload, and the reader reads each
+    in turn, built or as its flips.  The first iteration flips with the
+    session's stream; every later one with a copy of that stream as it
+    stood before the first, so all see the same flips.  `len` is the
+    line's octets, as for the whole line in an array.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
@@ -379,8 +414,7 @@ class _ReceivedLine:
         multiframes = max(1, framing._ALIGN_PASS // MULTIFRAME_BITS)
         share = multiframes * FRAMES_PER_MULTIFRAME * self.timeslots  # payload octets
         for lo in range(0, max(len(self.payload), 1), share):
-            # No name here holds a window while the reader works on it.
-            yield _flip(stream, build_multiframes(self.payload[lo : lo + share], self.timeslots))
+            yield _Window(self.payload[lo : lo + share], self.timeslots, stream)
 
 
 def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:

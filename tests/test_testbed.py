@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berbench import testbed
+from berbench import framing, testbed
 from berbench.channel import _CHUNK, Bsc, FixedMask, GilbertElliott, Ideal, _flips
 from berbench.framing import MULTIFRAME_BITS
 from berbench.core import InterfaceKind as IK
@@ -405,7 +405,10 @@ def framed_loopback_peak(rate):
     session = dut_open_session(dataclasses.replace(prof, supported_rates=rates), IK.G704, rate, F0)
     n = (1 << 22) + 271
     payload = np.packbits(generate(PrbsSpec(), n))
+    # Built once per process: the kernels' scratch and framing's lookup tables.
     _flips(0, 0, 1, 1)
+    framing._fas_table()
+    framing._crc_table()
     tracemalloc.start()
     try:
         out = loopback(session, payload, n)
@@ -418,12 +421,13 @@ def framed_loopback_peak(rate):
 
 def test_framed_loopback_takes_no_line_sized_heap_memory():
     # The line (4 MiB here) is never whole: what tracemalloc sees is the
-    # payload-sized result (512 KiB), one 32 KiB window of the line, and
-    # the larger of the frame vote's pass temporaries (about 0.2 MiB) and
-    # the fault model's (128 KiB on a pass with a flip).  A whole line, a
-    # second payload-sized temporary, or passes of 2**17 bits (272 KiB)
-    # would exceed the bound.  The kernels' scratch is built once per
-    # process, before tracing.
+    # payload-sized result (512 KiB), one 32 KiB window of the line or of
+    # its flips, and the larger of the frame vote's pass temporaries
+    # (about 0.2 MiB) and the fault model's (128 KiB on a pass with a
+    # flip).  A whole line, a second payload-sized temporary, or passes of
+    # 2**17 bits (272 KiB) would exceed the bound.  The kernels' scratch
+    # and framing's lookup tables are built once per process, before
+    # tracing, so the peak is the same in any test order.
     assert framed_loopback_peak(256) <= 768 * 2**10
 
 
@@ -447,12 +451,13 @@ def recording_offsets(monkeypatch):
     return offsets
 
 
-def shifted_mask(session, payload, shift, start=0):
-    """A mask that turns the session's line from bit `start` on into itself
-    delayed by `shift` bits."""
+def shifted_mask(session, payload, shift, start=0, stop=None):
+    """A mask that turns bits `start` to `stop` of the session's line into
+    those of the line delayed by `shift` bits."""
     line = np.unpackbits(testbed.build_multiframes(payload, session.payload_timeslots))
     flips = np.flatnonzero(line ^ np.roll(line, shift))
-    return FixedMask(indices=tuple(int(f) for f in flips[flips >= start]))
+    flips = flips[(flips >= start) & (flips < (len(line) if stop is None else stop))]
+    return FixedMask(indices=tuple(flips.tolist()))
 
 
 @pytest.mark.parametrize("case", ["bsc", "gilbert-elliott", "mask", "mask-late"])
@@ -496,7 +501,10 @@ def test_loopback_rereads_a_line_whose_phase_is_not_zero(monkeypatch, case):
     else:
         assert 0 not in offsets
     if case == "mask-late":
-        assert len(windows) == 3 * 4 + 4
+        # The first read builds one window and takes the rest from their
+        # flips, once the vote settles on phase 0; the full vote and the
+        # extraction build all four; the second call settles after one.
+        assert len(windows) == 1 + 2 * 4 + 1
 
 
 _CHANNELS = st.one_of(
@@ -543,6 +551,164 @@ def test_packed_loopback_matches_unpacked_oracle(data, channel, seed, session):
             assert np.array_equal(got, np.packbits(oracles.loopback(unpacked, bits)))
     finally:
         testbed._LINE_PASS = saved
+
+
+def every_window_built(mp):
+    """Have each `_ReceivedLine` hand `g704_align` its windows built and
+    flipped, never as flips alone."""
+    iterate = testbed._ReceivedLine.__iter__
+
+    def built(line):
+        for window in iterate(line):
+            yield window.octets()
+
+    mp.setattr(testbed._ReceivedLine, "__iter__", built)
+
+
+def framed_session(channel, rate, seed_tag=0):
+    """A G.704 session at any multiple of 64 kbit/s (a custom profile)."""
+    prof = default_profile(channel=channel)
+    rates = {**prof.supported_rates, IK.G704: frozenset({rate})}
+    prof = dataclasses.replace(prof, supported_rates=rates)
+    return dut_open_session(prof, IK.G704, rate, F0, seed_tag=seed_tag)
+
+
+def line_flips(data, timeslots, payload_bits, multiframes, window_bits):
+    """Line positions drawn where a flip matters to the frame vote or the
+    payload in its own way."""
+    line_bits = multiframes * MULTIFRAME_BITS
+    pairs, frames = line_bits // 512, line_bits // 256
+    capacity = multiframes * 16 * timeslots * 8  # payload bits, zero padding included
+    where = {
+        "fas": lambda: 512 * data.draw(st.integers(0, pairs - 1)) + data.draw(st.integers(1, 7)),
+        "check": lambda: 512 * data.draw(st.integers(0, pairs - 1)),
+        "not-fas": lambda: 512 * data.draw(st.integers(0, pairs - 1)) + 256
+        + data.draw(st.integers(0, 7)),
+        "payload": lambda: int(oracles.line_positions(
+            data.draw(st.integers(0, payload_bits - 1)), timeslots)),
+        "window-edge": lambda: data.draw(st.integers(1, -(-line_bits // window_bits)))
+        * window_bits + data.draw(st.integers(-16, 15)),
+        "anywhere": lambda: data.draw(st.integers(0, line_bits - 1)),
+    }
+    if timeslots < 31:
+        where["idle"] = lambda: 256 * data.draw(st.integers(0, frames - 1)) + 8 * data.draw(
+            st.integers(timeslots + 1, 31)) + data.draw(st.integers(0, 7))
+    if payload_bits < capacity:
+        where["padding"] = lambda: int(oracles.line_positions(
+            data.draw(st.integers(payload_bits, capacity - 1)), timeslots))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(where)), max_size=12))
+    return sorted({p for p in (where[k]() for k in kinds) if 0 <= p < line_bits})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    rate=st.sampled_from([64, 256, 1024, 2048]),
+    window_bits=st.sampled_from([MULTIFRAME_BITS, 3 * MULTIFRAME_BITS, 8 * MULTIFRAME_BITS]),
+    shape=st.sampled_from(["ideal", "bsc", "gilbert-elliott", "mask", "shifted"]),
+)
+def test_loopback_from_flips_equals_every_window_built_and_the_oracle(data, rate, window_bits, shape):
+    # Once the frame vote settles on phase 0, later windows come as flips
+    # alone.  The payload, the stream left for the next segment and that
+    # segment must be those of the loopback that builds every window.
+    timeslots = min(31, rate // 64)
+    multiframes = data.draw(st.integers(1, 48))
+    per_mf = 16 * timeslots * 8
+    n = data.draw(st.integers((multiframes - 1) * per_mf + 1, multiframes * per_mf))
+    bits = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, 2, n)
+    bits = bits.astype(np.uint8)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if shape == "ideal":
+        channel = Ideal()
+    elif shape == "bsc":
+        channel = Bsc(p=data.draw(st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2])), seed=seed)
+    elif shape == "gilbert-elliott":
+        channel = GilbertElliott(p_gb=0.001, p_bg=0.1, p_good=1.0, p_bad=0.3, seed=seed)
+    elif shape == "mask":
+        flips = line_flips(data, timeslots, n, multiframes, window_bits)
+        channel = FixedMask(indices=tuple(flips))
+    else:
+        # Part of the line is itself delayed, so the vote may settle on a
+        # leader at either phase and lose it later, or choose a winner past
+        # phase 0.  A shift of whole octets reads no octet past a frame pair.
+        session = framed_session(Ideal(), rate)
+        start, stop = sorted(data.draw(st.integers(0, multiframes * MULTIFRAME_BITS)) for _ in "ab")
+        start = data.draw(st.sampled_from([0, start]))
+        stop = data.draw(st.sampled_from([None, stop]))
+        shift = data.draw(st.one_of(st.integers(1, 511), st.integers(1, 63).map(lambda k: 8 * k)))
+        channel = shifted_mask(session, np.packbits(bits), shift, start, stop)
+    sessions = [framed_session(channel, rate, seed_tag=5) for _ in range(3)]
+    later = np.random.default_rng(seed).integers(0, 2, data.draw(st.integers(1, 3 * per_mf)))
+    later = later.astype(np.uint8)
+    saved = framing._ALIGN_PASS
+    framing._ALIGN_PASS = window_bits
+    try:
+        got = [loop_bits(sessions[0], bits), loop_bits(sessions[0], later)]
+        with pytest.MonkeyPatch.context() as mp:
+            every_window_built(mp)
+            want = [loop_bits(sessions[1], bits), loop_bits(sessions[1], later)]
+    finally:
+        framing._ALIGN_PASS = saved
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], oracles.loopback(sessions[2], bits))
+    assert sessions[0]._stream.position == sessions[1]._stream.position
+
+
+def test_a_leader_past_phase_0_never_counts_from_flips(monkeypatch):
+    # The first of four windows is the line delayed by one octet, the rest
+    # is framed at phase 0: the vote settles on phase 8 after the first
+    # window, and only the octets of the others show that phase 0 wins.
+    rate, multiframes = 256, 4 * 64
+    bits = generate(PrbsSpec(), multiframes * 16 * 4 * 8)
+    session = dut_open_session(default_profile(), IK.G704, rate, F0)
+    channel = shifted_mask(session, np.packbits(bits), 8, stop=64 * MULTIFRAME_BITS)
+    session, reference = (
+        dut_open_session(default_profile(channel=channel), IK.G704, rate, F0) for _ in range(2)
+    )
+    offsets = recording_offsets(monkeypatch)
+    assert np.array_equal(loop_bits(session, bits), oracles.loopback(reference, bits))
+    assert offsets == [0]
+
+
+def build_counts(monkeypatch):
+    """Record the payload octets of each `build_multiframes` a loopback makes."""
+    built = []
+    build = testbed.build_multiframes
+
+    def counting_build(payload, timeslots):
+        built.append(len(payload))
+        return build(payload, timeslots)
+
+    monkeypatch.setattr(testbed, "build_multiframes", counting_build)
+    return built
+
+
+@pytest.mark.parametrize(
+    "channel, fewest, most",
+    [
+        # 40 flips in the first 2**20 line bits.
+        (FixedMask(indices=tuple(range(1000, 1 << 20, 26_227))), 1, 2),
+        (Bsc(p=1e-6, seed=5), 1, 2),
+        # A leader that misses 7% of its signals settles once about an
+        # eighth of the line is seen: 17 windows.
+        (Bsc(p=1e-2, seed=5), 8, 40),
+        # 8% of the signals survive: the vote settles in the last windows.
+        (Bsc(p=0.3, seed=5), 120, 128),
+    ],
+    ids=["sparse-mask", "bsc-1e-6", "bsc-1e-2", "bsc-0.3"],
+)
+def test_loopback_builds_only_the_windows_before_the_vote_settles(
+    monkeypatch, channel, fewest, most
+):
+    # 2**22 payload bits at 256 kbit/s: a line of 2**25 bits, 128 windows,
+    # read once.
+    n = 1 << 22
+    payload = np.packbits(generate(PrbsSpec(), n))
+    session = dut_open_session(default_profile(channel=channel), IK.G704, 256, F0)
+    built = build_counts(monkeypatch)
+    loopback(session, payload, n)
+    assert fewest <= len(built) <= most
+    assert session._stream.position == 1 << 25
 
 
 # ---------------------------------------------------------------------------
