@@ -34,15 +34,14 @@ windows, such as a received line rebuilt on each read.  A table maps
 each 16-bit window of two neighbouring octets to the bit shifts at which
 the alignment signal starts.  A frame pair is 64 octets, so the vote of
 every bit phase is one octet column and one bit.  The first read votes
-on every phase until a confirmed phase clearly leads, then counts that
-phase's column alone, and extracts the payload octets at phase 0 as it
-goes.  Once phase 0 leads, a received line's windows need not be built:
-the framing sent has the signal at phase 0 in every frame pair, so the
-bits that flip in a window give its count and, with the payload it
-carries, its payload.  A second read votes in full only when the count
-shows that some other phase could still beat the leader, and a last one
-extracts the payload when the winner is not phase 0.  The line may hold
-any number of bits.
+on every phase and extracts the payload octets at phase 0 as it goes.
+The framing sent has the signal at phase 0 in every frame pair, so once
+phase 0 clearly leads in a received line's window, the bits that flip in
+the rest of it and in each later window give phase 0's count and, with
+the payload they carry, the payload: those windows need not be built.
+A second read votes in full only when that count shows that some other
+phase could still beat phase 0, and a last one extracts the payload when
+the winner is not phase 0.  The line may hold any number of bits.
 
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
@@ -257,33 +256,10 @@ def _positions_below(stop: int) -> np.ndarray:
     return np.maximum(0, -(-(stop - np.arange(period)) // period))
 
 
-def _phase_votes(line: np.ndarray, phase: int, end: int) -> int:
-    """Signal matches at the positions `phase` + 512 j below `end`."""
-    first, k = divmod(phase, 8)
-    stop = first + _PAIR_OCTETS * max(0, -(-(end - phase) // (2 * FRAME_BITS)))
-    masks = _fas_masks(line, first, stop, _PAIR_OCTETS)
-    return int(np.count_nonzero(masks & (0x80 >> k)))
-
-
 def _leader(votes: np.ndarray, confirmed: np.ndarray) -> int | None:
     """The confirmed phase with the most votes, the lowest of a tie."""
     phases = np.flatnonzero(confirmed)
     return int(phases[np.argmax(votes[phases])]) if len(phases) else None
-
-
-def _proven(q: int, matches: int, votes: np.ndarray, scanned: int, end: int) -> bool:
-    """Whether confirmed phase `q`, with `matches` over all positions below
-    `end`, wins the vote.
-
-    `votes` counts the positions below `scanned`.  Every other phase p,
-    even with a match at each position it has left, must end below q's
-    count, or level with it when p > q.
-    """
-    best = votes + _positions_below(end) - _positions_below(scanned)
-    beaten = best < matches
-    beaten[q + 1 :] |= best[q + 1 :] == matches
-    beaten[q] = True
-    return bool(beaten.all())
 
 
 class _Vote:
@@ -291,59 +267,56 @@ class _Vote:
 
     Candidates come from the standard confirmation rule: alignment signal
     found, bit 2 of the following frame is 1, and the signal repeats one
-    frame later.  Every phase's signal matches are counted, until (when
-    `early`) a confirmed phase leads by more than twice the misses it
-    would make over the rest of the line at its rate so far.  From there
-    on only that leader's matches are counted, and the read ends with a
-    `leader`; `proven` then says whether it wins.
+    frame later.  Every phase's signal matches are counted, pass by pass.
+    A pass that ends in a frame window (see `g704_align`) may settle the
+    vote, once phase 0 is confirmed and leads by more than twice the misses
+    it would make over the rest of the line at its rate so far.  From
+    there on only phase 0 counts, from the flips (`feed_flips`), starting
+    with the rest of that window; `proven` then says whether it wins.
     """
 
-    def __init__(self, n: int, early: bool):
+    def __init__(self, n: int):
         self.end = n - 7  # signal positions: the seven signal bits lie inside the line
         self.octets = -(-self.end // 8)  # line octets holding a signal position
-        self.early = early
         self.votes = np.zeros(2 * FRAME_BITS, dtype=np.int64)  # matches per frame-pair phase
         self.confirmed = np.zeros(2 * FRAME_BITS, dtype=bool)
         self.lo = 0  # the first line octet whose positions are not yet counted
         self.scanned = 0  # signal positions below this have every phase's votes
-        self.leader: tuple[int, int] | None = None  # (phase, matches) once it alone counts
+        self.matches: int | None = None  # phase 0's, once it alone counts
 
-    def feed(self, line: np.ndarray, base: int, last: bool) -> None:
+    def feed(self, line: np.ndarray, base: int, last: bool, window=None) -> None:
         """Count every position `line` holds the octets for.
 
         `line` holds the line's octets from octet `base`, up to its end
         when `last`.  A count reads some octets past its positions, so
-        positions near the end of a window wait for the next one.
+        positions near the end of a window wait for the next one.  When
+        `line` ends with the octets of frame window `window`, the vote may
+        settle at the end of a pass in it, and the window's flips count
+        the rest.
         """
         have = base + len(line)
         step = -(-_ALIGN_PASS // 8)
         while self.lo < self.octets:
+            # A pass reads 65 octets past its own: the next frame pair and
+            # one.  Short of that, it ends on the last whole frame pair it
+            # can read, so a window need not wait for the next.
             lo = self.lo
-            if self.leader is None:
-                # A pass reads 65 octets past its own: the next frame pair and
-                # one.  Short of that, it ends on the last whole frame pair it
-                # can read, so a window need not wait for the next.
-                hi = min(lo + step, self.octets)
-                if not last and hi + _PAIR_OCTETS + 1 > have:
-                    hi = (have - _PAIR_OCTETS - 1) // _PAIR_OCTETS * _PAIR_OCTETS
-                    if hi <= lo:
-                        return
-                self._pass(line, base, lo, hi)
-            else:
-                # Whole frame pairs, so `lo` keeps the leader's phase in the
-                # count; a phase inside an octet reads the octet after it.
-                q, matches = self.leader
-                hi = self.octets
-                if not last:
-                    hi = min(hi, (have - (q % 8 > 0)) // _PAIR_OCTETS * _PAIR_OCTETS)
+            hi = min(lo + step, self.octets)
+            if not last and hi + _PAIR_OCTETS + 1 > have:
+                hi = (have - _PAIR_OCTETS - 1) // _PAIR_OCTETS * _PAIR_OCTETS
                 if hi <= lo:
                     return
-                count = _phase_votes(line[lo - base :], q, min(8 * hi, self.end) - 8 * lo)
-                self.leader = q, matches + count
+            self._pass(line, base, lo, hi)
             self.lo = hi
+            rest = have - hi  # octets of `line` past the pass
+            if window is not None and rest <= len(window) and self._settles():
+                self.matches = int(self.votes[0])
+                flips = window.flips
+                self.feed_flips(hi, rest, None if flips is None else flips[len(window) - rest :])
+                return
 
     def feed_flips(self, base: int, size: int, flips: np.ndarray | None) -> None:
-        """Count leader phase 0's matches in line octets [base, base + size).
+        """Count phase 0's matches in line octets [base, base + size).
 
         The line there is framed from phase 0 and differs from the framing
         sent by the set bits of `flips`, its octets (None: by none), and
@@ -351,12 +324,11 @@ class _Vote:
         position matches unless a flip lands in the signal bits after it,
         the low seven bits of its octet.
         """
-        q, matches = self.leader
         hi = min(base + size, self.octets)
         pairs = max(0, -(-(min(8 * hi, self.end) - 8 * base) // (2 * FRAME_BITS)))
         if flips is not None:
             pairs -= np.count_nonzero(flips[: _PAIR_OCTETS * pairs : _PAIR_OCTETS] & 0x7F)
-        self.leader = q, matches + pairs
+        self.matches += int(pairs)
         self.lo = hi
 
     def _pass(self, line: np.ndarray, base: int, lo: int, hi: int) -> None:
@@ -377,28 +349,30 @@ class _Vote:
         confirmed = masks[:c] & masks[_PAIR_OCTETS : _PAIR_OCTETS + c] & bit2
         self.confirmed[_phases(lo, confirmed)] = True
         self.scanned = min(8 * hi, end)
-        if self.early and hi < octets and hi % _PAIR_OCTETS == 0:
-            self._choose()
 
-    def _choose(self) -> None:
-        q = _leader(self.votes, self.confirmed)
-        if q is None:
-            return
-        seen = int(_positions_below(self.scanned)[q])
-        rest = int(_positions_below(self.end)[q]) - seen
-        misses = seen - int(self.votes[q])
-        lead = int(self.votes[q]) - int(np.delete(self.votes, q).max())
-        if lead * seen > 2 * (misses + 1) * rest:
-            self.leader = q, int(self.votes[q])
+    def _settles(self) -> bool:
+        """Whether the count stops at a frame pair short of the line's end,
+        where phase 0 is confirmed and leads by more than twice the misses
+        it would make over the rest of the line at its rate so far."""
+        if self.lo % _PAIR_OCTETS or self.lo >= self.octets or not self.confirmed[0]:
+            return False
+        period = 2 * FRAME_BITS
+        seen = -(-self.scanned // period)  # phase 0's positions so far
+        rest = -(-self.end // period) - seen
+        votes = int(self.votes[0])
+        return (votes - int(self.votes[1:].max())) * seen > 2 * (seen - votes + 1) * rest
 
     def proven(self) -> bool:
-        q, matches = self.leader
-        return _proven(q, matches, self.votes, self.scanned, self.end)
+        """Whether settled phase 0 wins: every other phase, even with a match
+        at each position it has left, ends no higher (a tie goes to the
+        lower phase)."""
+        best = self.votes + _positions_below(self.end) - _positions_below(self.scanned)
+        return bool((best[1:] <= self.matches).all())
 
     def winner(self) -> int | None:
-        """The phase the vote chose: the counted leader, else the confirmed
+        """The phase the vote chose: phase 0 once settled, else the confirmed
         phase with the most votes; None when no phase is confirmed."""
-        return self.leader[0] if self.leader else _leader(self.votes, self.confirmed)
+        return 0 if self.matches is not None else _leader(self.votes, self.confirmed)
 
 
 def _read(
@@ -409,7 +383,9 @@ def _read(
     Feeds `vote`, when given, and returns timeslots 1..`timeslots` of
     every whole frame from line bit `phase`, as (frames, timeslots)
     octets, when `phase` is not None.  Only the octets that the vote or
-    the extraction still needs are kept from one window to the next.
+    the extraction still needs are kept from one window to the next.  The
+    vote settles only in a read that also extracts at phase 0, whose
+    payload the flips of a frame window then give too.
     """
     total = len(line)
     if phase is not None:
@@ -418,17 +394,18 @@ def _read(
         done = 0  # frames extracted
     base, kept = 0, np.zeros(0, dtype=np.uint8)
     for window in [line] if isinstance(line, np.ndarray) else line:
+        frame = None
         if hasattr(window, "flips"):  # a frame window (see `g704_align`)
-            leader = vote.leader if vote is not None else None
-            if phase == 0 and leader is not None and leader[0] == 0 and not len(kept):
-                # Phase 0 leads, and every count and frame so far ends here:
-                # the flips alone give the window's count and payload.
-                size, flips = len(window), window.flips()
-                vote.feed_flips(base, size, flips)
+            if phase == 0 and vote.matches is not None:
+                # Phase 0 alone counts, and every count and frame so far
+                # ends here: the flips give the window's count and payload.
+                size = len(window)
+                vote.feed_flips(base, size, window.flips)
                 frames = min(size // _FRAME_OCTETS, len(out) - done)
-                _flipped_payload(window.payload, flips, out[done : done + frames])
+                _flipped_payload(window.payload, window.flips, out[done : done + frames])
                 base, done = base + size, done + frames
                 continue
+            frame = window if phase == 0 else None
             window = window.octets()
         window = np.ascontiguousarray(window, dtype=np.uint8)
         buf = np.concatenate((kept, window)) if len(kept) else window
@@ -437,7 +414,7 @@ def _read(
         last = have >= total
         keep = have
         if vote is not None:
-            vote.feed(buf, base, last)
+            vote.feed(buf, base, last, frame)
             keep = vote.lo
         if phase is not None:
             # A frame reads one octet past its own when the phase is not 0.
@@ -451,7 +428,7 @@ def _read(
             keep = min(keep, first + _FRAME_OCTETS * done)
         # A copy, so that no window outlives its turn.
         kept, base = buf[keep - base :].copy(), keep
-        del buf
+        del buf, frame
     return out if phase is not None else None
 
 
@@ -465,22 +442,23 @@ def g704_align(
     whose every iteration yields those octets again, in consecutive
     windows: the line is then never held whole.  A window is an array of
     octets or a frame window: whole check multiframes, as received, of
-    the `payload` octets that follow the previous window's, whose
-    `octets()` are the window and whose `flips()` are the window XOR the
-    framing sent (None may stand for all zeros).  Each is read once, by
-    one of the two.
+    the `payload` octets that follow the previous window's, framed from
+    phase 0, whose `flips` are the window XOR the framing sent (None: all
+    zeros) and whose `octets()` are the window.
 
     The frame phase is chosen by majority vote of signal matches over the
     whole line among confirmed candidates (see `_Vote`), so sparse
     corruption of a few alignment octets cannot slip the alignment by a
-    frame; a tie goes to the lowest phase.  One read votes, counting only
-    a clear leader's matches once there is one, and keeps the payload at
-    phase 0, the phase an intact line keeps.  The line is read again only
-    to vote in full when that leader does not win for certain, and to
-    extract the payload when the winner is not phase 0.  Returns (bit
-    offset of the first frame in phase, timeslots 1..`timeslots` of every
-    whole frame from there, as packed octets).  Raises
-    FrameAlignmentError when no alignment exists.
+    frame; a tie goes to the lowest phase.  One read votes and keeps the
+    payload at phase 0, the phase an intact line keeps; a line of plain
+    arrays is voted in full there.  In frame windows, once phase 0
+    clearly leads, the read counts only phase 0 and takes both its count
+    and the payload from the flips.  The line is read again only to vote
+    in full when phase 0 does not then win for certain, and to extract
+    the payload when the winner is not phase 0.  Returns (bit offset of
+    the first frame in phase, timeslots 1..`timeslots` of every whole
+    frame from there, as packed octets).  Raises FrameAlignmentError when
+    no alignment exists.
     """
     _check_timeslots(timeslots)
     if isinstance(line, np.ndarray):
@@ -490,10 +468,10 @@ def g704_align(
     if n < 3 * FRAME_BITS:
         raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
     _fas_table()  # built before the payload array, so their peaks do not add
-    vote = _Vote(n, early=True)
+    vote = _Vote(n)
     payload = _read(line, n, timeslots, vote, 0)
-    if vote.leader is not None and not vote.proven():
-        vote = _Vote(n, early=False)
+    if vote.matches is not None and not vote.proven():
+        vote = _Vote(n)
         _read(line, n, timeslots, vote, None)
     q = vote.winner()
     if q is None:

@@ -29,18 +29,17 @@ would.  A pass's unpacked bits and the model's copy of them are 64 KiB
 each, below glibc's default mmap threshold, so they come from the heap
 rather than fresh zero-filled pages.  On G.704 the line is never whole:
 `g704_align` reads it as a `_ReceivedLine`, whose windows of 2**18 bits
-are built from their share of the payload and flipped the same way, one
-at a time, until the frame vote settles on phase 0.  From there on a
-window is not built: the stream flips zeros in the same passes, which
-gives the bits that flip in it, and alignment takes its count and its
-payload from those and its payload share.  The frame phase is voted over
-the whole received line; when the line must be read again, it is rebuilt
-and flipped from a copy of the stream taken before the first read, so
-every read sees the same flips.
+come in stream order, each with the bits that flip in it: the stream
+flips zeros in the same passes.  A window is built from its share of the
+payload, and those flips applied, only until the frame vote settles on
+phase 0; from there on alignment takes its count and its payload from
+the flips and the payload share.  The frame phase is voted over the
+whole received line; when the line must be read again, the stream is
+first set back to where the first read found it, so every read sees the
+same flips.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -356,65 +355,58 @@ def _flip(stream, line: np.ndarray, line_bits: int | None = None) -> bool:
 class _Window:
     """Whole check multiframes of a received line, carrying `payload`.
 
-    Read once, when the fault model's stream reaches it: `octets` builds
-    and flips the window; `flips` flips zeros instead, which gives the
-    bits that flip, packed as the window's octets, or None when the
-    stream skips every pass of it clean.
+    Made when the fault model's `stream` reaches it, which flips zeros in
+    the window's passes: `flips` are the bits that flip, packed as the
+    window's octets, or None when the stream skips every pass clean.
+    `octets` builds the window and applies them.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
         self.payload = payload
         self.timeslots = timeslots
-        self.stream = stream
+        flips = np.zeros(len(self), dtype=np.uint8)
+        self.flips = flips if _flip(stream, flips) else None
 
     def __len__(self) -> int:
         per_mf = FRAMES_PER_MULTIFRAME * self.timeslots
         return max(1, -(-len(self.payload) // per_mf)) * MULTIFRAME_OCTETS
 
     def octets(self) -> np.ndarray:
-        stream, self.stream = self.stream, None
         line = build_multiframes(self.payload, self.timeslots)
-        _flip(stream, line)
+        if self.flips is not None:
+            line ^= self.flips
         return line
-
-    def flips(self) -> np.ndarray | None:
-        stream, self.stream = self.stream, None
-        flips = np.zeros(len(self), dtype=np.uint8)
-        return flips if _flip(stream, flips) else None
 
 
 class _ReceivedLine:
     """The G.704 line of one payload as it comes back, window by window.
 
     Each iteration yields `_Window`s of about `framing._ALIGN_PASS` line
-    bits, each with its share of the payload, and the reader reads each
-    in turn, built or as its flips.  The first iteration flips with the
-    session's stream; every later one with a copy of that stream as it
-    stood before the first, so all see the same flips.  `len` is the
-    line's octets, as for the whole line in an array.
+    bits, each with its share of the payload and the flips of the
+    session's stream, in stream order.  Every iteration first sets the
+    stream's attributes back to those it had when the line was made (as
+    a shallow copy would hold them), so all see the same flips.  `len` is
+    the line's octets, as for the whole line in an array.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
         self.payload = payload
         self.timeslots = timeslots
         self.stream = stream
-        self.start = copy.copy(stream)
+        self.start = dict(vars(stream))
         self.multiframes = max(1, -(-len(payload) // (FRAMES_PER_MULTIFRAME * timeslots)))
 
     def __len__(self) -> int:
         return self.multiframes * MULTIFRAME_OCTETS
 
     def __iter__(self):
-        stream, self.stream = self.stream, None
-        if stream is None:
-            stream = copy.copy(self.start)
-            # An `apply` set on the instance (a wrapper, say) is bound to the
-            # stream it was set on; the copy flips with its class's own.
-            vars(stream).pop("apply", None)
+        state = vars(self.stream)
+        state.clear()
+        state.update(self.start)
         multiframes = max(1, framing._ALIGN_PASS // MULTIFRAME_BITS)
         share = multiframes * FRAMES_PER_MULTIFRAME * self.timeslots  # payload octets
         for lo in range(0, max(len(self.payload), 1), share):
-            yield _Window(self.payload[lo : lo + share], self.timeslots, stream)
+            yield _Window(self.payload[lo : lo + share], self.timeslots, self.stream)
 
 
 def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:

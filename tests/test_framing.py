@@ -318,20 +318,7 @@ def two_framings(first_phase, first, second_phase, second):
     return np.concatenate([zeros[:first_phase], first, zeros[:gap], second])
 
 
-def counting_recounts(monkeypatch):
-    """Record the phases whose votes the stopping rule counts over the whole line."""
-    recounted = []
-    count = framing._phase_votes
-
-    def spy(line, phase, end):
-        recounted.append(phase)
-        return count(line, phase, end)
-
-    monkeypatch.setattr(framing, "_phase_votes", spy)
-    return recounted
-
-
-def test_align_leader_after_the_first_pass_can_lose(monkeypatch):
+def test_align_leader_after_the_first_pass_can_lose():
     # Phase 17 for 1.5 passes, phase 0 for the 2.5 after: phase 17 leads
     # with a majority after the first pass, and only the rest of the line
     # shows that phase 0 wins.
@@ -341,12 +328,10 @@ def test_align_leader_after_the_first_pass_can_lose(monkeypatch):
         17, build_bits(random_payload(rng, 3 * per_pass // 2)),
         0, build_bits(random_payload(rng, 5 * per_pass // 2)),
     )
-    recounted = counting_recounts(monkeypatch)
     offset, payload = align_bits(stream)
     want = oracles.g704_align(stream)
     assert offset == want[0] == 0
     assert np.array_equal(payload, want[1])
-    assert recounted[0] == 17
 
 
 def ones_framing(multiframes):
@@ -363,22 +348,17 @@ def voting_phases(stream):
     return {p: int(v) for p, v in enumerate(votes) if v}
 
 
-def test_align_late_tie_goes_to_the_lower_phase(monkeypatch):
+def test_align_late_tie_goes_to_the_lower_phase():
     # Phase 300 leads for two passes; phase 0 draws level only with the
-    # last frame pair of the line.  Three passes in, phase 0 could at most
-    # tie, counting the one position it has left past the last whole
-    # frame pair, so only a rule that gives a tie to the lower phase and
-    # counts every position left keeps scanning.
+    # last frame pair of the line, and the tie goes to the lower phase.
     per_pass = framing._ALIGN_PASS // MULTIFRAME_BITS
     framed = ones_framing(2 * per_pass)
     stream = two_framings(300, framed, 0, framed)
     assert voting_phases(stream) == {0: 2 * per_pass * 8, 300: 2 * per_pass * 8}
-    recounted = counting_recounts(monkeypatch)
     offset, payload = align_bits(stream)
     want = oracles.g704_align(stream)
     assert offset == want[0] == 0
     assert np.array_equal(payload, want[1])
-    assert recounted[0] == 300
 
 
 def test_align_reads_no_signal_past_the_bit_count():
@@ -444,7 +424,7 @@ def test_align_over_windows_matches_whole_line_and_oracle(data, timeslots):
     n = len(stream)
     line = np.packbits(stream)
     sizes = data.draw(st.lists(st.integers(1, 3000), min_size=1, max_size=6))
-    # Passes of whole frame pairs let the vote settle on a leader early.
+    # Passes of whole frame pairs or of any length, across window edges.
     pass_bits = data.draw(st.one_of(st.integers(1, 40).map(lambda k: 512 * k), st.integers(16, 3000)))
     saved = framing._ALIGN_PASS
     framing._ALIGN_PASS = pass_bits
@@ -477,10 +457,10 @@ def test_align_reads_an_intact_line_once():
     assert windows.reads == 1
 
 
-def test_align_reads_again_for_a_late_winner_and_a_later_phase(monkeypatch):
-    # Phase 17 leads for a pass and a half, and the vote settles on it; phase
-    # 0 wins with the rest of the line.  One read votes again in full; the
-    # payload at phase 0 comes from the first.
+def test_align_reads_again_for_a_late_winner_and_a_later_phase():
+    # Phase 17 leads for a pass and a half; phase 0 wins with the rest of
+    # the line.  Windows of plain octets are voted in full in one read,
+    # which also keeps the payload at phase 0.
     rng = np.random.default_rng(13)
     per_pass = framing._ALIGN_PASS // MULTIFRAME_BITS
     stream = two_framings(
@@ -488,13 +468,12 @@ def test_align_reads_again_for_a_late_winner_and_a_later_phase(monkeypatch):
         0, build_bits(random_payload(rng, 5 * per_pass // 2)),
     )
     windows = Windows(np.packbits(stream), [5000])
-    recounted = counting_recounts(monkeypatch)
     offset, payload = g704_align(windows, 31, len(stream))
-    assert offset == 0 and recounted[0] == 17
+    assert offset == 0
     assert np.array_equal(np.unpackbits(payload), oracles.g704_align(stream)[1])
-    assert windows.reads == 2
-    # A line whose frames start 17 bits in: the vote settles on phase 17 in
-    # the first read, and a second one extracts the payload there.
+    assert windows.reads == 1
+    # A line whose frames start 17 bits in: the first read chooses phase
+    # 17, and a second one extracts the payload there.
     shifted = np.concatenate([np.zeros(17, np.uint8), build_bits(random_payload(rng, 40))])
     windows = Windows(np.packbits(shifted), [5000])
     offset, payload = g704_align(windows, 31, len(shifted))

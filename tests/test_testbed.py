@@ -421,13 +421,14 @@ def framed_loopback_peak(rate):
 
 def test_framed_loopback_takes_no_line_sized_heap_memory():
     # The line (4 MiB here) is never whole: what tracemalloc sees is the
-    # payload-sized result (512 KiB), one 32 KiB window of the line or of
-    # its flips, and the larger of the frame vote's pass temporaries
-    # (about 0.2 MiB) and the fault model's (128 KiB on a pass with a
-    # flip).  A whole line, a second payload-sized temporary, or passes of
-    # 2**17 bits (272 KiB) would exceed the bound.  The kernels' scratch
-    # and framing's lookup tables are built once per process, before
-    # tracing, so the peak is the same in any test order.
+    # payload-sized result (512 KiB), the 32 KiB flips of one window and,
+    # until the vote settles, the window built from them, and the larger
+    # of the frame vote's pass temporaries (about 0.2 MiB) and the fault
+    # model's (128 KiB on a pass with a flip).  A whole line, a second
+    # payload-sized temporary, or passes of 2**17 bits (272 KiB) would
+    # exceed the bound.  The kernels' scratch and framing's lookup tables
+    # are built once per process, before tracing, so the peak is the same
+    # in any test order.
     assert framed_loopback_peak(256) <= 768 * 2**10
 
 
@@ -462,9 +463,11 @@ def shifted_mask(session, payload, shift, start=0, stop=None):
 
 @pytest.mark.parametrize("case", ["bsc", "gilbert-elliott", "mask", "mask-late"])
 def test_loopback_rereads_a_line_whose_phase_is_not_zero(monkeypatch, case):
-    # The frame vote does not settle on phase 0, so the line is built and
-    # flipped again from a copy of the stream: every read must see the
-    # flips of the first, and the session's stream must move on once.
+    # The winner is not phase 0, or the vote settles on phase 0 and loses,
+    # so the line is read again, the session's stream rewound to where the
+    # first read found it: every read must see the flips of the first, and
+    # the stream must end as one pass over the line leaves it, with the
+    # `apply` set on it still in place.
     rate, multiframes = 256, 200  # four windows of the line
     bits = generate(PrbsSpec(), multiframes * 16 * 4 * 8)
     payload = np.packbits(bits)
@@ -482,8 +485,16 @@ def test_loopback_rereads_a_line_whose_phase_is_not_zero(monkeypatch, case):
     prof = default_profile(channel=channel)
     session, reference = (dut_open_session(prof, IK.G704, rate, F0, seed_tag=1) for _ in range(2))
     apply = session._stream.apply
-    session._stream.apply = lambda chunk: apply(chunk)  # on the instance, as a wrapper is
+    wrapper = session._stream.apply = lambda chunk: apply(chunk)  # on the instance, as a wrapper is
     offsets = recording_offsets(monkeypatch)
+    reads = []  # per call
+    iterate = testbed._ReceivedLine.__iter__
+
+    def counting_iterate(line):
+        reads[-1] += 1
+        return iterate(line)
+
+    monkeypatch.setattr(testbed._ReceivedLine, "__iter__", counting_iterate)
     windows = []
     build = testbed.build_multiframes
 
@@ -493,9 +504,11 @@ def test_loopback_rereads_a_line_whose_phase_is_not_zero(monkeypatch, case):
 
     monkeypatch.setattr(testbed, "build_multiframes", counting_build)
     for _ in range(2):  # the second call starts where the first left the stream
+        reads.append(0)
         got = np.unpackbits(loopback(session, payload, len(bits)), count=len(bits))
         assert np.array_equal(got, oracles.loopback(reference, bits))
-        assert session._stream.position == reference._stream.position
+        assert vars(session._stream) == {**vars(reference._stream), "apply": wrapper}
+    assert reads[0] in (2, 3)
     if case.startswith("mask"):
         assert offsets == [3, 0]  # the mask lies in the first call's line
     else:
@@ -628,9 +641,9 @@ def test_loopback_from_flips_equals_every_window_built_and_the_oracle(data, rate
         flips = line_flips(data, timeslots, n, multiframes, window_bits)
         channel = FixedMask(indices=tuple(flips))
     else:
-        # Part of the line is itself delayed, so the vote may settle on a
-        # leader at either phase and lose it later, or choose a winner past
-        # phase 0.  A shift of whole octets reads no octet past a frame pair.
+        # Part of the line is itself delayed, so the vote may settle on
+        # phase 0 and lose it later, or choose a winner past phase 0.  A
+        # shift of whole octets reads no octet past a frame pair.
         session = framed_session(Ideal(), rate)
         start, stop = sorted(data.draw(st.integers(0, multiframes * MULTIFRAME_BITS)) for _ in "ab")
         start = data.draw(st.sampled_from([0, start]))
@@ -656,8 +669,9 @@ def test_loopback_from_flips_equals_every_window_built_and_the_oracle(data, rate
 
 def test_a_leader_past_phase_0_never_counts_from_flips(monkeypatch):
     # The first of four windows is the line delayed by one octet, the rest
-    # is framed at phase 0: the vote settles on phase 8 after the first
-    # window, and only the octets of the others show that phase 0 wins.
+    # is framed at phase 0: phase 8 leads after the first window, so the
+    # vote does not settle there, and only the octets of the others show
+    # that phase 0 wins.
     rate, multiframes = 256, 4 * 64
     bits = generate(PrbsSpec(), multiframes * 16 * 4 * 8)
     session = dut_open_session(default_profile(), IK.G704, rate, F0)
@@ -668,6 +682,38 @@ def test_a_leader_past_phase_0_never_counts_from_flips(monkeypatch):
     offsets = recording_offsets(monkeypatch)
     assert np.array_equal(loop_bits(session, bits), oracles.loopback(reference, bits))
     assert offsets == [0]
+
+
+def test_the_rest_of_the_window_the_vote_settles_in_counts_from_its_flips(monkeypatch):
+    # The vote settles on phase 0 at the end of the first window's pass,
+    # two frame pairs before the window ends; those two count from the
+    # window's flips.  The mask wipes the signal bits 2-8 of the last frame
+    # pair of the window and flips a payload bit in its last frame.
+    rate, multiframes = 256, 4 * 64  # four windows
+    bits = generate(PrbsSpec(), multiframes * 16 * 4 * 8)
+    pair = framing._ALIGN_PASS - 2 * framing.FRAME_BITS
+    mask = FixedMask(indices=(*range(pair + 1, pair + 8), pair + framing.FRAME_BITS + 8 * 2 + 3))
+    sessions = [dut_open_session(default_profile(channel=mask), IK.G704, rate, F0) for _ in range(3)]
+    counts = []
+    proven = framing._Vote.proven
+
+    def counting_proven(vote):
+        counts.append(vote.matches)
+        return proven(vote)
+
+    monkeypatch.setattr(framing._Vote, "proven", counting_proven)
+    built = build_counts(monkeypatch)
+    got = loop_bits(sessions[0], bits)
+    assert len(built) == 1
+    line = oracles.build_multiframes(bits, 4)
+    line[list(mask.indices)] ^= 1
+    signals = line.reshape(-1, 2 * framing.FRAME_BITS)[:, 1:8]  # at phase 0
+    assert counts == [np.all(signals == framing.FAS_PATTERN, axis=1).sum()] == [8 * multiframes - 1]
+    with pytest.MonkeyPatch.context() as mp:
+        every_window_built(mp)
+        assert np.array_equal(got, loop_bits(sessions[1], bits))
+    assert np.array_equal(got, oracles.loopback(sessions[2], bits))
+    assert np.count_nonzero(got ^ bits) == 1
 
 
 def build_counts(monkeypatch):

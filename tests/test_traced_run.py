@@ -69,3 +69,32 @@ def test_traced_run_matches_untraced_run_and_spans_every_layer(tmp_path):
     spans = json.loads(spans_path.read_text())["spans"]
     assert LAYERS <= {span["name"] for span in spans}
     assert all(span["end"] is not None and "raised" not in span for span in spans)
+
+
+def test_traced_run_matches_untraced_run_on_a_line_read_again(tmp_path):
+    # At p = 0.5 the frame vote's winner is not phase 0, so every G.704
+    # line is read again, and the stream is rewound with the traced
+    # `apply` set on it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema": "ber-campaign-config/1",
+        "interfaces": ["G.704"],
+        "rates": {"G.704": [256]},
+        "ber0": 1e-4,
+        "channel": {"kind": "bsc", "p": 0.5, "seed": 3},
+    }))
+    run = ("run", "--config", str(config), "--out")
+    plain = _python(tmp_path, "-m", "berbench.cli", *run, str(tmp_path / "plain"))
+    spans_path = tmp_path / "spans.json"
+    traced = _python(
+        tmp_path, str(ROOT / "perfbench" / "traced.py"), str(spans_path), "run-0", "--",
+        *run, str(tmp_path / "traced"),
+    )
+    assert plain.stderr == traced.stderr == b""
+    assert plain.returncode == traced.returncode
+    assert plain.stdout == traced.stdout
+    for suffix in (".json", ".txt"):
+        plain_bytes = (tmp_path / ("plain" + suffix)).read_bytes()
+        assert plain_bytes == (tmp_path / ("traced" + suffix)).read_bytes()
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert all(span["end"] is not None and "raised" not in span for span in spans)
