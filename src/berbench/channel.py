@@ -45,6 +45,18 @@ The kernels draw into one scratch per process, built by the first draw
 default mmap threshold, and takes no fresh pages.  Nothing a kernel
 returns is a view of the scratch, so the flips a stream keeps survive
 the draws of other streams.
+
+No drawing path hands a binary operator a fresh array of 256 KiB or
+more (numpy's ``NPY_MIN_ELIDE_BYTES``).  The pass-sized arrays are
+`_steps` and the scratch, worked in place or through ufuncs with
+``out=``; a pass's other temporaries (the sparse kernel's candidates, a
+Gilbert-Elliott pass's marks and dwells) are far smaller.  numpy reuses
+such an operand for the result only after walking the C stack with
+glibc's ``backtrace()`` to check that Python called it, and the first
+walk of a process pages in about 0.5 MB of unwind tables that stay
+resident: measured on x86-64 Linux, 180 KiB of libc, 148 KiB of
+libpython, 128 KiB of numpy's ``_multiarray_umath`` and 44 KiB of
+libgcc_s.
 """
 from __future__ import annotations
 
@@ -91,9 +103,13 @@ _CHUNK = 1 << 15
 def _steps() -> np.ndarray:
     """``(i+1) * GOLDEN`` for i < _CHUNK (mod 2**64): one pass of counters.
 
-    Built on first use, so a run that never draws does not hold it.
+    Built on first use, so a run that never draws does not hold it.  The
+    multiply is in place: ``np.arange(...) * GOLDEN`` would hand numpy a
+    fresh 256 KiB operand and cost the process its stack walk (see the
+    module docstring).
     """
-    steps = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
     steps.flags.writeable = False
     return steps
 
@@ -194,11 +210,24 @@ def _flips(seed: int, start: int, n: int, threshold: int) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a channel seed outside [0, 2**64).
+
+    The draws take the seed mod 2**64, so a seed outside would draw the
+    stream of another seed and report a seed it did not draw with.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"channel seed {seed} outside [0, 2**64)")
+
+
 @dataclass(frozen=True)
 class Ideal:
     """Transparent path: output equals input."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -209,6 +238,7 @@ class Bsc:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not 0.0 <= float(self.p) <= 1.0:
             raise ValueError(f"flip probability {self.p} outside [0, 1]")
 
@@ -231,6 +261,7 @@ class GilbertElliott:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         for name in ("p_gb", "p_bg", "p_good", "p_bad"):
             v = float(getattr(self, name))
             if not 0.0 <= v <= 1.0:
@@ -255,6 +286,7 @@ class FixedMask:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         idx = tuple(int(i) for i in self.indices)
         if any(not 0 <= i < 2**63 for i in idx):  # stream positions are int64
             raise ValueError("mask indices must be in [0, 2**63)")

@@ -1,11 +1,18 @@
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from berbench import channel, procedure
 from berbench.channel import (
     Bsc,
     FixedMask,
@@ -28,6 +35,7 @@ from berbench.channel import (
 )
 from berbench.core import InterfaceKind
 from berbench.meter import SEGMENT_BITS, MeasurementConfig, measure
+from berbench.procedure import CampaignConfig, run_campaign
 from berbench.prbs import PrbsSpec
 from berbench.testbed import default_profile, dut_open_session
 from oracles import generate
@@ -159,6 +167,27 @@ def test_bsc_flip_count_within_three_sigma():
 def test_bsc_validation():
     with pytest.raises(ValueError):
         Bsc(p=1.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: Ideal(seed=seed),
+        lambda seed: Bsc(p=1e-3, seed=seed),
+        lambda seed: GilbertElliott(p_gb=0.1, p_bg=0.2, p_good=0.99, p_bad=0.5, seed=seed),
+        lambda seed: FixedMask(indices=(1, 2), seed=seed),
+    ],
+    ids=["ideal", "bsc", "ge", "mask"],
+)
+def test_a_seed_outside_0_to_2_64_is_refused(make):
+    # The draws take the seed mod 2**64: 2**64 + 5 would draw seed 5's stream.
+    for seed in (0, 2**64 - 1):
+        assert make(seed).seed == seed
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            make(seed)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            dataclasses.replace(make(0), seed=seed)
 
 
 @settings(max_examples=25)
@@ -517,6 +546,104 @@ def test_a_warm_draw_allocates_no_pass_sized_block():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
+
+
+def _campaign(model, ber0) -> CampaignConfig:
+    """A campaign over G.704 at 256 kbit/s, G.703 and V.35."""
+    return CampaignConfig(
+        dut=default_profile(channel=model),
+        interfaces=(InterfaceKind.G704, InterfaceKind.G703, InterfaceKind.V35),
+        rates={InterfaceKind.G704: (256,)},
+        measurement=MeasurementConfig(ber0=ber0),
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Ideal(seed=1), FixedMask(indices=(1_000, 300_000, 5_000_000), seed=2)],
+    ids=["ideal", "mask"],
+)
+def test_a_campaign_that_draws_nothing_builds_no_draw_buffers(monkeypatch, model):
+    # The counter table and the scratch (about 800 KiB) are built by the
+    # first draw, so a run that draws nothing, like framed-prbs23, never
+    # holds them.
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
+    for cached in (channel._steps, channel._scratch):
+        cached.cache_clear()
+    report = run_campaign(_campaign(model, "1e-5"))
+    errors = sum(m.errored_bits for r in report.results for m in r.measurements)
+    assert (errors > 0) == isinstance(model, FixedMask)  # the mask's flips were applied
+    assert channel._steps.cache_info().currsize == 0
+    assert channel._scratch.cache_info().currsize == 0
+    run_campaign(_campaign(Bsc(p=1e-6, seed=3), "1e-5"))
+    assert channel._steps.cache_info().currsize == 1
+    assert channel._scratch.cache_info().currsize == 1
+
+
+#: Runs one campaign per config, every job in this process, and prints the
+#: Rss of the process's libgcc_s mappings (None where none is mapped) after
+#: its imports and after each campaign.
+UNWIND_CHILD = """
+import json
+from berbench import procedure
+from berbench.channel import Bsc, FixedMask, GilbertElliott, Ideal
+from berbench.core import InterfaceKind
+from berbench.meter import MeasurementConfig
+from berbench.testbed import default_profile
+
+def libgcc_s_rss():
+    kib, lib = None, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            field = line.split()
+            if not field[0].endswith(":"):  # a mapping's first line
+                lib = "libgcc_s" in line
+            elif lib and field[0] == "Rss:":
+                kib = (kib or 0) + int(field[1])
+    return kib
+
+procedure._cpu_count = lambda: 1
+models = [
+    Bsc(p=1e-6, seed=1),
+    Bsc(p=0.3, seed=2),
+    GilbertElliott(p_gb=0.05, p_bg=0.3, p_good=1.0, p_bad=0.9995, seed=3),
+    FixedMask(indices=(1_000, 300_000, 5_000_000), seed=4),
+    Ideal(seed=5),
+]
+rows = [["imports", libgcc_s_rss()]]
+for ber0 in ("1e-5", "1e-6"):
+    for model in models:
+        procedure.run_campaign(procedure.CampaignConfig(
+            dut=default_profile(channel=model),
+            interfaces=(InterfaceKind.G704, InterfaceKind.G703, InterfaceKind.V35),
+            rates={InterfaceKind.G704: (256,)},
+            measurement=MeasurementConfig(ber0=ber0),
+        ))
+        rows.append([f"{model!r} at {ber0}", libgcc_s_rss()])
+print(json.dumps(rows))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc/self/smaps")
+def test_no_campaign_pages_in_unwind_tables():
+    # numpy checks its caller with glibc's backtrace() before it reuses a
+    # fresh operand of 256 KiB or more, and the first such walk pages in
+    # about 0.5 MB of unwind tables, libgcc_s's among them.  No drawing
+    # path may hand numpy such an operand; the segments at these
+    # resolutions are larger than that, so a segment-sized one shows too.
+    # The child is a fresh process: nothing has walked its stack yet.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", UNWIND_CHILD],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    rows = json.loads(child.stdout)
+    if all(kib is None for _, kib in rows):
+        pytest.skip("libgcc_s is not mapped")
+    grew = [(a, b) for a, b in zip(rows, rows[1:]) if (b[1] or 0) > (a[1] or 0)]
+    assert not grew, rows
 
 
 def test_threshold_is_exact_at_the_edges():

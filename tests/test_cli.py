@@ -505,6 +505,28 @@ def test_burst_probability_outside_0_1_exits_3(tmp_path, capsys):
     assert "p_gb=1.5 outside [0, 1]" in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+@pytest.mark.parametrize("source", ["config", "dut-profile", "option"])
+def test_channel_seed_outside_0_to_2_64_exits_3(tmp_path, monkeypatch, source, seed):
+    # 2**64 + 5 would draw seed 5's stream and print another seed.
+    def no_campaign(config):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", no_campaign)
+    channel = {"kind": "bsc", "p": 1e-3, "seed": seed}
+    if source == "option":
+        argv = ("--channel", "bsc:1e-3", "--seed", str(seed))
+    else:
+        doc = {"channel": channel} if source == "config" else {"dut": {**_DUT, "channel": channel}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema": "ber-campaign-config/1", **doc}))
+        argv = ("--config", str(path))
+    code, err = _run_quietly("run", "--ber0", "1e-4", *argv, "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"channel seed {seed} outside [0, 2**64)" in err
+
+
 def test_combined_port_name_in_the_rate_map_but_not_in_interfaces(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
