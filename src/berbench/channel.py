@@ -38,7 +38,9 @@ a caller may pass them on untouched, and otherwise returns False and
 moves nothing.  A `bsc` stream draws the n bits to tell, and keeps the
 flips it found for an `apply` of the same n bits at the same position;
 above a flip probability of about 2**-6 nearly every pass flips, and it
-returns False undrawn.  Gilbert-Elliott streams always return False.
+returns False undrawn.  An ideal channel runs as a `bsc` stream at
+p = 0, which never draws and always returns True.  Gilbert-Elliott
+streams always return False.
 
 The kernels draw into one scratch per process, built by the first draw
 (`_scratch`), so a pass allocates no block above 128 KiB, glibc's
@@ -225,6 +227,7 @@ class Ideal:
     """Transparent path: output equals input."""
 
     seed: int = 0
+    p = 0.0  # not a field: an ideal stream is a `bsc` stream that never flips
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -298,21 +301,8 @@ class FixedMask:
 ChannelModel = Ideal | Bsc | GilbertElliott | FixedMask
 
 
-class _IdealStream:
-    def __init__(self, model: Ideal):
-        self.position = 0
-
-    def apply(self, bits: np.ndarray) -> np.ndarray:
-        self.position += len(bits)
-        return bits
-
-    def skip_clean(self, n: int) -> bool:
-        self.position += n
-        return True
-
-
 class _BscStream:
-    def __init__(self, model: Bsc):
+    def __init__(self, model: Bsc | Ideal):
         self.threshold = _threshold(float(model.p))
         self.sparse = _cap(self.threshold) <= _SPARSE_CAP
         self.seed = model.seed
@@ -530,7 +520,7 @@ class _Kind(NamedTuple):
 #: One row per model kind.  Document fields and spec values are the model's
 #: dataclass fields in declared order; a spec never carries the seed.
 KINDS = (
-    _Kind("ideal", "ideal", Ideal, _IdealStream),
+    _Kind("ideal", "ideal", Ideal, _BscStream),
     _Kind("bsc", "bsc", Bsc, _BscStream),
     _Kind("gilbert_elliott", "ge", GilbertElliott, _GilbertElliottStream),
     _Kind("fixed_mask", "mask", FixedMask, _FixedMaskStream),

@@ -426,14 +426,15 @@ def _configure(args) -> CampaignConfig:
 def cmd_run(args) -> int:
     config = _configure(args)
     base = Path(args.out) if args.out else Path("ber_campaign")
+    json_path, text_path = (base.with_name(base.name + suffix) for suffix in (".json", ".txt"))
     if not base.parent.is_dir():  # fail before the campaign, not after it
-        raise ConfigError(f"cannot write {base.with_suffix('.json')}: no directory {base.parent}")
+        raise ConfigError(f"cannot write {json_path}: no directory {base.parent}")
     report = run_campaign(config)
     report_dict = report_to_dict(report)
     json_text = _dump_json(report_dict)
     table_text = render_report_text(report_dict)
-    _write_text(base.with_suffix(".json"), json_text)
-    _write_text(base.with_suffix(".txt"), table_text)
+    _write_text(json_path, json_text)
+    _write_text(text_path, table_text)
     sys.stdout.write(json_text if args.format == "json" else table_text)
     return exit_code_for(report_dict)
 

@@ -18,7 +18,8 @@ significant bit first (`np.packbits` order); a line of whole multiframes
 needs no bit count, and `g704_align` takes one for any other length.  At
 n x 64 kbit/s the payload fills timeslots
 1..n of every frame in order, and the other timeslots carry the idle
-octet; only this module knows that layout.
+octet; only this module knows that layout, so it also gives a payload's
+line octets and a line window's payload octets.
 
 The layout is octet-aligned, so the multiframe build places payload
 octets beside the timeslot-0 and idle octets and returns the packed
@@ -206,10 +207,22 @@ def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np
     return octets.reshape(-1)
 
 
+def line_octets(payload_octets: int, timeslots: int) -> int:
+    """Octets of the line `build_multiframes` makes of this many payload octets."""
+    per_mf = FRAMES_PER_MULTIFRAME * timeslots
+    return max(1, -(-payload_octets // per_mf)) * MULTIFRAME_OCTETS
+
+
 #: Line bits per window of a line read by `g704_align`, and per pass of its
 #: vote and its payload extraction; bounds its temporaries.  A vote pass over
 #: 2**18 bits holds about 0.2 MiB of them on a line of random payload.
 _ALIGN_PASS = 1 << 18
+
+
+def window_payload_octets(timeslots: int) -> int:
+    """Payload octets of a frame window: the multiframes of an `_ALIGN_PASS`."""
+    return max(1, _ALIGN_PASS // MULTIFRAME_BITS) * FRAMES_PER_MULTIFRAME * timeslots
+
 
 #: Line octets per frame pair, the period of the frame-alignment vote.
 _PAIR_OCTETS = 2 * FRAME_BITS // 8
@@ -227,15 +240,15 @@ def _fas_table() -> np.ndarray:
     return table
 
 
-def _fas_masks(line: np.ndarray, start: int, stop: int, step: int = 1) -> np.ndarray:
-    """Per octet of line[start:stop:step], bit 7-k set when FAS follows its bit k.
+def _fas_masks(line: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Per octet of line[start:stop], bit 7-k set when FAS follows its bit k.
 
     `line` is contiguous; the octet after its last reads as zeros.
     """
-    heads = range(start, min(stop, len(line)), step)
-    paired = range(start, min(stop, len(line) - 1), step)  # heads with an octet after them
+    heads = range(start, min(stop, len(line)))
+    paired = range(start, min(stop, len(line) - 1))  # heads with an octet after them
     # Each such head and the octet after it, read in place as one big-endian word.
-    words = np.ndarray((len(paired),), ">u2", line, start if paired else 0, (step,))
+    words = np.ndarray((len(paired),), ">u2", line, start if paired else 0, (1,))
     masks = _fas_table()[words]
     if len(paired) < len(heads):
         masks = np.append(masks, _fas_table()[int(line[-1]) << 8])

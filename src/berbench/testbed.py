@@ -28,12 +28,12 @@ keyed by stream position, so the passes flip the same bits as one call
 would.  A pass's unpacked bits and the model's copy of them are 64 KiB
 each, below glibc's default mmap threshold, so they come from the heap
 rather than fresh zero-filled pages.  On G.704 the line is never whole:
-`g704_align` reads it as a `_ReceivedLine`, whose windows of 2**18 bits
-come in stream order, each with the bits that flip in it: the stream
-flips zeros in the same passes.  A window is built from its share of the
-payload, and those flips applied, only until the frame vote settles on
-phase 0; from there on alignment takes its count and its payload from
-the flips and the payload share.  The frame phase is voted over the
+`g704_align` reads it as a `_ReceivedLine`, whose windows (`framing`
+sizes them) come in stream order, each with the bits that flip in it:
+the stream flips zeros in the same passes.  A window is built from its
+share of the payload, and those flips applied, only until the frame vote
+settles on phase 0; from there on alignment takes its count and its
+payload from the flips and the payload share.  The frame phase is voted over the
 whole received line; when the line must be read again, the stream is
 first set back to where the first read found it, so every read sees the
 same flips.
@@ -60,15 +60,13 @@ from .core import (
     parse_interface,
     parse_port_kinds,
 )
-from . import framing
 from .framing import (
-    FRAMES_PER_MULTIFRAME,
-    MULTIFRAME_BITS,
-    MULTIFRAME_OCTETS,
     PAYLOAD_SLOTS,
     FrameAlignmentError,
     build_multiframes,
     g704_align,
+    line_octets,
+    window_payload_octets,
     # Not called here; perfbench/traced.py counts calls made under these two names.
     hdb3_decode,
     hdb3_encode,
@@ -368,8 +366,7 @@ class _Window:
         self.flips = flips if _flip(stream, flips) else None
 
     def __len__(self) -> int:
-        per_mf = FRAMES_PER_MULTIFRAME * self.timeslots
-        return max(1, -(-len(self.payload) // per_mf)) * MULTIFRAME_OCTETS
+        return line_octets(len(self.payload), self.timeslots)
 
     def octets(self) -> np.ndarray:
         line = build_multiframes(self.payload, self.timeslots)
@@ -381,12 +378,12 @@ class _Window:
 class _ReceivedLine:
     """The G.704 line of one payload as it comes back, window by window.
 
-    Each iteration yields `_Window`s of about `framing._ALIGN_PASS` line
-    bits, each with its share of the payload and the flips of the
-    session's stream, in stream order.  Every iteration first sets the
-    stream's attributes back to those it had when the line was made (as
-    a shallow copy would hold them), so all see the same flips.  `len` is
-    the line's octets, as for the whole line in an array.
+    Each iteration yields `_Window`s, each with its share of the payload
+    and the flips of the session's stream, in stream order.  Every
+    iteration first sets the stream's attributes back to those it had
+    when the line was made (as a shallow copy would hold them), so all
+    see the same flips.  `len` is the line's octets, as for the whole
+    line in an array.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
@@ -394,17 +391,15 @@ class _ReceivedLine:
         self.timeslots = timeslots
         self.stream = stream
         self.start = dict(vars(stream))
-        self.multiframes = max(1, -(-len(payload) // (FRAMES_PER_MULTIFRAME * timeslots)))
 
     def __len__(self) -> int:
-        return self.multiframes * MULTIFRAME_OCTETS
+        return line_octets(len(self.payload), self.timeslots)
 
     def __iter__(self):
         state = vars(self.stream)
         state.clear()
         state.update(self.start)
-        multiframes = max(1, framing._ALIGN_PASS // MULTIFRAME_BITS)
-        share = multiframes * FRAMES_PER_MULTIFRAME * self.timeslots  # payload octets
+        share = window_payload_octets(self.timeslots)
         for lo in range(0, max(len(self.payload), 1), share):
             yield _Window(self.payload[lo : lo + share], self.timeslots, self.stream)
 

@@ -2,12 +2,15 @@
 
 They restate definitions bit by bit, so they stay slow and plain: the
 serial PRBS register, where `build_multiframes` puts each payload bit,
-and the pipeline on unpacked bits, one uint8 per bit.
+and the pipeline on unpacked bits, one uint8 per bit, up to the whole
+measurement.
 """
+import math
+
 import numpy as np
 
-from berbench import framing
-from berbench.core import InterfaceKind
+from berbench import framing, meter, prbs
+from berbench.core import BerValue, InterfaceKind
 from berbench.framing import FRAME_BITS, PAYLOAD_SLOTS
 
 
@@ -132,3 +135,53 @@ def loopback(session, bits: np.ndarray) -> np.ndarray:
     except framing.FrameAlignmentError:
         recovered = np.zeros(0, dtype=np.uint8)
     return np.pad(recovered, (0, len(bits) - len(recovered)))
+
+
+def lock(spec, received: np.ndarray) -> int | None:
+    """The receiver's lock offset in unpacked `received`, found bit by bit.
+
+    The first offset o whose seed window received[o:o+order] is not all
+    zeros and is followed by `LOCK_THRESHOLD` bits that each equal the
+    XOR of the received bits `order` and `tap` before them; None if
+    there is none.
+    """
+    r = np.asarray(received, dtype=np.uint8).tolist()
+    k, t, m = spec.order, spec.taps[1], prbs.LOCK_THRESHOLD
+    run = 0  # clean predictions in a row, ending at bit i
+    for i in range(k, len(r)):
+        run = run + 1 if r[i] == r[i - k] ^ r[i - t] else 0
+        if run >= m and any(r[i + 1 - m - k : i + 1 - m]):
+            return i + 1 - m - k
+    return None
+
+
+def measure(session, config) -> meter.BerMeasurement:
+    """`meter.measure` on unpacked bits, in segments of `meter.SEGMENT_BITS`.
+
+    Each segment sends its share of the budget plus the lock allowance,
+    continuing the pattern of the one before, through `loopback`; it is
+    locked by `lock` and counted by `count_errors`, at most its share.
+    """
+    spec = config.pattern
+    remaining = math.ceil(10 / config.ber0)  # the budget: ten errors at BER_0
+    allowance = spec.order + 4 * prbs.LOCK_THRESHOLD
+    sent = None
+    compared = errored = 0
+    sync_failed = False
+    while remaining > 0:
+        share = min(remaining, meter.SEGMENT_BITS)
+        sent = generate(spec, share + allowance, sent)
+        received = loopback(session, sent)
+        offset = lock(spec, received)
+        if offset is None:
+            got, bad, sync_failed = share, share, True
+        else:
+            got, bad = count_errors(spec, received, prbs.SyncState(True, offset), share)
+        compared += got
+        errored += bad
+        remaining -= share
+    ber = BerValue.point(errored, compared) if errored else BerValue.upper_bound(config.ber0)
+    duration = meter.required_duration(session.rate_kbps, config.ber0)
+    return meter.BerMeasurement(
+        compared, errored, ber, duration, session.rate_kbps, session.freq_hz, sync_failed
+    )

@@ -753,6 +753,19 @@ def test_run_to_a_missing_directory_fails_before_the_campaign(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_appends_the_suffixes_to_a_dotted_out(tmp_path):
+    # `--out run-0.1` must not write run-0.json, nor share it with run-0.3.
+    args = ("run", "--ber0", "1e-3", "--bermax", "1e-3", "--out")
+    for name in ("run-0.1", "run-0.3"):
+        assert _run_quietly(*args, str(tmp_path / name)) == (0, "")
+    names = ["run-0.1.json", "run-0.1.txt", "run-0.3.json", "run-0.3.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert json.loads((tmp_path / "run-0.3.json").read_text())["schema"] == "ber-campaign-report/1"
+    missing = tmp_path / "missing" / "run-0.1"
+    message = f"error: cannot write {missing}.json: no directory {missing.parent}\n"
+    assert _run_quietly(*args, str(missing)) == (3, message)
+
+
 # ---------------------------------------------------------------------------
 # channel spec parsing
 

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from berbench.channel import Bsc, FixedMask
+from berbench import meter
+from berbench.channel import Bsc, FixedMask, GilbertElliott, Ideal
 from berbench.core import InterfaceKind as IK
 from berbench.core import format_duration
 from berbench.meter import (
@@ -17,8 +20,9 @@ from berbench.meter import (
     required_duration,
 )
 from berbench import prbs
-from berbench.prbs import LOCK_THRESHOLD, PrbsSpec, SyncState
+from berbench.prbs import LOCK_THRESHOLD, MAXIMAL_TAPS, PrbsSpec, SyncState
 from berbench.testbed import default_profile, dut_open_session
+import oracles
 from oracles import payload_line_positions
 
 F0 = 1450e6
@@ -167,6 +171,77 @@ def test_measure_spans_segments():
         meter_mod.SEGMENT_BITS = old
     assert m.transmitted_bits == 2_000_000
     assert m.errored_bits == 0
+
+
+def _channels(line_bits: int, edges: list[int]):
+    """Every channel kind; masks hit anywhere in the line and at `edges`."""
+    return st.one_of(
+        st.builds(Ideal),
+        # Up to 0.5, where the receiver locks late or never.
+        st.builds(Bsc, p=st.sampled_from([1e-4, 2e-3, 0.02, 0.04, 0.06, 0.3, 0.5])),
+        st.builds(
+            GilbertElliott,
+            p_gb=st.sampled_from([1e-3, 0.05]),
+            p_bg=st.sampled_from([0.1, 0.3]),
+            p_good=st.sampled_from([1.0, 0.999]),
+            p_bad=st.sampled_from([0.5, 0.9]),
+        ),
+        st.builds(
+            FixedMask,
+            indices=st.sets(st.integers(0, line_bits) | st.sampled_from(edges), max_size=30)
+            .map(sorted)
+            .map(tuple),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    order=st.sampled_from(sorted(MAXIMAL_TAPS)),
+    segment_bits=st.sampled_from([1 << 10, 1 << 12, 1 << 14]),
+    segments=st.integers(1, 4),
+    session=st.sampled_from([(IK.G704, 64), (IK.G704, 256), (IK.G704, 2048), (IK.V35, 512)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measure_matches_the_unpacked_oracle(data, order, segment_bits, segments, session, seed):
+    # Many segments a measurement; the last one short or whole.
+    tap = data.draw(st.sampled_from(MAXIMAL_TAPS[order]))
+    pattern = PrbsSpec(order, (order, tap), data.draw(st.integers(1, (1 << order) - 1)))
+    last = data.draw(st.integers(11 if segments == 1 else 1, segment_bits))
+    budget = (segments - 1) * segment_bits + last
+    config = MeasurementConfig(ber0=Fraction(10, budget), pattern=pattern)
+    assert required_bits(config.ber0) == budget
+    # Stream positions around each segment's lock window and compared bits,
+    # as sent off G.704.
+    span = segment_bits + order + 4 * LOCK_THRESHOLD
+    edges = [
+        j * span + d
+        for j in range(segments)
+        for d in (0, order - 1, order, order + LOCK_THRESHOLD, segment_bits + order - 1,
+                  segment_bits + order, span - 1)
+    ]
+    kind, rate = session
+    channel = data.draw(_channels(segments * span * (32 if kind is IK.G704 else 1), edges))
+    prof = default_profile(channel=dataclasses.replace(channel, seed=seed))
+    rates = {**prof.supported_rates, IK.G704: frozenset({64, 256, 2048})}
+    prof = dataclasses.replace(prof, supported_rates=rates)
+    program, reference = (dut_open_session(prof, kind, rate, F0, seed_tag=5) for _ in "ab")
+    sent = []  # the pattern bits of each segment, unpacked
+
+    def sending(session, payload, n_bits):
+        sent.append(np.unpackbits(payload, count=n_bits))
+        return loopback(session, payload, n_bits)
+
+    saved, loopback = meter.SEGMENT_BITS, meter.loopback
+    meter.SEGMENT_BITS, meter.loopback = segment_bits, sending
+    try:
+        assert measure(program, config) == oracles.measure(reference, config)
+    finally:
+        meter.SEGMENT_BITS, meter.loopback = saved, loopback
+    # The segments send one pattern, each continuing the one before it.
+    sent = np.concatenate(sent)
+    assert np.array_equal(sent, oracles.generate(pattern, len(sent)))
 
 
 def test_self_test_passes_and_detects_breakage():
