@@ -49,10 +49,11 @@ returns is a view of the scratch, so the flips a stream keeps survive
 the draws of other streams.
 
 No drawing path hands a binary operator a fresh array of 256 KiB or
-more (numpy's ``NPY_MIN_ELIDE_BYTES``).  The pass-sized arrays are
-`_steps` and the scratch, worked in place or through ufuncs with
-``out=``; a pass's other temporaries (the sparse kernel's candidates, a
-Gilbert-Elliott pass's marks and dwells) are far smaller.  numpy reuses
+more (numpy's ``NPY_MIN_ELIDE_BYTES``).  The pass-sized arrays are the
+scratch's two buffers, worked in place or through ufuncs with ``out=``;
+a pass's other operands (the 64 KiB counter table of `_steps`, the
+sparse kernel's candidates, a Gilbert-Elliott pass's marks and dwells)
+are far smaller.  numpy reuses
 such an operand for the result only after walking the C stack with
 glibc's ``backtrace()`` to check that Python called it, and the first
 walk of a process pages in about 0.5 MB of unwind tables that stay
@@ -101,30 +102,41 @@ def derive_seed(seed: int, index: int) -> int:
 _CHUNK = 1 << 15
 
 
-@functools.cache
-def _steps() -> np.ndarray:
-    """``(i+1) * GOLDEN`` for i < _CHUNK (mod 2**64): one pass of counters.
+#: Counters in the table of `_steps`.  `_mixed` fills a pass row by row,
+#: each row the table plus one offset, so the table takes 64 KiB where a
+#: table of a whole pass took 256 KiB.  In an in-process A/B a 32 KiB
+#: table made the kernels about 3% slower; this one was within its noise.
+_TABLE = 1 << 13
 
-    Built on first use, so a run that never draws does not hold it.  The
-    multiply is in place: ``np.arange(...) * GOLDEN`` would hand numpy a
-    fresh 256 KiB operand and cost the process its stack walk (see the
+
+@functools.cache
+def _steps() -> tuple[np.ndarray, np.ndarray]:
+    """The counters of one row of `_mixed`, and a column of row offsets.
+
+    ``(i+1) * GOLDEN`` for i < _TABLE, and ``r * _TABLE * GOLDEN`` for each
+    row r of a pass, all mod 2**64.  Built on first use, so a run that
+    never draws does not hold them.  The multiplies are in place, as no
+    drawing path hands numpy a fresh operand it might reuse (see the
     module docstring).
     """
-    steps = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+    steps = np.arange(1, _TABLE + 1, dtype=np.uint64)
     steps *= np.uint64(_GOLDEN)
-    steps.flags.writeable = False
-    return steps
+    rows = np.arange(0, _CHUNK, _TABLE, dtype=np.uint64)[:, None]
+    rows *= np.uint64(_GOLDEN)
+    steps.flags.writeable = rows.flags.writeable = False
+    return steps, rows
 
 
 @functools.cache
-def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two uint64 buffers and one bool buffer of _CHUNK entries for the kernels.
+def _scratch() -> tuple[np.ndarray, np.ndarray]:
+    """Two uint64 buffers of _CHUNK entries for the kernels.
 
     Built on first use like `_steps` and shared by every stream of the
     process, so a kernel holds its draws here only while it runs: nothing
-    it returns is a view of them.
+    it returns is a view of them.  A kernel's flip mask is a bool view of
+    the second, free once `_mixed` or `_top53` has returned.
     """
-    return np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, bool)
+    return np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64)
 
 
 def _mixed(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -133,8 +145,16 @@ def _mixed(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     That is, z after the second multiply of `mix64`.  len(z) <= _CHUNK;
     tmp is a scratch buffer of the same size.
     """
-    # A Python int offset: a numpy uint64 scalar would warn on wrap-around.
-    np.add(_steps()[: len(z)], (seed + start * _GOLDEN) & _MASK64, out=z)
+    steps, rows = _steps()
+    full, tail = divmod(len(z), _TABLE)
+    # Row r of the pass starts at draw start + r * _TABLE; a tail shorter
+    # than a row takes the next row's offset.  A Python int offset: a
+    # numpy uint64 scalar would warn on wrap-around.
+    offsets = rows + ((seed + start * _GOLDEN) & _MASK64)
+    cut = full * _TABLE
+    np.add(steps, offsets[:full], out=z[:cut].reshape(full, _TABLE))
+    if tail:
+        np.add(steps[:tail], offsets[full], out=z[cut:])
     np.right_shift(z, 30, out=tmp)
     z ^= tmp
     z *= _MIX1
@@ -165,15 +185,16 @@ def _flip_below(bits: np.ndarray, seed: int, start: int, threshold: int, where=N
     bits where it is True take the threshold `other` instead.
     """
     n = len(bits)
-    z, tmp, hit = _scratch()
+    z, tmp = _scratch()
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         c = hi - lo
         k = _top53(seed, start + lo, z[:c], tmp[:c])
-        np.less(k, threshold, out=hit[:c])
+        hit = tmp.view(bool)[:c]
+        np.less(k, threshold, out=hit)
         if where is not None:
-            np.less(k, other, out=hit[:c], where=where[lo:hi])
-        np.bitwise_xor(bits[lo:hi], hit[:c].view(np.uint8), out=bits[lo:hi])
+            np.less(k, other, out=hit, where=where[lo:hi])
+        np.bitwise_xor(bits[lo:hi], hit.view(np.uint8), out=bits[lo:hi])
 
 
 def _cap(threshold: int) -> int:
@@ -199,12 +220,12 @@ def _flips(seed: int, start: int, n: int, threshold: int) -> np.ndarray:
     at `_mixed`, and only draws below `_cap` finish it.
     """
     cap = _cap(threshold)
-    z, tmp, below = _scratch()
+    z, tmp = _scratch()
     found = []
     for lo in range(0, n, _CHUNK):
         c = min(n - lo, _CHUNK)
         mixed = _mixed(seed, start + lo, z[:c], tmp[:c])
-        candidates = np.flatnonzero(np.less(mixed, cap, out=below[:c]))
+        candidates = np.flatnonzero(np.less(mixed, cap, out=tmp.view(bool)[:c]))
         if len(candidates):
             last = mixed[candidates]
             last ^= last >> 31
@@ -453,7 +474,7 @@ class _GilbertElliottStream:
         """
         states = (not self.bad, self.bad)
         drawn = [0.0 < self.leave[s] < 1.0 for s in states]
-        z, tmp, _ = _scratch()
+        z, tmp = _scratch()
         draws = self._draws(count)  # count <= _CHUNK
         u = _top53(self.dwell_seed, self.dwell_counter, z[:draws], tmp[:draws]) * 2.0**-53
         # math.log, not np.log: the two differ in the last ulp, and the

@@ -23,6 +23,7 @@ from berbench.channel import (
     _MASK64,
     _MIX1,
     _MIX2,
+    _TABLE,
     _cap,
     _flip_below,
     _flips,
@@ -399,12 +400,20 @@ def test_model_from_dict_rejects_unknown_kind():
 # The integer kernels against the reference kernels
 
 
+#: Draw counts: one, a few, either side of a row of the counter table and
+#: of a pass of the kernel, a pass whose last row holds one draw, several.
+lengths = st.sampled_from((
+    1, 7, _TABLE - 1, _TABLE, _TABLE + 1, _CHUNK - _TABLE + 1,
+    _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK,
+)) | st.integers(min_value=0, max_value=2 * _CHUNK + 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=probabilities,
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     start=st.integers(min_value=0, max_value=2**62),
-    n=st.integers(min_value=0, max_value=2 * _CHUNK + 3),
+    n=lengths,
 )
 def test_flip_kernel_matches_float_reference(p, seed, start, n):
     bits = generate(PrbsSpec(), n)
@@ -412,6 +421,19 @@ def test_flip_kernel_matches_float_reference(p, seed, start, n):
     reference_flip(want, seed, start, p)
     _flip_below(bits, seed, start, _threshold(p))
     assert np.array_equal(bits, want)
+
+
+@pytest.mark.parametrize("start", [0, 2**62 - 1])
+def test_row_offsets_wrap_past_2_64(start):
+    # At seed 2**64 - 1 the first row's offset is the largest uint64, so
+    # every later row's, and the tail's, wraps past 2**64.
+    seed = _MASK64
+    for n in (_TABLE + 1, _CHUNK - _TABLE + 1, _CHUNK, 2 * _CHUNK + 3):
+        want = reference_uniforms(seed, start, n) < 0.5
+        bits = np.zeros(n, np.uint8)
+        _flip_below(bits, seed, start, _threshold(0.5))
+        assert np.array_equal(bits, want)
+        assert np.array_equal(_flips(seed, start, n, _threshold(0.5)), np.flatnonzero(want))
 
 
 @settings(max_examples=30, deadline=None)
@@ -435,11 +457,6 @@ thresholds = (
 ).flatmap(
     lambda m: st.sampled_from((m * 2**22 - 1, m * 2**22, m * 2**22 + 1))
 ).filter(lambda t: 0 <= t <= 2**53) | st.sampled_from((0, 1, 2**53))
-
-#: Draw counts: one, a few, either side of a pass of the kernel, several.
-lengths = st.sampled_from((1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK)) | st.integers(
-    min_value=0, max_value=2 * _CHUNK + 3
-)
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,6 +565,20 @@ def test_a_warm_draw_allocates_no_pass_sized_block():
     assert peak < 64 * 2**10
 
 
+def test_a_cold_draw_builds_less_than_600_kib():
+    # The first draw builds the 64 KiB counter table and the scratch's two
+    # 256 KiB buffers, and keeps its flip mask in the second of them.
+    for cached in (channel._steps, channel._scratch):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        _flips(3, 0, 1 << 16, _threshold(1e-6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 2**10
+
+
 def _campaign(model, ber0) -> CampaignConfig:
     """A campaign over G.704 at 256 kbit/s, G.703 and V.35."""
     return CampaignConfig(
@@ -564,7 +595,7 @@ def _campaign(model, ber0) -> CampaignConfig:
     ids=["ideal", "mask"],
 )
 def test_a_campaign_that_draws_nothing_builds_no_draw_buffers(monkeypatch, model):
-    # The counter table and the scratch (about 800 KiB) are built by the
+    # The counter table and the scratch (about 580 KiB) are built by the
     # first draw, so a run that draws nothing, like framed-prbs23, never
     # holds them.
     monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
