@@ -25,9 +25,9 @@ a draw that flips has ``z2 >> 33 <= ((t << 11) - 1) >> 33``, that is
 ``z2 < cap = ((((t << 11) - 1) >> 33) + 1) << 33``.  `_flips` compares
 z2 with the cap and finishes the mix only below it, which keeps a share
 of the draws only 2**-31 above p.  The flips are still exactly those of
-the full kernel `_flip_below`, which serves flip probabilities above
-about 2**-6, where most draws pass the cap, and Gilbert-Elliott's
-per-bit thresholds.
+the full kernel `_flip_below`, which serves `bsc` flip probabilities
+above about 2**-6, where most draws pass the cap, and a Gilbert-Elliott
+dwell that covers the rest of an `apply`.
 
 A model is an immutable configuration; `open_stream` turns it into a
 stateful stream that consumes bits sequentially (bit positions are global
@@ -44,22 +44,22 @@ streams always return False.
 
 The kernels draw into one scratch per process, built by the first draw
 (`_scratch`), so a pass allocates no block above 128 KiB, glibc's
-default mmap threshold, and takes no fresh pages.  Nothing a kernel
-returns is a view of the scratch, so the flips a stream keeps survive
-the draws of other streams.
+default mmap threshold (but see `_CHUNK`), and takes no fresh pages.
+Nothing a kernel returns is a view of the scratch, so the flips a
+stream keeps survive the draws of other streams.
 
 No drawing path hands a binary operator a fresh array of 256 KiB or
 more (numpy's ``NPY_MIN_ELIDE_BYTES``).  The pass-sized arrays are the
-scratch's two buffers, worked in place or through ufuncs with ``out=``;
-a pass's other operands (the 64 KiB counter table of `_steps`, the
-sparse kernel's candidates, a Gilbert-Elliott pass's marks and dwells)
-are far smaller.  numpy reuses
-such an operand for the result only after walking the C stack with
-glibc's ``backtrace()`` to check that Python called it, and the first
-walk of a process pages in about 0.5 MB of unwind tables that stay
-resident: measured on x86-64 Linux, 180 KiB of libc, 148 KiB of
-libpython, 128 KiB of numpy's ``_multiarray_umath`` and 44 KiB of
-libgcc_s.
+scratch's two buffers, worked in place or through ufuncs with ``out=``,
+and the sparse kernel's candidates and offsets, worked in place too: a
+Gilbert-Elliott state that flips every bit fills a pass with them.  The
+other operands (the 64 KiB counter table of `_steps`, a pass's dwells)
+are far smaller.  numpy reuses such an operand for the result only after
+walking the C stack with glibc's ``backtrace()`` to check that Python
+called it, and the first walk of a process pages in about 0.5 MB of
+unwind tables that stay resident: measured on x86-64 Linux, 180 KiB of
+libc, 148 KiB of libpython, 128 KiB of numpy's ``_multiarray_umath``
+and 44 KiB of libgcc_s.
 """
 from __future__ import annotations
 
@@ -93,12 +93,13 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 #: Draws per pass of the flip kernels.  Their buffers are the per-process
-#: `_scratch`, allocated once, and what a pass still allocates (at most
-#: the bad-state marks of a Gilbert-Elliott pass, 32 KiB) stays below
-#: 128 KiB, glibc's default mmap threshold: a larger block is mapped,
-#: zero-filled and unmapped again by every call.  With 1 MiB of fresh
-#: buffers per call at 2**16 draws, a warm campaign-bsc run in one process
-#: took 16 274 minor faults; with the scratch at 2**15 draws it takes 99.
+#: `_scratch`, allocated once, and what a `bsc`, mask or sparse
+#: Gilbert-Elliott pass still allocates stays below 128 KiB, glibc's
+#: default mmap threshold: a larger block is mapped, zero-filled and
+#: unmapped again by every call.  A dense Gilbert-Elliott pass gathers up
+#: to 2**15 candidates in `_flips`.  With 1 MiB of fresh buffers per call
+#: at 2**16 draws, a warm campaign-bsc run in one process took 16 274
+#: minor faults; with the scratch at 2**15 draws it takes 99.
 _CHUNK = 1 << 15
 
 
@@ -177,12 +178,11 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0**53)
 
 
-def _flip_below(bits: np.ndarray, seed: int, start: int, threshold: int, where=None, other=0):
+def _flip_below(bits: np.ndarray, seed: int, start: int, threshold: int):
     """XOR (top 53 bits of draw start+i of stream `seed`) < threshold into bits[i].
 
     `threshold` is one int from `_threshold`; 0 flips nothing and 2**53
-    flips every bit.  With `where`, a bool array as long as `bits`, the
-    bits where it is True take the threshold `other` instead.
+    flips every bit.
     """
     n = len(bits)
     z, tmp = _scratch()
@@ -192,8 +192,6 @@ def _flip_below(bits: np.ndarray, seed: int, start: int, threshold: int, where=N
         k = _top53(seed, start + lo, z[:c], tmp[:c])
         hit = tmp.view(bool)[:c]
         np.less(k, threshold, out=hit)
-        if where is not None:
-            np.less(k, other, out=hit, where=where[lo:hi])
         np.bitwise_xor(bits[lo:hi], hit.view(np.uint8), out=bits[lo:hi])
 
 
@@ -207,9 +205,11 @@ def _cap(threshold: int) -> int:
     return ((((threshold << 11) - 1) >> 33) + 1) << 33
 
 
-#: The largest cap `_flips` takes, which lets 1/64 of the draws through
-#: (p up to about 0.016).  `_flips` gathers its candidates one by one, so
-#: above it the whole-pass mask of `_flip_below` is cheaper.
+#: The largest cap at which a `bsc` stream takes `_flips`, which lets 1/64
+#: of the draws through (p up to about 0.016).  `_flips` gathers its
+#: candidates one by one, so above it `_flip_below`'s mask is cheaper.
+#: Gilbert-Elliott passes take `_flips` at every threshold: no config in
+#: use has a dense state, where it is up to twice as slow.
 _SPARSE_CAP = 1 << 58
 
 
@@ -229,7 +229,8 @@ def _flips(seed: int, start: int, n: int, threshold: int) -> np.ndarray:
         if len(candidates):
             last = mixed[candidates]
             last ^= last >> 31
-            found.append(candidates[last >> 11 < threshold] + lo)
+            candidates += lo
+            found.append(candidates[last >> 11 < threshold])
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
@@ -415,8 +416,9 @@ class _GilbertElliottStream:
         """Flip bits[bounds[i]:bounds[i+1]] at threshold values[i], for each dwell i.
 
         A dwell of `_IDLE_BITS` or more that flips nothing takes no draws.
-        Between such dwells, the bits are flipped in passes of _CHUNK bits;
-        a pass that spans several dwells marks the bits of its bad ones.
+        Between such dwells, `_flips` draws the bits in passes of _CHUNK,
+        once at each nonzero threshold of the stream, and an offset flips
+        when its dwell has that threshold.
         """
         spans = np.diff(bounds)
         idle = np.flatnonzero((values == 0) & (spans >= _IDLE_BITS)).tolist()
@@ -425,16 +427,12 @@ class _GilbertElliottStream:
             if values[first:stop].any():
                 end = int(bounds[stop])
                 for lo in range(int(bounds[first]), end, _CHUNK):
-                    hi = min(lo + _CHUNK, end)
-                    i = int(np.searchsorted(bounds, lo, side="right")) - 1
-                    k = int(np.searchsorted(bounds, hi, side="left"))
-                    if k - i == 1:
-                        _flip_below(bits[lo:hi], self.err_seed, start + lo, int(values[i]))
-                        continue
-                    good, bad = self.threshold
-                    spans_here = np.diff(np.clip(bounds[i : k + 1], lo, hi))
-                    in_bad = np.repeat(values[i:k] != good, spans_here)
-                    _flip_below(bits[lo:hi], self.err_seed, start + lo, good, in_bad, bad)
+                    for t in set(self.threshold) - {0}:
+                        offsets = _flips(self.err_seed, start + lo, min(_CHUNK, end - lo), t)
+                        offsets += lo
+                        # An offset's dwell is the number of dwell ends at or before it.
+                        dwell = np.searchsorted(bounds[1:], offsets, side="right")
+                        bits[offsets[values[dwell] == t]] ^= 1
             first = stop + 1
 
     def _schedule(self, limit: int) -> tuple[np.ndarray, np.ndarray]:

@@ -230,7 +230,7 @@ def test_bsc_flips_are_the_positional_draws_across_passes():
     ids=["bsc", "ge-long-dwell", "ge-short-dwell"],
 )
 def test_apply_memory_stays_bounded(model):
-    # Draws, bad-state marks and dwells run in passes of _CHUNK, so the peak
+    # Draws, flip offsets and dwells run in passes of _CHUNK, so the peak
     # is the output copy plus cache-sized temporaries, not 16+ bytes per bit.
     bits = np.zeros(1 << 23, np.uint8)
     stream = open_stream(model)
@@ -611,13 +611,15 @@ def test_a_campaign_that_draws_nothing_builds_no_draw_buffers(monkeypatch, model
     assert channel._scratch.cache_info().currsize == 1
 
 
-#: Runs one campaign per config, every job in this process, and prints the
-#: Rss of the process's libgcc_s mappings (None where none is mapped) after
-#: its imports and after each campaign.
+#: Runs one campaign per config, every job in this process, and one
+#: Gilbert-Elliott `apply` whose bad state flips every bit.  Prints the Rss
+#: of the process's libgcc_s mappings (None where none is mapped) after
+#: its imports, after each campaign and after the `apply`.
 UNWIND_CHILD = """
 import json
+import numpy as np
 from berbench import procedure
-from berbench.channel import Bsc, FixedMask, GilbertElliott, Ideal
+from berbench.channel import Bsc, FixedMask, GilbertElliott, Ideal, open_stream
 from berbench.core import InterfaceKind
 from berbench.meter import MeasurementConfig
 from berbench.testbed import default_profile
@@ -651,6 +653,10 @@ for ber0 in ("1e-5", "1e-6"):
             measurement=MeasurementConfig(ber0=ber0),
         ))
         rows.append([f"{model!r} at {ber0}", libgcc_s_rss()])
+# A bad state that flips every bit: `_flips` returns a whole pass of offsets.
+dense = GilbertElliott(p_gb=0.01, p_bg=0.2, p_good=1.0, p_bad=0.0, seed=6)
+open_stream(dense).apply(np.zeros(1 << 17, np.uint8))
+rows.append([f"{dense!r}, one apply", libgcc_s_rss()])
 print(json.dumps(rows))
 """
 
