@@ -24,23 +24,19 @@ A flip needs ``z < t << 11`` for the finished draw z, and the last step
 a draw that flips has ``z2 >> 33 <= ((t << 11) - 1) >> 33``, that is
 ``z2 < cap = ((((t << 11) - 1) >> 33) + 1) << 33``.  `_flips` compares
 z2 with the cap and finishes the mix only below it, which keeps a share
-of the draws only 2**-31 above p.  The flips are still exactly those of
-the full kernel `_flip_below`, which serves `bsc` flip probabilities
-above about 2**-6, where most draws pass the cap, and a Gilbert-Elliott
-dwell that covers the rest of an `apply`.
+of the draws only 2**-31 above p.  Its flips are still exactly those of
+the plain rule, which the tests restate as a mask over every draw.
 
 A model is an immutable configuration; `open_stream` turns it into a
 stateful stream that consumes bits sequentially (bit positions are global
-across calls, so a long run may be fed in segments).  A stream's
-``apply(bits)`` returns the bits with its flips applied; ``skip_clean(n)``
-moves past the next n bits and returns True when none of them flips, so
-a caller may pass them on untouched, and otherwise returns False and
-moves nothing.  A `bsc` stream draws the n bits to tell, and keeps the
-flips it found for an `apply` of the same n bits at the same position;
-above a flip probability of about 2**-6 nearly every pass flips, and it
-returns False undrawn.  An ideal channel runs as a `bsc` stream at
-p = 0, which never draws and always returns True.  Gilbert-Elliott
-streams always return False.
+across calls, so a long run may be fed in segments).  A stream draws in
+one method, ``flips(n)``: the distinct offsets of the bits that flip
+among its next n bits, which it moves past.  `_Stream` builds two calls
+on it.  ``skip_clean(n)`` moves past n bits too and returns True when
+none flips; otherwise it keeps the offsets for the ``apply`` of those n
+bits that must follow.  ``apply(bits)`` returns the bits with their
+flips applied.  An ideal channel is a `bsc` stream at p = 0, which
+never draws.
 
 The kernels draw into one scratch per process, built by the first draw
 (`_scratch`), so a pass allocates no block above 128 KiB, glibc's
@@ -51,8 +47,8 @@ stream keeps survive the draws of other streams.
 No drawing path hands a binary operator a fresh array of 256 KiB or
 more (numpy's ``NPY_MIN_ELIDE_BYTES``).  The pass-sized arrays are the
 scratch's two buffers, worked in place or through ufuncs with ``out=``,
-and the sparse kernel's candidates and offsets, worked in place too: a
-Gilbert-Elliott state that flips every bit fills a pass with them.  The
+and the candidates and offsets of `_flips` and a mask pass, worked in
+place too: a flip probability near 1 fills a pass with them.  The
 other operands (the 64 KiB counter table of `_steps`, a pass's dwells)
 are far smaller.  numpy reuses such an operand for the result only after
 walking the C stack with glibc's ``backtrace()`` to check that Python
@@ -72,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_int, check_real
+from .core import check_array, check_int, check_real
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -93,11 +89,11 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 #: Draws per pass of the flip kernels.  Their buffers are the per-process
-#: `_scratch`, allocated once, and what a `bsc`, mask or sparse
-#: Gilbert-Elliott pass still allocates stays below 128 KiB, glibc's
-#: default mmap threshold: a larger block is mapped, zero-filled and
-#: unmapped again by every call.  A dense Gilbert-Elliott pass gathers up
-#: to 2**15 candidates in `_flips`.  With 1 MiB of fresh buffers per call
+#: `_scratch`, allocated once, and what a pass still allocates at a flip
+#: probability well below 1 stays below 128 KiB, glibc's default mmap
+#: threshold: a larger block is mapped, zero-filled and unmapped again by
+#: every call.  Near p = 1 a pass gathers up to 2**15 candidates in
+#: `_flips`.  With 1 MiB of fresh buffers per call
 #: at 2**16 draws, a warm campaign-bsc run in one process took 16 274
 #: minor faults; with the scratch at 2**15 draws it takes 99.
 _CHUNK = 1 << 15
@@ -178,23 +174,6 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0**53)
 
 
-def _flip_below(bits: np.ndarray, seed: int, start: int, threshold: int):
-    """XOR (top 53 bits of draw start+i of stream `seed`) < threshold into bits[i].
-
-    `threshold` is one int from `_threshold`; 0 flips nothing and 2**53
-    flips every bit.
-    """
-    n = len(bits)
-    z, tmp = _scratch()
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        c = hi - lo
-        k = _top53(seed, start + lo, z[:c], tmp[:c])
-        hit = tmp.view(bool)[:c]
-        np.less(k, threshold, out=hit)
-        np.bitwise_xor(bits[lo:hi], hit.view(np.uint8), out=bits[lo:hi])
-
-
 def _cap(threshold: int) -> int:
     """A bound on the draws that flip at `threshold`, before their last step.
 
@@ -205,19 +184,12 @@ def _cap(threshold: int) -> int:
     return ((((threshold << 11) - 1) >> 33) + 1) << 33
 
 
-#: The largest cap at which a `bsc` stream takes `_flips`, which lets 1/64
-#: of the draws through (p up to about 0.016).  `_flips` gathers its
-#: candidates one by one, so above it `_flip_below`'s mask is cheaper.
-#: Gilbert-Elliott passes take `_flips` at every threshold: no config in
-#: use has a dense state, where it is up to twice as slow.
-_SPARSE_CAP = 1 << 58
-
-
 def _flips(seed: int, start: int, n: int, threshold: int) -> np.ndarray:
     """Offsets i < n whose draw start+i of stream `seed` flips at `threshold`.
 
-    The same flips as `_flip_below` with this one threshold: the mix stops
-    at `_mixed`, and only draws below `_cap` finish it.
+    That is, whose top 53 bits are below `threshold`, one int from
+    `_threshold`: 0 flips nothing and 2**53 every bit.  The mix stops at
+    `_mixed`, and only draws below `_cap` finish it.
     """
     cap = _cap(threshold)
     z, tmp = _scratch()
@@ -323,40 +295,48 @@ class FixedMask:
 ChannelModel = Ideal | Bsc | GilbertElliott | FixedMask
 
 
-class _BscStream:
-    def __init__(self, model: Bsc | Ideal):
-        self.threshold = _threshold(float(model.p))
-        self.sparse = _cap(self.threshold) <= _SPARSE_CAP
-        self.seed = model.seed
-        self.position = 0
-        # (position, n, flip offsets) of the pass `skip_clean` last drew,
-        # for the `apply` of that pass; None once `apply` has run.
-        self._drawn: tuple[int, int, np.ndarray] | None = None
+_NO_FLIPS = np.empty(0, dtype=np.intp)  # shared: an empty array holds nothing to change
 
-    def apply(self, bits: np.ndarray) -> np.ndarray:
-        n, out = len(bits), bits
-        if n and self.threshold:
-            out = np.array(bits, dtype=np.uint8)
-            if not self.sparse:
-                _flip_below(out, self.seed, self.position, self.threshold)
-            else:
-                drawn, self._drawn = self._drawn, None
-                if drawn is None or drawn[:2] != (self.position, n):
-                    drawn = (self.position, n, _flips(self.seed, self.position, n, self.threshold))
-                out[drawn[2]] ^= 1
-        self.position += n
-        return out
+
+class _Stream:
+    """`skip_clean` and `apply` on each kind's `flips` (see the module docstring)."""
+
+    #: (n, offsets) kept by `skip_clean`, set on the stream only until the
+    #: `apply`, so between passes its state is the same whichever call drew.
+    _kept: tuple[int, np.ndarray] | None = None
 
     def skip_clean(self, n: int) -> bool:
-        if self.threshold:
-            if not self.sparse:
-                return False  # nearly every pass flips a bit: `apply` draws it
-            offsets = _flips(self.seed, self.position, n, self.threshold)
-            if len(offsets):
-                self._drawn = (self.position, n, offsets)
-                return False
-        self.position += n
+        offsets = self.flips(n)
+        if len(offsets):
+            self._kept = (n, offsets)
+            return False
         return True
+
+    def apply(self, bits: np.ndarray) -> np.ndarray:
+        if self._kept is None:
+            offsets = self.flips(len(bits))
+        else:
+            n, offsets = self._kept
+            if n != len(bits):
+                raise ValueError(f"skip_clean drew a pass of {n} bits; apply got {len(bits)}")
+            del self._kept
+        out = np.array(bits, dtype=np.uint8)
+        out[offsets] ^= 1
+        return out
+
+
+class _BscStream(_Stream):
+    def __init__(self, model: Bsc | Ideal):
+        self.threshold = _threshold(float(model.p))
+        self.seed = model.seed
+        self.position = 0
+
+    def flips(self, n: int) -> np.ndarray:
+        offsets = _NO_FLIPS
+        if self.threshold:
+            offsets = _flips(self.seed, self.position, n, self.threshold)
+        self.position += n
+        return offsets
 
 
 #: Dwells drawn per schedule, at most _CHUNK; bounds the dwell arrays, not
@@ -368,7 +348,7 @@ _DWELLS = 1 << 12
 _IDLE_BITS = 1 << 12
 
 
-class _GilbertElliottStream:
+class _GilbertElliottStream(_Stream):
     # The dwell in each state is geometric on {1, 2, ...}: with one draw u
     # of the dwell substream it is int(log(1-u) / log1p(-leave)) + 1, for a
     # state whose leave probability lies in (0, 1).  A state never left
@@ -392,28 +372,26 @@ class _GilbertElliottStream:
         self.bad = not (init < model.stationary_bad)
         self.remaining = 0
 
-    def apply(self, bits: np.ndarray) -> np.ndarray:
-        out = np.array(bits, dtype=np.uint8, copy=True)
-        done, n = 0, len(out)
-        while done < n:
-            start = self.position + done
-            if self.remaining >= n - done:  # the current dwell covers the rest
-                self.remaining -= n - done
-                if self.threshold[self.bad]:
-                    _flip_below(out[done:], self.err_seed, start, self.threshold[self.bad])
-                break
-            bounds, values = self._schedule(n - done)
-            covered = int(bounds[-1])
-            self._flip_dwells(out[done : done + covered], start, bounds, values)
-            done += covered
+    def flips(self, n: int) -> np.ndarray:
+        t = self.threshold[self.bad]
+        if self.remaining >= n:  # the current dwell covers the call
+            self.remaining -= n
+            offsets = _flips(self.err_seed, self.position, n, t) if t else _NO_FLIPS
+        else:
+            # A schedule that stops short of its bits ends on a whole dwell,
+            # so the next one starts a dwell.
+            found, done = [], 0
+            while done < n:
+                bounds, values = self._schedule(n - done)
+                bounds += done
+                found += self._dwell_flips(bounds, values)
+                done = int(bounds[-1])
+            offsets = np.concatenate(found) if found else _NO_FLIPS
         self.position += n
-        return out
+        return offsets
 
-    def skip_clean(self, n: int) -> bool:
-        return False  # the dwells are drawn through every bit, flipping or not
-
-    def _flip_dwells(self, bits: np.ndarray, start: int, bounds: np.ndarray, values: np.ndarray):
-        """Flip bits[bounds[i]:bounds[i+1]] at threshold values[i], for each dwell i.
+    def _dwell_flips(self, bounds: np.ndarray, values: np.ndarray):
+        """Yield the offsets in bounds[i]:bounds[i+1] that flip at values[i], for each dwell i.
 
         A dwell of `_IDLE_BITS` or more that flips nothing takes no draws.
         Between such dwells, `_flips` draws the bits in passes of _CHUNK,
@@ -427,12 +405,13 @@ class _GilbertElliottStream:
             if values[first:stop].any():
                 end = int(bounds[stop])
                 for lo in range(int(bounds[first]), end, _CHUNK):
+                    start, count = self.position + lo, min(_CHUNK, end - lo)
                     for t in set(self.threshold) - {0}:
-                        offsets = _flips(self.err_seed, start + lo, min(_CHUNK, end - lo), t)
+                        offsets = _flips(self.err_seed, start, count, t)
                         offsets += lo
                         # An offset's dwell is the number of dwell ends at or before it.
                         dwell = np.searchsorted(bounds[1:], offsets, side="right")
-                        bits[offsets[values[dwell] == t]] ^= 1
+                        yield offsets[values[dwell] == t]
             first = stop + 1
 
     def _schedule(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -497,36 +476,20 @@ class _GilbertElliottStream:
         return sum(k for k, s in zip(per_parity, states) if 0.0 < self.leave[s] < 1.0)
 
 
-class _FixedMaskStream:
+class _FixedMaskStream(_Stream):
     def __init__(self, model: FixedMask):
         self.indices = model.indices  # a sorted tuple: bisect finds a pass's share fast
         self.position = 0
 
-    def _span(self, n: int) -> tuple[int, int]:
-        """The slice of `indices` that falls in the next `n` bits."""
+    def flips(self, n: int) -> np.ndarray:
         lo = bisect.bisect_left(self.indices, self.position)
-        return lo, bisect.bisect_left(self.indices, self.position + n, lo)
-
-    def _hits(self, n: int) -> np.ndarray:
-        """The mask offsets in the next `n` bits, counted from the pass's first."""
-        lo, hi = self._span(n)
-        return np.array(self.indices[lo:hi], dtype=np.int64) - self.position
-
-    def apply(self, bits: np.ndarray) -> np.ndarray:
-        hits = self._hits(len(bits))
-        self.position += len(bits)
-        if not len(hits):
-            return bits
-        out = np.array(bits, dtype=np.uint8, copy=True)
-        out[hits] ^= 1
-        return out
-
-    def skip_clean(self, n: int) -> bool:
-        lo, hi = self._span(n)
+        hi = bisect.bisect_left(self.indices, self.position + n, lo)
+        offsets = _NO_FLIPS
         if hi > lo:
-            return False
+            offsets = np.array(self.indices[lo:hi], dtype=np.intp)
+            offsets -= self.position
         self.position += n
-        return True
+        return offsets
 
 
 class _Kind(NamedTuple):
@@ -552,7 +515,9 @@ _BY_SPEC = {k.spec: k for k in KINDS}
 _INDEX_LIST = "tuple[int, ...]"
 _READERS = {
     "float": lambda v: check_real(v, "a probability"),
-    _INDEX_LIST: lambda vs: tuple(check_int(v, "a mask index") for v in vs),
+    _INDEX_LIST: lambda vs: tuple(
+        check_int(v, "a mask index") for v in check_array(vs, "'indices'")
+    ),
 }
 _PARSERS = {"float": float, _INDEX_LIST: lambda vs: tuple(int(v) for v in vs)}
 

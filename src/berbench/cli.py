@@ -31,6 +31,7 @@ from .core import (
     BerValue,
     Outcome,
     REPORT_ORDER,
+    check_array,
     exact_fraction,
     format_ber,
     format_duration,
@@ -214,7 +215,7 @@ def load_config(path: str | Path) -> CampaignConfig:
             p = _section(data, "pattern", dict)
             pattern = PrbsSpec(
                 order=p.get("order", 15),
-                taps=tuple(p["taps"]) if "taps" in p else None,
+                taps=tuple(check_array(p["taps"], "'taps'")) if "taps" in p else None,
                 seed=p["seed"] if "seed" in p else None,
             )
             cfg = replace(cfg, measurement=replace(cfg.measurement, pattern=pattern))

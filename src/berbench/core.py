@@ -92,6 +92,13 @@ def check_int(value, what: str) -> int:
     return value
 
 
+def check_array(value, what: str) -> list:
+    """A document array: a JSON array, never a string read one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def check_real(value, what: str) -> float:
     """A document real number: a JSON integer or float, never a string or a bool."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -51,6 +51,7 @@ from .core import (
     COMBINED_10_100,
     COMBINED_10_100_NAME,
     InterfaceKind,
+    check_array,
     check_bit_count,
     check_freq_hz,
     check_int,
@@ -535,7 +536,7 @@ def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
     if not isinstance(data, dict):
         raise TypeError(f"'rates' must be a JSON object, got {type(data).__name__}")
     return {
-        kind: tuple(check_int(r, "a bit rate") for r in values)
+        kind: tuple(check_int(r, "a bit rate") for r in check_array(values, repr(name)))
         for name, values in data.items()
         for kind in parse_port_kinds(name)
     }
@@ -544,7 +545,7 @@ def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
 def profile_from_dict(data: dict) -> DutProfile:
     try:
         ports = []
-        for entry in data["ports"]:
+        for entry in check_array(data["ports"], "'ports'"):
             for kind in parse_port_kinds(entry["interface"]):
                 ports.append((kind, entry.get("connector", "")))
         if data.get("g704_crc4", True) is not True:
@@ -554,7 +555,10 @@ def profile_from_dict(data: dict) -> DutProfile:
             name=str(data["name"]),
             ports=tuple(ports),
             supported_rates=rate_map_from_dict(data["rates"]),
-            if_range_hz=tuple(check_real(f, "'if_range_hz'") for f in data["if_range_hz"]),
+            if_range_hz=tuple(
+                check_real(f, "'if_range_hz'")
+                for f in check_array(data["if_range_hz"], "'if_range_hz'")
+            ),
             loopback_channel=model_from_dict(data["channel"]) if "channel" in data else Ideal(),
             warmup_s=check_int(data.get("warmup_s", 0), "'warmup_s'"),
         )
@@ -606,7 +610,8 @@ def analyzer_to_dict(analyzer: AnalyzerProfile) -> dict:
 def analyzer_from_dict(data: dict) -> AnalyzerProfile:
     try:
         native = tuple(
-            (parse_interface(entry["interface"]), _rate_cap(entry)) for entry in data["native"]
+            (parse_interface(entry["interface"]), _rate_cap(entry))
+            for entry in check_array(data["native"], "'native'")
         )
         return AnalyzerProfile(native=native)
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,15 +1,16 @@
 """Reference models the tests check the program against.
 
 They restate definitions bit by bit, so they stay slow and plain: the
-serial PRBS register, where `build_multiframes` puts each payload bit,
-and the pipeline on unpacked bits, one uint8 per bit, up to the whole
-measurement.
+channel's flip rule over every draw, the serial PRBS register, where
+`build_multiframes` puts each payload bit, and the pipeline on unpacked
+bits, one uint8 per bit, up to the whole measurement.
 """
 import math
 
 import numpy as np
 
 from berbench import framing, meter, prbs
+from berbench.channel import _CHUNK, _scratch, _top53
 from berbench.core import BerValue, InterfaceKind
 from berbench.framing import FRAME_BITS, PAYLOAD_SLOTS
 
@@ -18,6 +19,24 @@ def step_register(state: int, order: int, tap: int) -> tuple[int, int]:
     """One serial register step; returns (next_state, output_bit)."""
     bit = ((state >> (order - 1)) ^ (state >> (tap - 1))) & 1
     return ((state << 1) | bit) & ((1 << order) - 1), bit
+
+
+def flip_below(bits: np.ndarray, seed: int, start: int, threshold: int):
+    """XOR (top 53 bits of draw start+i of stream `seed`) < threshold into bits[i].
+
+    The flip rule over every draw, the mask that `channel._flips` must
+    match offset for offset.  `threshold` is one int from
+    `channel._threshold`; 0 flips nothing and 2**53 flips every bit.
+    """
+    n = len(bits)
+    z, tmp = _scratch()
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        c = hi - lo
+        k = _top53(seed, start + lo, z[:c], tmp[:c])
+        hit = tmp.view(bool)[:c]
+        np.less(k, threshold, out=hit)
+        np.bitwise_xor(bits[lo:hi], hit.view(np.uint8), out=bits[lo:hi])
 
 
 def line_positions(payload_indices, timeslots: int = PAYLOAD_SLOTS) -> np.ndarray:

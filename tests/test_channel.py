@@ -25,7 +25,6 @@ from berbench.channel import (
     _MIX2,
     _TABLE,
     _cap,
-    _flip_below,
     _flips,
     _threshold,
     derive_seed,
@@ -39,7 +38,7 @@ from berbench.meter import SEGMENT_BITS, MeasurementConfig, measure
 from berbench.procedure import CampaignConfig, run_campaign
 from berbench.prbs import PrbsSpec
 from berbench.testbed import default_profile, dut_open_session
-from oracles import generate
+from oracles import flip_below, generate
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +289,30 @@ def test_fixed_mask_streaming_uses_global_positions():
     assert np.flatnonzero(b).tolist() == [2, 3]
 
 
-def test_skip_clean_moves_only_past_bits_that_cannot_flip():
+def test_skip_clean_moves_past_every_bit_and_keeps_the_flips_for_apply():
     stream = open_stream(FixedMask(indices=(2, 10, 11)))
     assert stream.skip_clean(2) and stream.position == 2
-    assert not stream.skip_clean(1) and stream.position == 2
+    assert not stream.skip_clean(9) and stream.position == 11
     assert np.flatnonzero(stream.apply(np.zeros(9, np.uint8))).tolist() == [0, 8]
-    assert not stream.skip_clean(10**6) and stream.position == 11
-    assert np.flatnonzero(stream.apply(np.zeros(1, np.uint8))).tolist() == [0]
-    assert stream.skip_clean(10**6) and stream.position == 10**6 + 12
-    for model, clean in [
-        (Ideal(), True), (Bsc(p=0.0), True),
-        (GilbertElliott(p_gb=0.1, p_bg=0.1, p_good=1.0, p_bad=1.0), False),
+    assert not stream.skip_clean(10**6) and stream.position == 10**6 + 11
+    # The kept flips are those of the whole pass: a piece of it is refused,
+    # and the flips stay kept for the pass.
+    with pytest.raises(ValueError, match="skip_clean drew a pass of 1000000 bits"):
+        stream.apply(np.zeros(1, np.uint8))
+    assert np.flatnonzero(stream.apply(np.zeros(10**6, np.uint8))).tolist() == [0]
+    assert stream.skip_clean(10**6) and stream.position == 2 * 10**6 + 11
+    for model in [
+        Ideal(), Bsc(p=0.0), GilbertElliott(p_gb=0.1, p_bg=0.1, p_good=1.0, p_bad=1.0),
     ]:
         stream = open_stream(model)
-        assert stream.skip_clean(100) is clean and stream.position == (100 if clean else 0)
+        assert stream.skip_clean(100) and stream.position == 100
 
 
 def test_bsc_skip_clean_is_true_exactly_when_the_pass_draws_no_flip():
-    # A `bsc` stream draws the pass: True means no drawn flip, not that no
-    # flip could be drawn.
+    # A `bsc` stream draws the pass, at any flip probability: True means no
+    # drawn flip, not that no flip could be drawn.
     seen = set()
-    for p in (1e-9, 1e-6, 1e-4, 1e-2):
+    for p in (1e-9, 1e-6, 1e-4, 1e-2, 0.3):
         for seed in range(4):
             for offset in (0, 12_345):
                 for n in (1, 7, 100, _CHUNK + 1, 3 * _CHUNK):
@@ -320,13 +322,9 @@ def test_bsc_skip_clean_is_true_exactly_when_the_pass_draws_no_flip():
                     stream = open_stream(Bsc(p=p, seed=seed))
                     stream.apply(np.zeros(offset, np.uint8))
                     assert stream.skip_clean(n) is clean
-                    assert stream.position == offset + (n if clean else 0)
+                    assert stream.position == offset + n
                     seen.add(clean)
     assert seen == {True, False}
-    # Above a flip probability of about 2**-6 nearly every pass flips, and
-    # the stream says so without drawing.
-    stream = open_stream(Bsc(p=0.3))
-    assert not stream.skip_clean(1) and stream.position == 0
 
 
 def _ge_asymptotic_sigma(model: GilbertElliott, n: int) -> float:
@@ -419,7 +417,7 @@ def test_flip_kernel_matches_float_reference(p, seed, start, n):
     bits = generate(PrbsSpec(), n)
     want = bits.copy()
     reference_flip(want, seed, start, p)
-    _flip_below(bits, seed, start, _threshold(p))
+    flip_below(bits, seed, start, _threshold(p))
     assert np.array_equal(bits, want)
 
 
@@ -431,7 +429,7 @@ def test_row_offsets_wrap_past_2_64(start):
     for n in (_TABLE + 1, _CHUNK - _TABLE + 1, _CHUNK, 2 * _CHUNK + 3):
         want = reference_uniforms(seed, start, n) < 0.5
         bits = np.zeros(n, np.uint8)
-        _flip_below(bits, seed, start, _threshold(0.5))
+        flip_below(bits, seed, start, _threshold(0.5))
         assert np.array_equal(bits, want)
         assert np.array_equal(_flips(seed, start, n, _threshold(0.5)), np.flatnonzero(want))
 
@@ -479,7 +477,7 @@ def test_cap_bounds_every_draw_that_flips(t, low, step):
 )
 def test_flips_match_the_flip_kernel(t, seed, start, n):
     bits = np.zeros(n, np.uint8)
-    _flip_below(bits, seed, start, t)
+    flip_below(bits, seed, start, t)
     assert np.array_equal(_flips(seed, start, n, t), np.flatnonzero(bits))
 
 
@@ -497,38 +495,73 @@ def test_flips_are_exact_for_a_draw_at_the_threshold(seed, start, n, above):
     t = int(k[least]) + above
     assert (least in _flips(seed, start, n, t).tolist()) == above
     bits = np.zeros(n, np.uint8)
-    _flip_below(bits, seed, start, t)
+    flip_below(bits, seed, start, t)
     assert np.array_equal(_flips(seed, start, n, t), np.flatnonzero(bits))
+
+
+#: Gilbert-Elliott shapes (p_gb, p_bg, p_good, p_bad): dwells of a few
+#: bits, dwells longer than a pass, and flips in both states.
+GE_SHAPES = (
+    (0.05, 0.3, 1.0, 0.9),
+    (1e-4, 1e-2, 1.0, 0.5),
+    (0.05, 0.3, 0.999, 0.99),
+)
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+#: A model of every kind: ideal, `bsc` from sparse flips to dense ones,
+#: each Gilbert-Elliott shape, and a mask.
+stream_models = st.one_of(
+    st.builds(Ideal, seed=seeds),
+    st.builds(Bsc, p=st.sampled_from((1e-6, 1e-3, 2.0**-6, 0.3)) | probabilities, seed=seeds),
+    st.builds(
+        lambda shape, seed: GilbertElliott(*shape, seed=seed), st.sampled_from(GE_SHAPES), seeds
+    ),
+    st.builds(
+        FixedMask,
+        indices=st.sets(st.integers(min_value=0, max_value=3 * _CHUNK)).map(sorted).map(tuple),
+        seed=seeds,
+    ),
+)
+
+
+def reference_apply(model, bits: np.ndarray) -> np.ndarray:
+    """The bits a fresh stream of `model` returns, from the reference kernels."""
+    if isinstance(model, GilbertElliott):
+        return ReferenceGilbertElliott(model).apply(bits)
+    out = bits.copy()
+    if isinstance(model, FixedMask):
+        out[[i for i in model.indices if i < len(bits)]] ^= 1
+    else:
+        reference_flip(out, model.seed, 0, model.p)
+    return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.sampled_from((1e-6, 1e-3, 2.0**-6, 0.3)) | probabilities,
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    model=stream_models,
     cuts=segmentations(3 * _CHUNK),
     modes=st.lists(st.sampled_from(("apply", "skip", "skip, then split")), min_size=6, max_size=6),
 )
-def test_bsc_passes_match_the_flip_kernel_under_any_cuts(p, seed, cuts, modes):
+def test_passes_match_the_reference_under_any_cuts(model, cuts, modes):
     # A pass is applied whole, skipped when clean and applied otherwise as
-    # `testbed.loopback` does, or applied in two pieces after `skip_clean`
-    # drew it whole, so that neither piece may take that draw.
+    # `testbed.loopback` does, or, after `skip_clean` found flips, applied
+    # in two pieces: the first is refused, and the whole pass then applied.
     bits = generate(PrbsSpec(), cuts[-1])
-    want = bits.copy()
-    _flip_below(want, seed, 0, _threshold(p))
-    stream = open_stream(Bsc(p=p, seed=seed))
+    stream = open_stream(model)
     parts = []
     for (a, b), mode in zip(zip(cuts, cuts[1:]), modes):
         if mode == "apply":
             parts.append(stream.apply(bits[a:b]))
         elif stream.skip_clean(b - a):
             parts.append(bits[a:b])
-        elif mode == "skip":
-            parts.append(stream.apply(bits[a:b]))
         else:
-            middle = (a + b) // 2
-            parts += [stream.apply(bits[a:middle]), stream.apply(bits[middle:b])]
-    assert stream.position == cuts[-1]
-    assert np.array_equal(np.concatenate(parts), want)
+            if mode == "skip, then split":
+                with pytest.raises(ValueError):
+                    stream.apply(bits[a : (a + b) // 2])
+            parts.append(stream.apply(bits[a:b]))
+        assert stream.position == b
+    assert np.array_equal(np.concatenate(parts), reference_apply(model, bits))
 
 
 def test_kept_flips_survive_the_draws_of_other_streams():
@@ -539,7 +572,7 @@ def test_kept_flips_survive_the_draws_of_other_streams():
     bits = generate(PrbsSpec(), n)
     model = Bsc(p=1e-3, seed=21)
     want = bits.copy()
-    _flip_below(want, model.seed, 0, _threshold(model.p))
+    flip_below(want, model.seed, 0, _threshold(model.p))
     stream = open_stream(model)
     assert not stream.skip_clean(n)  # about 100 flips, drawn and kept
     other = open_stream(Bsc(p=1e-3, seed=22))
@@ -558,7 +591,7 @@ def test_a_warm_draw_allocates_no_pass_sized_block():
     tracemalloc.start()
     try:
         _flips(3, 0, n, t)
-        _flip_below(bits, 3, 0, t)
+        flip_below(bits, 3, 0, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

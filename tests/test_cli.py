@@ -480,6 +480,33 @@ def test_document_number_of_the_wrong_kind_exits_3(doc):
 
 
 @pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"rates": {"V.35": "64"}}, "V.35"),
+        ({"pattern": {"taps": None}}, "taps"),
+        ({"pattern": {"taps": "15,14"}}, "taps"),
+        ({"dut": {**_DUT, "ports": "V.35"}}, "ports"),
+        # Read as no ports at all.
+        ({"dut": {**_DUT, "ports": ""}}, "ports"),
+        ({"dut": {**_DUT, "if_range_hz": "950e6"}}, "if_range_hz"),
+        ({"dut": {**_DUT, "rates": {"V.35": "64"}}}, "V.35"),
+        ({"analyzer": {"native": "V.35"}}, "native"),
+        ({"channel": {"kind": "fixed_mask", "indices": "12", "seed": 1}}, "indices"),
+    ],
+    ids=["rates-string", "taps-null", "taps-string", "dut-ports-string", "dut-ports-empty",
+         "dut-if-range-string", "dut-rates-string", "analyzer-native-string",
+         "mask-indices-string"],
+)
+def test_a_string_where_an_array_belongs_exits_3_naming_the_key(doc, key):
+    # Iterated, a string would be read one character at a time, and the
+    # message would name a character or a Python type.
+    code, err = _run_config(doc)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}' must be a JSON array" in err
+
+
+@pytest.mark.parametrize(
     "channel",
     [
         {"kind": "bsc", "p": 10**400, "seed": 1},

@@ -360,9 +360,14 @@ def test_lost_frame_alignment_measures_every_bit_errored(rate):
 
 @pytest.mark.parametrize(
     "channel",
-    # At p = 1e-9 the draws of these few line bits hold no flip.
-    [Ideal(), Bsc(p=0.0), Bsc(p=1e-9, seed=1), FixedMask(indices=(10**9,))],
-    ids=["ideal", "bsc0", "bsc-clean", "mask"],
+    # At p = 1e-9 the draws of these few line bits hold no flip; the
+    # long-dwell stream stays in its good state, drawing at 1e-9 too.
+    [
+        Ideal(), Bsc(p=0.0), Bsc(p=1e-9, seed=1), FixedMask(indices=(10**9,)),
+        GilbertElliott(p_gb=0.1, p_bg=0.1, p_good=1.0, p_bad=1.0, seed=1),
+        GilbertElliott(p_gb=1e-9, p_bg=1e-2, p_good=1 - 1e-9, p_bad=0.5, seed=1),
+    ],
+    ids=["ideal", "bsc0", "bsc-clean", "mask", "ge-flipless", "ge-long-dwell-clean"],
 )
 @pytest.mark.parametrize("kind, rate", [(IK.G704, 256), (IK.G704, 2048), (IK.V35, 512)])
 def test_a_stream_that_cannot_flip_passes_the_octets_through(channel, kind, rate):
