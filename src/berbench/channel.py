@@ -62,13 +62,14 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_array, check_int, check_real
+from .core import check_int, check_json, check_real
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -516,7 +517,7 @@ _INDEX_LIST = "tuple[int, ...]"
 _READERS = {
     "float": lambda v: check_real(v, "a probability"),
     _INDEX_LIST: lambda vs: tuple(
-        check_int(v, "a mask index") for v in check_array(vs, "'indices'")
+        check_int(v, "a mask index") for v in check_json(vs, "'indices'", list)
     ),
 }
 _PARSERS = {"float": float, _INDEX_LIST: lambda vs: tuple(int(v) for v in vs)}
@@ -566,7 +567,8 @@ def model_from_dict(data: dict) -> ChannelModel:
         params = {f.name: _READERS[f.type](data[f.name]) for f in _params(kind)}
         return kind.model(**params, seed=check_int(data.get("seed", 0), "the seed"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad channel description {data!r}: {exc}") from None
+        shown = json.dumps(data, default=repr)  # a Python caller's value may not be JSON
+        raise ValueError(f"bad channel description {shown}: {exc}") from None
 
 
 def model_from_spec(spec: str, seed: int) -> ChannelModel:

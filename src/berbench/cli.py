@@ -31,10 +31,11 @@ from .core import (
     BerValue,
     Outcome,
     REPORT_ORDER,
-    check_array,
+    check_json,
     exact_fraction,
     format_ber,
     format_duration,
+    json_type,
     parse_interface,
 )
 from .meter import required_duration
@@ -146,30 +147,16 @@ def _load_json(path: Path) -> dict:
         raise ConfigError(f"{path} nests too deeply to read") from None
 
 
-_JSON_NAMES = {dict: "object", list: "array"}
-
-
-def _section(data: dict, key: str, *types: type):
-    """`data[key]`, checked to be a JSON object or array as `types` allow."""
-    value = data[key]
-    if not isinstance(value, types):
-        want = " or ".join(_JSON_NAMES[t] for t in types)
-        raise TypeError(f"{key!r} must be a JSON {want}, got {type(value).__name__}")
-    return value
-
-
 def _channel_from_config(data: dict) -> channel_mod.ChannelModel:
-    if "seed" not in data:
-        raise ConfigError(
-            f"channel {data.get('kind', '?')!r} has no seed; seeds must be explicit"
-        )
+    if "seed" not in data:  # a ValueError, so that `load_config` names the file
+        raise ValueError(f"channel {json.dumps(data)} has no seed; seeds must be explicit")
     return channel_mod.model_from_dict(data)
 
 
 def _load_document(path: Path, schema: str) -> dict:
     data = _load_json(path)
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        raise ConfigError(f"{path}: expected a JSON object, got {json_type(data)}")
     if data.get("schema") != schema:
         raise ConfigError(f"{path}: expected schema {schema!r}, got {data.get('schema')!r}")
     return data
@@ -185,9 +172,10 @@ _BENCH_SECTIONS = (
 
 
 def _resolve_section(data: dict, key: str, base: Path, loader, kind: type):
-    if isinstance(data[key], str):  # a file name; an absolute one replaces `base`
-        data = {key: _load_json(base / data[key])}
-    return loader(_section(data, key, kind))
+    value = data[key]
+    if isinstance(value, str):  # a file name; an absolute one replaces `base`
+        value = _load_json(base / value)
+    return loader(check_json(value, repr(key), kind))
 
 
 def load_config(path: str | Path) -> CampaignConfig:
@@ -200,10 +188,10 @@ def load_config(path: str | Path) -> CampaignConfig:
             if key in data:
                 cfg = replace(cfg, **{key: _resolve_section(data, key, base, loader, kind)})
         if "interfaces" in data:
-            names = _section(data, "interfaces", list)
+            names = check_json(data["interfaces"], "'interfaces'", list)
             cfg = replace(cfg, interfaces=tuple(parse_interface(n) for n in names))
         if "rates" in data:
-            rates = _section(data, "rates", list, dict)
+            rates = check_json(data["rates"], "'rates'", list, dict)
             if isinstance(rates, list):  # one list for every interface
                 rates = {kind.value: rates for kind in cfg.interfaces}
             cfg = replace(cfg, rates=rate_map_from_dict(rates))
@@ -212,15 +200,15 @@ def load_config(path: str | Path) -> CampaignConfig:
         if "ber_max" in data:
             cfg = replace(cfg, policy=VerdictPolicy(ber_max=data["ber_max"]))
         if "pattern" in data:
-            p = _section(data, "pattern", dict)
+            p = check_json(data["pattern"], "'pattern'", dict)
             pattern = PrbsSpec(
                 order=p.get("order", 15),
-                taps=tuple(check_array(p["taps"], "'taps'")) if "taps" in p else None,
+                taps=tuple(check_json(p["taps"], "'taps'", list)) if "taps" in p else None,
                 seed=p["seed"] if "seed" in p else None,
             )
             cfg = replace(cfg, measurement=replace(cfg.measurement, pattern=pattern))
         if "channel" in data:
-            model = _channel_from_config(_section(data, "channel", dict))
+            model = _channel_from_config(check_json(data["channel"], "'channel'", dict))
             cfg = replace(cfg, dut=replace(cfg.dut, loopback_channel=model))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -402,10 +390,7 @@ def _parse_rates_arg(text: str) -> tuple[int, ...]:
 
 def cmd_plan(args) -> int:
     rates = _parse_rates_arg(args.rates) if args.rates is not None else None
-    try:
-        plan = build_plan(rates, exact_fraction(args.ber0))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+    plan = build_plan(rates, exact_fraction(args.ber0))  # `main` reports a refusal
     _emit(args.out, _dump_json(plan) if args.format == "json" else render_plan_text(plan))
     return 0
 
@@ -472,6 +457,8 @@ def cmd_report(args) -> int:
         code = exit_code_for(data)
     except LookupError as exc:  # a key or a list entry is missing
         raise ConfigError(f"{args.in_path}: incomplete report: {exc}") from None
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or form
+        raise ConfigError(f"{args.in_path}: {exc}") from None
     _emit(args.out, text)
     return code
 

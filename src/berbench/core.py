@@ -14,6 +14,7 @@ alignment and the receiver call it on what they are given.
 from __future__ import annotations
 
 import enum
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ COMBINED_10_100: tuple[InterfaceKind, InterfaceKind] = (
 
 def _normalize(name: str) -> str:
     if not isinstance(name, str):
-        raise TypeError(f"interface name must be a string, got {name!r}")
+        raise TypeError(f"interface name must be a string, got {json_type(name)}")
     return "".join(ch for ch in name.upper() if ch not in " .-_")
 
 
@@ -85,24 +86,34 @@ def parse_port_kinds(name: str) -> tuple[InterfaceKind, ...]:
     return (parse_interface(name),)
 
 
+def json_type(value) -> str:
+    """A document value's JSON type: null, true, false, string, number, object or array."""
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    names = {str: "string", int: "number", float: "number", list: "array", dict: "object"}
+    return names.get(type(value), type(value).__name__)
+
+
 def check_int(value, what: str) -> int:
     """A document integer: a JSON integer, never a float, a string or a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
+        got = repr(value) if isinstance(value, float) else json_type(value)
+        raise TypeError(f"{what} must be an integer, got {got}")
     return value
 
 
-def check_array(value, what: str) -> list:
-    """A document array: a JSON array, never a string read one character at a time."""
-    if not isinstance(value, list):
-        raise TypeError(f"{what} must be a JSON array, got {type(value).__name__}")
+def check_json(value, what: str, *types: type):
+    """A JSON array (`list`) or object (`dict`), as `types` allow: never a string."""
+    if not isinstance(value, types):
+        want = " or ".join(json_type(t()) for t in types)
+        raise TypeError(f"{what} must be a JSON {want}, got {json_type(value)}")
     return value
 
 
 def check_real(value, what: str) -> float:
     """A document real number: a JSON integer or float, never a string or a bool."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"{what} must be a number, got {value!r}")
+        raise TypeError(f"{what} must be a number, got {json_type(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond any float

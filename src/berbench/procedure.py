@@ -18,16 +18,15 @@ A campaign runs in three steps.  `_plan`, before the warm-up, refuses a
 plan the device cannot run and decides every interface's connector
 outcome and its measurement jobs, each with the seed tag that forks its
 channel stream.  `_execute` measures the jobs on every CPU the process
-may use, each worker taking the next job from one shared counter; each
-job opens its own session, so where it runs changes no result.  `_fold`
-then rebuilds the clock, the log and the verdicts in plan order, so the
-report is the same byte for byte whatever ran where.
+may use, worker `w` of `W` taking jobs `w`, `w + W`, …; each job opens
+its own session, so where it runs changes no result.  `_fold` then
+rebuilds the clock, the log and the verdicts in plan order, so the report
+is the same byte for byte whatever ran where.
 """
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -281,40 +280,19 @@ def _execute(config: CampaignConfig, jobs: list[_Job]) -> list[BerMeasurement]:
     return measured
 
 
-def _take(counter: int, stop: int | None = None) -> int:
-    """The job index the `counter` file holds, leaving it one more (or `stop`).
+def _work(config: CampaignConfig, jobs: list[_Job], first: int, step: int) -> _Outcomes:
+    """Measure jobs `first`, `first + step`, … until one raises.
 
-    A POSIX record lock (`lockf`) holds the file from the read to the
-    write.  It is per process, where a `flock` is shared with every child
-    through the inherited descriptor, and the kernel drops it when its
-    holder dies, so a worker killed inside blocks no other.
-    """
-    import fcntl  # only here: POSIX alone, and only a forked campaign counts
-
-    fcntl.lockf(counter, fcntl.LOCK_EX)
-    try:
-        index = int.from_bytes(os.pread(counter, 8, 0), "little")  # empty: 0
-        os.pwrite(counter, (index + 1 if stop is None else stop).to_bytes(8, "little"), 0)
-    finally:
-        fcntl.lockf(counter, fcntl.LOCK_UN)
-    return index
-
-
-def _work(config: CampaignConfig, jobs: list[_Job], counter: int, index: int) -> _Outcomes:
-    """Measure job `index`, then each job `_take` hands out, until none is left.
-
-    Returns the outcomes by job index.  A job that raises has its exception
-    as outcome and moves the counter to the end: no worker starts another.
+    Returns the outcomes by job index; a job that raises has its exception
+    as outcome and is the last one this worker starts.
     """
     outcomes: _Outcomes = {}
-    while index < len(jobs):
+    for index in range(first, len(jobs), step):
         try:
             outcomes[index] = _measure_job(config, jobs[index])
         except Exception as exc:  # carried to the plan-order check in `_execute`
             outcomes[index] = exc
-            _take(counter, stop=len(jobs))
             break
-        index = _take(counter)
     return outcomes
 
 
@@ -333,38 +311,30 @@ def _fork() -> int:
 def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _Outcomes:
     """Run the jobs in this process and `workers - 1` forked children.
 
-    Each worker takes the next job index from one counter in an unlinked
-    file (`_take`) when it is free, so a slow job holds up no other; this
-    process takes job 0.  Once no job is left, a child pickles its
-    measurements, then its failure if any, into a pipe of its own, and
-    leaves with `os._exit`, so no stdio buffer or exit handler runs twice.
-    Returns the outcomes that arrived, by job index: none if the counter
-    cannot be made.  Every child is reaped before this returns or raises.
+    Worker `w` measures jobs `w`, `w + workers`, … (`_work`), this process
+    being worker 0; a failure ends only its own worker's stride.  A child
+    then pickles its measurements, then its failure if any, into a pipe of
+    its own, and leaves with `os._exit`, so no stdio buffer or exit handler
+    runs twice.  Returns the outcomes that arrived, by job index: none from
+    the stride of a worker that could not be forked.  Every child is
+    reaped before this returns or raises.
     """
+    children: list[tuple[int, int]] = []  # each child's pid and its pipe's read end
     try:
-        file = tempfile.TemporaryFile()
-    except OSError:  # no counter: `_execute` measures every job in this process
-        return {}
-    counter = file.fileno()
-    pids: list[int] = []
-    results: list[int] = []  # the read end of each child's pipe
-    try:
-        _take(counter)  # job 0, this process's own: the counter holds 1 now
-        for _ in range(workers - 1):
+        for first in range(1, workers):
             read_end, write_end = os.pipe()
             try:
                 pid = _fork()
-            except OSError:  # no more processes: the workers running so far share the jobs
+            except OSError:  # no more processes: the later strides go to `_execute`
                 os.close(read_end)
                 os.close(write_end)
                 break
             if pid == 0:
-                _child(config, jobs, counter, write_end)
-            pids.append(pid)
-            results.append(read_end)
+                _child(config, jobs, first, workers, write_end)
+            children.append((pid, read_end))
             os.close(write_end)
-        outcomes = _work(config, jobs, counter, 0)
-        for read_end in results:
+        outcomes = _work(config, jobs, 0, workers)
+        for _, read_end in children:
             with open(read_end, "rb", closefd=False) as stream:
                 try:
                     outcomes.update(pickle.load(stream))  # the measurements
@@ -378,22 +348,20 @@ def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _
     except BaseException:
         import signal  # only here: a campaign that ends well never loads it
 
-        for pid in pids:
+        for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for fd in results:
-            os.close(fd)
-        for pid in pids:
+        for pid, read_end in children:
+            os.close(read_end)  # a child still writing gets EPIPE and exits
             os.waitpid(pid, 0)
-        file.close()
 
 
-def _child(config: CampaignConfig, jobs: list[_Job], counter: int, write_end: int):
+def _child(config: CampaignConfig, jobs: list[_Job], first: int, step: int, write_end: int):
     """A forked worker's whole life: it never returns."""
     code = 1
     try:
-        outcomes = _work(config, jobs, counter, _take(counter))
+        outcomes = _work(config, jobs, first, step)
         errors = {i: o for i, o in outcomes.items() if isinstance(o, Exception)}
         with open(write_end, "wb") as out:  # the failure apart: it may not load
             pickle.dump({i: o for i, o in outcomes.items() if i not in errors}, out)

@@ -51,13 +51,14 @@ from .core import (
     COMBINED_10_100,
     COMBINED_10_100_NAME,
     InterfaceKind,
-    check_array,
     check_bit_count,
     check_freq_hz,
     check_int,
+    check_json,
     check_rate_kbps,
     check_real,
     clear_tail,
+    json_type,
     parse_interface,
     parse_port_kinds,
 )
@@ -533,11 +534,9 @@ def default_profile(channel: ChannelModel | None = None) -> DutProfile:
 
 def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
     """Bit rates per interface; the combined copper port sets both kinds."""
-    if not isinstance(data, dict):
-        raise TypeError(f"'rates' must be a JSON object, got {type(data).__name__}")
     return {
-        kind: tuple(check_int(r, "a bit rate") for r in check_array(values, repr(name)))
-        for name, values in data.items()
+        kind: tuple(check_int(r, "a bit rate") for r in check_json(values, repr(name), list))
+        for name, values in check_json(data, "'rates'", dict).items()
         for kind in parse_port_kinds(name)
     }
 
@@ -545,19 +544,19 @@ def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
 def profile_from_dict(data: dict) -> DutProfile:
     try:
         ports = []
-        for entry in check_array(data["ports"], "'ports'"):
+        for entry in check_json(data["ports"], "'ports'", list):
             for kind in parse_port_kinds(entry["interface"]):
                 ports.append((kind, entry.get("connector", "")))
         if data.get("g704_crc4", True) is not True:
             # Older documents carry the key; CRC-4 is the only framed mode.
-            raise ValueError(f"'g704_crc4' may only be true, got {data['g704_crc4']!r}")
+            raise ValueError(f"'g704_crc4' may only be true, got {json_type(data['g704_crc4'])}")
         return DutProfile(
             name=str(data["name"]),
             ports=tuple(ports),
             supported_rates=rate_map_from_dict(data["rates"]),
             if_range_hz=tuple(
                 check_real(f, "'if_range_hz'")
-                for f in check_array(data["if_range_hz"], "'if_range_hz'")
+                for f in check_json(data["if_range_hz"], "'if_range_hz'", list)
             ),
             loopback_channel=model_from_dict(data["channel"]) if "channel" in data else Ideal(),
             warmup_s=check_int(data.get("warmup_s", 0), "'warmup_s'"),
@@ -611,7 +610,7 @@ def analyzer_from_dict(data: dict) -> AnalyzerProfile:
     try:
         native = tuple(
             (parse_interface(entry["interface"]), _rate_cap(entry))
-            for entry in check_array(data["native"], "'native'")
+            for entry in check_json(data["native"], "'native'", list)
         )
         return AnalyzerProfile(native=native)
     except (KeyError, TypeError, ValueError) as exc:

@@ -507,6 +507,35 @@ def test_a_string_where_an_array_belongs_exits_3_naming_the_key(doc, key):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"pattern": {"taps": None}}, "'taps' must be a JSON array, got null"),
+        ({"channel": None}, "'channel' must be a JSON object, got null"),
+        ({"interfaces": "G.703"}, "'interfaces' must be a JSON array, got string"),
+        ({"rates": {"V.35": [True]}}, "a bit rate must be an integer, got true"),
+        ({"pattern": {"order": None}}, "the pattern order must be an integer, got null"),
+        (
+            {"channel": {"kind": "bsc", "p": 0.1, "seed": None}},
+            'bad channel description {"kind": "bsc", "p": 0.1, "seed": null}: '
+            "the seed must be an integer, got null",
+        ),
+        (
+            {"channel": {"kind": None, "p": 0.1}},
+            'channel {"kind": null, "p": 0.1} has no seed; seeds must be explicit',
+        ),
+        ({"interfaces": [None]}, "interface name must be a string, got null"),
+    ],
+    ids=["taps-null", "channel-null", "interfaces-string", "rate-true", "order-null",
+         "channel-seed-null", "channel-no-seed", "interface-null"],
+)
+def test_a_config_refusal_names_json_types(tmp_path, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "ber-campaign-config/1", "ber0": 1e-3, **doc}))
+    code, err = _run_quietly("run", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert (code, err) == (3, f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "channel",
     [
         {"kind": "bsc", "p": 10**400, "seed": 1},
@@ -666,6 +695,41 @@ def test_report_with_impossible_counts_exits_3(tmp_path, capsys, fields):
     assert run_cli("report", "--in", str(path)) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _set(*keys_and_value):
+    """A change to the saved report: the value at the path the keys give."""
+    *keys, last, value = keys_and_value
+
+    def change(report):
+        for key in keys:
+            report = report[key]
+        report[last] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _set("config", []),
+        _set("results", "abc"),
+        _set("frequencies_hz", "f0", "a"),
+        _set("results", 0, "measurements", 0, "errored_bits", "1"),
+        _set("config", "ber0", "x"),
+        _set("config", "channel", "kind", "nope"),
+    ],
+    ids=["config-array", "results-string", "f0-string", "errored-bits-string",
+         "ber0-string", "channel-kind-unknown"],
+)
+def test_a_report_of_the_wrong_form_exits_3_naming_the_file(tmp_path, change):
+    report = json.loads(_saved_report())
+    change(report)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report))
+    code, err = _run_quietly("report", "--in", str(path))
+    assert code == 3
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @functools.cache

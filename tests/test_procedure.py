@@ -1,14 +1,9 @@
-import contextlib
 import dataclasses
 import json
 import os
-import pickle
-import signal
-import tempfile
 import time
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -425,10 +420,11 @@ def patch_jobs(monkeypatch, tmp_path, act):
 
 
 def fail_in_child_first(monkeypatch, tmp_path, parent_fails=False):
-    """Jobs 2 and 3 raise; job 0, which the parent takes, waits until a child raised.
+    """Jobs 2 and 3 raise; job 0, the parent's first, waits until the child raised.
 
-    The child measures jobs 1 and 2, so its failure at job 2 reaches the
-    parent first; with `parent_fails`, job 0 then raises too.
+    The child measures jobs 1 and 3, so its failure at job 3 reaches the
+    parent first; the parent's job 2 then raises too, or with
+    `parent_fails` its job 0.
     """
     marker = tmp_path / "raised"
 
@@ -451,8 +447,10 @@ def test_first_failing_job_in_plan_order_raises(monkeypatch, tmp_path, parent_fa
     with pytest.raises(ValueError, match=f"^job {first} failed$"):
         run_campaign(FAILING)
     assert_no_children()
-    # After its failure the child starts no job, and leaves the parent none.
-    assert [i for i, who in started() if who == "child"] == [1, 2]
+    # After its failure each worker starts no job of its stride, and no
+    # job after the first failure in plan order is measured again.
+    assert [i for i, who in started() if who == "child"] == [1, 3]
+    assert [i for i, who in started() if who == "parent"] == list(range(0, first + 1, 2))
 
 
 def test_an_earlier_job_that_fails_later_still_raises(monkeypatch, tmp_path):
@@ -504,16 +502,16 @@ def test_a_failure_that_does_not_load_is_measured_again(monkeypatch, tmp_path):
     def act(index, in_child):
         if index == 0 and not in_child:
             _wait_for(marker)
-        if index == 2:
+        if index == 3:
             if in_child:
                 marker.touch()
-            raise _TwoPartError("job", 2)
+            raise _TwoPartError("job", 3)
 
     started = patch_jobs(monkeypatch, tmp_path, act)
-    with pytest.raises(_TwoPartError, match="^job 2$"):
+    with pytest.raises(_TwoPartError, match="^job 3$"):
         run_campaign(FAILING)
     assert_no_children()
-    assert (2, "parent") in started()  # measured again
+    assert (3, "parent") in started()  # measured again
     assert (1, "parent") not in started()  # the child's measurement arrived
 
 
@@ -596,143 +594,38 @@ def test_a_child_is_not_held_up_by_its_results(monkeypatch):
     assert sum(pid != os.getpid() for pid, _ in outcomes) >= 100
 
 
-#: Job indices enough for workers that race for them to interleave.
+#: A plan large enough that every worker's stride holds thousands of jobs.
 LARGE_PLAN = 20_000
 
 
-def test_the_counter_hands_out_every_index_of_a_large_plan_once():
-    # Three processes race for one counter; each sends what it took through a pipe.
-    with tempfile.TemporaryFile() as file:
-        counter = file.fileno()
-        pids, pipes = [], []
-        for _ in range(3):
-            read_end, write_end = os.pipe()
-            pid = procedure._fork()
-            if pid == 0:
-                code = 1
-                try:
-                    taken = []
-                    while (index := procedure._take(counter)) < LARGE_PLAN:
-                        taken.append(index)
-                    with open(write_end, "wb") as out:
-                        pickle.dump(taken, out)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_end)
-            pids.append(pid)
-            pipes.append(read_end)
-        taken = []
-        try:
-            for read_end in pipes:
-                with open(read_end, "rb") as stream:
-                    taken.append(pickle.load(stream))
-        finally:
-            for pid in pids:
-                os.waitpid(pid, 0)
-    assert all(t == sorted(t) for t in taken)
-    assert sorted(i for t in taken for i in t) == list(range(LARGE_PLAN))
-
-
-def test_every_job_of_a_large_plan_reaches_the_parent(monkeypatch):
+@pytest.mark.parametrize(
+    "workers, forks", [(2, 1), (3, 2), (5, 4), (3, 1)],
+    ids=["2-workers", "3-workers", "5-workers", "3-workers-second-fork-fails"],
+)
+def test_every_job_of_a_large_plan_reaches_the_parent(monkeypatch, workers, forks):
     monkeypatch.setattr(procedure, "_measure_job", lambda config, job: job.seed_tag)
+    fork, forked = procedure._fork, []
+
+    def fork_or_fail():
+        if len(forked) == forks:
+            raise OSError("no more processes")
+        forked.append(None)
+        return fork()
+
+    monkeypatch.setattr(procedure, "_fork", fork_or_fail)
     jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(LARGE_PLAN)]
-    outcomes = procedure._measure_forked(CampaignConfig(), jobs, 2)
+    outcomes = procedure._measure_forked(CampaignConfig(), jobs, workers)
     assert_no_children()
-    assert outcomes == {i: i for i in range(LARGE_PLAN)}
-
-
-def test_no_worker_starts_a_job_once_a_job_raised(monkeypatch):
-    started = []
-
-    def measure_job(config, job):
-        started.append(job.seed_tag)
-        if job.seed_tag == 1002:
-            raise ValueError("job 1002 failed")
-        return job.seed_tag
-
-    monkeypatch.setattr(procedure, "_measure_job", measure_job)
-    jobs = [procedure._Job(IK.G703, 2048, 1e9, i) for i in range(LARGE_PLAN)]
-    with tempfile.TemporaryFile() as file:
-        counter = file.fileno()
-        procedure._take(counter, stop=1002)  # the next job handed out is 1002
-        # Mid-plan, the failure ends this worker; a second one then starts nothing.
-        outcomes = procedure._work(CampaignConfig(), jobs, counter, 1001)
-        assert procedure._work(CampaignConfig(), jobs, counter, procedure._take(counter)) == {}
-    assert started == [1001, 1002]
-    assert outcomes[1001] == 1001 and str(outcomes[1002]) == "job 1002 failed"
-
-
-class _Timeout(BaseException):
-    """Raised in the parent by `deadline`: `_measure_forked` then kills its children."""
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Fail, rather than hang, a block that runs longer than `seconds`."""
-
-    def expire(signum, frame):
-        raise _Timeout(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-# A counter held in a pipe would hang before the write: the dead child read
-# the index out of the pipe and never put the next one back.
-@pytest.mark.parametrize("after_write", [False, True], ids=["before-write", "after-write"])
-def test_a_child_killed_while_it_holds_the_counter_hangs_nothing(monkeypatch, tmp_path, after_write):
-    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
-    want = report_to_dict(run_campaign(FAILING))
-    parent, pwrite, measure_job = os.getpid(), os.pwrite, procedure._measure_job
-    dying = tmp_path / "dying"
-
-    def locked_pwrite(fd, data, offset):
-        # Only `_take` writes here, between its lock and its unlock.
-        in_child = os.getpid() != parent
-        if after_write or not in_child:
-            written = pwrite(fd, data, offset)
-        if in_child:  # the child dies holding the lock
-            dying.touch()
-            os.kill(os.getpid(), signal.SIGKILL)
-        return written
-
-    def parent_waits(config, job):
-        if os.getpid() == parent and job.seed_tag == 1:  # job 0
-            _wait_for(dying)
-        return measure_job(config, job)
-
-    monkeypatch.setattr(os, "pwrite", locked_pwrite)
-    monkeypatch.setattr(procedure, "_measure_job", parent_waits)
-    monkeypatch.setattr(procedure, "_cpu_count", lambda: 2)
-    with deadline(60):
-        assert report_to_dict(run_campaign(FAILING)) == want
+    # The stride of a worker that was never forked is left to `_execute`.
+    assert outcomes == {i: i for i in range(LARGE_PLAN) if i % workers <= forks}
+    forked.clear()
+    monkeypatch.setattr(procedure, "_cpu_count", lambda: workers)
+    assert procedure._execute(CampaignConfig(), jobs) == list(range(LARGE_PLAN))
     assert_no_children()
 
 
 def open_fds():
     return sorted(os.listdir("/proc/self/fd"))
-
-
-def test_no_counter_file_leaves_every_job_to_this_process(monkeypatch):
-    monkeypatch.setattr(procedure, "_cpu_count", lambda: 1)
-    want = report_to_dict(run_campaign(FAILING))
-
-    def no_file():
-        raise OSError("no space left on device")
-
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(procedure, "tempfile", SimpleNamespace(TemporaryFile=no_file))
-    monkeypatch.setattr(procedure, "_fork", no_fork)
-    monkeypatch.setattr(procedure, "_cpu_count", lambda: 2)
-    assert report_to_dict(run_campaign(FAILING)) == want
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
