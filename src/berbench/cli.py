@@ -317,21 +317,28 @@ def render_report_text(report: dict) -> str:
     header = ["Traffic interface", "BER result", "Converter used", "Verdict"]
     rows = []
     notes = []
-    for result in report["results"]:
+    verdicts = [o.value for o in Outcome]
+    for result in check_json(report["results"], "'results'", list):
+        verdict, note = result["verdict"], result.get("note")
+        if verdict not in verdicts:
+            got = json.dumps(verdict)
+            raise ValueError(f"a verdict must be one of {', '.join(verdicts)}, got {got}")
+        if not isinstance(note, (str, type(None))):
+            raise TypeError(f"a note must be a JSON string or null, got {json_type(note)}")
         worst = _worst_ber(result["measurements"])
-        if result["verdict"] == Outcome.NO_CONNECTOR.value:
-            rows.append([result["interface"], "-", "-", result["verdict"]])
+        if verdict == Outcome.NO_CONNECTOR.value:
+            rows.append([result["interface"], "-", "-", verdict])
         else:
             rows.append(
                 [
                     result["interface"],
                     "-" if worst is None else format_ber(worst),
                     "YES" if result["converter_used"] else "NO",
-                    result["verdict"],
+                    verdict,
                 ]
             )
-        if result.get("note"):
-            notes.append(f"  {result['interface']}: {result['note']}")
+        if note:
+            notes.append(f"  {result['interface']}: {note}")
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
         for c in range(4)

@@ -103,7 +103,7 @@ def check_int(value, what: str) -> int:
 
 
 def check_json(value, what: str, *types: type):
-    """A JSON array (`list`) or object (`dict`), as `types` allow: never a string."""
+    """A JSON array (`list`), object (`dict`) or string (`str`), as `types` allow."""
     if not isinstance(value, types):
         want = " or ".join(json_type(t()) for t in types)
         raise TypeError(f"{what} must be a JSON {want}, got {json_type(value)}")

@@ -15,15 +15,17 @@ bit first (`np.packbits` order), with the bit count passed alongside.
 
 Generation runs the recurrence with a doubling stride: over GF(2)
 squaring the feedback polynomial gives s[n] = s[n - order*2^j] ^
-s[n - tap*2^j], so one XOR may produce tap*2^j bits at once.  The first
-16*order bits come from the recurrence on unpacked bits; from there the
-stride is at least 8, both read offsets are whole octets, and every chunk
-is one XOR of packed octet slices.  No pattern table is kept: the
-generator and the receiver's reference register both run the recurrence
-from their own seed window.  The receiver unpacks only the windows it
-scans for lock, and counts errors as the popcount of the received octets
-XOR the reference octets.  Tests pin bit-exact equivalence with the
-serial register definition.
+s[n - tap*2^j], so one XOR may produce tap*2^j bits at once.  One loop,
+`_recur`, runs it: on unpacked bits for the first 16*order bits, then on
+packed octets, where the stride is at least 8, both read offsets are
+whole octets, and every chunk is one XOR of octet slices.  No pattern
+table is kept: the generator and the receiver's reference register both
+run the recurrence from their own seed window.  The receiver unpacks only
+the windows it scans for lock.  Its reference starts at the received
+octet that holds the first compared bit, with the seed window's last bits
+ahead of that bit, so the error count is the popcount of one XOR of the
+received octets with the reference octets.  Tests pin bit-exact
+equivalence with the serial register definition.
 """
 from __future__ import annotations
 
@@ -101,14 +103,13 @@ def _seed_history(spec: PrbsSpec) -> np.ndarray:
     return np.array([(spec.seed >> (k - 1 - j)) & 1 for j in range(k)], dtype=np.uint8)
 
 
-def _extend(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray:
-    """The `count` output bits after `history` (oldest-first, exactly `order` bits)."""
-    out = np.empty(order + count, dtype=np.uint8)
-    out[:order] = history
-    # With `order` history bits, s[i] = s[i - order*2^j] ^ s[i - tap*2^j]
-    # holds for i >= order*2^j, and a chunk up to tap*2^j long never reads
-    # a bit that has not been produced yet.
-    i, end, step = order, order + count, 1
+def _recur(out: np.ndarray, start: int, order: int, tap: int) -> None:
+    """Fill `out[start:]` (bits, or octets of 8 bits) in place from what precedes it."""
+    # The stream obeys s[i] = s[i - order*2^j] ^ s[i - tap*2^j] wherever both
+    # reads exist; on octets, a step of s octets is the bit step 8*s.
+    # Doubling the step while 2*order*step <= i keeps both reads at or after
+    # out[0], and a chunk up to tap*step long never reads an unproduced unit.
+    i, end, step = start, len(out), 1
     while i < end:
         while 2 * order * step <= i:
             step *= 2
@@ -116,26 +117,23 @@ def _extend(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray
         a, b = i - order * step, i - tap * step
         np.bitwise_xor(out[a : a + c], out[b : b + c], out=out[i : i + c])
         i += c
-    return out[order:]
 
 
-def _extend_packed(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray:
-    """The `count` output bits after `history` (as for `_extend`), packed."""
-    out = np.empty(-(-count // 8), dtype=np.uint8)
-    head = _extend(history, order, tap, min(count, 16 * order))
-    out[: -(-len(head) // 8)] = np.packbits(head)
-    # Counting octets o of the output alone (bit i = 8*o), the stride rule
-    # 2*order*step <= i reads 2*order*s <= o for step = 8*s: after the
-    # 16*order head bits every stride is whole octets.
-    o, end, s = 2 * order, len(out), 1
-    while o < end:
-        while 2 * order * s <= o:
-            s *= 2
-        c = min(tap * s, end - o)
-        a, b = o - order * s, o - tap * s
-        np.bitwise_xor(out[a : a + c], out[b : b + c], out=out[o : o + c])
-        o += c
-    clear_tail(out, count)
+def _extend_packed(history: np.ndarray, tap: int, count: int, lead: int = 0) -> np.ndarray:
+    """The last `lead` (< 8) bits of `history` and the `count` bits after it, packed.
+
+    `history` is the oldest-first register window, one octet per bit.
+    """
+    # The head fills the first 16*order bits of `out`; from there every
+    # step is at least 8 bits, and `_recur` runs on whole octets.
+    k = len(history)
+    head = np.empty(k + min(count, 16 * k - lead), dtype=np.uint8)
+    head[:k] = history
+    _recur(head, k, k, tap)
+    out = np.empty(-(-(lead + count) // 8), dtype=np.uint8)
+    out[: 2 * k] = np.packbits(head[k - lead :])
+    _recur(out, 2 * k, k, tap)
+    clear_tail(out, lead + count)
     return out
 
 
@@ -162,7 +160,7 @@ def generate(
                 f"in {len(history)} octets"
             )
         window = unpack_bits(history, history_bits - k, history_bits)
-    return _extend_packed(window, k, spec.taps[1], n)
+    return _extend_packed(window, spec.taps[1], n)
 
 
 #: Largest window `synchronize` scans at once.  Its temporaries take one
@@ -220,9 +218,9 @@ def count_errors(
     `received` is packed and holds `n_bits` bits.  Returns
     (compared_bits, errored_bits).  The reference is seeded from the
     window at the lock offset and then runs free, so errors are counted
-    one-for-one with no aliasing.  Its first few bits, up to the next
-    octet boundary of the stream, are compared unpacked; the rest is
-    generated packed in step with the received octets.
+    one-for-one with no aliasing.  It is generated packed from the
+    received octet that holds the first compared bit, its earlier bits
+    copied from the seed window, so they compare clean.
     """
     check_bit_count(received, n_bits)
     if max_bits is not None and max_bits < 0:
@@ -238,17 +236,10 @@ def count_errors(
         length = min(length, max_bits)
     if length == 0:
         return 0, 0
-    seed_window = unpack_bits(received, sync.offset, first)
-    aligned = min(-(-first // 8) * 8, first + length)
-    head = _extend(seed_window, k, spec.taps[1], aligned - first)
-    errored = int(np.count_nonzero(unpack_bits(received, first, aligned) != head))
-    rest = first + length - aligned
-    if rest:
-        window = np.concatenate((seed_window, head))[-k:]
-        diff = _extend_packed(window, k, spec.taps[1], rest)
-        np.bitwise_xor(diff, received[aligned // 8 : aligned // 8 + len(diff)], out=diff)
-        clear_tail(diff, rest)
-        whole = len(diff) - len(diff) % 8  # popcount eight octets at a time
-        errored += int(np.bitwise_count(diff[:whole].view(np.uint64)).sum())
-        errored += int(np.bitwise_count(diff[whole:]).sum())
-    return length, errored
+    lead = first % 8  # bits of the seed window in the reference's first octet
+    diff = _extend_packed(unpack_bits(received, sync.offset, first), spec.taps[1], length, lead)
+    np.bitwise_xor(diff, received[first // 8 : first // 8 + len(diff)], out=diff)
+    clear_tail(diff, lead + length)
+    whole = len(diff) - len(diff) % 8  # popcount eight octets at a time
+    errored = int(np.bitwise_count(diff[:whole].view(np.uint64)).sum())
+    return length, errored + int(np.bitwise_count(diff[whole:]).sum())

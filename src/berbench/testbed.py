@@ -541,10 +541,15 @@ def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
     }
 
 
+def _objects(entries: Iterable, key: str) -> list[dict]:
+    """The entries of a document's `key` array, each a JSON object."""
+    return [check_json(entry, f"an entry of {key!r}", dict) for entry in entries]
+
+
 def profile_from_dict(data: dict) -> DutProfile:
     try:
         ports = []
-        for entry in check_json(data["ports"], "'ports'", list):
+        for entry in _objects(check_json(data["ports"], "'ports'", list), "ports"):
             for kind in parse_port_kinds(entry["interface"]):
                 ports.append((kind, entry.get("connector", "")))
         if data.get("g704_crc4", True) is not True:
@@ -558,7 +563,11 @@ def profile_from_dict(data: dict) -> DutProfile:
                 check_real(f, "'if_range_hz'")
                 for f in check_json(data["if_range_hz"], "'if_range_hz'", list)
             ),
-            loopback_channel=model_from_dict(data["channel"]) if "channel" in data else Ideal(),
+            loopback_channel=(
+                model_from_dict(check_json(data["channel"], "'channel'", dict))
+                if "channel" in data
+                else Ideal()
+            ),
             warmup_s=check_int(data.get("warmup_s", 0), "'warmup_s'"),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -574,11 +583,11 @@ def _rate_cap(entry: dict) -> int | None:
 def catalog_from_list(entries: Iterable[dict]) -> tuple[ConverterSpec, ...]:
     converters = []
     try:
-        for entry in entries:
+        for entry in _objects(entries, "catalog"):
             sides = []
             for side in ("side_a", "side_b"):
                 kinds: set[InterfaceKind] = set()
-                names = entry[side]
+                names = check_json(entry[side], repr(side), str, list)
                 for name in [names] if isinstance(names, str) else names:
                     kinds.update(parse_port_kinds(name))
                 sides.append(frozenset(kinds))
@@ -610,7 +619,7 @@ def analyzer_from_dict(data: dict) -> AnalyzerProfile:
     try:
         native = tuple(
             (parse_interface(entry["interface"]), _rate_cap(entry))
-            for entry in check_json(data["native"], "'native'", list)
+            for entry in _objects(check_json(data["native"], "'native'", list), "native")
         )
         return AnalyzerProfile(native=native)
     except (KeyError, TypeError, ValueError) as exc:

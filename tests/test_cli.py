@@ -524,9 +524,32 @@ def test_a_string_where_an_array_belongs_exits_3_naming_the_key(doc, key):
             'channel {"kind": null, "p": 0.1} has no seed; seeds must be explicit',
         ),
         ({"interfaces": [None]}, "interface name must be a string, got null"),
+        (
+            {"catalog": [{"name": "c", "side_a": 5, "side_b": "V.35"}]},
+            "bad converter catalog document: 'side_a' must be a JSON string or array, got number",
+        ),
+        (
+            {"catalog": ["Tahoe 235"]},
+            "bad converter catalog document: an entry of 'catalog' must be a JSON object, "
+            "got string",
+        ),
+        (
+            {"dut": {**_DUT, "ports": ["G.703"]}},
+            "bad DUT profile document: an entry of 'ports' must be a JSON object, got string",
+        ),
+        (
+            {"analyzer": {"native": [None]}},
+            "bad analyzer document: an entry of 'native' must be a JSON object, got null",
+        ),
+        (
+            {"dut": {**_DUT, "channel": "x"}},
+            "bad DUT profile document: 'channel' must be a JSON object, got string",
+        ),
     ],
     ids=["taps-null", "channel-null", "interfaces-string", "rate-true", "order-null",
-         "channel-seed-null", "channel-no-seed", "interface-null"],
+         "channel-seed-null", "channel-no-seed", "interface-null", "catalog-side-number",
+         "catalog-entry-string", "dut-port-string", "analyzer-native-null",
+         "dut-channel-string"],
 )
 def test_a_config_refusal_names_json_types(tmp_path, doc, message):
     path = tmp_path / "config.json"
@@ -718,9 +741,13 @@ def _set(*keys_and_value):
         _set("results", 0, "measurements", 0, "errored_bits", "1"),
         _set("config", "ber0", "x"),
         _set("config", "channel", "kind", "nope"),
+        _set("results", 0, "verdict", "MAYBE"),
+        _set("results", {}),
+        _set("results", 0, "note", [1]),
     ],
     ids=["config-array", "results-string", "f0-string", "errored-bits-string",
-         "ber0-string", "channel-kind-unknown"],
+         "ber0-string", "channel-kind-unknown", "verdict-unknown", "results-object",
+         "note-array"],
 )
 def test_a_report_of_the_wrong_form_exits_3_naming_the_file(tmp_path, change):
     report = json.loads(_saved_report())
