@@ -374,40 +374,37 @@ class _GilbertElliottStream(_Stream):
         self.remaining = 0
 
     def flips(self, n: int) -> np.ndarray:
-        t = self.threshold[self.bad]
-        if self.remaining >= n:  # the current dwell covers the call
-            self.remaining -= n
-            offsets = _flips(self.err_seed, self.position, n, t) if t else _NO_FLIPS
-        else:
-            # A schedule that stops short of its bits ends on a whole dwell,
-            # so the next one starts a dwell.
-            found, done = [], 0
-            while done < n:
-                bounds, values = self._schedule(n - done)
-                bounds += done
-                found += self._dwell_flips(bounds, values)
-                done = int(bounds[-1])
-            offsets = np.concatenate(found) if found else _NO_FLIPS
+        # Every call goes through `_schedule`, which hands out a covering
+        # dwell alone.  A schedule that stops short of its bits ends on a
+        # whole dwell, so the next one starts a dwell.
+        found, done = [], 0
+        while done < n:
+            bounds, values = self._schedule(n - done)
+            bounds += done
+            found += self._dwell_flips(bounds, values)
+            done = int(bounds[-1])
         self.position += n
-        return offsets
+        return np.concatenate(found) if found else _NO_FLIPS
 
     def _dwell_flips(self, bounds: np.ndarray, values: np.ndarray):
         """Yield the offsets in bounds[i]:bounds[i+1] that flip at values[i], for each dwell i.
 
         A dwell of `_IDLE_BITS` or more that flips nothing takes no draws.
         Between such dwells, `_flips` draws the bits in passes of _CHUNK,
-        once at each nonzero threshold of the stream, and an offset flips
-        when its dwell has that threshold.
+        once at each nonzero threshold of the run (states alternate, so its
+        first two dwells hold them), and an offset flips when its dwell has
+        that threshold.
         """
         spans = np.diff(bounds)
         idle = np.flatnonzero((values == 0) & (spans >= _IDLE_BITS)).tolist()
         first = 0
         for stop in [*idle, len(values)]:
-            if values[first:stop].any():
+            thresholds = set(values[first:stop][:2].tolist()) - {0}
+            if thresholds:
                 end = int(bounds[stop])
                 for lo in range(int(bounds[first]), end, _CHUNK):
                     start, count = self.position + lo, min(_CHUNK, end - lo)
-                    for t in set(self.threshold) - {0}:
+                    for t in thresholds:
                         offsets = _flips(self.err_seed, start, count, t)
                         offsets += lo
                         # An offset's dwell is the number of dwell ends at or before it.
@@ -420,8 +417,12 @@ class _GilbertElliottStream(_Stream):
 
         Dwell i covers bounds[i]:bounds[i+1] at threshold values[i].  They
         cover `limit` bits, or fewer when `_DWELLS` drawn dwells end before
-        that.  The current dwell ends within them.
+        that.  A current dwell that covers `limit` is the one dwell and
+        takes no draw; otherwise it ends within them.
         """
+        if self.remaining >= limit:
+            self.remaining -= limit
+            return np.array([0, limit]), np.array([self.threshold[self.bad]], dtype=np.uint64)
         rest = limit - self.remaining  # bits after the current dwell
         count = min(int(1.25 * rest * self.dwells_per_bit) + 8, _DWELLS)
         q = self._quotients(count)
@@ -515,9 +516,9 @@ _BY_SPEC = {k.spec: k for k in KINDS}
 #: How a field's declared type reads a document value, and a spec's text.
 _INDEX_LIST = "tuple[int, ...]"
 _READERS = {
-    "float": lambda v: check_real(v, "a probability"),
-    _INDEX_LIST: lambda vs: tuple(
-        check_int(v, "a mask index") for v in check_json(vs, "'indices'", list)
+    "float": check_real,
+    _INDEX_LIST: lambda vs, what: tuple(
+        check_int(v, "a mask index") for v in check_json(vs, what, list)
     ),
 }
 _PARSERS = {"float": float, _INDEX_LIST: lambda vs: tuple(int(v) for v in vs)}
@@ -561,10 +562,10 @@ def model_to_dict(model: ChannelModel) -> dict:
 
 def model_from_dict(data: dict) -> ChannelModel:
     try:
-        kind = _BY_NAME.get(data["kind"])
+        kind = _BY_NAME.get(check_json(data["kind"], "'kind'", str))
         if kind is None:
-            raise ValueError(f"unknown channel kind {data['kind']!r}")
-        params = {f.name: _READERS[f.type](data[f.name]) for f in _params(kind)}
+            raise ValueError(f"unknown channel kind {json.dumps(data['kind'])}")
+        params = {f.name: _READERS[f.type](data[f.name], repr(f.name)) for f in _params(kind)}
         return kind.model(**params, seed=check_int(data.get("seed", 0), "the seed"))
     except (KeyError, TypeError, ValueError) as exc:
         shown = json.dumps(data, default=repr)  # a Python caller's value may not be JSON

@@ -31,7 +31,9 @@ from .core import (
     BerValue,
     Outcome,
     REPORT_ORDER,
+    check_int,
     check_json,
+    check_real,
     exact_fraction,
     format_ber,
     format_duration,
@@ -279,88 +281,86 @@ def report_to_dict(report: CampaignReport) -> dict:
     }
 
 
-def _measurement_ber(m: dict) -> BerValue:
-    ber = m["ber"]
-    if ber["kind"] == "upper_bound":
+def _measurement_ber(m, at: str) -> BerValue:
+    m = check_json(m, at, dict)
+    ber = check_json(m["ber"], f"{at}.ber", dict)
+    kind = check_json(ber["kind"], f"{at}.ber.kind", str)
+    check_real(ber["value"], f"{at}.ber.value")
+    counts = [check_int(m[key], f"{at}.{key}") for key in ("errored_bits", "transmitted_bits")]
+    if kind == "upper_bound":
         return BerValue.upper_bound(ber["value"])
-    return BerValue.point(m["errored_bits"], m["transmitted_bits"])
+    if kind != "point":
+        raise ValueError(f"{at}.ber.kind must be point or upper_bound, got {json.dumps(kind)}")
+    return BerValue.point(*counts)
 
 
-def _worst_ber(measurements: list[dict]) -> BerValue | None:
-    bers = [_measurement_ber(m) for m in measurements]  # checks every row
+def _worst_ber(measurements, at: str) -> BerValue | None:
+    rows = enumerate(check_json(measurements, at, list))
+    bers = [_measurement_ber(m, f"{at}[{i}]") for i, m in rows]  # checks every row
     return max(bers, key=lambda b: (b.value, not b.is_bound), default=None)
 
 
 def render_report_text(report: dict) -> str:
-    cfg = report["config"]
-    ber0 = exact_fraction(cfg["ber0"])
-    ber_max = exact_fraction(cfg["ber_max"])
-    pattern = cfg["pattern"]
-    freqs = report["frequencies_hz"]
-    chan = cfg["channel"]
-    extras = " ".join(f"{k}={chan[k]}" for k in channel_mod.param_names(chan["kind"]))
-    chan_text = chan["kind"] + (f" {extras}" if extras else "") + f" (seed {chan['seed']})"
+    """The text table of a report, refusing, in JSON terms, any value it
+    reads whose JSON type `report_to_dict` does not write there."""
+    cfg = check_json(report["config"], "config", dict)
+    ber0, ber_max = (exact_fraction(check_real(cfg[k], f"config.{k}")) for k in ("ber0", "ber_max"))
+    pattern = check_json(cfg["pattern"], "config.pattern", dict)
+    order, seed = (check_int(pattern[key], f"config.pattern.{key}") for key in ("order", "seed"))
+    taps = enumerate(check_json(pattern["taps"], "config.pattern.taps", list))
+    taps = [check_int(tap, f"config.pattern.taps[{i}]") for i, tap in taps]
+    freqs = check_json(report["frequencies_hz"], "frequencies_hz", dict)
+    f0, f1, f2 = (check_real(freqs[f], f"frequencies_hz.{f}") / 1e6 for f in ("f0", "f1", "f2"))
+    chan = check_json(cfg["channel"], "config.channel", dict)
+    channel_mod.model_from_dict(chan)  # refuses a parameter or seed of the wrong type
+    params = (f"{k}={chan[k]}" for k in channel_mod.param_names(chan["kind"]))
+    chan_text = " ".join([chan["kind"], *params]) + f" (seed {chan['seed']})"
 
     lines = [
         "BER campaign report",
         "===================",
-        f"DUT:        {report['dut']}",
-        f"Pattern:    PRBS-{pattern['order']}, taps ({pattern['taps'][0]}, "
-        f"{pattern['taps'][1]}), seed {pattern['seed']}",
+        f"DUT:        {check_json(report['dut'], 'dut', str)}",
+        f"Pattern:    PRBS-{order}, taps ({taps[0]}, {taps[1]}), seed {seed}",
         f"Resolution: BER_0 = {_format_resolution(ber0)}    "
         f"Pass threshold: BER_max = {_format_resolution(ber_max)}",
         f"Channel:    {chan_text}",
-        f"Tuning:     f0 = {freqs['f0'] / 1e6:g} MHz, f1 = {freqs['f1'] / 1e6:g} MHz, "
-        f"f2 = {freqs['f2'] / 1e6:g} MHz",
+        f"Tuning:     f0 = {f0:g} MHz, f1 = {f1:g} MHz, f2 = {f2:g} MHz",
         "",
     ]
     header = ["Traffic interface", "BER result", "Converter used", "Verdict"]
-    rows = []
-    notes = []
+    rows, notes = [], []
     verdicts = [o.value for o in Outcome]
-    for result in check_json(report["results"], "'results'", list):
-        verdict, note = result["verdict"], result.get("note")
+    for i, result in enumerate(check_json(report["results"], "results", list)):
+        at = f"results[{i}]"
+        result = check_json(result, at, dict)
+        iface = check_json(result["interface"], f"{at}.interface", str)
+        verdict = check_json(result["verdict"], f"{at}.verdict", str)
         if verdict not in verdicts:
             got = json.dumps(verdict)
-            raise ValueError(f"a verdict must be one of {', '.join(verdicts)}, got {got}")
-        if not isinstance(note, (str, type(None))):
-            raise TypeError(f"a note must be a JSON string or null, got {json_type(note)}")
-        worst = _worst_ber(result["measurements"])
+            raise ValueError(f"{at}.verdict must be one of {', '.join(verdicts)}, got {got}")
+        note = check_json(result.get("note"), f"{at}.note", str, type(None))
+        used = check_json(result["converter_used"], f"{at}.converter_used", bool)
+        worst = _worst_ber(result["measurements"], f"{at}.measurements")
         if verdict == Outcome.NO_CONNECTOR.value:
-            rows.append([result["interface"], "-", "-", verdict])
+            rows.append([iface, "-", "-", verdict])
         else:
-            rows.append(
-                [
-                    result["interface"],
-                    "-" if worst is None else format_ber(worst),
-                    "YES" if result["converter_used"] else "NO",
-                    verdict,
-                ]
-            )
+            best = "-" if worst is None else format_ber(worst)
+            rows.append([iface, best, "YES" if used else "NO", verdict])
         if note:
-            notes.append(f"  {result['interface']}: {note}")
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(4)
-    ]
+            notes.append(f"  {iface}: {note}")
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     lines.append("  ".join(f"{h:<{w}}" for h, w in zip(header, widths)))
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(f"{v:<{w}}" for v, w in zip(row, widths)).rstrip())
     if notes:
-        lines.append("")
-        lines.append("notes:")
-        lines.extend(notes)
+        lines += ["", "notes:", *notes]
     return "\n".join(lines) + "\n"
 
 
 def exit_code_for(report: dict) -> int:
-    verdicts = [r["verdict"] for r in report["results"]]
-    if Outcome.NO_CONNECTOR.value in verdicts:
-        return 2
-    if Outcome.FAIL.value in verdicts:
-        return 1
-    return 0
+    verdicts = {r["verdict"] for r in report["results"]}
+    return 2 if Outcome.NO_CONNECTOR.value in verdicts else int(Outcome.FAIL.value in verdicts)
 
 
 def _dump_json(obj: dict) -> str:

@@ -103,9 +103,10 @@ def check_int(value, what: str) -> int:
 
 
 def check_json(value, what: str, *types: type):
-    """A JSON array (`list`), object (`dict`) or string (`str`), as `types` allow."""
+    """A JSON array (`list`), object (`dict`), string (`str`), true or false
+    (`bool`) or null (`type(None)`), as `types` allow."""
     if not isinstance(value, types):
-        want = " or ".join(json_type(t()) for t in types)
+        want = " or ".join("true or false" if t is bool else json_type(t()) for t in types)
         raise TypeError(f"{what} must be a JSON {want}, got {json_type(value)}")
     return value
 

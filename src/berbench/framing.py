@@ -37,9 +37,10 @@ the alignment signal starts.  A frame pair is 64 octets, so the vote of
 every bit phase is one octet column and one bit.  The first read votes
 on every phase and extracts the payload octets at phase 0 as it goes.
 The framing sent has the signal at phase 0 in every frame pair, so once
-phase 0 clearly leads in a received line's window, the bits that flip in
-the rest of it and in each later window give phase 0's count and, with
-the payload they carry, the payload: those windows need not be built.
+phase 0 clearly leads in a received line's window, the reader settles
+the vote there: the bits that flip in the rest of it and in each later
+window give phase 0's count and, with the payload they carry, the
+payload, so those windows need not be built.
 A second read votes in full only when that count shows that some other
 phase could still beat phase 0, and a last one extracts the payload when
 the winner is not phase 0.  The line may hold any number of bits.
@@ -281,9 +282,8 @@ class _Vote:
     Candidates come from the standard confirmation rule: alignment signal
     found, bit 2 of the following frame is 1, and the signal repeats one
     frame later.  Every phase's signal matches are counted, pass by pass.
-    A pass that ends in a frame window (see `g704_align`) may settle the
-    vote, once phase 0 is confirmed and leads by more than twice the misses
-    it would make over the rest of the line at its rate so far.  From
+    The vote knows nothing of frame windows: the reader (`_read`) settles
+    it when `_settles` holds at the end of a frame window's feed.  From
     there on only phase 0 counts, from the flips (`feed_flips`), starting
     with the rest of that window; `proven` then says whether it wins.
     """
@@ -297,15 +297,12 @@ class _Vote:
         self.scanned = 0  # signal positions below this have every phase's votes
         self.matches: int | None = None  # phase 0's, once it alone counts
 
-    def feed(self, line: np.ndarray, base: int, last: bool, window=None) -> None:
+    def feed(self, line: np.ndarray, base: int, last: bool) -> None:
         """Count every position `line` holds the octets for.
 
         `line` holds the line's octets from octet `base`, up to its end
         when `last`.  A count reads some octets past its positions, so
-        positions near the end of a window wait for the next one.  When
-        `line` ends with the octets of frame window `window`, the vote may
-        settle at the end of a pass in it, and the window's flips count
-        the rest.
+        positions near the end of a window wait for the next one.
         """
         have = base + len(line)
         step = -(-_ALIGN_PASS // 8)
@@ -321,12 +318,6 @@ class _Vote:
                     return
             self._pass(line, base, lo, hi)
             self.lo = hi
-            rest = have - hi  # octets of `line` past the pass
-            if window is not None and rest <= len(window) and self._settles():
-                self.matches = int(self.votes[0])
-                flips = window.flips
-                self.feed_flips(hi, rest, None if flips is None else flips[len(window) - rest :])
-                return
 
     def feed_flips(self, base: int, size: int, flips: np.ndarray | None) -> None:
         """Count phase 0's matches in line octets [base, base + size).
@@ -397,8 +388,9 @@ def _read(
     every whole frame from line bit `phase`, as (frames, timeslots)
     octets, when `phase` is not None.  Only the octets that the vote or
     the extraction still needs are kept from one window to the next.  The
-    vote settles only in a read that also extracts at phase 0, whose
-    payload the flips of a frame window then give too.
+    read, not the vote, settles the vote, at the end of a frame window's
+    feed and only in a read that also extracts at phase 0, whose payload
+    the flips of the frame windows then give too.
     """
     total = len(line)
     if phase is not None:
@@ -427,7 +419,11 @@ def _read(
         last = have >= total
         keep = have
         if vote is not None:
-            vote.feed(buf, base, last, frame)
+            vote.feed(buf, base, last)
+            rest = have - vote.lo  # octets of `buf` past the count
+            if frame is not None and rest <= len(frame) and vote._settles():
+                vote.matches, flips = int(vote.votes[0]), frame.flips
+                vote.feed_flips(vote.lo, rest, None if flips is None else flips[-rest:])
             keep = vote.lo
         if phase is not None:
             # A frame reads one octet past its own when the phase is not 0.
@@ -465,13 +461,13 @@ def g704_align(
     frame; a tie goes to the lowest phase.  One read votes and keeps the
     payload at phase 0, the phase an intact line keeps; a line of plain
     arrays is voted in full there.  In frame windows, once phase 0
-    clearly leads, the read counts only phase 0 and takes both its count
-    and the payload from the flips.  The line is read again only to vote
-    in full when phase 0 does not then win for certain, and to extract
-    the payload when the winner is not phase 0.  Returns (bit offset of
-    the first frame in phase, timeslots 1..`timeslots` of every whole
-    frame from there, as packed octets).  Raises FrameAlignmentError when
-    no alignment exists.
+    clearly leads, the read settles the vote: it counts only phase 0 and
+    takes both its count and the payload from the flips.  The line is
+    read again only to vote in full when phase 0 does not then win for
+    certain, and to extract the payload when the winner is not phase 0.
+    Returns (bit offset of the first frame in phase, timeslots
+    1..`timeslots` of every whole frame from there, as packed octets).
+    Raises FrameAlignmentError when no alignment exists.
     """
     _check_timeslots(timeslots)
     if isinstance(line, np.ndarray):

@@ -783,6 +783,30 @@ def test_gilbert_elliott_idle_dwells_match_reference():
     assert np.array_equal(apply_in_pieces(open_stream(model), bits, [0, 1000, n]), want)
 
 
+def test_a_call_inside_one_dwell_draws_once_per_pass(monkeypatch):
+    # Both states flip, and a dwell lasts about 10^6 bits.  The first call
+    # draws the first dwell; the second lies inside it, so each of its
+    # three passes draws at that dwell's threshold alone.
+    model = GilbertElliott(p_gb=1e-6, p_bg=1e-6, p_good=0.999, p_bad=0.9, seed=7)
+    n = 2 * _CHUNK + 5
+    bits = generate(PrbsSpec(), 1 + n)
+    stream = open_stream(model)
+    head = stream.apply(bits[:1])
+    assert stream.remaining >= n
+    drawn = []
+
+    def counting_flips(seed, start, count, threshold):
+        drawn.append((start, count, threshold))
+        return _flips(seed, start, count, threshold)
+
+    monkeypatch.setattr(channel, "_flips", counting_flips)
+    rest = stream.apply(bits[1:])
+    t = stream.threshold[stream.bad]
+    assert drawn == [(1, _CHUNK, t), (1 + _CHUNK, _CHUNK, t), (1 + 2 * _CHUNK, 5, t)]
+    want = ReferenceGilbertElliott(model).apply(bits)
+    assert np.array_equal(np.concatenate((head, rest)), want)
+
+
 @pytest.mark.parametrize(
     "model, flipped",
     [

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import re
 import tempfile
 import time
 from decimal import Decimal, InvalidOperation
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from berbench import cli
+from berbench.channel import param_names
+from berbench.core import json_type
 
 
 def run_cli(*argv):
@@ -732,31 +735,77 @@ def _set(*keys_and_value):
     return change
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        _set("config", []),
-        _set("results", "abc"),
-        _set("frequencies_hz", "f0", "a"),
+#: A change to the saved report, and the message that names what is wrong.
+WRONG_FORMS = {
+    "config-array": (_set("config", []), "config must be a JSON object, got array"),
+    "results-string": (_set("results", "abc"), "results must be a JSON array, got string"),
+    "f0-string": (_set("frequencies_hz", "f0", "a"), "frequencies_hz.f0 must be a number, got string"),
+    "errored-bits-string": (
         _set("results", 0, "measurements", 0, "errored_bits", "1"),
-        _set("config", "ber0", "x"),
-        _set("config", "channel", "kind", "nope"),
+        "results[0].measurements[0].errored_bits must be an integer, got string",
+    ),
+    "ber0-string": (_set("config", "ber0", "x"), "config.ber0 must be a number, got string"),
+    "channel-kind-unknown": (
+        _set("config", "channel", "kind", "nope"), 'unknown channel kind "nope"'
+    ),
+    "verdict-unknown": (
         _set("results", 0, "verdict", "MAYBE"),
-        _set("results", {}),
-        _set("results", 0, "note", [1]),
-    ],
-    ids=["config-array", "results-string", "f0-string", "errored-bits-string",
-         "ber0-string", "channel-kind-unknown", "verdict-unknown", "results-object",
-         "note-array"],
-)
-def test_a_report_of_the_wrong_form_exits_3_naming_the_file(tmp_path, change):
+        'results[0].verdict must be one of PASS, FAIL, NO CONNECTOR, got "MAYBE"',
+    ),
+    "results-object": (_set("results", {}), "results must be a JSON array, got object"),
+    "note-array": (
+        _set("results", 0, "note", [1]), "results[0].note must be a JSON string or null, got array"
+    ),
+    "result-number": (_set("results", [1]), "results[0] must be a JSON object, got number"),
+    "measurements-string": (
+        _set("results", 0, "measurements", "x"),
+        "results[0].measurements must be a JSON array, got string",
+    ),
+    "measurement-number": (
+        _set("results", 0, "measurements", [1]),
+        "results[0].measurements[0] must be a JSON object, got number",
+    ),
+    "interface-number": (
+        _set("results", 0, "interface", 5), "results[0].interface must be a JSON string, got number"
+    ),
+    "taps-number": (
+        _set("config", "pattern", "taps", 5), "config.pattern.taps must be a JSON array, got number"
+    ),
+    "f0-null": (_set("frequencies_hz", "f0", None), "frequencies_hz.f0 must be a number, got null"),
+    "ber-string": (
+        _set("results", 0, "measurements", 0, "ber", "x"),
+        "results[0].measurements[0].ber must be a JSON object, got string",
+    ),
+    "converter-used-string": (
+        _set("results", 0, "converter_used", "x"),
+        "results[0].converter_used must be a JSON true or false, got string",
+    ),
+    "dut-number": (_set("dut", 5), "dut must be a JSON string, got number"),
+    "ber-kind-number": (
+        _set("results", 0, "measurements", 0, "ber", "kind", 5),
+        "results[0].measurements[0].ber.kind must be a JSON string, got number",
+    ),
+    "ber-kind-unknown": (
+        _set("results", 0, "measurements", 0, "ber", "kind", "guess"),
+        'results[0].measurements[0].ber.kind must be point or upper_bound, got "guess"',
+    ),
+    "channel-seed-string": (
+        _set("config", "channel", "seed", "x"), "the seed must be an integer, got string"
+    ),
+    "channel-p-array": (_set("config", "channel", "p", [1]), "'p' must be a number, got array"),
+}
+
+
+@pytest.mark.parametrize("change, message", WRONG_FORMS.values(), ids=WRONG_FORMS)
+def test_a_report_of_the_wrong_form_exits_3_naming_the_file(tmp_path, change, message):
     report = json.loads(_saved_report())
     change(report)
     path = tmp_path / "r.json"
     path.write_text(json.dumps(report))
     code, err = _run_quietly("report", "--in", str(path))
     assert code == 3
-    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1
 
 
 @functools.cache
@@ -801,6 +850,71 @@ def test_report_with_a_key_removed_or_replaced_never_tracebacks(data):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert code in (0, 1, 2) and err == ""
+
+
+def _json_class(value) -> str:
+    """A value's JSON type, true and false being one type."""
+    return "boolean" if isinstance(value, bool) else json_type(value)
+
+
+def _read_values(report) -> list[tuple[tuple, set[str]]]:
+    """(path, JSON types) of every value the renderer reads in `report`, with
+    the types `berbench run` writes there.  A note may be null; the renderer
+    never reads a result's `chain`."""
+    paths = {
+        ("dut",): "string",
+        ("config",): "object",
+        ("config", "ber0"): "number",
+        ("config", "ber_max"): "number",
+        ("config", "pattern"): "object",
+        ("config", "pattern", "order"): "number",
+        ("config", "pattern", "seed"): "number",
+        ("config", "pattern", "taps"): "array",
+        ("config", "channel"): "object",
+        ("config", "channel", "kind"): "string",
+        ("config", "channel", "seed"): "number",
+        ("frequencies_hz",): "object",
+        **{("frequencies_hz", f): "number" for f in ("f0", "f1", "f2")},
+        ("results",): "array",
+    }
+    for i, _ in enumerate(report["config"]["pattern"]["taps"]):
+        paths["config", "pattern", "taps", i] = "number"
+    channel = report["config"]["channel"]
+    for key in param_names(channel["kind"]):
+        paths["config", "channel", key] = _json_class(channel[key])
+    for i, result in enumerate(report["results"]):
+        at = ("results", i)
+        paths.update({at: "object", (*at, "interface"): "string", (*at, "verdict"): "string"})
+        paths.update({(*at, "note"): "string null", (*at, "converter_used"): "boolean"})
+        paths[(*at, "measurements")] = "array"
+        for j, _ in enumerate(result["measurements"]):
+            m = (*at, "measurements", j)
+            paths.update({m: "object", (*m, "ber"): "object", (*m, "ber", "kind"): "string"})
+            paths[(*m, "ber", "value")] = "number"
+            for key in ("errored_bits", "transmitted_bits"):
+                paths[(*m, key)] = "number"
+    return [(path, set(kinds.split())) for path, kinds in paths.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_read_value_of_another_json_type_exits_3_in_json_terms(data):
+    report = json.loads(_saved_report())
+    path, kinds = data.draw(st.sampled_from(_read_values(report)))
+    value = data.draw(_JSON.filter(lambda v: _json_class(v) not in kinds))
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "r.json"
+        doc.write_text(json.dumps(report))
+        code, err = _run_quietly("report", "--in", str(doc))
+    assert code == 3
+    assert err.startswith(f"error: {doc}: ") and err.count("\n") == 1
+    # The value's JSON type, never a Python type or a Python error.
+    assert err.endswith(f", got {json_type(value)}\n")
+    assert not re.search(r"NoneType|'(int|float|str|bool|list|dict)'", err)
 
 
 def test_two_runs_identical_json(tmp_path):

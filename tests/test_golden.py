@@ -60,6 +60,21 @@ CASES = [
         None,
     ),
     (
+        # A short-dwell bad state between long good dwells: most calls of
+        # the stream lie inside one dwell, at either of two nonzero thresholds.
+        "ge-two-threshold",
+        ("--channel", "ge:1e-6,1e-3,0.9999,0.9", "--seed", "13"),
+        {
+            "interfaces": ["V.35", "STANAG 4210"],
+            "rates": {"V.35": [512], "STANAG 4210": [2048]},
+            "ber0": 1e-5,
+        },
+        "f06685dd467deb7536a64f5106a761a78220bc8ba389f3e8e6b509638b370921",
+        "aa0cd6928af4bf2426e6bafb6e6dc67d3a7362dea187ba201a29aa8c3e608cd2",
+        1,
+        None,
+    ),
+    (
         "mask-g703-g704",
         ("--channel", "mask:9000,12345,50000,400003,777777", "--seed", "5"),
         {"interfaces": ["G.703", "G.704"], "ber0": 1e-5},
@@ -75,6 +90,17 @@ CASES = [
         "e4d94d008e98aa14d50a62fd5c6685b3863c643ae62b0f067d67fac400c7c5dd",
         "a40ebb7142e211b5bf0f50248cdeef861e58e541b5742d46e2b93bf7fc6c6248",
         0,
+        None,
+    ),
+    (
+        # So many flips that the frame vote settles on phase 0 in a later
+        # frame window, not the first.
+        "g704-256-noisy",
+        ("--channel", "bsc:1e-2", "--seed", "3"),
+        {"interfaces": ["G.704"], "rates": {"G.704": [256]}, "ber0": 1e-5},
+        "62e66f154438f961e632a7c0ee7508a2e7568f950190c73d9cf2d858d3ac62f4",
+        "630c51dd50480e1f96f179f55e8347400364d121b7c2b0b17d408a8b2e024b7b",
+        1,
         None,
     ),
     (
