@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_int, check_json, check_real
+from .core import check_int, check_json, check_keys, check_real
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -565,6 +565,7 @@ def model_from_dict(data: dict) -> ChannelModel:
         kind = _BY_NAME.get(check_json(data["kind"], "'kind'", str))
         if kind is None:
             raise ValueError(f"unknown channel kind {json.dumps(data['kind'])}")
+        check_keys(data, "'channel'", "kind", "seed", *param_names(kind.name))
         params = {f.name: _READERS[f.type](data[f.name], repr(f.name)) for f in _params(kind)}
         return kind.model(**params, seed=check_int(data.get("seed", 0), "the seed"))
     except (KeyError, TypeError, ValueError) as exc:

@@ -33,6 +33,7 @@ from .core import (
     REPORT_ORDER,
     check_int,
     check_json,
+    check_keys,
     check_real,
     exact_fraction,
     format_ber,
@@ -186,6 +187,9 @@ def load_config(path: str | Path) -> CampaignConfig:
     base = path.parent
     cfg = CampaignConfig()
     try:
+        sections = (key for key, _, _ in _BENCH_SECTIONS)
+        keys = ("interfaces", "rates", "ber0", "ber_max", "pattern", "channel")
+        check_keys(data, "the config", "schema", *sections, *keys)
         for key, loader, kind in _BENCH_SECTIONS:
             if key in data:
                 cfg = replace(cfg, **{key: _resolve_section(data, key, base, loader, kind)})
@@ -203,6 +207,7 @@ def load_config(path: str | Path) -> CampaignConfig:
             cfg = replace(cfg, policy=VerdictPolicy(ber_max=data["ber_max"]))
         if "pattern" in data:
             p = check_json(data["pattern"], "'pattern'", dict)
+            check_keys(p, "'pattern'", "order", "taps", "seed")
             pattern = PrbsSpec(
                 order=p.get("order", 15),
                 taps=tuple(check_json(p["taps"], "'taps'", list)) if "taps" in p else None,
@@ -422,6 +427,9 @@ def cmd_run(args) -> int:
     json_path, text_path = (base.with_name(base.name + suffix) for suffix in (".json", ".txt"))
     if not base.parent.is_dir():  # fail before the campaign, not after it
         raise ConfigError(f"cannot write {json_path}: no directory {base.parent}")
+    for path in (json_path, text_path):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
     report = run_campaign(config)
     report_dict = report_to_dict(report)
     json_text = _dump_json(report_dict)

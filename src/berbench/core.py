@@ -111,6 +111,15 @@ def check_json(value, what: str, *types: type):
     return value
 
 
+def check_keys(data: dict, what: str, *known: str) -> dict:
+    """A document object holding no key outside `known`: a misspelled key is
+    refused, not read as absent."""
+    for key in data:
+        if key not in known:
+            raise ValueError(f"{what} has unknown key {json.dumps(key)}")
+    return data
+
+
 def check_real(value, what: str) -> float:
     """A document real number: a JSON integer or float, never a string or a bool."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -19,9 +19,12 @@ plan the device cannot run and decides every interface's connector
 outcome and its measurement jobs, each with the seed tag that forks its
 channel stream.  `_execute` measures the jobs on every CPU the process
 may use, worker `w` of `W` taking jobs `w`, `w + W`, …; each job opens
-its own session, so where it runs changes no result.  `_fold` then
-rebuilds the clock, the log and the verdicts in plan order, so the report
-is the same byte for byte whatever ran where.
+its own session, so where it runs changes no result.  A worker hands back
+measurements only, and every job none reported (it failed, its worker
+died or was never forked) is measured again in this process, in plan
+order, where the first that raises raises.  `_fold` then rebuilds the
+clock, the log and the verdicts in plan order, so the report is the same
+byte for byte whatever ran where.
 """
 from __future__ import annotations
 
@@ -256,44 +259,38 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-#: Each job's measurement or the exception it raised, by job index.
-_Outcomes = dict[int, BerMeasurement | Exception]
-
-
 def _execute(config: CampaignConfig, jobs: list[_Job]) -> list[BerMeasurement]:
     """Every job's measurement, in plan order.
 
     With more than one CPU and `os.fork`, the jobs run in this process and
-    in forked children (see `_measure_forked`); a job none of them
-    reported is measured here afterwards.  Either way the first job in plan
-    order that raises raises here, and no later job's result is used.
+    in forked children first (see `_measure_forked`).  Then every job no
+    worker reported is measured here, in plan order, so the first job in
+    plan order that raises raises here, as in one process, and no later
+    job's result is used.
     """
     workers = min(_cpu_count(), len(jobs))
     forked = workers > 1 and hasattr(os, "fork")
-    outcomes = _measure_forked(config, jobs, workers) if forked else {}
-    measured = []
-    for index, job in enumerate(jobs):
-        outcome = outcomes[index] if index in outcomes else _measure_job(config, job)
-        if isinstance(outcome, Exception):
-            raise outcome
-        measured.append(outcome)
-    return measured
+    measured = _measure_forked(config, jobs, workers) if forked else {}
+    return [
+        measured[i] if i in measured else _measure_job(config, job) for i, job in enumerate(jobs)
+    ]
 
 
-def _work(config: CampaignConfig, jobs: list[_Job], first: int, step: int) -> _Outcomes:
+def _work(
+    config: CampaignConfig, jobs: list[_Job], first: int, step: int
+) -> dict[int, BerMeasurement]:
     """Measure jobs `first`, `first + step`, … until one raises.
 
-    Returns the outcomes by job index; a job that raises has its exception
-    as outcome and is the last one this worker starts.
+    Returns the measurements by job index.  A job that raises is the last
+    one this worker starts and has none: `_execute` measures it again.
     """
-    outcomes: _Outcomes = {}
+    measured = {}
     for index in range(first, len(jobs), step):
         try:
-            outcomes[index] = _measure_job(config, jobs[index])
-        except Exception as exc:  # carried to the plan-order check in `_execute`
-            outcomes[index] = exc
+            measured[index] = _measure_job(config, jobs[index])
+        except Exception:  # raised again where `_execute` measures it
             break
-    return outcomes
+    return measured
 
 
 def _fork() -> int:
@@ -308,16 +305,18 @@ def _fork() -> int:
         return os.fork()
 
 
-def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _Outcomes:
+def _measure_forked(
+    config: CampaignConfig, jobs: list[_Job], workers: int
+) -> dict[int, BerMeasurement]:
     """Run the jobs in this process and `workers - 1` forked children.
 
     Worker `w` measures jobs `w`, `w + workers`, … (`_work`), this process
     being worker 0; a failure ends only its own worker's stride.  A child
-    then pickles its measurements, then its failure if any, into a pipe of
-    its own, and leaves with `os._exit`, so no stdio buffer or exit handler
-    runs twice.  Returns the outcomes that arrived, by job index: none from
-    the stride of a worker that could not be forked.  Every child is
-    reaped before this returns or raises.
+    then pickles its measurements into a pipe of its own and leaves with
+    `os._exit`, so no stdio buffer or exit handler runs twice.  Returns the
+    measurements that arrived, by job index: none from a child that died
+    or from the stride of a worker that could not be forked.  Every child
+    is reaped before this returns or raises.
     """
     children: list[tuple[int, int]] = []  # each child's pid and its pipe's read end
     try:
@@ -333,18 +332,14 @@ def _measure_forked(config: CampaignConfig, jobs: list[_Job], workers: int) -> _
                 _child(config, jobs, first, workers, write_end)
             children.append((pid, read_end))
             os.close(write_end)
-        outcomes = _work(config, jobs, 0, workers)
+        measured = _work(config, jobs, 0, workers)
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as stream:
                 try:
-                    outcomes.update(pickle.load(stream))  # the measurements
-                    outcomes.update(pickle.load(stream))  # the failure, if any
-                except Exception:
-                    # Cut short (the child died) or not loadable (an exception
-                    # whose constructor takes other arguments): `_execute`
-                    # measures the missing jobs again, and a failing one raises.
+                    measured.update(pickle.load(stream))
+                except (EOFError, pickle.UnpicklingError):  # cut short: the child died
                     pass
-        return outcomes
+        return measured
     except BaseException:
         import signal  # only here: a campaign that ends well never loads it
 
@@ -361,11 +356,9 @@ def _child(config: CampaignConfig, jobs: list[_Job], first: int, step: int, writ
     """A forked worker's whole life: it never returns."""
     code = 1
     try:
-        outcomes = _work(config, jobs, first, step)
-        errors = {i: o for i, o in outcomes.items() if isinstance(o, Exception)}
-        with open(write_end, "wb") as out:  # the failure apart: it may not load
-            pickle.dump({i: o for i, o in outcomes.items() if i not in errors}, out)
-            pickle.dump(errors, out)
+        measured = _work(config, jobs, first, step)
+        with open(write_end, "wb") as out:
+            pickle.dump(measured, out)
         code = 0
     finally:
         os._exit(code)

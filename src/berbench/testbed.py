@@ -55,6 +55,7 @@ from .core import (
     check_freq_hz,
     check_int,
     check_json,
+    check_keys,
     check_rate_kbps,
     check_real,
     clear_tail,
@@ -541,15 +542,19 @@ def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
     }
 
 
-def _objects(entries: Iterable, key: str) -> list[dict]:
-    """The entries of a document's `key` array, each a JSON object."""
-    return [check_json(entry, f"an entry of {key!r}", dict) for entry in entries]
+def _objects(entries: Iterable, key: str, *known: str) -> list[dict]:
+    """The entries of a document's `key` array, each a JSON object of `known` keys."""
+    what = f"an entry of {key!r}"
+    return [check_keys(check_json(entry, what, dict), what, *known) for entry in entries]
 
 
 def profile_from_dict(data: dict) -> DutProfile:
     try:
+        keys = ("name", "ports", "rates", "if_range_hz", "channel", "warmup_s", "g704_crc4")
+        check_keys(data, "'dut'", *keys)
         ports = []
-        for entry in _objects(check_json(data["ports"], "'ports'", list), "ports"):
+        entries = check_json(data["ports"], "'ports'", list)
+        for entry in _objects(entries, "ports", "interface", "connector"):
             for kind in parse_port_kinds(entry["interface"]):
                 ports.append((kind, entry.get("connector", "")))
         if data.get("g704_crc4", True) is not True:
@@ -583,7 +588,8 @@ def _rate_cap(entry: dict) -> int | None:
 def catalog_from_list(entries: Iterable[dict]) -> tuple[ConverterSpec, ...]:
     converters = []
     try:
-        for entry in _objects(entries, "catalog"):
+        known = ("name", "side_a", "side_b", "max_rate_kbps", "notes")
+        for entry in _objects(entries, "catalog", *known):
             sides = []
             for side in ("side_a", "side_b"):
                 kinds: set[InterfaceKind] = set()
@@ -617,9 +623,11 @@ def analyzer_to_dict(analyzer: AnalyzerProfile) -> dict:
 
 def analyzer_from_dict(data: dict) -> AnalyzerProfile:
     try:
+        check_keys(data, "'analyzer'", "native")
+        entries = check_json(data["native"], "'native'", list)
         native = tuple(
             (parse_interface(entry["interface"]), _rate_cap(entry))
-            for entry in _objects(check_json(data["native"], "'native'", list), "native")
+            for entry in _objects(entries, "native", "interface", "max_rate_kbps")
         )
         return AnalyzerProfile(native=native)
     except (KeyError, TypeError, ValueError) as exc:

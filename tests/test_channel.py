@@ -155,13 +155,13 @@ def test_bsc_probability_zero_is_identity():
 
 
 def test_bsc_flip_count_within_three_sigma():
-    p = 1e-3
-    n = 10**6
-    bits = generate(PrbsSpec(), n)
-    out = open_stream(Bsc(p=p, seed=20240117)).apply(bits)
-    flips = int(np.count_nonzero(out ^ bits))
-    sigma = math.sqrt(n * p * (1 - p))
-    assert abs(flips - n * p) <= 3 * sigma
+    # n independent flips at p: the count is binomial, about n * p.
+    cases = [(1e-6, 1 << 26, 1), (1e-4, 1 << 22, 2), (1e-3, 10**6, 20240117),
+             (1e-2, 1 << 20, 3), (0.3, 1 << 18, 4), (0.999, 1 << 18, 5)]
+    for p, n, seed in cases:
+        flips = count_flips(open_stream(Bsc(p=p, seed=seed)), n)
+        sigma = math.sqrt(n * p * (1 - p))
+        assert abs(flips - n * p) <= 3 * sigma, (p, flips)
 
 
 def test_bsc_validation():
@@ -340,27 +340,92 @@ def _ge_asymptotic_sigma(model: GilbertElliott, n: int) -> float:
     return math.sqrt(var / n)
 
 
+def count_flips(stream, n: int) -> int:
+    """The flips among the stream's next n bits, drawn 2**20 bits at a time."""
+    return sum(len(stream.flips(min(1 << 20, n - lo))) for lo in range(0, n, 1 << 20))
+
+
+def dwells(bad_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bad and good dwell lengths, given the offsets of a stream's bad bits.
+
+    The runs of offsets are the bad dwells, the gaps between them the good
+    ones; the first and last run may be cut short, so they are left out.
+    """
+    cut = np.flatnonzero(np.diff(bad_bits) > 1)
+    starts = np.concatenate((bad_bits[:1], bad_bits[cut + 1]))
+    ends = np.concatenate((bad_bits[cut], bad_bits[-1:])) + 1
+    return (ends - starts)[1:-1], (starts[1:] - ends[:-1])[1:]
+
+
+def geometric_chi_square(lengths: np.ndarray, leave: float) -> tuple[float, int]:
+    """Pearson's statistic of dwell lengths against the geometric law on
+    {1, 2, ...} with parameter `leave`, and its degrees of freedom.
+
+    The bins end at the law's quantiles j / 16, so none expects few dwells.
+    """
+    log_stay = math.log1p(-leave)
+    edges = np.unique(np.ceil(np.log1p(-np.arange(1, 16) / 16) / log_stay))
+    observed = np.bincount(np.searchsorted(edges, lengths), minlength=len(edges) + 1)
+    below = -np.expm1(edges * log_stay)  # P(L <= edge)
+    expected = len(lengths) * np.diff(np.concatenate(([0.0], below, [1.0])))
+    return float(((observed - expected) ** 2 / expected).sum()), len(expected) - 1
+
+
+def chi_square_bound(df: int) -> float:
+    """The chi-square quantile at 1 - 1e-4, by Wilson and Hilferty (1931)."""
+    z = 3.719  # the normal quantile at 1 - 1e-4
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
 def test_gilbert_elliott_long_run_rate_matches_stationary_mix():
-    model = GilbertElliott(p_gb=0.02, p_bg=0.05, p_good=0.9999, p_bad=0.95, seed=424242)
-    n = 10**7
-    bits = np.zeros(n, np.uint8)
-    errors = int(open_stream(model).apply(bits).sum())
-    q = model.long_run_error_rate
-    sigma = _ge_asymptotic_sigma(model, n)
-    assert abs(errors / n - q) <= 3 * sigma
+    # The flip count is about n * long_run_error_rate, with the variance of
+    # a bursty stream: short dwells drawn through, long idle ones skipped,
+    # both states flipping, and a dense stream.
+    cases = [
+        (GilbertElliott(p_gb=0.02, p_bg=0.05, p_good=0.9999, p_bad=0.95, seed=424242), 10**7),
+        (GilbertElliott(p_gb=0.05, p_bg=0.3, p_good=1.0, p_bad=0.9995, seed=1), 1 << 24),
+        (GilbertElliott(p_gb=1e-4, p_bg=1e-2, p_good=1.0, p_bad=0.99, seed=2), 1 << 25),
+        (GilbertElliott(p_gb=0.3, p_bg=0.3, p_good=0.9, p_bad=0.7, seed=3), 1 << 21),
+    ]
+    for model, n in cases:
+        errors = count_flips(open_stream(model), n)
+        q = model.long_run_error_rate
+        sigma = _ge_asymptotic_sigma(model, n)
+        assert abs(errors / n - q) <= 3 * sigma, (model, errors)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        GilbertElliott(p_gb=0.01, p_bg=0.2, p_good=1.0, p_bad=0.0, seed=7),
+        # Good dwells of about 10^4 bits, mostly skipped rather than drawn.
+        GilbertElliott(p_gb=1e-4, p_bg=1e-2, p_good=1.0, p_bad=0.0, seed=8),
+    ],
+    ids=["short", "idle"],
+)
+def test_gilbert_elliott_share_of_bad_bits_matches_stationary_bad(model):
+    # p_good=1 and p_bad=0 flip exactly the bad-state bits.
+    n = 1 << 24
+    share = count_flips(open_stream(model), n) / n
+    assert abs(share - model.stationary_bad) <= 4 * _ge_asymptotic_sigma(model, n)
 
 
 def test_gilbert_elliott_dwell_times_match_transition_probabilities():
-    model = GilbertElliott(p_gb=0.01, p_bg=0.2, p_good=1.0, p_bad=0.0, seed=7)
-    # p_bad=0 makes every bad-state bit an error, so runs of errors are
-    # exactly the bad-state dwells.
-    out = open_stream(model).apply(np.zeros(2 * 10**6, np.uint8))
-    flat = np.flatnonzero(out)
-    runs = np.split(flat, np.flatnonzero(np.diff(flat) > 1) + 1)
-    lengths = np.array([len(r) for r in runs])
-    expect = 1 / model.p_bg
-    assert len(lengths) > 1000
-    assert abs(lengths.mean() - expect) <= 4 * lengths.std() / math.sqrt(len(lengths))
+    # p_good=1 and p_bad=0 flip exactly the bad-state bits, so the dwells
+    # of both states show in the flips.  Each is geometric on {1, 2, ...}
+    # with its leave probability, also where long good dwells are skipped.
+    cases = [
+        (GilbertElliott(p_gb=0.01, p_bg=0.2, p_good=1.0, p_bad=0.0, seed=7), 2 * 10**6),
+        (GilbertElliott(p_gb=1e-4, p_bg=1e-2, p_good=1.0, p_bad=0.0, seed=8), 1 << 25),
+    ]
+    for model, n in cases:
+        bad, good = dwells(open_stream(model).flips(n))
+        for lengths, leave in ((bad, model.p_bg), (good, model.p_gb)):
+            assert len(lengths) > 1000
+            expect = 1 / leave
+            assert abs(lengths.mean() - expect) <= 4 * lengths.std() / math.sqrt(len(lengths))
+            stat, df = geometric_chi_square(lengths, leave)
+            assert stat <= chi_square_bound(df), (model, leave, stat, df)
 
 
 def test_gilbert_elliott_degenerate_probabilities():

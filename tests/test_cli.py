@@ -548,17 +548,64 @@ def test_a_string_where_an_array_belongs_exits_3_naming_the_key(doc, key):
             {"dut": {**_DUT, "channel": "x"}},
             "bad DUT profile document: 'channel' must be a JSON object, got string",
         ),
+        # A key berbench does not read, such as a misspelling, is refused.
+        ({"bermax": 1e-2}, 'the config has unknown key "bermax"'),
+        ({"pattern": {"order": 15, "sed": 1}}, '\'pattern\' has unknown key "sed"'),
+        (
+            {"channel": {"kind": "bsc", "p": 0.1, "q": 0.2, "seed": 1}},
+            'bad channel description {"kind": "bsc", "p": 0.1, "q": 0.2, "seed": 1}: '
+            '\'channel\' has unknown key "q"',
+        ),
+        (
+            {"dut": {**_DUT, "warmup": 300}},
+            'bad DUT profile document: \'dut\' has unknown key "warmup"',
+        ),
+        (
+            {"dut": {**_DUT, "ports": [{"interface": "G.703", "conector": "BNC"}]}},
+            'bad DUT profile document: an entry of \'ports\' has unknown key "conector"',
+        ),
+        (
+            {"analyzer": {"native": [], "ports": []}},
+            'bad analyzer document: \'analyzer\' has unknown key "ports"',
+        ),
+        (
+            {"analyzer": {"native": [{"interface": "V.35", "max_rate": 512}]}},
+            'bad analyzer document: an entry of \'native\' has unknown key "max_rate"',
+        ),
+        (
+            {"catalog": [{"name": "c", "side_a": "G.703", "side_b": "V.35", "note": ""}]},
+            'bad converter catalog document: an entry of \'catalog\' has unknown key "note"',
+        ),
     ],
     ids=["taps-null", "channel-null", "interfaces-string", "rate-true", "order-null",
          "channel-seed-null", "channel-no-seed", "interface-null", "catalog-side-number",
          "catalog-entry-string", "dut-port-string", "analyzer-native-null",
-         "dut-channel-string"],
+         "dut-channel-string", "config-unknown-key", "pattern-unknown-key",
+         "channel-unknown-key", "dut-unknown-key", "port-unknown-key", "analyzer-unknown-key",
+         "native-unknown-key", "catalog-unknown-key"],
 )
 def test_a_config_refusal_names_json_types(tmp_path, doc, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"schema": "ber-campaign-config/1", "ber0": 1e-3, **doc}))
     code, err = _run_quietly("run", "--config", str(path), "--out", str(tmp_path / "x"))
     assert (code, err) == (3, f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "section, doc, key",
+    [
+        ("dut", {**_DUT, "warmup": 300}, "warmup"),
+        ("analyzer", {"native": [{"interface": "G.703", "max_rate": 512}]}, "max_rate"),
+        ("catalog", [{"name": "c", "side_a": "G.703", "side_b": "V.35", "note": ""}], "note"),
+    ],
+)
+def test_a_section_file_with_an_unknown_key_exits_3(tmp_path, section, doc, key):
+    (tmp_path / "section.json").write_text(json.dumps(doc))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "ber-campaign-config/1", section: "section.json"}))
+    code, err = _run_quietly("run", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert code == 3 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert err.endswith(f' has unknown key "{key}"\n')
 
 
 @pytest.mark.parametrize(
@@ -979,10 +1026,15 @@ def test_run_to_a_missing_directory_fails_before_the_campaign(tmp_path, monkeypa
         raise AssertionError("the campaign ran")
 
     monkeypatch.setattr(cli, "run_campaign", no_campaign)
-    code, err = _run_quietly("run", "--ber0", "1e-3", "--out", str(tmp_path / "missing" / "x"))
-    assert code == 3
-    assert err.startswith("error: cannot write ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    # A missing directory, and a directory where one of the outputs belongs.
+    (tmp_path / "j.json").mkdir()
+    (tmp_path / "t.txt").mkdir()
+    before = sorted(tmp_path.iterdir())
+    for out in (tmp_path / "missing" / "x", tmp_path / "j", tmp_path / "t"):
+        code, err = _run_quietly("run", "--ber0", "1e-3", "--out", str(out))
+        assert code == 3
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def test_run_appends_the_suffixes_to_a_dotted_out(tmp_path):
