@@ -31,12 +31,14 @@ A model is an immutable configuration; `open_stream` turns it into a
 stateful stream that consumes bits sequentially (bit positions are global
 across calls, so a long run may be fed in segments).  A stream draws in
 one method, ``flips(n)``: the distinct offsets of the bits that flip
-among its next n bits, which it moves past.  `_Stream` builds two calls
-on it.  ``skip_clean(n)`` moves past n bits too and returns True when
-none flips; otherwise it keeps the offsets for the ``apply`` of those n
-bits that must follow.  ``apply(bits)`` returns the bits with their
-flips applied.  An ideal channel is a `bsc` stream at p = 0, which
-never draws.
+among its next n bits, which it moves past.  `_Stream` builds the rest
+on it.  ``flipped(line, n_bits)`` flips the first n_bits bits of a
+packed line in passes of `_LINE_PASS` bits, each unpacked, flipped
+through ``apply`` and packed again only when it holds a flip; it
+returns a copy of the line, or None when no bit flipped.
+``apply(bits)`` returns unpacked bits with their flips applied, and
+``mark()`` and ``rewind(mark)`` set a stream back.  An ideal channel
+is a `bsc` stream at p = 0, which never draws.
 
 The kernels draw into one scratch per process, built by the first draw
 (`_scratch`), so a pass allocates no block above 128 KiB, glibc's
@@ -299,31 +301,56 @@ ChannelModel = Ideal | Bsc | GilbertElliott | FixedMask
 _NO_FLIPS = np.empty(0, dtype=np.intp)  # shared: an empty array holds nothing to change
 
 
+#: Line bits per pass of `_Stream.flipped`, a multiple of the octet;
+#: bounds the unpacked bits and the model's draws.  A pass with a flip
+#: allocates 64 KiB twice, the unpacked bits and the model's copy: below
+#: glibc's default mmap threshold, above which each pass would map fresh
+#: pages, and small enough to sit beside a G.704 window and a segment's
+#: payload in `test_framed_loopback_takes_no_line_sized_heap_memory`.
+_LINE_PASS = 1 << 16
+
+
 class _Stream:
-    """`skip_clean` and `apply` on each kind's `flips` (see the module docstring)."""
+    """The calls each kind builds on its `flips` (see the module docstring)."""
 
-    #: (n, offsets) kept by `skip_clean`, set on the stream only until the
-    #: `apply`, so between passes its state is the same whichever call drew.
-    _kept: tuple[int, np.ndarray] | None = None
+    #: The offsets `flipped` drew for the pass it hands `apply`, set on the
+    #: stream only until that `apply`, so between passes its state is the
+    #: same whichever call drew.
+    _kept: np.ndarray | None = None
 
-    def skip_clean(self, n: int) -> bool:
-        offsets = self.flips(n)
-        if len(offsets):
-            self._kept = (n, offsets)
-            return False
-        return True
+    def flipped(self, line: np.ndarray, n_bits: int) -> np.ndarray | None:
+        out = None
+        for lo in range(0, n_bits, _LINE_PASS):
+            count = min(n_bits - lo, _LINE_PASS)
+            offsets = self.flips(count)
+            if len(offsets):
+                if out is None:
+                    out = line.copy()
+                # Through the instance's `apply`, which a tracer may wrap.
+                self._kept = offsets
+                chunk = out[lo // 8 : -(-(lo + count) // 8)]
+                chunk[:] = np.packbits(self.apply(np.unpackbits(chunk, count=count)))
+        return out
 
     def apply(self, bits: np.ndarray) -> np.ndarray:
-        if self._kept is None:
+        offsets = self._kept
+        if offsets is None:
             offsets = self.flips(len(bits))
         else:
-            n, offsets = self._kept
-            if n != len(bits):
-                raise ValueError(f"skip_clean drew a pass of {n} bits; apply got {len(bits)}")
             del self._kept
         out = np.array(bits, dtype=np.uint8)
         out[offsets] ^= 1
         return out
+
+    def mark(self) -> dict:
+        """The stream's attributes, as a shallow copy holds them."""
+        return dict(vars(self))
+
+    def rewind(self, mark: dict) -> None:
+        """Set the stream back to the attributes of `mark`."""
+        state = vars(self)
+        state.clear()
+        state.update(mark)
 
 
 class _BscStream(_Stream):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -146,6 +147,8 @@ def _load_json(path: Path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{path} nests too deeply to read") from None
 
@@ -286,17 +289,27 @@ def report_to_dict(report: CampaignReport) -> dict:
     }
 
 
+def _named(at: str, make, *args):
+    """make(*args), a value it refuses named by its JSON path `at`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{at}: {exc}") from None
+
+
 def _measurement_ber(m, at: str) -> BerValue:
     m = check_json(m, at, dict)
     ber = check_json(m["ber"], f"{at}.ber", dict)
     kind = check_json(ber["kind"], f"{at}.ber.kind", str)
     check_real(ber["value"], f"{at}.ber.value")
-    counts = [check_int(m[key], f"{at}.{key}") for key in ("errored_bits", "transmitted_bits")]
+    keys = ("errored_bits", "transmitted_bits")
+    errored, transmitted = (check_int(m[key], f"{at}.{key}") for key in keys)
     if kind == "upper_bound":
-        return BerValue.upper_bound(ber["value"])
+        return _named(f"{at}.ber.value", BerValue.upper_bound, ber["value"])
     if kind != "point":
         raise ValueError(f"{at}.ber.kind must be point or upper_bound, got {json.dumps(kind)}")
-    return BerValue.point(*counts)
+    key = "transmitted_bits" if transmitted <= 0 else "errored_bits"
+    return _named(f"{at}.{key}", BerValue.point, errored, transmitted)
 
 
 def _worst_ber(measurements, at: str) -> BerValue | None:
@@ -309,7 +322,10 @@ def render_report_text(report: dict) -> str:
     """The text table of a report, refusing, in JSON terms, any value it
     reads whose JSON type `report_to_dict` does not write there."""
     cfg = check_json(report["config"], "config", dict)
-    ber0, ber_max = (exact_fraction(check_real(cfg[k], f"config.{k}")) for k in ("ber0", "ber_max"))
+    ber0, ber_max = (
+        _named(f"config.{k}", BerValue.upper_bound, check_real(cfg[k], f"config.{k}")).value
+        for k in ("ber0", "ber_max")
+    )
     pattern = check_json(cfg["pattern"], "config.pattern", dict)
     order, seed = (check_int(pattern[key], f"config.pattern.{key}") for key in ("order", "seed"))
     taps = enumerate(check_json(pattern["taps"], "config.pattern.taps", list))
@@ -384,8 +400,17 @@ def _emit(out: str | None, text: str) -> None:
     """Write `text` to the `--out` path, or to stdout when there is none."""
     if out:
         _write_text(Path(out), text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is left in the buffer goes to the null device at exit,
+        # rather than to a second error there.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise ConfigError(f"cannot write stdout: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +461,7 @@ def cmd_run(args) -> int:
     table_text = render_report_text(report_dict)
     _write_text(json_path, json_text)
     _write_text(text_path, table_text)
-    sys.stdout.write(json_text if args.format == "json" else table_text)
+    _emit(None, json_text if args.format == "json" else table_text)
     return exit_code_for(report_dict)
 
 

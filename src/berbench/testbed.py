@@ -20,23 +20,17 @@ HDB3 codec in `framing`):
 * everything else (G.703, V.35, STANAG 4210, Ethernet family) is a
   transparent bit pipe, since the converters bridge raw test patterns.
 
-Off G.704 the line is a copy of the payload.  The fault model flips it
-in place, in passes of `_LINE_PASS` bits: each pass is unpacked for the
-model's per-bit stream and packed again, unless the stream finds no flip
-in it (`skip_clean`), when its octets stay as they are.  Fault draws are
-keyed by stream position, so the passes flip the same bits as one call
-would.  A pass's unpacked bits and the model's copy of them are 64 KiB
-each, below glibc's default mmap threshold, so they come from the heap
-rather than fresh zero-filled pages.  On G.704 the line is never whole:
-`g704_align` reads it as a `_ReceivedLine`, whose windows (`framing`
-sizes them) come in stream order, each with the bits that flip in it:
-the stream flips zeros in the same passes.  A window is built from its
-share of the payload, and those flips applied, only until the frame vote
-settles on phase 0; from there on alignment takes its count and its
-payload from the flips and the payload share.  The frame phase is voted over the
-whole received line; when the line must be read again, the stream is
-first set back to where the first read found it, so every read sees the
-same flips.
+The fault model's stream flips a packed line with `flipped` (see
+`channel`), which copies it only when a bit flips.  Off G.704 the line
+is the payload itself.  On G.704 the line is never whole: `g704_align`
+reads it as a `_ReceivedLine`, whose windows (`framing` sizes them) come
+in stream order, each with the bits that flip in it: the stream flips a
+window of zeros.  A window is built from its share of the payload, and
+those flips applied, only until the frame vote settles on phase 0; from
+there on alignment takes its count and its payload from the flips and
+the payload share.  The frame phase is voted over the whole received
+line; when the line must be read again, the stream is first rewound to
+its mark from the first read, so every read sees the same flips.
 """
 from __future__ import annotations
 
@@ -329,44 +323,19 @@ def dut_open_session(
     return Session(profile, iface, rate_kbps, freq_hz, open_stream(model))
 
 
-#: Line bits per pass of `loopback`'s fault model, a multiple of the octet;
-#: bounds the unpacked bits and the model's draws.  A pass with a flip
-#: allocates 64 KiB twice, the unpacked bits and the model's copy: below
-#: glibc's default mmap threshold, above which each pass would map fresh
-#: pages, and small enough to sit beside a G.704 window and a segment's
-#: payload in `test_framed_loopback_takes_no_line_sized_heap_memory`.
-_LINE_PASS = 1 << 16
-
-
-def _flip(stream, line: np.ndarray, line_bits: int | None = None) -> bool:
-    """Flip the first `line_bits` bits of packed `line` (all when None) in
-    place, pass by pass; return whether any pass went through the model."""
-    if line_bits is None:
-        line_bits = 8 * len(line)
-    applied = False
-    for lo in range(0, line_bits, _LINE_PASS):
-        count = min(line_bits - lo, _LINE_PASS)
-        if not stream.skip_clean(count):
-            chunk = line[lo // 8 : -(-(lo + count) // 8)]
-            chunk[:] = np.packbits(stream.apply(np.unpackbits(chunk, count=count)))
-            applied = True
-    return applied
-
-
 class _Window:
     """Whole check multiframes of a received line, carrying `payload`.
 
-    Made when the fault model's `stream` reaches it, which flips zeros in
-    the window's passes: `flips` are the bits that flip, packed as the
-    window's octets, or None when the stream skips every pass clean.
-    `octets` builds the window and applies them.
+    Made when the fault model's `stream` reaches it, which flips a window
+    of zeros: `flips` are the bits that flip, packed as the window's
+    octets, or None when none does.  `octets` builds the window and
+    applies them.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
         self.payload = payload
         self.timeslots = timeslots
-        flips = np.zeros(len(self), dtype=np.uint8)
-        self.flips = flips if _flip(stream, flips) else None
+        self.flips = stream.flipped(np.zeros(len(self), np.uint8), 8 * len(self))
 
     def __len__(self) -> int:
         return line_octets(len(self.payload), self.timeslots)
@@ -383,25 +352,22 @@ class _ReceivedLine:
 
     Each iteration yields `_Window`s, each with its share of the payload
     and the flips of the session's stream, in stream order.  Every
-    iteration first sets the stream's attributes back to those it had
-    when the line was made (as a shallow copy would hold them), so all
-    see the same flips.  `len` is the line's octets, as for the whole
-    line in an array.
+    iteration first rewinds the stream to its mark from when the line was
+    made, so all see the same flips.  `len` is the line's octets, as for
+    the whole line in an array.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
         self.payload = payload
         self.timeslots = timeslots
         self.stream = stream
-        self.start = dict(vars(stream))
+        self.start = stream.mark()
 
     def __len__(self) -> int:
         return line_octets(len(self.payload), self.timeslots)
 
     def __iter__(self):
-        state = vars(self.stream)
-        state.clear()
-        state.update(self.start)
+        self.stream.rewind(self.start)
         share = window_payload_octets(self.timeslots)
         for lo in range(0, max(len(self.payload), 1), share):
             yield _Window(self.payload[lo : lo + share], self.timeslots, self.stream)
@@ -411,21 +377,26 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
     """Push packed payload bits through the session's line path and fault model.
 
     `payload` holds `n_bits` bits, packed; the result holds the same
-    number, packed the same way.  Loss of frame alignment caused by the
-    fault model comes back as a worthless payload (all zeros), never as
-    an exception: the meter sees it as a massive error count.
+    number, packed the same way.  Off G.704 it is the fault model's
+    flipped copy of the payload or, when no bit flips, a read-only view
+    of it: the meter only reads the result.  Loss of frame alignment
+    caused by the fault model comes back as a worthless payload (all
+    zeros), never as an exception: the meter sees it as a massive error
+    count.
     """
     payload = np.ascontiguousarray(payload, dtype=np.uint8)
     check_bit_count(payload, n_bits)
     size = -(-n_bits // 8)
-    payload = payload[:size]
-    g704 = session.iface is InterfaceKind.G704
-    if not g704 or n_bits % 8 and payload[-1] & (0xFF >> n_bits % 8):
-        payload = payload.copy()  # off G.704, the line itself
+    payload = payload[:size]  # a view of its own, whatever its flags
+    if n_bits % 8 and payload[-1] & (0xFF >> n_bits % 8):
+        payload = payload.copy()
         clear_tail(payload, n_bits)  # send no bit past n_bits
-    if not g704:
-        _flip(session._stream, payload, n_bits)
-        return payload
+    if session.iface is not InterfaceKind.G704:
+        line = session._stream.flipped(payload, n_bits)
+        if line is None:
+            payload.flags.writeable = False
+            line = payload
+        return line
     timeslots = session.payload_timeslots
     line = _ReceivedLine(payload, timeslots, session._stream)
     try:

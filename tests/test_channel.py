@@ -289,28 +289,30 @@ def test_fixed_mask_streaming_uses_global_positions():
     assert np.flatnonzero(b).tolist() == [2, 3]
 
 
-def test_skip_clean_moves_past_every_bit_and_keeps_the_flips_for_apply():
+def test_flipped_moves_past_every_bit_and_copies_only_a_line_with_a_flip():
     stream = open_stream(FixedMask(indices=(2, 10, 11)))
-    assert stream.skip_clean(2) and stream.position == 2
-    assert not stream.skip_clean(9) and stream.position == 11
-    assert np.flatnonzero(stream.apply(np.zeros(9, np.uint8))).tolist() == [0, 8]
-    assert not stream.skip_clean(10**6) and stream.position == 10**6 + 11
-    # The kept flips are those of the whole pass: a piece of it is refused,
-    # and the flips stay kept for the pass.
-    with pytest.raises(ValueError, match="skip_clean drew a pass of 1000000 bits"):
-        stream.apply(np.zeros(1, np.uint8))
-    assert np.flatnonzero(stream.apply(np.zeros(10**6, np.uint8))).tolist() == [0]
-    assert stream.skip_clean(10**6) and stream.position == 2 * 10**6 + 11
+    line = np.zeros(2, np.uint8)
+    assert stream.flipped(line, 2) is None and stream.position == 2
+    assert stream.flipped(line, 9).tolist() == [0x80, 0x80] and stream.position == 11
+    assert not line.any()  # flipped a copy
+    # A pass with a flip, then clean passes: the copy is of the whole line.
+    out = stream.flipped(np.zeros(10**6 // 8, np.uint8), 10**6)
+    assert np.flatnonzero(np.unpackbits(out)).tolist() == [0] and stream.position == 10**6 + 11
+    # Nothing drawn is left over for a later call.
+    assert stream.apply(np.zeros(1, np.uint8)).tolist() == [0]
+    assert stream.position == 10**6 + 12
+    assert stream.flipped(np.zeros(10**6 // 8, np.uint8), 10**6) is None
+    assert stream.position == 2 * 10**6 + 12
     for model in [
         Ideal(), Bsc(p=0.0), GilbertElliott(p_gb=0.1, p_bg=0.1, p_good=1.0, p_bad=1.0),
     ]:
         stream = open_stream(model)
-        assert stream.skip_clean(100) and stream.position == 100
+        assert stream.flipped(np.zeros(13, np.uint8), 100) is None and stream.position == 100
 
 
-def test_bsc_skip_clean_is_true_exactly_when_the_pass_draws_no_flip():
-    # A `bsc` stream draws the pass, at any flip probability: True means no
-    # drawn flip, not that no flip could be drawn.
+def test_bsc_flipped_is_none_exactly_when_the_line_draws_no_flip():
+    # A `bsc` stream draws every pass, at any flip probability: None means
+    # no drawn flip, not that no flip could be drawn.
     seen = set()
     for p in (1e-9, 1e-6, 1e-4, 1e-2, 0.3):
         for seed in range(4):
@@ -318,11 +320,16 @@ def test_bsc_skip_clean_is_true_exactly_when_the_pass_draws_no_flip():
                 for n in (1, 7, 100, _CHUNK + 1, 3 * _CHUNK):
                     fresh = open_stream(Bsc(p=p, seed=seed))
                     fresh.apply(np.zeros(offset, np.uint8))
-                    clean = not fresh.apply(np.zeros(n, np.uint8)).any()
-                    stream = open_stream(Bsc(p=p, seed=seed))
-                    stream.apply(np.zeros(offset, np.uint8))
-                    assert stream.skip_clean(n) is clean
-                    assert stream.position == offset + n
+                    want = fresh.apply(np.zeros(n, np.uint8))
+                    clean = not want.any()
+                    stream, drawn = (open_stream(Bsc(p=p, seed=seed)) for _ in range(2))
+                    stream.flips(offset)
+                    drawn.flips(offset)
+                    out = stream.flipped(np.zeros(-(-n // 8), np.uint8), n)
+                    assert (out is None) is clean is (len(drawn.flips(n)) == 0)
+                    if not clean:
+                        assert np.array_equal(np.unpackbits(out, count=n), want)
+                    assert stream.position == drawn.position == offset + n
                     seen.add(clean)
     assert seen == {True, False}
 
@@ -606,45 +613,46 @@ def reference_apply(model, bits: np.ndarray) -> np.ndarray:
 @given(
     model=stream_models,
     cuts=segmentations(3 * _CHUNK),
-    modes=st.lists(st.sampled_from(("apply", "skip", "skip, then split")), min_size=6, max_size=6),
+    modes=st.lists(st.sampled_from(("apply", "flipped", "flips")), min_size=6, max_size=6),
 )
 def test_passes_match_the_reference_under_any_cuts(model, cuts, modes):
-    # A pass is applied whole, skipped when clean and applied otherwise as
-    # `testbed.loopback` does, or, after `skip_clean` found flips, applied
-    # in two pieces: the first is refused, and the whole pass then applied.
+    # A piece is applied unpacked, flipped packed as `testbed.loopback`
+    # does, or its offsets drawn and flipped here.
     bits = generate(PrbsSpec(), cuts[-1])
     stream = open_stream(model)
     parts = []
     for (a, b), mode in zip(zip(cuts, cuts[1:]), modes):
+        piece = bits[a:b].copy()
         if mode == "apply":
-            parts.append(stream.apply(bits[a:b]))
-        elif stream.skip_clean(b - a):
-            parts.append(bits[a:b])
+            piece = stream.apply(piece)
+        elif mode == "flipped":
+            packed = np.packbits(piece)
+            out = stream.flipped(packed, b - a)
+            assert np.array_equal(packed, np.packbits(bits[a:b]))  # flipped a copy
+            if out is not None:
+                piece = np.unpackbits(out, count=b - a)
         else:
-            if mode == "skip, then split":
-                with pytest.raises(ValueError):
-                    stream.apply(bits[a : (a + b) // 2])
-            parts.append(stream.apply(bits[a:b]))
+            piece[stream.flips(b - a)] ^= 1
+        parts.append(piece)
         assert stream.position == b
     assert np.array_equal(np.concatenate(parts), reference_apply(model, bits))
 
 
 def test_kept_flips_survive_the_draws_of_other_streams():
-    # Every stream draws into one scratch per process.  The offsets a `bsc`
-    # stream keeps from `skip_clean` must not be a view of it, or the draws
-    # of other streams before its `apply` would change them.
+    # Every stream draws into one scratch per process.  The offsets `flips`
+    # returns must not be a view of it, or the draws of other streams
+    # before they are applied would change them.
     n = 3 * _CHUNK + 17
     bits = generate(PrbsSpec(), n)
-    model = Bsc(p=1e-3, seed=21)
-    want = bits.copy()
-    flip_below(want, model.seed, 0, _threshold(model.p))
-    stream = open_stream(model)
-    assert not stream.skip_clean(n)  # about 100 flips, drawn and kept
-    other = open_stream(Bsc(p=1e-3, seed=22))
-    assert not other.skip_clean(n)
-    other.apply(bits)
-    open_stream(GilbertElliott(p_gb=0.05, p_bg=0.3, p_good=0.99, p_bad=0.5, seed=23)).apply(bits)
-    assert np.array_equal(stream.apply(bits), want)
+    burst = GilbertElliott(p_gb=0.05, p_bg=0.3, p_good=0.99, p_bad=0.5, seed=21)
+    for model in (Bsc(p=1e-3, seed=21), burst):
+        offsets = open_stream(model).flips(n)
+        assert len(offsets)  # about 100 flips or more, drawn and kept
+        open_stream(Bsc(p=1e-3, seed=22)).flips(n)
+        open_stream(dataclasses.replace(burst, seed=23)).apply(bits)
+        got = bits.copy()
+        got[offsets] ^= 1
+        assert np.array_equal(got, reference_apply(model, bits))
 
 
 def test_a_warm_draw_allocates_no_pass_sized_block():

@@ -2,7 +2,10 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from decimal import Decimal, InvalidOperation
@@ -219,6 +222,15 @@ def test_deeply_nested_json_exits_3(tmp_path, command):
     code, err = _run_quietly(*command.split(), str(path), "--out", str(tmp_path / "x"))
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run --config", "report --in"])
+def test_a_document_that_is_not_utf8_exits_3_naming_it(tmp_path, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(bytes.fromhex("fffe7b7d"))
+    code, err = _run_quietly(*command.split(), str(path), "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith(f"error: {path} is not UTF-8 text: ") and err.count("\n") == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -753,21 +765,32 @@ def _with_measurement(result_index, measurement_index, **fields):
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "fields, message",
     [
-        {"transmitted_bits": 0},
+        ({"transmitted_bits": 0}, "transmitted_bits: point estimate needs a positive bit count"),
         # Not the row's worst BER, so it is never rendered.
-        {"errored_bits": -1},
+        (
+            {"errored_bits": -1, "transmitted_bits": 10},
+            "errored_bits: BER value -1/10 outside [0, 1]",
+        ),
+        (
+            {"errored_bits": 100_000, "transmitted_bits": 1},
+            "errored_bits: BER value 100000 outside [0, 1]",
+        ),
+        (
+            {"ber": {"kind": "upper_bound", "value": 0}},
+            "ber.value: an upper bound of 0 is meaningless",
+        ),
     ],
-    ids=["zero-bits", "negative-errors"],
+    ids=["zero-bits", "negative-errors", "errors-beyond-bits", "zero-bound"],
 )
-def test_report_with_impossible_counts_exits_3(tmp_path, capsys, fields):
+def test_report_with_impossible_counts_exits_3(tmp_path, capsys, fields, message):
     report = _with_measurement(0, 0, **fields)
     path = tmp_path / "r.json"
     path.write_text(json.dumps(report))
     assert run_cli("report", "--in", str(path)) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert out == "" and err == f"error: {path}: results[0].measurements[0].{message}\n"
 
 
 def _set(*keys_and_value):
@@ -840,6 +863,10 @@ WRONG_FORMS = {
         _set("config", "channel", "seed", "x"), "the seed must be an integer, got string"
     ),
     "channel-p-array": (_set("config", "channel", "p", [1]), "'p' must be a number, got array"),
+    "ber0-above-1": (_set("config", "ber0", 2), "config.ber0: BER value 2 outside [0, 1]"),
+    "ber-max-zero": (
+        _set("config", "ber_max", 0), "config.ber_max: an upper bound of 0 is meaningless"
+    ),
 }
 
 
@@ -1019,6 +1046,49 @@ def test_unwritable_output_exits_3_with_one_line(tmp_path, command):
     code, err = _run_quietly(command, *args, "--out", str(tmp_path / "missing" / "x"))
     assert code == 3
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [
+        "closed-pipe",
+        pytest.param(
+            "full-device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "plan", "catalog", "report"])
+def test_unwritable_stdout_exits_3_with_one_line(tmp_path, command, stdout):
+    saved = tmp_path / "saved.json"
+    saved.write_text(_saved_report())
+    args = {
+        "run": ("--ber0", "1e-3", "--out", str(tmp_path / "x")),
+        "plan": (),
+        "catalog": (),
+        "report": ("--in", str(saved)),
+    }[command]
+    if stdout == "closed-pipe":
+        read, target = os.pipe()
+        os.close(read)
+    else:
+        target = os.open("/dev/full", os.O_WRONLY)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "berbench.cli", command, *args],
+            stdout=target,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            timeout=300,
+        )
+    finally:
+        os.close(target)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
 
 def test_run_to_a_missing_directory_fails_before_the_campaign(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berbench import framing, testbed
+from berbench import channel as channel_mod, framing, testbed
 from berbench.channel import _CHUNK, Bsc, FixedMask, GilbertElliott, Ideal, _flips
 from berbench.framing import MULTIFRAME_BITS
 from berbench.core import InterfaceKind as IK
@@ -388,6 +388,21 @@ def test_a_stream_that_cannot_flip_passes_the_octets_through(channel, kind, rate
         assert session._stream.position == len(bits)
 
 
+def test_an_off_g704_line_is_copied_only_when_a_bit_flips():
+    # With no flip the line is the payload itself, read-only, as the meter
+    # only reads it; with flips it is a copy, and the payload stays as sent.
+    bits = generate(PrbsSpec(), 70_000)
+    payload = np.packbits(bits)
+    clean = dut_open_session(default_profile(channel=Ideal()), IK.V35, 512, F0)
+    out = loopback(clean, payload, len(bits))
+    assert np.shares_memory(out, payload) and not out.flags.writeable
+    assert np.array_equal(out, np.packbits(bits)) and payload.flags.writeable
+    dirty = dut_open_session(default_profile(channel=Bsc(p=1e-3, seed=1)), IK.V35, 512, F0)
+    out = loopback(dirty, payload, len(bits))
+    assert not np.shares_memory(out, payload) and not np.array_equal(out, payload)
+    assert np.array_equal(payload, np.packbits(bits))
+
+
 def test_a_late_frame_phase_returns_the_missing_octets_as_zeros():
     # The mask turns the line into itself delayed by 3 bits: alignment then
     # finds phase 3 and one frame fewer, whose payload octets read as zeros.
@@ -556,9 +571,9 @@ def test_packed_loopback_matches_unpacked_oracle(data, channel, seed, session):
     kind, rate = session
     packed, unpacked = (dut_open_session(prof, kind, rate, F0, seed_tag=3) for _ in range(2))
     rng = np.random.default_rng(seed)
-    saved = testbed._LINE_PASS
+    saved = channel_mod._LINE_PASS
     # The default pass, a longer one, and one that ends mid-pass of the kernels.
-    testbed._LINE_PASS = data.draw(st.sampled_from([4096, 8192, saved, 1 << 19, _CHUNK + 24]))
+    channel_mod._LINE_PASS = data.draw(st.sampled_from([4096, 8192, saved, 1 << 19, _CHUNK + 24]))
     try:
         for n in data.draw(st.lists(st.integers(0, 40_000), min_size=1, max_size=3)):
             bits = rng.integers(0, 2, n).astype(np.uint8)
@@ -568,7 +583,7 @@ def test_packed_loopback_matches_unpacked_oracle(data, channel, seed, session):
             got = loopback(packed, payload, n)
             assert np.array_equal(got, np.packbits(oracles.loopback(unpacked, bits)))
     finally:
-        testbed._LINE_PASS = saved
+        channel_mod._LINE_PASS = saved
 
 
 def every_window_built(mp):

@@ -98,3 +98,14 @@ def test_traced_run_matches_untraced_run_on_a_line_read_again(tmp_path):
         assert plain_bytes == (tmp_path / ("traced" + suffix)).read_bytes()
     spans = json.loads(spans_path.read_text())["spans"]
     assert all(span["end"] is not None and "raised" not in span for span in spans)
+    # Every pass has a flip and goes through the stream's traced `apply`,
+    # which the rewind keeps on it: each read of a line (a `g704_align`
+    # span's bits are the line's octets) applies every line bit.
+    applied = [span for span in spans if span["name"] == "channel.apply"]
+    assert all(span["flipped"] for span in applied)
+    aligned = [i for i, span in enumerate(spans) if span["name"] == "framing.g704_align"]
+    assert aligned
+    for index in aligned:
+        bits = sum(span["bits"] for span in applied if span["parent"] == index)
+        reads, rest = divmod(bits, 8 * spans[index]["bits"])
+        assert reads >= 2 and rest == 0
