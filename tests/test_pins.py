@@ -3,7 +3,7 @@
 `perfbench/pins.json` pins the SHA-256 of the JSON report and the exit
 code of `berbench run` on each workload of `perfbench/workloads.py`, per
 seed.  A change that moves a report would otherwise show only in a
-benchmark run.  This builds the config of two pinned seeds of every
+benchmark run.  This builds the config of every pinned seed of every
 workload and runs the campaign on it; it only reads those two files.
 """
 import hashlib
@@ -17,7 +17,7 @@ import pytest
 from berbench import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SEEDS = (1, 11)
+SEEDS = range(16)
 
 
 def _workloads() -> dict:
