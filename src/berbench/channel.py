@@ -33,12 +33,12 @@ across calls, so a long run may be fed in segments).  A stream draws in
 one method, ``flips(n)``: the distinct offsets of the bits that flip
 among its next n bits, which it moves past.  `_Stream` builds the rest
 on it.  ``flipped(line, n_bits)`` flips the first n_bits bits of a
-packed line in passes of `_LINE_PASS` bits, each unpacked, flipped
-through ``apply`` and packed again only when it holds a flip; it
-returns a copy of the line, or None when no bit flipped.
-``apply(bits)`` returns unpacked bits with their flips applied, and
-``mark()`` and ``rewind(mark)`` set a stream back.  An ideal channel
-is a `bsc` stream at p = 0, which never draws.
+packed line (None: a line of zeros) in passes of `_LINE_PASS` bits,
+each unpacked, flipped through ``apply`` and packed again only when it
+holds a flip; it returns a copy of the line, made at the first flip, or
+None when no bit flipped.  ``apply(bits)`` returns unpacked bits with
+their flips applied.  A stream only moves forward.  An ideal channel is
+a `bsc` stream at p = 0, which never draws.
 
 The kernels draw into one scratch per process, built by the first draw
 (`_scratch`), so a pass allocates no block above 128 KiB, glibc's
@@ -318,14 +318,14 @@ class _Stream:
     #: same whichever call drew.
     _kept: np.ndarray | None = None
 
-    def flipped(self, line: np.ndarray, n_bits: int) -> np.ndarray | None:
+    def flipped(self, line: np.ndarray | None, n_bits: int) -> np.ndarray | None:
         out = None
         for lo in range(0, n_bits, _LINE_PASS):
             count = min(n_bits - lo, _LINE_PASS)
             offsets = self.flips(count)
             if len(offsets):
                 if out is None:
-                    out = line.copy()
+                    out = np.zeros(-(-n_bits // 8), np.uint8) if line is None else line.copy()
                 # Through the instance's `apply`, which a tracer may wrap.
                 self._kept = offsets
                 chunk = out[lo // 8 : -(-(lo + count) // 8)]
@@ -341,16 +341,6 @@ class _Stream:
         out = np.array(bits, dtype=np.uint8)
         out[offsets] ^= 1
         return out
-
-    def mark(self) -> dict:
-        """The stream's attributes, as a shallow copy holds them."""
-        return dict(vars(self))
-
-    def rewind(self, mark: dict) -> None:
-        """Set the stream back to the attributes of `mark`."""
-        state = vars(self)
-        state.clear()
-        state.update(mark)
 
 
 class _BscStream(_Stream):

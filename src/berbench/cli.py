@@ -9,7 +9,7 @@ report   re-render a saved JSON report as text
 
 Exit codes: 0 all interfaces pass, 1 some interface fails, 2 some
 interface has no connector, 3 configuration error, a bad command line or
-an unwritable output (3 beats 2 beats 1).
+an unwritable output (3 beats 2 beats 1), 130 interrupted (Ctrl-C).
 
 Human tables group thousands with a space ("15 625"); JSON carries plain
 integers.  Text rendering is a pure function of the JSON report, so a
@@ -564,12 +564,26 @@ def entry() -> None:
     """The process entry of the `berbench` script and `python -m berbench.cli`.
 
     Freezes the heap the imports left before `main` runs: the run's
-    collections and the one at exit then skip it, and a forked worker's
-    collections leave the pages it shares with its parent alone.  `main`
-    itself does not, because tests call it in their own process.
+    collections then skip it, and a forked worker's collections leave the
+    pages it shares with its parent alone.  `main` itself does not,
+    because tests call it in their own process.  An interrupt (Ctrl-C)
+    ends the run with one line and exit code 130, 128 + SIGINT; a
+    campaign's workers are already killed and reaped by then.  Once
+    stdout and stderr are flushed the process leaves with `os._exit`:
+    everything is written, and tearing the interpreter down would only
+    take time.
     """
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(0 if code is None else code)
 
 
 if __name__ == "__main__":

@@ -29,21 +29,22 @@ line.  CRC-4 is linear, and x has order 15 modulo x^4 + x + 1, so octets
 15 x 256 table of 4-bit remainders, XOR-reduced over the columns, gives
 the check.  The checks are computed 64 multiframes at a time.
 
-Frame alignment reads the packed line window by window, never unpacking
-it and never needing it whole: the line is an array or a re-iterable of
-windows, such as a received line rebuilt on each read.  A table maps
-each 16-bit window of two neighbouring octets to the bit shifts at which
-the alignment signal starts.  A frame pair is 64 octets, so the vote of
-every bit phase is one octet column and one bit.  The first read votes
-on every phase and extracts the payload octets at phase 0 as it goes.
-The framing sent has the signal at phase 0 in every frame pair, so once
-phase 0 clearly leads in a received line's window, the reader settles
-the vote there: the bits that flip in the rest of it and in each later
-window give phase 0's count and, with the payload they carry, the
-payload, so those windows need not be built.
-A second read votes in full only when that count shows that some other
-phase could still beat phase 0, and a last one extracts the payload when
-the winner is not phase 0.  The line may hold any number of bits.
+Frame alignment reads the packed line once, window by window, never
+unpacking it and never needing it whole: the line is an array or an
+iterable of windows, such as a received line whose flips are drawn as it
+is read.  The reader is a receiver as ITU-T G.706 section 4.1 describes
+one.  It searches for the alignment signal confirmed by bit 2 of the
+next frame and the signal one frame pair later, holds alignment until
+three signals in a row are errored, and then searches again.  A table
+maps each 16-bit window of two neighbouring octets to the bit shifts at
+which the signal starts, so the search reads octets, not bits.  The
+framing sent has the signal at phase 0 in every frame pair, so while
+alignment holds there a signal is errored exactly when a flip lands in
+its seven bits: a received window's flips and its share of the payload
+then give its signal checks and its payload, and the window need not be
+built.  The payload of a frame held in alignment is read from it; the
+payload of every other frame reads as zeros.  The line may hold any
+number of bits.
 
 The line code is alternate-mark-inversion with high-density substitution:
 every run of four zeros becomes 000V or B00V such that successive
@@ -215,8 +216,8 @@ def line_octets(payload_octets: int, timeslots: int) -> int:
 
 
 #: Line bits per window of a line read by `g704_align`, and per pass of its
-#: vote and its payload extraction; bounds its temporaries.  A vote pass over
-#: 2**18 bits holds about 0.2 MiB of them on a line of random payload.
+#: search, its signal checks and its payload extraction; bounds their
+#: temporaries.
 _ALIGN_PASS = 1 << 18
 
 
@@ -225,249 +226,157 @@ def window_payload_octets(timeslots: int) -> int:
     return max(1, _ALIGN_PASS // MULTIFRAME_BITS) * FRAMES_PER_MULTIFRAME * timeslots
 
 
-#: Line octets per frame pair, the period of the frame-alignment vote.
-_PAIR_OCTETS = 2 * FRAME_BITS // 8
+#: Line bits and octets per frame pair, the period of the alignment signal.
+_PAIR_BITS = 2 * FRAME_BITS
+_PAIR_OCTETS = _PAIR_BITS // 8
+#: Bits 2-8 of an octet that carries the alignment signal.
+_FAS_WORD = int("".join(map(str, FAS_PATTERN)), 2)
 
 
 @functools.cache
 def _fas_table() -> np.ndarray:
     # Entry a << 8 | b has bit 7-k set when the octet that starts k bits
     # into octet a, and ends in octet b, has FAS in bits 2-8.
-    fas = int("".join(map(str, FAS_PATTERN)), 2)
     windows = np.arange(1 << 16, dtype=np.uint16)  # small temporaries: built mid-campaign
     table = np.zeros(1 << 16, dtype=np.uint8)
     for k in range(8):
-        table |= (((windows >> (8 - k)) & 0x7F) == fas).astype(np.uint8) << (7 - k)
+        table |= (((windows >> (8 - k)) & 0x7F) == _FAS_WORD).astype(np.uint8) << (7 - k)
     return table
 
 
-def _fas_masks(line: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Per octet of line[start:stop], bit 7-k set when FAS follows its bit k.
-
-    `line` is contiguous; the octet after its last reads as zeros.
-    """
-    heads = range(start, min(stop, len(line)))
-    paired = range(start, min(stop, len(line) - 1))  # heads with an octet after them
-    # Each such head and the octet after it, read in place as one big-endian word.
-    words = np.ndarray((len(paired),), ">u2", line, start if paired else 0, (1,))
-    masks = _fas_table()[words]
-    if len(paired) < len(heads):
-        masks = np.append(masks, _fas_table()[int(line[-1]) << 8])
-    return masks
+def _signals(line: np.ndarray, at: int, count: int) -> np.ndarray:
+    """Bits 2-8 of the octets that start at bits at, at + 512, ... of `line`."""
+    first, shift = divmod(at, 8)
+    words = line[first : first + _PAIR_OCTETS * count : _PAIR_OCTETS]
+    if shift:
+        words = words << shift | line[first + 1 :: _PAIR_OCTETS][:count] >> (8 - shift)
+    return words & 0x7F
 
 
-def _phases(first: int, masks: np.ndarray) -> np.ndarray:
-    """Frame-pair phase 8 * (i % 64) + k of each bit 7-k set in masks[i - first]."""
-    i = np.flatnonzero(masks != 0)  # numpy scans bools several times faster
-    bits = np.unpackbits(masks[i, None], axis=1).view(bool)  # column k
-    columns = ((first + i) % _PAIR_OCTETS * 8).astype(np.int16)
-    return (columns[:, None] + np.arange(8, dtype=np.int16))[bits]
+class _Receiver:
+    """G.706 section 4.1 frame alignment of a line of `n` bits, read in order.
 
-
-def _positions_below(stop: int) -> np.ndarray:
-    """Per frame-pair phase p, the number of signal positions p + 512 j below `stop`."""
-    period = 2 * FRAME_BITS
-    return np.maximum(0, -(-(stop - np.arange(period)) // period))
-
-
-def _leader(votes: np.ndarray, confirmed: np.ndarray) -> int | None:
-    """The confirmed phase with the most votes, the lowest of a tie."""
-    phases = np.flatnonzero(confirmed)
-    return int(phases[np.argmax(votes[phases])]) if len(phases) else None
-
-
-class _Vote:
-    """The frame-phase vote over one read of a line of `n` bits, pass by pass.
-
-    Candidates come from the standard confirmation rule: alignment signal
-    found, bit 2 of the following frame is 1, and the signal repeats one
-    frame later.  Every phase's signal matches are counted, pass by pass.
-    The vote knows nothing of frame windows: the reader (`_read`) settles
-    it when `_settles` holds at the end of a frame window's feed.  From
-    there on only phase 0 counts, from the flips (`feed_flips`), starting
-    with the rest of that window; `proven` then says whether it wins.
+    Searching, it aligns at the first position p from `at` on where the
+    signal starts, bit 2 of the next frame is 1 and the signal starts
+    again one frame pair later.  Aligned, it checks the signal of every
+    frame pair from `at` on, and loses alignment at the third errored
+    signal in a row: it then searches again from the next frame.  It
+    delivers timeslots 1..k of each whole frame it holds alignment
+    through, from line bit t say, to row t // 256 of `out`; the rows of
+    frames outside alignment stay zeros.
     """
 
-    def __init__(self, n: int):
-        self.end = n - 7  # signal positions: the seven signal bits lie inside the line
-        self.octets = -(-self.end // 8)  # line octets holding a signal position
-        self.votes = np.zeros(2 * FRAME_BITS, dtype=np.int64)  # matches per frame-pair phase
-        self.confirmed = np.zeros(2 * FRAME_BITS, dtype=bool)
-        self.lo = 0  # the first line octet whose positions are not yet counted
-        self.scanned = 0  # signal positions below this have every phase's votes
-        self.matches: int | None = None  # phase 0's, once it alone counts
+    def __init__(self, n: int, timeslots: int):
+        self.n = n
+        self.out = np.zeros((n // FRAME_BITS, timeslots), dtype=np.uint8)
+        self.first: int | None = None  # the line bit of the first alignment
+        self.aligned = False
+        self.at = 0  # the next position to search, or the next signal to check
+        self.frame = 0  # aligned: the next frame to deliver, never past `at`
+        self.errored = 0  # errored signals in a row, fewer than three
 
-    def feed(self, line: np.ndarray, base: int, last: bool) -> None:
-        """Count every position `line` holds the octets for.
+    def read(self, line: np.ndarray, base: int, end: int) -> None:
+        """Go as far as line bits [8 * base, end) allow, `line` their octets."""
+        while self.aligned or self._search(line, base, end):
+            stop = min(end, self.at + max(_ALIGN_PASS, _PAIR_BITS))
+            signals = _signals(line, self.at - 8 * base, self._due(stop))
+            offset = self.frame - 8 * base
+            _payload_octets(line, offset, self._hold(signals, stop))
+            if self.aligned and stop == end:
+                return
 
-        `line` holds the line's octets from octet `base`, up to its end
-        when `last`.  A count reads some octets past its positions, so
-        positions near the end of a window wait for the next one.
-        """
-        have = base + len(line)
-        step = -(-_ALIGN_PASS // 8)
-        while self.lo < self.octets:
-            # A pass reads 65 octets past its own: the next frame pair and
-            # one.  Short of that, it ends on the last whole frame pair it
-            # can read, so a window need not wait for the next.
-            lo = self.lo
-            hi = min(lo + step, self.octets)
-            if not last and hi + _PAIR_OCTETS + 1 > have:
-                hi = (have - _PAIR_OCTETS - 1) // _PAIR_OCTETS * _PAIR_OCTETS
-                if hi <= lo:
-                    return
-            self._pass(line, base, lo, hi)
-            self.lo = hi
-
-    def feed_flips(self, base: int, size: int, flips: np.ndarray | None) -> None:
-        """Count phase 0's matches in line octets [base, base + size).
-
-        The line there is framed from phase 0 and differs from the framing
-        sent by the set bits of `flips`, its octets (None: by none), and
-        every count so far ends at `base`, a frame pair's first octet.  A
-        position matches unless a flip lands in the signal bits after it,
-        the low seven bits of its octet.
-        """
-        hi = min(base + size, self.octets)
-        pairs = max(0, -(-(min(8 * hi, self.end) - 8 * base) // (2 * FRAME_BITS)))
+    def read_flips(self, window) -> bool:
+        """Hold alignment through a frame window that starts at bits `at`
+        and `frame` (see `g704_align`), from its flips and payload: the
+        signals sent there are all intact.  False when it is lost there."""
+        end = min(self.at + 8 * len(window), self.n)
+        count = self._due(end)
+        flips = window.flips
+        signals = np.full(count, _FAS_WORD, dtype=np.uint8)
         if flips is not None:
-            pairs -= np.count_nonzero(flips[: _PAIR_OCTETS * pairs : _PAIR_OCTETS] & 0x7F)
-        self.matches += int(pairs)
-        self.lo = hi
+            signals ^= flips[: _PAIR_OCTETS * count : _PAIR_OCTETS] & 0x7F
+        _flipped_payload(window.payload, flips, self._hold(signals, end))
+        return self.aligned
 
-    def _pass(self, line: np.ndarray, base: int, lo: int, hi: int) -> None:
-        # A pass votes for the positions in octets [lo, hi) and confirms
-        # them against the next frame pair, 64 octets on.
-        octets, end = self.octets, self.end
-        ahead = min(hi + _PAIR_OCTETS, octets)
-        at = lo - base
-        masks = _fas_masks(line, at, ahead - base)
-        if ahead == octets and end % 8:  # no signal at or past `end`
-            masks[-1] &= 0xFF << (8 - end % 8) & 0xFF
-        self.votes += np.bincount(_phases(lo, masks[: hi - lo]), minlength=len(self.votes))
-        # Octets whose signal positions have a next frame pair in the line.
-        c = max(min(hi, octets - _PAIR_OCTETS) - lo, 0)
-        # Bit 7-k of `bit2` is line bit 8i+k+257: bit 2 of timeslot 0 in
-        # the frame after a signal at 8i+k.
-        bit2 = line[at + 32 : at + 32 + c] << 1 | line[at + 33 : at + 33 + c] >> 7
-        confirmed = masks[:c] & masks[_PAIR_OCTETS : _PAIR_OCTETS + c] & bit2
-        self.confirmed[_phases(lo, confirmed)] = True
-        self.scanned = min(8 * hi, end)
+    def _due(self, end: int) -> int:
+        """The signals from `at` whose seven bits lie below line bit `end`."""
+        return max(0, (end - 8 - self.at) // _PAIR_BITS + 1)
 
-    def _settles(self) -> bool:
-        """Whether the count stops at a frame pair short of the line's end,
-        where phase 0 is confirmed and leads by more than twice the misses
-        it would make over the rest of the line at its rate so far."""
-        if self.lo % _PAIR_OCTETS or self.lo >= self.octets or not self.confirmed[0]:
-            return False
-        period = 2 * FRAME_BITS
-        seen = -(-self.scanned // period)  # phase 0's positions so far
-        rest = -(-self.end // period) - seen
-        votes = int(self.votes[0])
-        return (votes - int(self.votes[1:].max())) * seen > 2 * (seen - votes + 1) * rest
+    def _search(self, line: np.ndarray, base: int, end: int) -> bool:
+        """Search positions from `at` whose rule reads only bits below `end`."""
+        stop = end - _PAIR_BITS - 7
+        # Octets per pass: a frame pair's at first, doubled up to an `_ALIGN_PASS`.
+        most = -(-_ALIGN_PASS // 8)
+        step = min(_PAIR_OCTETS, most)
+        while self.at < stop:
+            lo = self.at // 8
+            hi = min(lo + step, -(-stop // 8))  # octets holding the positions of a pass
+            # The octets the pass reads, zeros past the line's.
+            chunk = np.zeros(hi - lo + _PAIR_OCTETS + 2, dtype=np.uint8)
+            part = line[lo - base : hi - base + _PAIR_OCTETS + 2]
+            chunk[: len(part)] = part
+            # Each octet and the one after it, read in place as one big-endian word.
+            masks = _fas_table()[np.ndarray((len(chunk) - 1,), ">u2", chunk, 0, (1,))]
+            c = hi - lo
+            # Bit 7-k of `bit2` is bit 2 of timeslot 0 in the frame after a
+            # signal from bit k of its octet.
+            bit2 = chunk[32 : 32 + c] << 1 | chunk[33 : 33 + c] >> 7
+            rule = masks[:c] & masks[_PAIR_OCTETS : _PAIR_OCTETS + c] & bit2
+            i = np.flatnonzero(rule)
+            bits = np.unpackbits(rule[i, None], axis=1).view(bool)
+            found = ((8 * (lo + i))[:, None] + np.arange(8))[bits]
+            found = found[(found >= self.at) & (found < stop)]
+            if len(found):
+                self.at = self.frame = int(found[0])
+                self.aligned = True
+                if self.first is None:
+                    self.first = self.at
+                return True
+            self.at = min(8 * hi, stop)
+            step = min(2 * step, most)
+        return False
 
-    def proven(self) -> bool:
-        """Whether settled phase 0 wins: every other phase, even with a match
-        at each position it has left, ends no higher (a tie goes to the
-        lower phase)."""
-        best = self.votes + _positions_below(self.end) - _positions_below(self.scanned)
-        return bool((best[1:] <= self.matches).all())
-
-    def winner(self) -> int | None:
-        """The phase the vote chose: phase 0 once settled, else the confirmed
-        phase with the most votes; None when no phase is confirmed."""
-        return 0 if self.matches is not None else _leader(self.votes, self.confirmed)
-
-
-def _read(
-    line, n: int, timeslots: int, vote: _Vote | None, phase: int | None
-) -> np.ndarray | None:
-    """Read `line` (see `g704_align`) once, window by window.
-
-    Feeds `vote`, when given, and returns timeslots 1..`timeslots` of
-    every whole frame from line bit `phase`, as (frames, timeslots)
-    octets, when `phase` is not None.  Only the octets that the vote or
-    the extraction still needs are kept from one window to the next.  The
-    read, not the vote, settles the vote, at the end of a frame window's
-    feed and only in a read that also extracts at phase 0, whose payload
-    the flips of the frame windows then give too.
-    """
-    total = len(line)
-    if phase is not None:
-        first, shift = divmod(phase, 8)
-        out = np.zeros(((n - phase) // FRAME_BITS, timeslots), dtype=np.uint8)
-        done = 0  # frames extracted
-    base, kept = 0, np.zeros(0, dtype=np.uint8)
-    for window in [line] if isinstance(line, np.ndarray) else line:
-        frame = None
-        if hasattr(window, "flips"):  # a frame window (see `g704_align`)
-            if phase == 0 and vote.matches is not None:
-                # Phase 0 alone counts, and every count and frame so far
-                # ends here: the flips give the window's count and payload.
-                size = len(window)
-                vote.feed_flips(base, size, window.flips)
-                frames = min(size // _FRAME_OCTETS, len(out) - done)
-                _flipped_payload(window.payload, window.flips, out[done : done + frames])
-                base, done = base + size, done + frames
-                continue
-            frame = window if phase == 0 else None
-            window = window.octets()
-        window = np.ascontiguousarray(window, dtype=np.uint8)
-        buf = np.concatenate((kept, window)) if len(kept) else window
-        kept = window = None  # free the parts before the passes
-        have = base + len(buf)
-        last = have >= total
-        keep = have
-        if vote is not None:
-            vote.feed(buf, base, last)
-            rest = have - vote.lo  # octets of `buf` past the count
-            if frame is not None and rest <= len(frame) and vote._settles():
-                vote.matches, flips = int(vote.votes[0]), frame.flips
-                vote.feed_flips(vote.lo, rest, None if flips is None else flips[-rest:])
-            keep = vote.lo
-        if phase is not None:
-            # A frame reads one octet past its own when the phase is not 0.
-            ready = len(out)
-            if not last:
-                ready = min(ready, (have - first - (shift > 0)) // _FRAME_OCTETS)
-            if ready > done:
-                at = 8 * (first + _FRAME_OCTETS * done - base) + shift
-                _payload_octets(buf, at, out[done:ready])
-                done = ready
-            keep = min(keep, first + _FRAME_OCTETS * done)
-        # A copy, so that no window outlives its turn.
-        kept, base = buf[keep - base :].copy(), keep
-        del buf, frame
-    return out if phase is not None else None
+    def _hold(self, signals: np.ndarray, end: int) -> np.ndarray:
+        """Check `signals`, those from `at`, and move past them.  Returns the
+        rows of the frames from `frame` they deliver: up to the third
+        errored signal in a row, else those that end by line bit `end`."""
+        errored = np.concatenate((np.ones(self.errored, dtype=bool), signals != _FAS_WORD))
+        lost = np.flatnonzero(errored[:-2] & errored[1:-1] & errored[2:])
+        if len(lost):
+            end = self.at + _PAIR_BITS * (int(lost[0]) + 2 - self.errored)
+            self.aligned, self.at, self.errored = False, end + FRAME_BITS, 0
+        else:
+            clean = np.flatnonzero(~errored)
+            self.errored = len(errored) - 1 - int(clean[-1]) if len(clean) else len(errored)
+            self.at += _PAIR_BITS * len(signals)
+        first = self.frame // FRAME_BITS
+        frames = max(0, (end - self.frame) // FRAME_BITS)
+        self.frame += FRAME_BITS * frames
+        return self.out[first : first + frames]
 
 
 def g704_align(
     line, timeslots: int = PAYLOAD_SLOTS, n_bits: int | None = None
 ) -> tuple[int, np.ndarray]:
-    """Locate frame alignment and extract the payload octets.
+    """Find and hold frame alignment, and extract the payload octets.
 
     `line` is packed and holds `n_bits` bits (all its octets when None).
-    It is an array, or a re-iterable whose `len` is the line's octets and
-    whose every iteration yields those octets again, in consecutive
-    windows: the line is then never held whole.  A window is an array of
-    octets or a frame window: whole check multiframes, as received, of
-    the `payload` octets that follow the previous window's, framed from
-    phase 0, whose `flips` are the window XOR the framing sent (None: all
-    zeros) and whose `octets()` are the window.
+    It is an array, or an iterable whose `len` is the line's octets and
+    which yields those octets once, in consecutive windows: the line is
+    then never held whole.  A window is an array of octets or a frame
+    window: whole check multiframes, as received, of the `payload`
+    octets that follow the previous window's, framed from phase 0, whose
+    `flips` are the window XOR the framing sent (None: all zeros) and
+    whose `octets()` are the window.
 
-    The frame phase is chosen by majority vote of signal matches over the
-    whole line among confirmed candidates (see `_Vote`), so sparse
-    corruption of a few alignment octets cannot slip the alignment by a
-    frame; a tie goes to the lowest phase.  One read votes and keeps the
-    payload at phase 0, the phase an intact line keeps; a line of plain
-    arrays is voted in full there.  In frame windows, once phase 0
-    clearly leads, the read settles the vote: it counts only phase 0 and
-    takes both its count and the payload from the flips.  The line is
-    read again only to vote in full when phase 0 does not then win for
-    certain, and to extract the payload when the winner is not phase 0.
-    Returns (bit offset of the first frame in phase, timeslots
-    1..`timeslots` of every whole frame from there, as packed octets).
-    Raises FrameAlignmentError when no alignment exists.
+    The line is read once, in order, by a G.706 receiver (see
+    `_Receiver`).  While it holds alignment at phase 0 from the start
+    of a frame window, the window's flips give its signal checks and its
+    payload, so the window need not be built.  Returns (the line bit
+    where alignment is first found, timeslots 1..`timeslots` of every
+    whole frame of the line as packed octets): frame t // 256 is the one
+    that starts at line bit t, and zeros where no frame was held in
+    alignment.  Raises FrameAlignmentError when the line never aligns.
     """
     _check_timeslots(timeslots)
     if isinstance(line, np.ndarray):
@@ -477,17 +386,29 @@ def g704_align(
     if n < 3 * FRAME_BITS:
         raise FrameAlignmentError(f"stream of {n} bits is shorter than three frames")
     _fas_table()  # built before the payload array, so their peaks do not add
-    vote = _Vote(n)
-    payload = _read(line, n, timeslots, vote, 0)
-    if vote.matches is not None and not vote.proven():
-        vote = _Vote(n)
-        _read(line, n, timeslots, vote, None)
-    q = vote.winner()
-    if q is None:
+    receiver = _Receiver(n, timeslots)
+    # The octets still needed, from line octet `base`, end where the next window starts.
+    base, kept = 0, np.zeros(0, dtype=np.uint8)
+    for window in [line] if isinstance(line, np.ndarray) else line:
+        if hasattr(window, "flips"):
+            if receiver.aligned and receiver.at == receiver.frame == 8 * base and not len(kept):
+                if receiver.read_flips(window):
+                    base += len(window)
+                    continue
+            window = window.octets()
+        window = np.ascontiguousarray(window, dtype=np.uint8)
+        buf = np.concatenate((kept, window)) if len(kept) else window
+        kept = window = None  # free the parts before the passes
+        receiver.read(buf, base, min(8 * (base + len(buf)), n))
+        # The octets from the first bit the receiver still reads; a copy,
+        # so that no window outlives its turn.
+        needed = min(receiver.at, receiver.frame) if receiver.aligned else receiver.at
+        keep = min(needed // 8, base + len(buf))
+        kept, base = buf[keep - base :].copy(), keep
+        del buf
+    if receiver.first is None:
         raise FrameAlignmentError("no frame alignment found")
-    if q:
-        payload = _read(line, n, timeslots, None, q)
-    return q, payload.reshape(-1)
+    return receiver.first, receiver.out.reshape(-1)
 
 
 def _payload_octets(line: np.ndarray, offset: int, out: np.ndarray) -> None:

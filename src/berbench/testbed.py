@@ -23,14 +23,13 @@ HDB3 codec in `framing`):
 The fault model's stream flips a packed line with `flipped` (see
 `channel`), which copies it only when a bit flips.  Off G.704 the line
 is the payload itself.  On G.704 the line is never whole: `g704_align`
-reads it as a `_ReceivedLine`, whose windows (`framing` sizes them) come
-in stream order, each with the bits that flip in it: the stream flips a
-window of zeros.  A window is built from its share of the payload, and
-those flips applied, only until the frame vote settles on phase 0; from
-there on alignment takes its count and its payload from the flips and
-the payload share.  The frame phase is voted over the whole received
-line; when the line must be read again, the stream is first rewound to
-its mark from the first read, so every read sees the same flips.
+reads it once as a `_ReceivedLine`, whose windows (`framing` sizes them)
+come in stream order, each with the bits that flip in it.  A window is
+built from its share of the payload, and those flips applied, only when
+the receiver searches for frame alignment in it; while alignment holds
+at phase 0, it takes its signal checks and its payload from the flips
+and the payload share.  Frames outside alignment reach the meter as
+zeros, as does the whole payload of a line that never aligns.
 """
 from __future__ import annotations
 
@@ -326,16 +325,15 @@ def dut_open_session(
 class _Window:
     """Whole check multiframes of a received line, carrying `payload`.
 
-    Made when the fault model's `stream` reaches it, which flips a window
-    of zeros: `flips` are the bits that flip, packed as the window's
-    octets, or None when none does.  `octets` builds the window and
-    applies them.
+    Made when the fault model's `stream` reaches it: `flips` are the bits
+    that flip in it, packed as the window's octets, or None when none
+    does.  `octets` builds the window and applies them.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
         self.payload = payload
         self.timeslots = timeslots
-        self.flips = stream.flipped(np.zeros(len(self), np.uint8), 8 * len(self))
+        self.flips = stream.flipped(None, 8 * len(self))
 
     def __len__(self) -> int:
         return line_octets(len(self.payload), self.timeslots)
@@ -350,24 +348,20 @@ class _Window:
 class _ReceivedLine:
     """The G.704 line of one payload as it comes back, window by window.
 
-    Each iteration yields `_Window`s, each with its share of the payload
-    and the flips of the session's stream, in stream order.  Every
-    iteration first rewinds the stream to its mark from when the line was
-    made, so all see the same flips.  `len` is the line's octets, as for
-    the whole line in an array.
+    Iterating it draws each window's flips from the session's stream and
+    yields the `_Window`s in stream order, so the line is read once.
+    `len` is the line's octets, as for the whole line in an array.
     """
 
     def __init__(self, payload: np.ndarray, timeslots: int, stream):
         self.payload = payload
         self.timeslots = timeslots
         self.stream = stream
-        self.start = stream.mark()
 
     def __len__(self) -> int:
         return line_octets(len(self.payload), self.timeslots)
 
     def __iter__(self):
-        self.stream.rewind(self.start)
         share = window_payload_octets(self.timeslots)
         for lo in range(0, max(len(self.payload), 1), share):
             yield _Window(self.payload[lo : lo + share], self.timeslots, self.stream)
@@ -379,10 +373,10 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
     `payload` holds `n_bits` bits, packed; the result holds the same
     number, packed the same way.  Off G.704 it is the fault model's
     flipped copy of the payload or, when no bit flips, a read-only view
-    of it: the meter only reads the result.  Loss of frame alignment
-    caused by the fault model comes back as a worthless payload (all
-    zeros), never as an exception: the meter sees it as a massive error
-    count.
+    of it: the meter only reads the result.  On G.704 the payload of
+    frames outside frame alignment comes back as zeros, and a line that
+    never aligns as a worthless payload of zeros, never as an exception:
+    the meter sees it as a massive error count.
     """
     payload = np.ascontiguousarray(payload, dtype=np.uint8)
     check_bit_count(payload, n_bits)
@@ -403,8 +397,6 @@ def loopback(session: Session, payload: np.ndarray, n_bits: int) -> np.ndarray:
         recovered = g704_align(line, timeslots)[1][:size]
     except FrameAlignmentError:
         return np.zeros(size, dtype=np.uint8)
-    if len(recovered) < size:  # a frame phase past 0 extracts one frame less
-        recovered = np.pad(recovered, (0, size - len(recovered)))
     clear_tail(recovered, n_bits)
     return recovered
 

@@ -57,9 +57,8 @@ def payload_line_positions(session, payload_indices) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The unpacked pipeline, one uint8 per bit: the pattern generator, the error
-# counter, the multiframe build, frame alignment and the session loopback as
-# they stood before the program went packed.  The packed layers must equal
-# `np.packbits` of these.
+# counter, the multiframe build, frame alignment and the session loopback.
+# The packed layers must equal `np.packbits` of these.
 
 
 def _extend(history: np.ndarray, order: int, tap: int, count: int) -> np.ndarray:
@@ -116,30 +115,48 @@ def build_multiframes(payload: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> np
 
 
 def g704_align(stream: np.ndarray, timeslots: int = PAYLOAD_SLOTS) -> tuple[int, np.ndarray]:
-    """Frame alignment on unpacked line bits: (offset, unpacked payload bits)."""
+    """G.706 frame alignment on unpacked line bits: (first offset, unpacked payload bits).
+
+    Searching from a bit, the receiver aligns at the first position p
+    whose seven bits after it are the alignment signal, whose bit p + 257
+    (bit 2 of the next frame) is 1, and whose bits p + 513.. repeat the
+    signal.  Aligned, it delivers timeslots 1..k of each whole frame, as
+    payload frame t // 256 for a frame from bit t, checking the signal of
+    every second frame; at the third errored signal in a row it delivers
+    nothing more and searches again from the next frame.  Frames it does
+    not deliver are zeros.
+    """
     s = np.ascontiguousarray(stream, dtype=np.uint8)
     n = len(s)
     if n < 3 * FRAME_BITS:
         raise framing.FrameAlignmentError("short")
-    pass_bits, period = 1 << 16, 2 * FRAME_BITS
-    votes = np.zeros(period, dtype=np.int64)
-    confirmed = np.zeros(period, dtype=bool)
-    for a in range(0, n - 7, pass_bits):
-        stop = min(a + pass_bits + period, n - 7)
-        fas = np.ones(stop - a, dtype=bool)
-        for j, bit in enumerate(framing.FAS_PATTERN):
-            fas &= s[a + 1 + j : stop + 1 + j] == bit
-        votes += np.bincount((a + np.flatnonzero(fas[:pass_bits])) % period, minlength=period)
-        c = max(len(fas) - period, 0)
-        good = fas[:c] & fas[period:] & (s[FRAME_BITS + 1 + a : FRAME_BITS + 1 + a + c] == 1)
-        confirmed[(a + np.flatnonzero(good)) % period] = True
-    phases = np.flatnonzero(confirmed)
-    if len(phases) == 0:
+    signal = np.ones(n - 7, dtype=bool)  # signal[p]: the signal in bits p + 1 .. p + 7
+    for j, bit in enumerate(framing.FAS_PATTERN):
+        signal &= s[1 + j : n - 6 + j] == bit
+    m = n - 2 * FRAME_BITS - 7
+    found = np.flatnonzero(
+        signal[:m] & (s[FRAME_BITS + 1 : FRAME_BITS + 1 + m] == 1) & signal[2 * FRAME_BITS :]
+    ).tolist()
+    out = np.zeros((n // FRAME_BITS, 8 * timeslots), dtype=np.uint8)
+    first, start = None, 0
+    while True:
+        later = [p for p in found if p >= start]
+        if not later:
+            break
+        phase = later[0]
+        first = phase if first is None else first
+        errored, t = 0, phase
+        while t + FRAME_BITS <= n:
+            if (t - phase) % (2 * FRAME_BITS) == 0:
+                errored = 0 if signal[t] else errored + 1
+                if errored == 3:
+                    break
+            out[t // FRAME_BITS] = s[t + 8 : t + 8 * (timeslots + 1)]
+            t += FRAME_BITS
+        start = t + FRAME_BITS
+    if first is None:
         raise framing.FrameAlignmentError("none")
-    offset = int(phases[int(np.argmax(votes[phases]))])
-    frames = (n - offset) // FRAME_BITS
-    slots = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32 * 8)
-    return offset, slots[:, 8 : 8 * (timeslots + 1)].reshape(-1)
+    return first, out.reshape(-1)
 
 
 def loopback(session, bits: np.ndarray) -> np.ndarray:
@@ -150,10 +167,9 @@ def loopback(session, bits: np.ndarray) -> np.ndarray:
     n_ts = session.payload_timeslots
     rx_line = session._stream.apply(build_multiframes(bits, n_ts))
     try:
-        recovered = g704_align(rx_line, n_ts)[1][: len(bits)]
+        return g704_align(rx_line, n_ts)[1][: len(bits)]
     except framing.FrameAlignmentError:
-        recovered = np.zeros(0, dtype=np.uint8)
-    return np.pad(recovered, (0, len(bits) - len(recovered)))
+        return np.zeros(len(bits), dtype=np.uint8)
 
 
 def lock(spec, received: np.ndarray) -> int | None:

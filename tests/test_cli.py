@@ -1091,6 +1091,71 @@ def test_unwritable_stdout_exits_3_with_one_line(tmp_path, command, stdout):
     assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("code", [None, 0, 3])
+def test_the_process_entry_leaves_with_the_code_of_main_and_no_teardown(tmp_path, code):
+    # What main wrote is flushed; exit handlers do not run.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    program = (
+        "import atexit, sys; from berbench import cli\n"
+        "atexit.register(print, 'teardown', file=sys.stderr)\n"
+        f"cli.main = lambda: print('report') or {code}\n"
+        "cli.entry()"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=pythonpath), timeout=300,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (code or 0, b"report\n", b"")
+
+
+#: The process entry, run on the first CPUS CPUs, with a hook that writes
+#: one byte to file descriptor FD when the campaign starts measuring.
+_INTERRUPTIBLE = """
+import os, sys
+from berbench import cli, procedure
+cpus, fd = int(sys.argv.pop(1)), int(sys.argv.pop(1))
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+execute = procedure._execute
+def started(*args):
+    os.write(fd, b"x")
+    return execute(*args)
+procedure._execute = started
+cli.entry()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_interrupted_run_exits_130_with_one_line(tmp_path, cpus):
+    # Ctrl-C reaches every process of the terminal's process group: the
+    # run and, on two CPUs, its forked worker.
+    if len(os.sched_getaffinity(0)) < cpus:
+        pytest.skip(f"fewer than {cpus} CPUs")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    args = ("run", "--ber0", "1e-7", "--channel", "bsc:1e-6", "--out", str(tmp_path / "x"))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTIBLE, str(cpus), str(write), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=pythonpath), start_new_session=True, pass_fds=(write,),
+    )
+    os.close(write)
+    try:
+        with open(read, "rb") as started:
+            assert started.read(1) == b"x"  # the campaign is measuring
+        time.sleep(0.3)
+        os.killpg(child.pid, 2)  # SIGINT
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.communicate()
+    assert (child.returncode, out, err) == (130, b"", b"error: interrupted\n")
+    with pytest.raises(ProcessLookupError):  # no worker outlives the run
+        os.killpg(child.pid, 0)
+
+
 def test_run_to_a_missing_directory_fails_before_the_campaign(tmp_path, monkeypatch):
     def no_campaign(config):
         raise AssertionError("the campaign ran")

@@ -220,32 +220,6 @@ def test_align_needs_three_frames():
         align_bits(np.zeros(2 * FRAME_BITS, np.uint8))
 
 
-def whole_stream_align(stream, timeslots=31):
-    """Frame alignment searched over the whole stream at once, as a reference."""
-    s = np.ascontiguousarray(stream, dtype=np.uint8)
-    n = len(s)
-    if n < 3 * FRAME_BITS:
-        raise FrameAlignmentError("short")
-    fas_at = np.ones(n - 7, dtype=bool)
-    for j, bit in enumerate(FAS_PATTERN):
-        fas_at &= s[1 + j : n - 7 + 1 + j] == bit
-    limit = n - 2 * FRAME_BITS - 7
-    good = (
-        fas_at[:limit]
-        & (s[FRAME_BITS + 1 : FRAME_BITS + 1 + limit] == 1)
-        & fas_at[2 * FRAME_BITS : 2 * FRAME_BITS + limit]
-    )
-    candidates = np.flatnonzero(good)
-    if len(candidates) == 0:
-        raise FrameAlignmentError("none")
-    phases = np.unique(candidates % (2 * FRAME_BITS))
-    votes = [int(fas_at[int(p) :: 2 * FRAME_BITS].sum()) for p in phases]
-    offset = int(phases[int(np.argmax(votes))])
-    frames = (n - offset) // FRAME_BITS
-    slots = s[offset : offset + frames * FRAME_BITS].reshape(frames, 32 * 8)
-    return offset, slots[:, 8 : 8 * (timeslots + 1)].reshape(-1)
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), timeslots=st.integers(1, 31))
 def test_align_in_passes_matches_whole_stream_reference(data, timeslots):
@@ -260,7 +234,7 @@ def test_align_in_passes_matches_whole_stream_reference(data, timeslots):
         prefix = bits(data.draw(st.integers(0, 600)))
         kept = len(prefix) + data.draw(st.integers(0, len(line)))
         stream = np.concatenate([prefix, line])[:kept]
-    elif shape == "two-phases":  # two framings whose votes tie or nearly tie
+    elif shape == "two-phases":  # alignment lost with one framing, found with the next
         n = data.draw(st.integers(1, 3000))
         first, second = (build_bits(bits(n), timeslots) for _ in range(2))
         gap = bits(data.draw(st.integers(1, 2 * FRAME_BITS - 1)))
@@ -282,32 +256,31 @@ def test_align_in_passes_matches_whole_stream_reference(data, timeslots):
     finally:
         framing._ALIGN_PASS = saved
     try:
-        want = whole_stream_align(stream, timeslots)
-    except FrameAlignmentError:
-        want = None
-    try:
         oracle = oracles.g704_align(stream, timeslots)
     except FrameAlignmentError:
         oracle = None
-    assert (got is None) == (want is None) == (oracle is None)
+    assert (got is None) == (oracle is None)
     if got is not None:
-        assert got[0] == want[0] == oracle[0]
-        assert np.array_equal(np.unpackbits(got[1]), want[1])
+        assert got[0] == oracle[0]
         assert np.array_equal(got[1], np.packbits(oracle[1]))
 
 
 @pytest.mark.parametrize("pass_bits", [1, 7, 2 * FRAME_BITS, 4096])
 def test_align_counts_each_signal_match_once(monkeypatch, pass_bits):
-    # The first framing sits at phase 17, the second at phase 0 with one
-    # frame pair fewer: phase 17 wins the vote only if no pass boundary
-    # counts a signal match twice.
+    # The first framing sits at phase 17, the second at phase 0: alignment
+    # found at 17 is lost at the third errored signal after the first
+    # framing ends, and found again at phase 0.  No pass boundary may
+    # check a signal twice or skip one.
     first = build_bits(np.zeros(2 * 16 * 31 * 8, np.uint8))  # stray signals at phase 253 only
     second = first[: -2 * FRAME_BITS]
     stream = np.concatenate(
         [np.zeros(17, np.uint8), first, np.zeros(2 * FRAME_BITS - 17, np.uint8), second]
     )
     monkeypatch.setattr(framing, "_ALIGN_PASS", pass_bits)
-    assert align_bits(stream)[0] == whole_stream_align(stream)[0] == 17
+    offset, payload = align_bits(stream)
+    want = oracles.g704_align(stream)
+    assert offset == want[0] == 17
+    assert np.array_equal(payload, want[1])
 
 
 def two_framings(first_phase, first, second_phase, second):
@@ -319,19 +292,23 @@ def two_framings(first_phase, first, second_phase, second):
 
 
 def test_align_leader_after_the_first_pass_can_lose():
-    # Phase 17 for 1.5 passes, phase 0 for the 2.5 after: phase 17 leads
-    # with a majority after the first pass, and only the rest of the line
-    # shows that phase 0 wins.
+    # Phase 17 for 1.5 passes, phase 0 for the 2.5 after: alignment found
+    # at phase 17 holds through the first framing, is lost, and is found
+    # again at phase 0, whose frames are then delivered.
     rng = np.random.default_rng(13)
     per_pass = framing._ALIGN_PASS // MULTIFRAME_BITS  # multiframes
-    stream = two_framings(
-        17, build_bits(random_payload(rng, 3 * per_pass // 2)),
-        0, build_bits(random_payload(rng, 5 * per_pass // 2)),
-    )
+    first = random_payload(rng, 3 * per_pass // 2)
+    second = random_payload(rng, 5 * per_pass // 2)
+    stream = two_framings(17, build_bits(first), 0, build_bits(second))
     offset, payload = align_bits(stream)
     want = oracles.g704_align(stream)
-    assert offset == want[0] == 0
+    assert offset == want[0] == 17
     assert np.array_equal(payload, want[1])
+    # The first framing's frames are delivered whole, and the second's
+    # from a few frame pairs after it starts, at the end of the line.
+    frames = payload.reshape(-1, 31 * 8)
+    assert np.array_equal(frames[: len(first) // (31 * 8)].reshape(-1), first)
+    assert np.array_equal(frames[-len(second) // (31 * 8) + 8 :].reshape(-1), second[8 * 31 * 8 :])
 
 
 def ones_framing(multiframes):
@@ -339,38 +316,17 @@ def ones_framing(multiframes):
     return build_bits(np.ones(multiframes * 16 * 31 * 8, np.uint8))
 
 
-def voting_phases(stream):
-    """{frame-pair phase: signal matches} of unpacked line bits, for phases with any."""
-    match = np.ones(len(stream) - 7, dtype=bool)
-    for j, bit in enumerate(FAS_PATTERN):
-        match &= stream[1 + j : len(stream) - 6 + j] == bit
-    votes = np.bincount(np.flatnonzero(match) % (2 * FRAME_BITS), minlength=2 * FRAME_BITS)
-    return {p: int(v) for p, v in enumerate(votes) if v}
-
-
-def test_align_late_tie_goes_to_the_lower_phase():
-    # Phase 300 leads for two passes; phase 0 draws level only with the
-    # last frame pair of the line, and the tie goes to the lower phase.
-    per_pass = framing._ALIGN_PASS // MULTIFRAME_BITS
-    framed = ones_framing(2 * per_pass)
-    stream = two_framings(300, framed, 0, framed)
-    assert voting_phases(stream) == {0: 2 * per_pass * 8, 300: 2 * per_pass * 8}
-    offset, payload = align_bits(stream)
-    want = oracles.g704_align(stream)
-    assert offset == want[0] == 0
-    assert np.array_equal(payload, want[1])
-
-
 def test_align_reads_no_signal_past_the_bit_count():
-    # Phases 100 and 300 tie within the bit count, and the bits after it
-    # hold one more signal at phase 300.
-    stream = two_framings(100, ones_framing(1), 300, ones_framing(2))
-    n = 100 + 16 * FRAME_BITS + 200 + 8 * 2 * FRAME_BITS + 7  # all but the ninth signal's last bit
-    assert voting_phases(stream[:n]) == {100: 8, 300: 8}
-    assert voting_phases(stream)[300] == 16
-    offset, payload = g704_align(np.packbits(stream), 31, n)
-    want = oracles.g704_align(stream[:n])
-    assert offset == want[0] == 100
+    # Zeros hold no signal, so the search rule holds only at bit 300, and
+    # the last bit it reads there, that of the signal a frame pair later,
+    # is bit 819.  The bits past the bit count are those of the framing.
+    stream = np.concatenate([np.zeros(300, np.uint8), ones_framing(1)])
+    line = np.packbits(stream)
+    with pytest.raises(FrameAlignmentError):
+        g704_align(line, 31, 819)
+    offset, payload = g704_align(line, 31, 820)
+    want = oracles.g704_align(stream[:820])
+    assert offset == want[0] == 300
     assert np.array_equal(np.unpackbits(payload), want[1])
 
 
@@ -405,15 +361,15 @@ def test_align_over_windows_matches_whole_line_and_oracle(data, timeslots):
         return build_bits(bits(multiframes * 16 * timeslots * 8), timeslots)
 
     phase = st.integers(0, 2 * FRAME_BITS - 1)
-    shape = data.draw(st.sampled_from(["framed", "late-leader", "late-tie", "featureless"]))
+    shape = data.draw(st.sampled_from(["framed", "two-framings", "ones-framings", "featureless"]))
     if shape == "framed":
         prefix = bits(data.draw(phase))
         stream = np.concatenate([prefix, framed(data.draw(st.integers(1, 12)))])
-    elif shape == "late-leader":  # a first framing leads, a longer second one wins
+    elif shape == "two-framings":  # a framing, then a longer one at another phase
         first = data.draw(st.integers(2, 6))
         second = first + data.draw(st.integers(0, 3))
         stream = two_framings(data.draw(phase), framed(first), data.draw(phase), framed(second))
-    elif shape == "late-tie":  # the second framing draws level with the first at the end
+    elif shape == "ones-framings":  # two framings of the same length, with no stray signal
         n = data.draw(st.integers(2, 6))
         stream = two_framings(data.draw(phase), ones_framing(n), data.draw(phase), ones_framing(n))
     else:
@@ -449,37 +405,103 @@ def test_align_over_windows_matches_whole_line_and_oracle(data, timeslots):
         assert np.array_equal(np.unpackbits(windowed[1]), oracle[1])
 
 
+class FrameWindow:
+    """Whole multiframes of a received line as frame windows (see
+    `g704_align`): a share of the payload, and the line's flips there."""
+
+    def __init__(self, payload, timeslots, flips, built):
+        self.payload, self.timeslots, self.built = payload, timeslots, built
+        self.flips = flips if flips.any() else None
+
+    def __len__(self):
+        return framing.line_octets(len(self.payload), self.timeslots)
+
+    def octets(self):
+        self.built.append(len(self))
+        line = build_multiframes(self.payload, self.timeslots)
+        return line if self.flips is None else line ^ self.flips
+
+
+class FrameWindows:
+    """A received framed line, read once in frame windows of the given
+    multiframe counts (the last repeats)."""
+
+    def __init__(self, payload, timeslots, flips, sizes):
+        self.payload, self.timeslots, self.flips, self.sizes = payload, timeslots, flips, sizes
+        self.built = []  # the octets of each window built
+
+    def __len__(self):
+        return len(self.flips)
+
+    def __iter__(self):
+        per_mf = 16 * self.timeslots
+        lo, i = 0, 0
+        while 512 * lo < len(self.flips):
+            size = self.sizes[min(i, len(self.sizes) - 1)]
+            share = self.payload[per_mf * lo : per_mf * (lo + size)]
+            flips = self.flips[512 * lo : 512 * (lo + size)]
+            yield FrameWindow(share, self.timeslots, flips, self.built)
+            lo, i = lo + size, i + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), timeslots=st.integers(1, 31))
+def test_align_from_flips_matches_the_oracle(data, timeslots):
+    # A line framed from phase 0 with its flips, read as frame windows:
+    # whole multiframes that come with their flips and are built only when
+    # the receiver searches in them.  Runs of errored signals placed at and
+    # across window edges lose alignment, and it is found again.
+    multiframes = data.draw(st.integers(1, 24))
+    per_mf = 16 * timeslots
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    payload = rng.integers(0, 256, data.draw(st.integers(1, multiframes * per_mf))).astype(np.uint8)
+    line = build_bits(np.unpackbits(payload), timeslots)
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    edges = np.cumsum([sizes[min(i, len(sizes) - 1)] for i in range(multiframes)]) * MULTIFRAME_BITS
+    edges = [0, *edges[edges < len(line)]]  # where the line and its windows start
+    flips = np.zeros(len(line), np.uint8)
+    pairs = len(line) // (2 * FRAME_BITS)
+    for _ in range(data.draw(st.integers(0, 3))):  # runs of errored signals
+        edge = data.draw(st.sampled_from(edges)) // (2 * FRAME_BITS)
+        first = edge + data.draw(st.integers(-4, 2))
+        for pair in range(max(first, 0), min(first + data.draw(st.integers(2, 4)), pairs)):
+            flips[2 * FRAME_BITS * pair + data.draw(st.integers(1, 7))] = 1
+    p = data.draw(st.sampled_from([0.0, 0.0, 1e-3, 0.02, 0.5]))
+    flips |= (rng.random(len(line)) < p).astype(np.uint8)
+    stream = line ^ flips
+    windows = FrameWindows(payload, timeslots, np.packbits(flips), sizes)
+    pass_bits = data.draw(st.one_of(st.just(framing._ALIGN_PASS), st.integers(16, 3000)))
+    saved = framing._ALIGN_PASS
+    framing._ALIGN_PASS = pass_bits
+    try:
+        results = []
+        for source in (windows, np.packbits(stream)):
+            try:
+                results.append(g704_align(source, timeslots))
+            except FrameAlignmentError:
+                results.append(None)
+    finally:
+        framing._ALIGN_PASS = saved
+    try:
+        oracle = oracles.g704_align(stream, timeslots)
+    except FrameAlignmentError:
+        oracle = None
+    windowed, whole = results
+    assert (whole is None) == (windowed is None) == (oracle is None)
+    if oracle is not None:
+        assert windowed[0] == whole[0] == oracle[0]
+        assert np.array_equal(windowed[1], whole[1])
+        assert np.array_equal(np.unpackbits(windowed[1]), oracle[1])
+    if not flips.any():  # found at phase 0 and never lost: only the first window is built
+        assert windowed[0] == 0 and len(windows.built) == 1
+
+
 def test_align_reads_an_intact_line_once():
     line = build_multiframes(np.random.default_rng(3).integers(0, 256, 40_000).astype(np.uint8))
     windows = Windows(line, [4096])
     offset, payload = g704_align(windows)
     assert offset == 0 and np.array_equal(payload, g704_align(line)[1])
     assert windows.reads == 1
-
-
-def test_align_reads_again_for_a_late_winner_and_a_later_phase():
-    # Phase 17 leads for a pass and a half; phase 0 wins with the rest of
-    # the line.  Windows of plain octets are voted in full in one read,
-    # which also keeps the payload at phase 0.
-    rng = np.random.default_rng(13)
-    per_pass = framing._ALIGN_PASS // MULTIFRAME_BITS
-    stream = two_framings(
-        17, build_bits(random_payload(rng, 3 * per_pass // 2)),
-        0, build_bits(random_payload(rng, 5 * per_pass // 2)),
-    )
-    windows = Windows(np.packbits(stream), [5000])
-    offset, payload = g704_align(windows, 31, len(stream))
-    assert offset == 0
-    assert np.array_equal(np.unpackbits(payload), oracles.g704_align(stream)[1])
-    assert windows.reads == 1
-    # A line whose frames start 17 bits in: the first read chooses phase
-    # 17, and a second one extracts the payload there.
-    shifted = np.concatenate([np.zeros(17, np.uint8), build_bits(random_payload(rng, 40))])
-    windows = Windows(np.packbits(shifted), [5000])
-    offset, payload = g704_align(windows, 31, len(shifted))
-    assert offset == 17
-    assert np.array_equal(np.unpackbits(payload), oracles.g704_align(shifted)[1])
-    assert windows.reads == 2
 
 
 def test_align_on_a_full_segment_line_holds_no_line_sized_copy():
