@@ -86,6 +86,20 @@ CASES = [
         None,
     ),
     (
+        # Short dwells in both states near BER_0 1e-6: each of the three
+        # 10^7-bit jobs draws hundreds of thousands of dwells, over many
+        # schedules.
+        "ge-v35-1e-6",
+        ("--channel", "ge:0.05,0.3,1.0,0.9995", "--seed", "17"),
+        {"interfaces": ["V.35"], "rates": {"V.35": [512]}, "ber0": 1e-6},
+        "e62f624ffc18897e6ee8f15313222f004c455d0893e4f7e9ec25e9eed0b36d45",
+        "d8f7e6ca40349340d3b733479a8455f0fe13cf04e40d6309d6e621d0f69b7a04",
+        "d8f7e6ca40349340d3b733479a8455f0fe13cf04e40d6309d6e621d0f69b7a04",
+        EMPTY,
+        1,
+        None,
+    ),
+    (
         "mask-g703-g704",
         ("--channel", "mask:9000,12345,50000,400003,777777", "--seed", "5"),
         {"interfaces": ["G.703", "G.704"], "ber0": 1e-5},
