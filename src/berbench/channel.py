@@ -578,13 +578,16 @@ def model_to_dict(model: ChannelModel) -> dict:
 
 
 def model_from_dict(data: dict) -> ChannelModel:
+    if "seed" not in data:  # the engine never draws entropy on its own
+        shown = json.dumps(data, default=repr)
+        raise ValueError(f"channel {shown} has no seed; seeds must be explicit")
     try:
         kind = _BY_NAME.get(check_json(data["kind"], "'kind'", str))
         if kind is None:
             raise ValueError(f"unknown channel kind {json.dumps(data['kind'])}")
         check_keys(data, "'channel'", "kind", "seed", *param_names(kind.name))
         params = {f.name: _READERS[f.type](data[f.name], repr(f.name)) for f in _params(kind)}
-        return kind.model(**params, seed=check_int(data.get("seed", 0), "the seed"))
+        return kind.model(**params, seed=check_int(data["seed"], "the seed"))
     except (KeyError, TypeError, ValueError) as exc:
         shown = json.dumps(data, default=repr)  # a Python caller's value may not be JSON
         raise ValueError(f"bad channel description {shown}: {exc}") from None

@@ -42,7 +42,7 @@ from .core import (
     json_type,
     parse_interface,
 )
-from .meter import required_duration
+from .meter import measured_ber, required_duration
 from .prbs import PrbsSpec
 from .procedure import (
     CampaignConfig,
@@ -153,12 +153,6 @@ def _load_json(path: Path) -> dict:
         raise ConfigError(f"{path} nests too deeply to read") from None
 
 
-def _channel_from_config(data: dict) -> channel_mod.ChannelModel:
-    if "seed" not in data:  # a ValueError, so that `load_config` names the file
-        raise ValueError(f"channel {json.dumps(data)} has no seed; seeds must be explicit")
-    return channel_mod.model_from_dict(data)
-
-
 def _load_document(path: Path, schema: str) -> dict:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -218,7 +212,7 @@ def load_config(path: str | Path) -> CampaignConfig:
             )
             cfg = replace(cfg, measurement=replace(cfg.measurement, pattern=pattern))
         if "channel" in data:
-            model = _channel_from_config(check_json(data["channel"], "'channel'", dict))
+            model = channel_mod.model_from_dict(check_json(data["channel"], "'channel'", dict))
             cfg = replace(cfg, dut=replace(cfg.dut, loopback_channel=model))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -236,16 +230,17 @@ def parse_channel_spec(spec: str, seed: int) -> channel_mod.ChannelModel:
 # report serialization and rendering
 
 
+def _ber_to_dict(ber: BerValue) -> dict:
+    return {"kind": "upper_bound" if ber.is_bound else "point", "value": float(ber.value)}
+
+
 def _measurement_to_dict(m) -> dict:
     return {
         "rate_kbps": m.rate_kbps,
         "freq_hz": m.freq_hz,
         "transmitted_bits": m.transmitted_bits,
         "errored_bits": m.errored_bits,
-        "ber": {
-            "kind": "upper_bound" if m.ber.is_bound else "point",
-            "value": float(m.ber.value),
-        },
+        "ber": _ber_to_dict(m.ber),
         "duration_s": m.duration_s,
         "sync_failed": m.sync_failed,
     }
@@ -297,24 +292,34 @@ def _named(at: str, make, *args):
         raise ValueError(f"{at}: {exc}") from None
 
 
-def _measurement_ber(m, at: str) -> BerValue:
+def _measurement_ber(m, at: str, ber0: Fraction) -> BerValue:
+    """The row's BER by `measured_ber`, which its `ber` must state as `run` writes it."""
     m = check_json(m, at, dict)
     ber = check_json(m["ber"], f"{at}.ber", dict)
     kind = check_json(ber["kind"], f"{at}.ber.kind", str)
     check_real(ber["value"], f"{at}.ber.value")
     keys = ("errored_bits", "transmitted_bits")
     errored, transmitted = (check_int(m[key], f"{at}.{key}") for key in keys)
+    counts = f"{at}.{'transmitted_bits' if transmitted <= 0 else 'errored_bits'}"
     if kind == "upper_bound":
-        return _named(f"{at}.ber.value", BerValue.upper_bound, ber["value"])
-    if kind != "point":
+        _named(f"{at}.ber.value", BerValue.upper_bound, ber["value"])
+    elif kind == "point":
+        _named(counts, BerValue.point, errored, transmitted)
+    else:
         raise ValueError(f"{at}.ber.kind must be point or upper_bound, got {json.dumps(kind)}")
-    key = "transmitted_bits" if transmitted <= 0 else "errored_bits"
-    return _named(f"{at}.{key}", BerValue.point, errored, transmitted)
+    rule = _named(counts, measured_ber, errored, transmitted, ber0)
+    for key, want in _ber_to_dict(rule).items():
+        if ber[key] != want:
+            raise ValueError(
+                f"{at}.ber.{key} must be {json.dumps(want)} for {errored} errored of "
+                f"{transmitted} bits, got {json.dumps(ber[key])}"
+            )
+    return rule
 
 
-def _worst_ber(measurements, at: str) -> BerValue | None:
+def _worst_ber(measurements, at: str, ber0: Fraction) -> BerValue | None:
     rows = enumerate(check_json(measurements, at, list))
-    bers = [_measurement_ber(m, f"{at}[{i}]") for i, m in rows]  # checks every row
+    bers = [_measurement_ber(m, f"{at}[{i}]", ber0) for i, m in rows]  # checks every row
     return max(bers, key=lambda b: (b.value, not b.is_bound), default=None)
 
 
@@ -361,7 +366,7 @@ def render_report_text(report: dict) -> str:
             raise ValueError(f"{at}.verdict must be one of {', '.join(verdicts)}, got {got}")
         note = check_json(result.get("note"), f"{at}.note", str, type(None))
         used = check_json(result["converter_used"], f"{at}.converter_used", bool)
-        worst = _worst_ber(result["measurements"], f"{at}.measurements")
+        worst = _worst_ber(result["measurements"], f"{at}.measurements", ber0)
         if verdict == Outcome.NO_CONNECTOR.value:
             rows.append([iface, "-", "-", verdict])
         else:

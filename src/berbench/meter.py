@@ -9,7 +9,9 @@ The meter transmits that budget plus a small lock allowance through the
 session loopback, self-synchronizes on the returned stream, and counts
 errors against a free-running reference.  Lock-acquisition bits are spent
 on top of the budget, never counted inside it.  Long runs go in segments
-of `SEGMENT_BITS`, each locked and counted on its own.  The pattern
+of `SEGMENT_BITS`, each locked and counted on its own; one free-running
+pattern spans them, as the meter carries its `PrbsSpec` from a segment to
+the next, seeded where the last one left the register.  The pattern
 travels packed (uint8 octets, most significant bit first as in
 `np.packbits`, with the segment's bit count alongside; see
 `berbench.core`), so a segment's stream is about SEGMENT_BITS / 8 octets
@@ -89,6 +91,11 @@ def _lock_allowance(pattern: PrbsSpec) -> int:
     return pattern.order + 4 * prbs.LOCK_THRESHOLD
 
 
+def measured_ber(errored: int, compared: int, ber0) -> BerValue:
+    """A point estimate when any bit erred, else the bound `< BER_0`."""
+    return BerValue.point(errored, compared) if errored else BerValue.upper_bound(ber0)
+
+
 def measure(session: Session, config: MeasurementConfig) -> BerMeasurement:
     """Run one sized measurement through the session loopback.
 
@@ -100,36 +107,31 @@ def measure(session: Session, config: MeasurementConfig) -> BerMeasurement:
     allowance = _lock_allowance(config.pattern)
     duration = required_duration(session.rate_kbps, config.ber0)
 
-    tx, tx_bits = None, 0
-    compared = 0
-    errored = 0
+    pattern = config.pattern
+    compared = errored = 0
     sync_failed = False
     remaining = budget
+    # `tx` and `rx` live until the next segment: freed early, they cut peak RSS
+    # but slow a campaign on one CPU, likely as glibc returns and refaults pages.
     while remaining > 0:
         seg = min(remaining, SEGMENT_BITS)
-        # Each segment continues the one free-running pattern from the last.
-        tx = prbs.generate(config.pattern, seg + allowance, tx, tx_bits)
-        tx_bits = seg + allowance
-        rx = loopback(session, tx, tx_bits)
-        state = prbs.synchronize(config.pattern, rx, tx_bits)
-        if not state.locked:
-            compared += seg
-            errored += seg
-            sync_failed = True
+        n_bits = seg + allowance
+        tx = prbs.generate(pattern, n_bits)
+        rx = loopback(session, tx, n_bits)
+        state = prbs.synchronize(pattern, rx, n_bits)
+        if state.locked:
+            got, bad = prbs.count_errors(pattern, rx, n_bits, state, max_bits=seg)
         else:
-            got, bad = prbs.count_errors(config.pattern, rx, tx_bits, state, max_bits=seg)
-            compared += got
-            errored += bad
+            got, bad, sync_failed = seg, seg, True
+        compared += got
+        errored += bad
         remaining -= seg
+        pattern = pattern.after(tx, n_bits)  # the next segment continues this one
 
-    if errored > 0:
-        ber = BerValue.point(errored, compared)
-    else:
-        ber = BerValue.upper_bound(config.ber0)
     return BerMeasurement(
         transmitted_bits=compared,
         errored_bits=errored,
-        ber=ber,
+        ber=measured_ber(errored, compared, config.ber0),
         duration_s=duration,
         rate_kbps=session.rate_kbps,
         freq_hz=session.freq_hz,

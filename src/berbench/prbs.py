@@ -20,16 +20,18 @@ s[n - tap*2^j], so one XOR may produce tap*2^j bits at once.  One loop,
 packed octets, where the stride is at least 8, both read offsets are
 whole octets, and every chunk is one XOR of octet slices.  No pattern
 table is kept: the generator and the receiver's reference register both
-run the recurrence from their own seed window.  The receiver unpacks only
-the windows it scans for lock.  Its reference starts at the received
-octet that holds the first compared bit, with the seed window's last bits
-ahead of that bit, so the error count is the popcount of one XOR of the
-received octets with the reference octets.  Tests pin bit-exact
-equivalence with the serial register definition.
+run the recurrence from their own seed window.  `generate` starts at
+`spec.seed`; where a pattern stands is its register state, so a pattern
+sent in pieces continues from `spec.after(sent, n_bits)`.  The receiver
+unpacks only the windows it scans for lock.  Its reference starts at the
+received octet that holds the first compared bit, with the seed window's
+last bits ahead of that bit, so the error count is the popcount of one
+XOR of the received octets with the reference octets.  Tests pin
+bit-exact equivalence with the serial register definition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +86,16 @@ class PrbsSpec:
     def period(self) -> int:
         return (1 << self.order) - 1
 
+    def after(self, sent: np.ndarray, n_bits: int) -> PrbsSpec:
+        """The spec seeded from the last `order` of the `n_bits` bits in `sent`, oldest as MSB."""
+        if not self.order <= n_bits <= 8 * len(sent):
+            raise ValueError(
+                f"need at least {self.order} sent bits, got {n_bits} in {len(sent)} octets"
+            )
+        first, end = (n_bits - self.order) // 8, -(-n_bits // 8)
+        state = int.from_bytes(sent[first:end].tobytes(), "big") >> (8 * end - n_bits)
+        return replace(self, seed=state & self.period)
+
 
 @dataclass(frozen=True)
 class SyncState:
@@ -94,13 +106,6 @@ class SyncState:
 
 
 SEARCHING = SyncState(locked=False, offset=0)
-
-
-def _seed_history(spec: PrbsSpec) -> np.ndarray:
-    # Register bit j holds the output from j+1 steps ago, so the oldest-first
-    # history of the last `order` outputs reads the seed MSB down.
-    k = spec.order
-    return np.array([(spec.seed >> (k - 1 - j)) & 1 for j in range(k)], dtype=np.uint8)
 
 
 def _recur(out: np.ndarray, start: int, order: int, tap: int) -> None:
@@ -137,30 +142,14 @@ def _extend_packed(history: np.ndarray, tap: int, count: int, lead: int = 0) -> 
     return out
 
 
-def generate(
-    spec: PrbsSpec, n: int, history: np.ndarray | None = None, history_bits: int | None = None
-) -> np.ndarray:
-    """The `n` pattern bits after `history`, packed into -(-n // 8) octets.
-
-    `history` is the packed stream sent so far, `history_bits` long (all
-    its octets when None); its last `order` bits are the most recent ones.
-    None starts at the seed.
-    """
+def generate(spec: PrbsSpec, n: int) -> np.ndarray:
+    """The first `n` pattern bits from `spec.seed`, packed into -(-n // 8) octets."""
     if n < 0:
         raise ValueError("bit counts must be nonnegative")
-    k = spec.order
-    if history is None:
-        window = _seed_history(spec)
-    else:
-        if history_bits is None:
-            history_bits = 8 * len(history)
-        if not k <= history_bits <= 8 * len(history):
-            raise ValueError(
-                f"history must hold at least {k} bits, got {history_bits} "
-                f"in {len(history)} octets"
-            )
-        window = unpack_bits(history, history_bits - k, history_bits)
-    return _extend_packed(window, spec.taps[1], n)
+    # Register bit j holds the output from j+1 steps ago, so the oldest-first
+    # history of the last `order` outputs reads the seed MSB down.
+    history = spec.seed >> np.arange(spec.order - 1, -1, -1) & 1
+    return _extend_packed(history.astype(np.uint8), spec.taps[1], n)
 
 
 #: Largest window `synchronize` scans at once.  Its temporaries take one

@@ -560,6 +560,12 @@ def test_a_string_where_an_array_belongs_exits_3_naming_the_key(doc, key):
             {"dut": {**_DUT, "channel": "x"}},
             "bad DUT profile document: 'channel' must be a JSON object, got string",
         ),
+        # As at the top level: the DUT's channel would otherwise run at seed 0.
+        (
+            {"dut": {**_DUT, "channel": {"kind": "bsc", "p": 1e-3}}},
+            'bad DUT profile document: channel {"kind": "bsc", "p": 0.001} has no seed; '
+            "seeds must be explicit",
+        ),
         # A key berbench does not read, such as a misspelling, is refused.
         ({"bermax": 1e-2}, 'the config has unknown key "bermax"'),
         ({"pattern": {"order": 15, "sed": 1}}, '\'pattern\' has unknown key "sed"'),
@@ -592,7 +598,7 @@ def test_a_string_where_an_array_belongs_exits_3_naming_the_key(doc, key):
     ids=["taps-null", "channel-null", "interfaces-string", "rate-true", "order-null",
          "channel-seed-null", "channel-no-seed", "interface-null", "catalog-side-number",
          "catalog-entry-string", "dut-port-string", "analyzer-native-null",
-         "dut-channel-string", "config-unknown-key", "pattern-unknown-key",
+         "dut-channel-string", "dut-channel-no-seed", "config-unknown-key", "pattern-unknown-key",
          "channel-unknown-key", "dut-unknown-key", "port-unknown-key", "analyzer-unknown-key",
          "native-unknown-key", "catalog-unknown-key"],
 )
@@ -785,6 +791,43 @@ def _with_measurement(result_index, measurement_index, **fields):
     ids=["zero-bits", "negative-errors", "errors-beyond-bits", "zero-bound"],
 )
 def test_report_with_impossible_counts_exits_3(tmp_path, capsys, fields, message):
+    report = _with_measurement(0, 0, **fields)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report))
+    assert run_cli("report", "--in", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: results[0].measurements[0].{message}\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (
+            {"ber": {"kind": "point", "value": 0.75}},
+            "ber.value must be 0.0005 for 5 errored of 10000 bits, got 0.75",
+        ),
+        (
+            {"ber": {"kind": "upper_bound", "value": 0.001}},
+            'ber.kind must be "point" for 5 errored of 10000 bits, got "upper_bound"',
+        ),
+        (
+            {"ber": {"kind": "point", "value": 0.0005000000000000001}},  # one ulp above
+            "ber.value must be 0.0005 for 5 errored of 10000 bits, got 0.0005000000000000001",
+        ),
+        (
+            {"errored_bits": 0, "ber": {"kind": "point", "value": 0.0}},
+            'ber.kind must be "upper_bound" for 0 errored of 10000 bits, got "point"',
+        ),
+        (
+            {"errored_bits": 0, "ber": {"kind": "upper_bound", "value": 0.002}},
+            "ber.value must be 0.001 for 0 errored of 10000 bits, got 0.002",
+        ),
+    ],
+    ids=["value-off", "bound-with-errors", "value-one-ulp-off", "point-without-errors",
+         "bound-not-ber0"],
+)
+def test_report_whose_ber_contradicts_its_counts_exits_3(tmp_path, capsys, fields, message):
+    # `run` writes a point estimate when any bit erred, else the bound BER_0.
     report = _with_measurement(0, 0, **fields)
     path = tmp_path / "r.json"
     path.write_text(json.dumps(report))

@@ -249,6 +249,11 @@ def test_report_digests(
         json_sha,
         txt_sha,
     )
+    # `report --in` accepts the JSON and renders the same text.
+    rendered = tmp_path / "rendered.txt"
+    args = ["report", "--in", str(tmp_path / "report.json"), "--out", str(rendered)]
+    assert cli.main(args) == code
+    assert _sha256(rendered) == txt_sha
 
 
 def _python(tmp_path, *args) -> subprocess.CompletedProcess:

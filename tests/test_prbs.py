@@ -23,9 +23,9 @@ from oracles import step_register
 
 def pattern(spec: PrbsSpec, n: int, history: np.ndarray | None = None) -> np.ndarray:
     """`n` pattern bits after the unpacked `history`: the packed generator, read back."""
-    if history is None:
-        return np.unpackbits(generate(spec, n), count=n)
-    return np.unpackbits(generate(spec, n, np.packbits(history), len(history)), count=n)
+    if history is not None:
+        spec = spec.after(np.packbits(history), len(history))
+    return np.unpackbits(generate(spec, n), count=n)
 
 
 def sync(spec: PrbsSpec, bits: np.ndarray) -> SyncState:
@@ -104,13 +104,15 @@ def test_generate_empty_and_negative():
 def test_generate_needs_a_full_register_of_history():
     spec = PrbsSpec()
     k = spec.order
-    with pytest.raises(ValueError):
-        generate(spec, 10, generate(spec, k - 1), k - 1)
-    with pytest.raises(ValueError):
-        generate(spec, 10, np.zeros(1, np.uint8))  # eight bits, all of the octet
-    with pytest.raises(ValueError):
-        generate(spec, 10, generate(spec, k), 8 * 2 + 1)  # more bits than octets hold
-    assert len(generate(spec, 10, generate(spec, k), k)) == 2
+    with pytest.raises(ValueError, match=f"^need at least {k} sent bits, got {k - 1} in 2 octets$"):
+        spec.after(generate(spec, k - 1), k - 1)
+    with pytest.raises(ValueError, match="got 8 in 1 octets"):
+        spec.after(np.zeros(1, np.uint8), 8)  # eight bits, all of the octet
+    with pytest.raises(ValueError, match="got 17 in 2 octets"):
+        spec.after(generate(spec, k), 8 * 2 + 1)  # more bits than octets hold
+    with pytest.raises(ValueError, match="bit counts must be nonnegative"):
+        generate(spec.after(generate(spec, k), k), -1)
+    assert len(generate(spec.after(generate(spec, k), k), 10)) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,9 +130,10 @@ def test_generation_in_pieces_matches_one_call(data, order_tap):
     near_boundary = st.integers(max(order, spec.period - 600), spec.period)
     first = data.draw(near_boundary | st.integers(order, 600))
     rest = data.draw(st.lists(st.integers(order, 300), min_size=1, max_size=8))
-    pieces = [generate(spec, first)]
-    for n, before in zip(rest, [first, *rest]):
-        pieces.append(generate(spec, n, pieces[-1], before))
+    pieces, at = [], spec
+    for n in [first, *rest]:
+        pieces.append(generate(at, n))
+        at = at.after(pieces[-1], n)
     read = [np.unpackbits(p, count=n) for p, n in zip(pieces, [first, *rest])]
     whole = generate(spec, first + sum(rest))
     assert np.array_equal(np.packbits(np.concatenate(read)), whole)
@@ -142,17 +145,19 @@ def test_generation_in_pieces_matches_one_call(data, order_tap):
     order_tap=st.sampled_from([(k, t) for k, ts in MAXIMAL_TAPS.items() for t in ts]),
 )
 def test_packed_generation_matches_unpacked_oracle(data, order_tap):
-    # Every tabled tap, from any history of any length (the recurrence runs
-    # from any `order` bits), in pieces long and short enough to end inside
-    # the unpacked head, at its edge, or far past it at any bit phase.
+    # Every tabled tap, after any history of any length whose last `order`
+    # bits are not all zero (the register's fixed point), in pieces long and
+    # short enough to end inside the unpacked head, at its edge, or far past
+    # it at any bit phase.
     order, tap = order_tap
     spec = PrbsSpec(order=order, taps=(order, tap))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    history = rng.integers(0, 2, data.draw(st.integers(order, 4 * order))).astype(np.uint8)
+    prefix = rng.integers(0, 2, data.draw(st.integers(0, 3 * order))).astype(np.uint8)
+    history = np.concatenate((prefix, random_window(data, order)))
     head = 16 * order
     lengths = st.integers(0, 40) | st.integers(head - 9, head + 9) | st.integers(0, 20 * head)
     for n in data.draw(st.lists(lengths, min_size=1, max_size=4)):
-        got = generate(spec, n, np.packbits(history), len(history))
+        got = generate(spec.after(np.packbits(history), len(history)), n)
         want = oracles.generate(spec, n, history)
         assert np.array_equal(got, np.packbits(want))
         history = np.concatenate((history, want))
@@ -165,7 +170,7 @@ def test_generate_deep_in_the_period_holds_only_its_block():
     history = generate(spec, 8_000_000)
     tracemalloc.start()
     try:
-        octets = generate(spec, 10**6, history, 8_000_000)
+        octets = generate(spec.after(history, 8_000_000), 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -193,6 +198,23 @@ def test_blocked_generation_matches_serial_register(data, order_tap):
     serial = serial_bits(spec, start + n)
     history = serial[:start] if start else None
     assert np.array_equal(pattern(spec, n, history), serial[start:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order_tap=_SMALL_SPECS)
+def test_after_seeds_the_state_of_the_serial_register(data, order_tap):
+    # The seed read from the last `order` of n bits is the state the serial
+    # register holds once it has sent them, at any bit phase, whatever the
+    # octets hold past bit n.
+    order, tap = order_tap
+    seed = data.draw(st.integers(1, (1 << order) - 1))
+    spec = PrbsSpec(order=order, taps=(order, tap), seed=seed)
+    n = data.draw(st.integers(order, 3000))
+    state = seed
+    for _ in range(n):
+        state, _ = step_register(state, order, tap)
+    sent = generate(spec, n + data.draw(st.integers(0, 20)))
+    assert spec.after(sent, n) == PrbsSpec(order=order, taps=(order, tap), seed=state)
 
 
 @pytest.mark.parametrize("order", [9, 11])
