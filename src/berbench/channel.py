@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_int, check_json, check_keys, check_real
+from .core import check_int, check_json, check_keys, check_real, refusal
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -590,7 +590,7 @@ def model_from_dict(data: dict) -> ChannelModel:
         return kind.model(**params, seed=check_int(data["seed"], "the seed"))
     except (KeyError, TypeError, ValueError) as exc:
         shown = json.dumps(data, default=repr)  # a Python caller's value may not be JSON
-        raise ValueError(f"bad channel description {shown}: {exc}") from None
+        raise ValueError(f"bad channel description {shown}: {refusal(exc)}") from None
 
 
 def model_from_spec(spec: str, seed: int) -> ChannelModel:

@@ -12,8 +12,12 @@ interface has no connector, 3 configuration error, a bad command line or
 an unwritable output (3 beats 2 beats 1), 130 interrupted (Ctrl-C).
 
 Human tables group thousands with a space ("15 625"); JSON carries plain
-integers.  Text rendering is a pure function of the JSON report, so a
-saved report re-renders byte-identically.
+integers.  The text table is a pure function of the JSON report.  `report
+--in` type-checks `dut`, `config`, `frequencies_hz` and each result's
+`interface`, `note`, `chain`, counts and `sync_failed`; rebuilds each result
+from them by `run`'s rules and writer (measurements, BER, duration, verdict,
+`converter_used`); and refuses the first JSON path that differs, e.g.
+`results[0].verdict must be "FAIL", got "PASS"`.
 """
 from __future__ import annotations
 
@@ -32,22 +36,26 @@ from .core import (
     BerValue,
     Outcome,
     REPORT_ORDER,
+    check_freq_hz,
     check_int,
     check_json,
     check_keys,
+    check_rate_kbps,
     check_real,
+    check_same,
     exact_fraction,
     format_ber,
     format_duration,
     json_type,
     parse_interface,
 )
-from .meter import measured_ber, required_duration
+from .meter import BerMeasurement, MeasurementConfig, measured_ber, required_duration
 from .prbs import PrbsSpec
 from .procedure import (
     CampaignConfig,
     CampaignReport,
     VerdictPolicy,
+    interface_verdict,
     run_campaign,
 )
 from .testbed import (
@@ -145,10 +153,10 @@ def _load_json(path: Path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # not JSON, or an integer of more digits than Python reads
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{path} nests too deeply to read") from None
 
@@ -234,7 +242,7 @@ def _ber_to_dict(ber: BerValue) -> dict:
     return {"kind": "upper_bound" if ber.is_bound else "point", "value": float(ber.value)}
 
 
-def _measurement_to_dict(m) -> dict:
+def _measurement_to_dict(m: BerMeasurement) -> dict:
     return {
         "rate_kbps": m.rate_kbps,
         "freq_hz": m.freq_hz,
@@ -243,6 +251,18 @@ def _measurement_to_dict(m) -> dict:
         "ber": _ber_to_dict(m.ber),
         "duration_s": m.duration_s,
         "sync_failed": m.sync_failed,
+    }
+
+
+def _result_to_dict(iface, verdict, chain: list[str] | None, measurements) -> dict:
+    """One entry of a report's `results`; `chain` holds the converters' names."""
+    return {
+        "interface": iface.value,
+        "verdict": verdict.outcome.value,
+        "note": verdict.note,
+        "converter_used": bool(chain),
+        "chain": chain,
+        "measurements": [_measurement_to_dict(m) for m in measurements],
     }
 
 
@@ -256,30 +276,19 @@ def report_to_dict(report: CampaignReport) -> dict:
         "config": {
             "ber0": float(cfg.measurement.ber0),
             "ber_max": float(cfg.policy.ber_max),
-            "pattern": {
-                "order": pattern.order,
-                "taps": list(pattern.taps),
-                "seed": pattern.seed,
-            },
+            "pattern": {"order": pattern.order, "taps": list(pattern.taps), "seed": pattern.seed},
             "channel": channel_mod.model_to_dict(cfg.dut.loopback_channel),
             "rates": {kind.value: list(cfg.rates_for(kind)) for kind in cfg.interfaces},
         },
         "frequencies_hz": report.frequencies._asdict(),
         "results": [
-            {
-                "interface": r.iface.value,
-                "verdict": r.verdict.outcome.value,
-                "note": r.verdict.note,
-                "converter_used": bool(r.chain),
-                "chain": [c.name for c in r.chain] if r.chain is not None else None,
-                "measurements": [_measurement_to_dict(m) for m in r.measurements],
-            }
+            _result_to_dict(
+                r.iface, r.verdict, None if r.chain is None else [c.name for c in r.chain],
+                r.measurements,
+            )
             for r in report.results
         ],
-        "timestamps": {
-            "virtual_start_s": 0,
-            "virtual_end_s": report.virtual_end_s,
-        },
+        "timestamps": {"virtual_start_s": 0, "virtual_end_s": report.virtual_end_s},
         "log": [[t, msg] for t, msg in report.log],
     }
 
@@ -292,55 +301,47 @@ def _named(at: str, make, *args):
         raise ValueError(f"{at}: {exc}") from None
 
 
-def _measurement_ber(m, at: str, ber0: Fraction) -> BerValue:
-    """The row's BER by `measured_ber`, which its `ber` must state as `run` writes it."""
-    m = check_json(m, at, dict)
-    ber = check_json(m["ber"], f"{at}.ber", dict)
-    kind = check_json(ber["kind"], f"{at}.ber.kind", str)
-    check_real(ber["value"], f"{at}.ber.value")
+def _measurement(row, at: str, rate: int, freq: float, ber0: Fraction) -> BerMeasurement:
+    """The measurement `measure` makes of the row's counts at (rate, freq)."""
+    row = check_json(row, at, dict)
     keys = ("errored_bits", "transmitted_bits")
-    errored, transmitted = (check_int(m[key], f"{at}.{key}") for key in keys)
+    errored, transmitted = (check_int(row[key], f"{at}.{key}") for key in keys)
+    sync_failed = check_json(row["sync_failed"], f"{at}.sync_failed", bool)
     counts = f"{at}.{'transmitted_bits' if transmitted <= 0 else 'errored_bits'}"
-    if kind == "upper_bound":
-        _named(f"{at}.ber.value", BerValue.upper_bound, ber["value"])
-    elif kind == "point":
-        _named(counts, BerValue.point, errored, transmitted)
-    else:
-        raise ValueError(f"{at}.ber.kind must be point or upper_bound, got {json.dumps(kind)}")
-    rule = _named(counts, measured_ber, errored, transmitted, ber0)
-    for key, want in _ber_to_dict(rule).items():
-        if ber[key] != want:
-            raise ValueError(
-                f"{at}.ber.{key} must be {json.dumps(want)} for {errored} errored of "
-                f"{transmitted} bits, got {json.dumps(ber[key])}"
-            )
-    return rule
-
-
-def _worst_ber(measurements, at: str, ber0: Fraction) -> BerValue | None:
-    rows = enumerate(check_json(measurements, at, list))
-    bers = [_measurement_ber(m, f"{at}[{i}]", ber0) for i, m in rows]  # checks every row
-    return max(bers, key=lambda b: (b.value, not b.is_bound), default=None)
+    ber = _named(counts, measured_ber, errored, transmitted, ber0)
+    fields = (transmitted, errored, ber, required_duration(rate, ber0), rate, freq, sync_failed)
+    return _named(counts, BerMeasurement, *fields)
 
 
 def render_report_text(report: dict) -> str:
-    """The text table of a report, refusing, in JSON terms, any value it
-    reads whose JSON type `report_to_dict` does not write there."""
+    """The text table of a report that is what `run` writes (see the module docstring)."""
     cfg = check_json(report["config"], "config", dict)
-    ber0, ber_max = (
-        _named(f"config.{k}", BerValue.upper_bound, check_real(cfg[k], f"config.{k}")).value
-        for k in ("ber0", "ber_max")
-    )
+    ber0 = _named("config.ber0", MeasurementConfig, check_real(cfg["ber0"], "config.ber0")).ber0
+    policy = _named("config.ber_max", VerdictPolicy, check_real(cfg["ber_max"], "config.ber_max"))
     pattern = check_json(cfg["pattern"], "config.pattern", dict)
     order, seed = (check_int(pattern[key], f"config.pattern.{key}") for key in ("order", "seed"))
     taps = enumerate(check_json(pattern["taps"], "config.pattern.taps", list))
     taps = [check_int(tap, f"config.pattern.taps[{i}]") for i, tap in taps]
     freqs = check_json(report["frequencies_hz"], "frequencies_hz", dict)
-    f0, f1, f2 = (check_real(freqs[f], f"frequencies_hz.{f}") / 1e6 for f in ("f0", "f1", "f2"))
+    points = [
+        _named(f"frequencies_hz.{f}", check_freq_hz, check_real(freqs[f], f"frequencies_hz.{f}"))
+        for f in ("f0", "f1", "f2")
+    ]
     chan = check_json(cfg["channel"], "config.channel", dict)
     channel_mod.model_from_dict(chan)  # refuses a parameter or seed of the wrong type
     params = (f"{k}={chan[k]}" for k in channel_mod.param_names(chan["kind"]))
     chan_text = " ".join([chan["kind"], *params]) + f" (seed {chan['seed']})"
+    results = enumerate(check_json(report["results"], "results", list))
+    results = [(f"results[{i}]", check_json(r, f"results[{i}]", dict)) for i, r in results]
+    names = [(f"{at}.interface", r["interface"]) for at, r in results]
+    kinds = [_named(at, parse_interface, check_json(name, at, str)) for at, name in names]
+    rates = check_json(cfg["rates"], "config.rates", dict)
+    check_same(rates, {kind.value: rates.get(kind.value) for kind in kinds}, "config.rates")
+    for name, values in rates.items():
+        at = f"config.rates[{json.dumps(name)}]"
+        for i, rate in enumerate(check_json(values, at, list)):
+            _named(f"{at}[{i}]", check_rate_kbps, check_int(rate, f"{at}[{i}]"))
+    f0, f1, f2 = (f / 1e6 for f in points)
 
     lines = [
         "BER campaign report",
@@ -348,36 +349,35 @@ def render_report_text(report: dict) -> str:
         f"DUT:        {check_json(report['dut'], 'dut', str)}",
         f"Pattern:    PRBS-{order}, taps ({taps[0]}, {taps[1]}), seed {seed}",
         f"Resolution: BER_0 = {_format_resolution(ber0)}    "
-        f"Pass threshold: BER_max = {_format_resolution(ber_max)}",
+        f"Pass threshold: BER_max = {_format_resolution(policy.ber_max)}",
         f"Channel:    {chan_text}",
         f"Tuning:     f0 = {f0:g} MHz, f1 = {f1:g} MHz, f2 = {f2:g} MHz",
         "",
     ]
     header = ["Traffic interface", "BER result", "Converter used", "Verdict"]
     rows, notes = [], []
-    verdicts = [o.value for o in Outcome]
-    for i, result in enumerate(check_json(report["results"], "results", list)):
-        at = f"results[{i}]"
-        result = check_json(result, at, dict)
-        iface = check_json(result["interface"], f"{at}.interface", str)
-        verdict = check_json(result["verdict"], f"{at}.verdict", str)
-        if verdict not in verdicts:
-            got = json.dumps(verdict)
-            raise ValueError(f"{at}.verdict must be one of {', '.join(verdicts)}, got {got}")
-        note = check_json(result.get("note"), f"{at}.note", str, type(None))
-        used = check_json(result["converter_used"], f"{at}.converter_used", bool)
-        worst = _worst_ber(result["measurements"], f"{at}.measurements", ber0)
-        if verdict == Outcome.NO_CONNECTOR.value:
-            rows.append([iface, "-", "-", verdict])
-        else:
-            best = "-" if worst is None else format_ber(worst)
-            rows.append([iface, best, "YES" if used else "NO", verdict])
-        if note:
-            notes.append(f"  {iface}: {note}")
+    for (at, result), kind in zip(results, kinds):
+        note = check_json(result["note"], f"{at}.note", str, type(None))
+        chain = check_json(result["chain"], f"{at}.chain", list, type(None))
+        for i, name in enumerate(chain or ()):
+            check_json(name, f"{at}.chain[{i}]", str)
+        pairs = [] if note is not None else [(r, f) for r in rates[kind.value] for f in points]
+        ms = check_json(result["measurements"], f"{at}.measurements", list)
+        if len(ms) != len(pairs):
+            raise ValueError(f"{at}.measurements must hold {len(pairs)} entries, got {len(ms)}")
+        ms = [_measurement(m, f"{at}.measurements[{i}]", *pair, ber0)
+              for i, (m, pair) in enumerate(zip(ms, pairs))]
+        verdict = _named(f"{at}.note", interface_verdict, note, ms, policy)
+        check_same(result, _result_to_dict(kind, verdict, chain, ms), at)
+        worst = max((m.ber for m in ms), key=lambda b: (b.value, not b.is_bound), default=None)
+        best = "-" if worst is None else format_ber(worst)
+        used = "-" if note is not None else "YES" if chain else "NO"
+        rows.append([kind.value, best, used, verdict.outcome.value])
+        if note is not None:
+            notes.append(f"  {kind.value}: {note}")
     widths = [max(map(len, column)) for column in zip(header, *rows)]
     lines.append("  ".join(f"{h:<{w}}" for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
+    for row in (["-" * w for w in widths], *rows):
         lines.append("  ".join(f"{v:<{w}}" for v, w in zip(row, widths)).rstrip())
     if notes:
         lines += ["", "notes:", *notes]

@@ -120,6 +120,27 @@ def check_keys(data: dict, what: str, *known: str) -> dict:
     return data
 
 
+def check_same(value, want, what: str) -> None:
+    """Refuse the first JSON path, in `want`'s order, where a document value
+    differs from `want`: `what` is the path of `value` itself."""
+    if isinstance(want, dict) and isinstance(value, dict):
+        for key, item in want.items():
+            if key not in value:
+                raise ValueError(f"{what}: missing key {json.dumps(key)}")
+            check_same(value[key], item, f"{what}.{key}")
+        check_keys(value, what, *want)
+    elif isinstance(want, list) and isinstance(value, list) and len(value) == len(want):
+        for i, (got, item) in enumerate(zip(value, want)):
+            check_same(got, item, f"{what}[{i}]")
+    elif json.dumps(value) != json.dumps(want):
+        raise ValueError(f"{what} must be {json.dumps(want)}, got {json.dumps(value)}")
+
+
+def refusal(exc: Exception) -> str:
+    """A document loader's message for `exc`; a KeyError names the missing key."""
+    return f"missing key {json.dumps(exc.args[0])}" if isinstance(exc, KeyError) else str(exc)
+
+
 def check_real(value, what: str) -> float:
     """A document real number: a JSON integer or float, never a string or a bool."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -158,7 +179,8 @@ def check_rate_kbps(rate: int) -> int:
 def check_freq_hz(freq: float) -> float:
     freq = float(freq)
     if not math.isfinite(freq) or freq <= 0.0:
-        raise ValueError(f"frequency must be a positive finite value in Hz, got {freq!r}")
+        got = json.dumps(freq)  # NaN and Infinity as a report holds them
+        raise ValueError(f"frequency must be a positive finite value in Hz, got {got}")
     return freq
 
 

@@ -117,6 +117,15 @@ def apply_verdict(ber: BerValue, policy: VerdictPolicy) -> Outcome:
     return Outcome.PASS if ber.value <= policy.ber_max else Outcome.FAIL
 
 
+def interface_verdict(note: str | None, measurements, policy: VerdictPolicy) -> Verdict:
+    """No connector when the plan gave the interface a note, else a pass
+    exactly when every measurement passes."""
+    if note is not None:
+        return Verdict(Outcome.NO_CONNECTOR, note)
+    ok = all(apply_verdict(m.ber, policy) is Outcome.PASS for m in measurements)
+    return Verdict(Outcome.PASS if ok else Outcome.FAIL)
+
+
 @dataclass(frozen=True)
 class InterfaceResult:
     iface: InterfaceKind
@@ -376,11 +385,8 @@ def _fold(
             clock.note(f"{iface}: connected via {' + '.join(c.name for c in chain)}")
         elif chain is not None:
             clock.note(f"{iface}: connected natively")
-        if step.note is not None:
+        if step.note is not None:  # no connector: the step has no jobs
             clock.note(f"{iface}: {step.note}")
-            verdict = Verdict(Outcome.NO_CONNECTOR, step.note)
-            results.append(InterfaceResult(iface, verdict, chain, ()))
-            continue
         measurements = []
         for job in step.jobs:
             m = next(remaining)
@@ -390,8 +396,7 @@ def _fold(
                 f"{iface} @ {job.rate_kbps} kbit/s, {_mhz(job.freq_hz)}: "
                 f"{m.errored_bits} errors / {m.transmitted_bits} bits",
             )
-        ok = all(apply_verdict(m.ber, config.policy) is Outcome.PASS for m in measurements)
-        verdict = Verdict(Outcome.PASS if ok else Outcome.FAIL)
+        verdict = interface_verdict(step.note, measurements, config.policy)
         results.append(InterfaceResult(iface, verdict, chain, tuple(measurements)))
     return tuple(results)
 

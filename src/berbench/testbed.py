@@ -34,6 +34,7 @@ zeros, as does the whole payload of a line that never aligns.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -55,6 +56,7 @@ from .core import (
     json_type,
     parse_interface,
     parse_port_kinds,
+    refusal,
 )
 from .framing import (
     PAYLOAD_SLOTS,
@@ -497,12 +499,20 @@ def default_profile(channel: ChannelModel | None = None) -> DutProfile:
 
 
 def rate_map_from_dict(data: dict) -> dict[InterfaceKind, tuple[int, ...]]:
-    """Bit rates per interface; the combined copper port sets both kinds."""
-    return {
-        kind: tuple(check_int(r, "a bit rate") for r in check_json(values, repr(name), list))
-        for name, values in check_json(data, "'rates'", dict).items()
-        for kind in parse_port_kinds(name)
-    }
+    """Bit rates per interface; the combined copper port sets both kinds.
+
+    An interface reached by two keys ("V.35" and "v35", or "10BASE-T" and
+    "10/100BASE-T") is refused rather than read from the later one.
+    """
+    rates, keys = {}, {}
+    for name, values in check_json(data, "'rates'", dict).items():
+        values = tuple(check_int(r, "a bit rate") for r in check_json(values, repr(name), list))
+        for kind in parse_port_kinds(name):
+            if kind in keys:
+                twice = f"{json.dumps(keys[kind])} and {json.dumps(name)}"
+                raise ValueError(f"'rates' names {kind} twice, as {twice}")
+            rates[kind], keys[kind] = values, name
+    return rates
 
 
 def _objects(entries: Iterable, key: str, *known: str) -> list[dict]:
@@ -518,13 +528,14 @@ def profile_from_dict(data: dict) -> DutProfile:
         ports = []
         entries = check_json(data["ports"], "'ports'", list)
         for entry in _objects(entries, "ports", "interface", "connector"):
+            connector = check_json(entry.get("connector", ""), "'connector'", str)
             for kind in parse_port_kinds(entry["interface"]):
-                ports.append((kind, entry.get("connector", "")))
+                ports.append((kind, connector))
         if data.get("g704_crc4", True) is not True:
             # Older documents carry the key; CRC-4 is the only framed mode.
             raise ValueError(f"'g704_crc4' may only be true, got {json_type(data['g704_crc4'])}")
         return DutProfile(
-            name=str(data["name"]),
+            name=check_json(data["name"], "'name'", str),
             ports=tuple(ports),
             supported_rates=rate_map_from_dict(data["rates"]),
             if_range_hz=tuple(
@@ -539,7 +550,7 @@ def profile_from_dict(data: dict) -> DutProfile:
             warmup_s=check_int(data.get("warmup_s", 0), "'warmup_s'"),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad DUT profile document: {exc}") from None
+        raise ValueError(f"bad DUT profile document: {refusal(exc)}") from None
 
 
 def _rate_cap(entry: dict) -> int | None:
@@ -562,15 +573,15 @@ def catalog_from_list(entries: Iterable[dict]) -> tuple[ConverterSpec, ...]:
                 sides.append(frozenset(kinds))
             converters.append(
                 ConverterSpec(
-                    name=str(entry["name"]),
+                    name=check_json(entry["name"], "'name'", str),
                     side_a=sides[0],
                     side_b=sides[1],
                     max_rate_kbps=_rate_cap(entry),
-                    notes=str(entry.get("notes", "")),
+                    notes=check_json(entry.get("notes", ""), "'notes'", str),
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad converter catalog document: {exc}") from None
+        raise ValueError(f"bad converter catalog document: {refusal(exc)}") from None
     return tuple(converters)
 
 
@@ -594,4 +605,4 @@ def analyzer_from_dict(data: dict) -> AnalyzerProfile:
         )
         return AnalyzerProfile(native=native)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad analyzer document: {exc}") from None
+        raise ValueError(f"bad analyzer document: {refusal(exc)}") from None

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from berbench import cli
-from berbench.channel import param_names
+from berbench.channel import KINDS, param_names
 from berbench.core import json_type
 
 
@@ -627,6 +627,103 @@ def test_a_section_file_with_an_unknown_key_exits_3(tmp_path, section, doc, key)
 
 
 @pytest.mark.parametrize(
+    "doc, key, got",
+    [
+        ({"dut": {**_DUT, "name": None}}, "name", "null"),
+        ({"dut": {**_DUT, "name": {"a": 1}}}, "name", "object"),
+        (
+            {"dut": {**_DUT, "ports": [{"interface": "G.703", "connector": 5}]}},
+            "connector",
+            "number",
+        ),
+        ({"catalog": [{"name": 5, "side_a": "G.703", "side_b": "V.35"}]}, "name", "number"),
+        ({"catalog": [{"name": "c", "side_a": "G.703", "side_b": "V.35", "notes": []}]}, "notes",
+         "array"),
+    ],
+    ids=["dut-name-null", "dut-name-object", "port-connector-number", "catalog-name-number",
+         "catalog-notes-array"],
+)
+def test_a_name_that_is_not_a_json_string_exits_3(doc, key, got):
+    # It used to be stringified: "name": null ran, and the report said "dut": "None".
+    code, err = _run_config(doc)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"'{key}' must be a JSON string, got {got}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"dut": {key: value for key, value in _DUT.items() if key != "ports"}},
+            'bad DUT profile document: missing key "ports"',
+        ),
+        (
+            {"catalog": [{"name": "c", "side_a": "G.703"}]},
+            'bad converter catalog document: missing key "side_b"',
+        ),
+        (
+            {"analyzer": {"native": [{"max_rate_kbps": 512}]}},
+            'bad analyzer document: missing key "interface"',
+        ),
+        (
+            {"channel": {"kind": "bsc", "seed": 1}},
+            'bad channel description {"kind": "bsc", "seed": 1}: missing key "p"',
+        ),
+    ],
+    ids=["dut", "catalog", "analyzer", "channel"],
+)
+def test_a_missing_key_is_named_as_missing(tmp_path, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "ber-campaign-config/1", "ber0": 1e-3, **doc}))
+    code, err = _run_quietly("run", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert (code, err) == (3, f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"rates": {"V.35": [64], "v35": [128]}},
+            '\'rates\' names V.35 twice, as "V.35" and "v35"',
+        ),
+        (
+            {"interfaces": ["10BASE-T"], "rates": {"10BASE-T": [256], "10/100BASE-T": [512]}},
+            '\'rates\' names 10BASE-T twice, as "10BASE-T" and "10/100BASE-T"',
+        ),
+        (
+            {"dut": {**_DUT, "rates": {"G.703": [2048], "g703": [1024]}}},
+            'bad DUT profile document: \'rates\' names G.703 twice, as "G.703" and "g703"',
+        ),
+    ],
+    ids=["alias", "combined-port", "dut-profile"],
+)
+def test_a_rate_map_naming_an_interface_twice_exits_3(tmp_path, doc, message):
+    # It used to keep the later list: {"V.35": [64], "v35": [128]} measured V.35 at 128.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "ber-campaign-config/1", "ber0": 1e-3, **doc}))
+    code, err = _run_quietly("run", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert (code, err) == (3, f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["run --config", "report --in"])
+def test_an_integer_too_long_to_read_exits_3_naming_the_file(tmp_path, command):
+    # Python reads no integer of more than 4 300 digits by default.
+    huge = "1" * 4301
+    if command == "run --config":
+        text = '{"schema": "ber-campaign-config/1", "pattern": {"seed": %s}}' % huge
+    else:
+        field = '"transmitted_bits": '
+        text = _saved_report().replace(f"{field}10000", f"{field}{huge}", 1)
+        assert huge in text
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, err = _run_quietly(*command.split(), str(path), "--out", str(tmp_path / "x"))
+    assert code == 3 and err.count("\n") == 1
+    assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize(
     "channel",
     [
         {"kind": "bsc", "p": 10**400, "seed": 1},
@@ -784,8 +881,8 @@ def _with_measurement(result_index, measurement_index, **fields):
             "errored_bits: BER value 100000 outside [0, 1]",
         ),
         (
-            {"ber": {"kind": "upper_bound", "value": 0}},
-            "ber.value: an upper bound of 0 is meaningless",
+            {"errored_bits": 0, "ber": {"kind": "upper_bound", "value": 0}},
+            "ber.value must be 0.001, got 0",
         ),
     ],
     ids=["zero-bits", "negative-errors", "errors-beyond-bits", "zero-bound"],
@@ -802,25 +899,22 @@ def test_report_with_impossible_counts_exits_3(tmp_path, capsys, fields, message
 @pytest.mark.parametrize(
     "fields, message",
     [
-        (
-            {"ber": {"kind": "point", "value": 0.75}},
-            "ber.value must be 0.0005 for 5 errored of 10000 bits, got 0.75",
-        ),
+        ({"ber": {"kind": "point", "value": 0.75}}, "ber.value must be 0.0005, got 0.75"),
         (
             {"ber": {"kind": "upper_bound", "value": 0.001}},
-            'ber.kind must be "point" for 5 errored of 10000 bits, got "upper_bound"',
+            'ber.kind must be "point", got "upper_bound"',
         ),
         (
             {"ber": {"kind": "point", "value": 0.0005000000000000001}},  # one ulp above
-            "ber.value must be 0.0005 for 5 errored of 10000 bits, got 0.0005000000000000001",
+            "ber.value must be 0.0005, got 0.0005000000000000001",
         ),
         (
             {"errored_bits": 0, "ber": {"kind": "point", "value": 0.0}},
-            'ber.kind must be "upper_bound" for 0 errored of 10000 bits, got "point"',
+            'ber.kind must be "upper_bound", got "point"',
         ),
         (
             {"errored_bits": 0, "ber": {"kind": "upper_bound", "value": 0.002}},
-            "ber.value must be 0.001 for 0 errored of 10000 bits, got 0.002",
+            "ber.value must be 0.001, got 0.002",
         ),
     ],
     ids=["value-off", "bound-with-errors", "value-one-ulp-off", "point-without-errors",
@@ -848,6 +942,18 @@ def _set(*keys_and_value):
     return change
 
 
+def _drop(*keys):
+    """A change to the saved report: the key or list entry at the path removed."""
+    *keys, last = keys
+
+    def change(report):
+        for key in keys:
+            report = report[key]
+        del report[last]
+
+    return change
+
+
 #: A change to the saved report, and the message that names what is wrong.
 WRONG_FORMS = {
     "config-array": (_set("config", []), "config must be a JSON object, got array"),
@@ -862,8 +968,7 @@ WRONG_FORMS = {
         _set("config", "channel", "kind", "nope"), 'unknown channel kind "nope"'
     ),
     "verdict-unknown": (
-        _set("results", 0, "verdict", "MAYBE"),
-        'results[0].verdict must be one of PASS, FAIL, NO CONNECTOR, got "MAYBE"',
+        _set("results", 0, "verdict", "MAYBE"), 'results[0].verdict must be "FAIL", got "MAYBE"'
     ),
     "results-object": (_set("results", {}), "results must be a JSON array, got object"),
     "note-array": (
@@ -876,6 +981,10 @@ WRONG_FORMS = {
     ),
     "measurement-number": (
         _set("results", 0, "measurements", [1]),
+        "results[0].measurements must hold 3 entries, got 1",
+    ),
+    "measurement-row-number": (
+        _set("results", 0, "measurements", 0, 1),
         "results[0].measurements[0] must be a JSON object, got number",
     ),
     "interface-number": (
@@ -887,28 +996,43 @@ WRONG_FORMS = {
     "f0-null": (_set("frequencies_hz", "f0", None), "frequencies_hz.f0 must be a number, got null"),
     "ber-string": (
         _set("results", 0, "measurements", 0, "ber", "x"),
-        "results[0].measurements[0].ber must be a JSON object, got string",
+        'results[0].measurements[0].ber must be {"kind": "point", "value": 0.0005}, got "x"',
     ),
     "converter-used-string": (
         _set("results", 0, "converter_used", "x"),
-        "results[0].converter_used must be a JSON true or false, got string",
+        'results[0].converter_used must be false, got "x"',
     ),
     "dut-number": (_set("dut", 5), "dut must be a JSON string, got number"),
     "ber-kind-number": (
         _set("results", 0, "measurements", 0, "ber", "kind", 5),
-        "results[0].measurements[0].ber.kind must be a JSON string, got number",
+        'results[0].measurements[0].ber.kind must be "point", got 5',
     ),
     "ber-kind-unknown": (
         _set("results", 0, "measurements", 0, "ber", "kind", "guess"),
-        'results[0].measurements[0].ber.kind must be point or upper_bound, got "guess"',
+        'results[0].measurements[0].ber.kind must be "point", got "guess"',
     ),
     "channel-seed-string": (
         _set("config", "channel", "seed", "x"), "the seed must be an integer, got string"
     ),
     "channel-p-array": (_set("config", "channel", "p", [1]), "'p' must be a number, got array"),
-    "ber0-above-1": (_set("config", "ber0", 2), "config.ber0: BER value 2 outside [0, 1]"),
+    "ber0-above-1": (_set("config", "ber0", 2), "config.ber0: resolution must be in (0, 1), got 2"),
     "ber-max-zero": (
-        _set("config", "ber_max", 0), "config.ber_max: an upper bound of 0 is meaningless"
+        _set("config", "ber_max", 0), "config.ber_max: threshold must be in (0, 1), got 0"
+    ),
+    "rate-string": (
+        _set("config", "rates", "V.35", ["64"]),
+        'config.rates["V.35"][0] must be an integer, got string',
+    ),
+    "chain-entry-number": (
+        _set("results", 4, "chain", [5]), "results[4].chain[0] must be a JSON string, got number"
+    ),
+    "verdict-missing": (_drop("results", 0, "verdict"), 'results[0]: missing key "verdict"'),
+    "result-key-unknown": (
+        _set("results", 0, "verdict_note", ""), 'results[0] has unknown key "verdict_note"'
+    ),
+    "sync-failed-null": (
+        _set("results", 0, "measurements", 0, "sync_failed", None),
+        "results[0].measurements[0].sync_failed must be a JSON true or false, got null",
     ),
 }
 
@@ -976,8 +1100,9 @@ def _json_class(value) -> str:
 
 def _read_values(report) -> list[tuple[tuple, set[str]]]:
     """(path, JSON types) of every value the renderer reads in `report`, with
-    the types `berbench run` writes there.  A note may be null; the renderer
-    never reads a result's `chain`."""
+    the types `berbench run` writes there.  A note and a chain may be null.
+    The values it derives from these are compared, not read (see
+    `test_a_report_run_writes_reads_back_and_no_derived_leaf_can_change`)."""
     paths = {
         ("dut",): "string",
         ("config",): "object",
@@ -990,6 +1115,7 @@ def _read_values(report) -> list[tuple[tuple, set[str]]]:
         ("config", "channel"): "object",
         ("config", "channel", "kind"): "string",
         ("config", "channel", "seed"): "number",
+        ("config", "rates"): "object",
         ("frequencies_hz",): "object",
         **{("frequencies_hz", f): "number" for f in ("f0", "f1", "f2")},
         ("results",): "array",
@@ -999,15 +1125,18 @@ def _read_values(report) -> list[tuple[tuple, set[str]]]:
     channel = report["config"]["channel"]
     for key in param_names(channel["kind"]):
         paths["config", "channel", key] = _json_class(channel[key])
+    for name, rates in report["config"]["rates"].items():
+        paths["config", "rates", name] = "array"
+        paths.update({("config", "rates", name, i): "number" for i, _ in enumerate(rates)})
     for i, result in enumerate(report["results"]):
         at = ("results", i)
-        paths.update({at: "object", (*at, "interface"): "string", (*at, "verdict"): "string"})
-        paths.update({(*at, "note"): "string null", (*at, "converter_used"): "boolean"})
-        paths[(*at, "measurements")] = "array"
+        paths.update({at: "object", (*at, "interface"): "string", (*at, "note"): "string null"})
+        paths.update({(*at, "chain"): "array null", (*at, "measurements"): "array"})
+        for j, _ in enumerate(result["chain"] or ()):
+            paths[(*at, "chain", j)] = "string"
         for j, _ in enumerate(result["measurements"]):
             m = (*at, "measurements", j)
-            paths.update({m: "object", (*m, "ber"): "object", (*m, "ber", "kind"): "string"})
-            paths[(*m, "ber", "value")] = "number"
+            paths.update({m: "object", (*m, "sync_failed"): "boolean"})
             for key in ("errored_bits", "transmitted_bits"):
                 paths[(*m, key)] = "number"
     return [(path, set(kinds.split())) for path, kinds in paths.items()]
@@ -1032,6 +1161,161 @@ def test_a_read_value_of_another_json_type_exits_3_in_json_terms(data):
     # The value's JSON type, never a Python type or a Python error.
     assert err.endswith(f", got {json_type(value)}\n")
     assert not re.search(r"NoneType|'(int|float|str|bool|list|dict)'", err)
+
+
+def _rates_of_another_interface(report):
+    rates = report["config"]["rates"]
+    rates["G.702"] = rates.pop("G.703")
+
+
+#: An edit of the saved report that contradicts what its counts and config
+#: imply, and the message naming the first JSON path where it differs from
+#: what `run` writes.  Each used to re-render with exit 1 (the last with 2).
+CONTRADICTIONS = {
+    "verdict-fail-to-pass": (
+        _set("results", 0, "verdict", "PASS"), 'results[0].verdict must be "FAIL", got "PASS"'
+    ),
+    "duration": (
+        _set("results", 0, "measurements", 0, "duration_s", 99999),
+        "results[0].measurements[0].duration_s must be 0, got 99999",
+    ),
+    "rate": (
+        _set("results", 0, "measurements", 0, "rate_kbps", 64),
+        "results[0].measurements[0].rate_kbps must be 2048, got 64",
+    ),
+    "freq": (
+        _set("results", 0, "measurements", 0, "freq_hz", 1.0),
+        "results[0].measurements[0].freq_hz must be 1450000000.0, got 1.0",
+    ),
+    "f0-nan": (
+        _set("frequencies_hz", "f0", float("nan")),
+        "frequencies_hz.f0: frequency must be a positive finite value in Hz, got NaN",
+    ),
+    "f0-infinity": (
+        _set("frequencies_hz", "f0", float("inf")),
+        "frequencies_hz.f0: frequency must be a positive finite value in Hz, got Infinity",
+    ),
+    "f0-negative": (
+        _set("frequencies_hz", "f0", -1),
+        "frequencies_hz.f0: frequency must be a positive finite value in Hz, got -1.0",
+    ),
+    "converter-used-flipped": (
+        _set("results", 2, "converter_used", False),
+        "results[2].converter_used must be true, got false",
+    ),
+    # A note makes a result a no-connector one, which has no measurement.
+    "note-on-a-measured-result": (
+        _set("results", 0, "note", "no connector"),
+        "results[0].measurements must hold 0 entries, got 3",
+    ),
+    "measurement-dropped": (
+        _drop("results", 0, "measurements", 1),
+        "results[0].measurements must hold 3 entries, got 2",
+    ),
+    "interface-alias": (
+        _set("results", 0, "interface", "g703"), 'results[0].interface must be "G.703", got "g703"'
+    ),
+    "rates-of-another-interface": (_rates_of_another_interface, 'config.rates: missing key "G.703"'),
+    "rates-of-one-more-interface": (
+        _set("config", "rates", "G.702", [2048]), 'config.rates has unknown key "G.702"'
+    ),
+    "measured-relabelled-no-connector": (
+        _set("results", 0, "verdict", "NO CONNECTOR"),
+        'results[0].verdict must be "FAIL", got "NO CONNECTOR"',
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", CONTRADICTIONS.values(), ids=CONTRADICTIONS)
+def test_a_report_contradicting_its_counts_or_config_exits_3(tmp_path, capsys, change, message):
+    report = json.loads(_saved_report())
+    change(report)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report))
+    assert run_cli("report", "--in", str(path)) == 3
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+_INTERFACES = ["G.703", "G.704", "V.35", "STANAG 4210", "10BASE-T", "100BASE-TX", "10BASE-FL",
+               "100BASE-FX", "100BASE-SX"]
+
+#: Parameters of each channel kind for a short campaign; a kind added to
+#: `channel.KINDS` without an entry here fails the property below.
+_CHANNEL_PARAMS = {
+    "ideal": st.fixed_dictionaries({}),
+    "bsc": st.fixed_dictionaries({"p": st.sampled_from([1e-4, 1e-3, 1e-2, 0.3])}),
+    "gilbert_elliott": st.fixed_dictionaries({
+        "p_gb": st.sampled_from([0.01, 0.2]), "p_bg": st.sampled_from([0.1, 0.5]),
+        "p_good": st.sampled_from([1.0, 0.999]), "p_bad": st.sampled_from([0.9, 0.5]),
+    }),
+    "fixed_mask": st.fixed_dictionaries(
+        {"indices": st.lists(st.integers(0, 20_000), max_size=6, unique=True).map(sorted)}
+    ),
+}
+
+
+@st.composite
+def _small_configs(draw):
+    interfaces = draw(st.lists(st.sampled_from(_INTERFACES), min_size=1, max_size=3))
+    rate = st.sampled_from([256, 512, 2048])
+    rates = {name: draw(st.lists(rate, min_size=1, max_size=2)) for name in interfaces}
+    kind = draw(st.sampled_from([k.name for k in KINDS]))
+    channel = {"kind": kind, **draw(_CHANNEL_PARAMS[kind]), "seed": draw(st.integers(0, 2**64 - 1))}
+    config = {
+        "schema": "ber-campaign-config/1",
+        "interfaces": interfaces,
+        "rates": rates,
+        "ber0": draw(st.sampled_from([1e-2, 1e-3])),
+        "ber_max": draw(st.sampled_from([1e-4, 1e-2, 0.5])),
+        "channel": channel,
+    }
+    if draw(st.booleans()):  # no converter: every interface but the analyzer's has no connector
+        config["catalog"] = []
+    return config
+
+
+def _derived_leaves(report) -> list[tuple]:
+    """The paths of every value of `report` that `run` derives from its inputs."""
+    leaves = []
+    for i, result in enumerate(report["results"]):
+        leaves += [("results", i, "verdict"), ("results", i, "converter_used")]
+        for j, _ in enumerate(result["measurements"]):
+            m = ("results", i, "measurements", j)
+            leaves += [(*m, "rate_kbps"), (*m, "freq_hz"), (*m, "duration_s")]
+            leaves += [(*m, "ber", "kind"), (*m, "ber", "value")]
+    return leaves
+
+
+def _json_path(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_small_configs(), data=st.data())
+def test_a_report_run_writes_reads_back_and_no_derived_leaf_can_change(config, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config_path = tmp / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, err = _run_quietly("run", "--config", str(config_path), "--out", str(tmp / "r"))
+        assert code in (0, 1, 2) and err == ""
+        saved = tmp / "r.json"
+        rendered = tmp / "rendered.txt"
+        assert _run_quietly("report", "--in", str(saved), "--out", str(rendered)) == (code, "")
+        assert rendered.read_bytes() == (tmp / "r.txt").read_bytes()
+
+        report = json.loads(saved.read_text())
+        path = data.draw(st.sampled_from(_derived_leaves(report)))
+        parent = report
+        for key in path[:-1]:
+            parent = parent[key]
+        want = json.dumps(parent[path[-1]])
+        value = data.draw(_JSON.filter(lambda v: json.dumps(v) != want))
+        parent[path[-1]] = value
+        saved.write_text(json.dumps(report))
+        code, err = _run_quietly("report", "--in", str(saved))
+    message = f"{_json_path(path)} must be {want}, got {json.dumps(value)}"
+    assert (code, err) == (3, f"error: {saved}: {message}\n")
 
 
 def test_two_runs_identical_json(tmp_path):
